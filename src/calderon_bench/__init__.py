@@ -2,28 +2,28 @@
 on closed curves, plus the benchmark that checks uniformity of the
 resulting spectral condition numbers under local refinement."""
 
-from .geometry import Geometry, make_geometry, chart_eval, chart_speed, total_length
-from .mesh import Mesh, initial_mesh, refine, uniform_refine, corner_schedule
+from .geometry import (Geometry, make_geometry, chart_eval, chart_speed, arc_length,
+                       total_length)
+from .mesh import Mesh, initial_mesh, refine, uniform_refine, corner_schedule, panel_samples
 from .fespace import FeSpace, build_space, eval_basis
 from .quadrature import QuadRule, PairRule, gauss_rule, pair_rule, adaptive_integrate
 from .gram import mass_matrix, lumped_matrix, scaled_basis
-from .boundary_operators import (assemble_single_layer, assemble_hypersingular,
-                                 assemble_operator_pair)
+from .boundary_operators import assemble_operator_pair
 from .precond import (Precond, lumped_precond, mass_precond, jacobi_precond,
                       richardson_weight, richardson_inverse, richardson_precond)
-from .spectral import Spectrum, spd_factor, sym_eig, kappa
+from .spectral import spd_factor, kappa
 from .cli import ExperimentConfig, ReportRow, run_experiment, emit_table
 
 __all__ = [
-    "Geometry", "make_geometry", "chart_eval", "chart_speed", "total_length",
-    "Mesh", "initial_mesh", "refine", "uniform_refine", "corner_schedule",
+    "Geometry", "make_geometry", "chart_eval", "chart_speed", "arc_length", "total_length",
+    "Mesh", "initial_mesh", "refine", "uniform_refine", "corner_schedule", "panel_samples",
     "FeSpace", "build_space", "eval_basis",
     "QuadRule", "PairRule", "gauss_rule", "pair_rule", "adaptive_integrate",
     "mass_matrix", "lumped_matrix", "scaled_basis",
-    "assemble_single_layer", "assemble_hypersingular", "assemble_operator_pair",
+    "assemble_operator_pair",
     "Precond", "lumped_precond", "mass_precond", "jacobi_precond",
     "richardson_weight", "richardson_inverse", "richardson_precond",
-    "Spectrum", "spd_factor", "sym_eig", "kappa",
+    "spd_factor", "kappa",
     "ExperimentConfig", "ReportRow", "run_experiment", "emit_table",
 ]
 

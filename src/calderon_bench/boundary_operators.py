@@ -18,6 +18,7 @@ import scipy.sparse as sparse
 
 from .fespace import FeSpace, reference_basis, reference_basis_deriv
 from .gram import lumped_matrix
+from .mesh import panel_samples
 from .quadrature import gauss_rule, pair_rule
 
 
@@ -40,25 +41,7 @@ def _log_kernel_r2(r2):
     return _KERNEL_HALF * np.log(np.maximum(r2, 1e-300))
 
 
-def _panel_quad_data(s: FeSpace, rule):
-    """Mapped quadrature points, curve points and speeds for every panel."""
-    geom = s.mesh.geometry
-    P = s.mesh.n_panels
-    n = rule.nodes.size
-    pts = np.empty((P, n, 2))
-    speed = np.empty((P, n))
-    dts = np.empty(P)
-    for p, panel in enumerate(s.mesh.panels):
-        dt = panel.t1 - panel.t0
-        t = panel.t0 + dt * rule.nodes
-        c = geom.charts[panel.chart]
-        pts[p] = c.point(t)
-        speed[p] = np.linalg.norm(c.velocity(t), axis=-1)
-        dts[p] = dt
-    return pts, speed, dts
-
-
-def _scatter_matrices(s: FeSpace, rule, pts, speed, dts):
+def _scatter_matrices(s: FeSpace, rule, speed, dts):
     """Sparse maps from quadrature values to global dofs.
 
     S_val carries weight * speed * dt * basis value (for the plain pairing);
@@ -86,10 +69,9 @@ def _assemble_log_galerkin(s: FeSpace, quad_n: int):
     P = s.mesh.n_panels
     if P < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
-    geom = s.mesh.geometry
     grule = gauss_rule(quad_n)
-    pts, speed, dts = _panel_quad_data(s, grule)
-    S_val, S_der = _scatter_matrices(s, grule, pts, speed, dts)
+    pts, speed, dts = panel_samples(s.mesh, grule.nodes)
+    S_val, S_der = _scatter_matrices(s, grule, speed, dts)
 
     n = grule.nodes.size
     flat = pts.reshape(P * n, 2)
@@ -124,19 +106,12 @@ def _assemble_log_galerkin(s: FeSpace, quad_n: int):
             reference_basis_deriv(ell, r.tnodes), reference_basis_deriv(ell, r.unodes),
         )
 
-    def panel_points(p, unit):
-        panel = s.mesh.panels[p]
-        t = panel.t0 + (panel.t1 - panel.t0) * unit
-        c = geom.charts[panel.chart]
-        x = c.point(t)
-        return x, np.linalg.norm(c.velocity(t), axis=-1)
-
     for p in range(P):
         cp = s.conn[p]
         # identical
         Vt, Vu, Dt, Du = basis["id"]
-        x, spt = panel_points(p, r_id.tnodes)
-        y, spu = panel_points(p, r_id.unodes)
+        (x,), (spt,), _ = panel_samples(s.mesh, r_id.tnodes, panels=[p])
+        (y,), (spu,), _ = panel_samples(s.mesh, r_id.unodes, panels=[p])
         r2 = ((x - y) ** 2).sum(axis=-1)
         wk = r_id.weights * _log_kernel_r2(r2)
         dt2 = dts[p] * dts[p]
@@ -146,8 +121,8 @@ def _assemble_log_galerkin(s: FeSpace, quad_n: int):
         q = (p + 1) % P
         cq = s.conn[q]
         Vt, Vu, Dt, Du = basis["ad"]
-        x, spt = panel_points(p, r_ad.tnodes)
-        y, spu = panel_points(q, r_ad.unodes)
+        (x,), (spt,), _ = panel_samples(s.mesh, r_ad.tnodes, panels=[p])
+        (y,), (spu,), _ = panel_samples(s.mesh, r_ad.unodes, panels=[q])
         r2 = ((x - y) ** 2).sum(axis=-1)
         wk = r_ad.weights * _log_kernel_r2(r2)
         blockA = (dts[p] * dts[q]) * ((Vt * (spt * wk)) @ (Vu * spu).T)
@@ -171,35 +146,16 @@ def _require_spd(Mt, what, exc):
         raise exc(f"{what}: matrix is not positive definite") from None
 
 
-def assemble_single_layer(s: FeSpace, quad_n: int = 12) -> np.ndarray:
-    """Galerkin matrix of the single layer operator; symmetric positive
-    definite for admissible geometries (diameter <= 1)."""
-    A, _ = _assemble_log_galerkin(s, quad_n)
-    _require_spd(
-        A, "single layer (geometry guard diameter <= 1 should ensure coercivity)",
-        CoercivityError,
-    )
-    return A
-
-
-def assemble_hypersingular(s: FeSpace, quad_n: int = 12, alpha: float = 0.05) -> np.ndarray:
-    """Stabilized hypersingular matrix B = B~ + alpha m m^T.
-
-    B~ acts on arc-length derivatives through the single layer kernel and
-    therefore annihilates constants; the rank-one term with
-    m[nu] = <phi_nu, 1> restores definiteness for any alpha > 0.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
-    _, Bt = _assemble_log_galerkin(s, quad_n)
-    m = lumped_matrix(s, "exact", n_quad=quad_n)
-    B = Bt + alpha * np.outer(m, m)
-    _require_spd(B, "stabilized hypersingular", AssemblyError)
-    return B
-
-
 def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
-    """Assemble (A, B) sharing one sweep of kernel evaluations."""
+    """Galerkin matrices (A, B) of the single layer and the stabilized
+    hypersingular operator, from one sweep of kernel evaluations.
+
+    A is symmetric positive definite for admissible geometries (diameter
+    <= 1).  B = B~ + alpha m m^T: B~ acts on arc-length derivatives through
+    the single layer kernel and therefore annihilates constants; the
+    rank-one term with m[nu] = <phi_nu, 1> restores definiteness for any
+    alpha > 0.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
     A, Bt = _assemble_log_galerkin(s, quad_n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,12 +20,15 @@ from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import lumped_matrix, mass_matrix, scaled_basis
 from .fespace import build_space, reference_basis
-from .mesh import (corner_schedule, dump_mesh, initial_mesh, is_conforming,
-                   neighbor_ratios, uniform_refine)
+from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
 from .spectral import kappa
+
+
+REFINES = ("corner", "uniform")
+FORMATS = ("csv", "md")
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,7 @@ class ExperimentConfig:
     degree: int = 1
     levels: int = 4
     refine: str = "corner"            # corner | uniform
-    panels_per_chart: int = 0         # 0 = geometry default
-    marking_rounds: int = 4           # local rounds per level are this * k
-    preconds: tuple = ("lumped", "mass")
+    preconds: tuple = ("lumped", "mass")  # a comma list is parsed into a tuple
     alpha: float = 0.05
     quad_n: int = 12
     inner_product: str = "exact"      # exact | mesh-averaged
@@ -46,10 +47,19 @@ class ExperimentConfig:
     output: str = ""
     dump_matrices: str = ""
     omega_override: float = 0.0       # 0 = use the reference-element weight
-    seed: int = 0
 
     # the operator order is pinned by the shipped kernel pair
     s_order = 0.5
+
+    def __post_init__(self):
+        """Reject bad values before any work starts."""
+        object.__setattr__(self, "preconds", _parse_precond_names(self.preconds))
+        if self.refine not in REFINES:
+            raise ValueError(f"refine must be one of {REFINES}, got {self.refine!r}")
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +72,16 @@ class ReportRow:
 
 
 def _parse_precond_names(spec):
-    names = tuple(x.strip() for x in spec.split(",") if x.strip())
+    """Names from a comma list or a sequence; richardson:k needs k >= 1."""
+    if isinstance(spec, str):
+        spec = spec.split(",")
+    names = tuple(x.strip() for x in spec if x.strip())
     for name in names:
-        base = name.split(":")[0]
-        if base not in ("lumped", "mass", "jacobi", "richardson"):
-            raise ValueError(f"unknown preconditioner {name!r}")
-        if base == "richardson":
-            int(name.split(":")[1])
+        base, _, k = name.partition(":")
+        if name not in ("lumped", "mass", "jacobi") and not (
+                base == "richardson" and k.isdigit() and int(k) >= 1):
+            raise ValueError(f"unknown preconditioner {name!r} (lumped, mass, "
+                             "jacobi or richardson:k with k >= 1)")
     return names
 
 
@@ -84,20 +97,14 @@ def _build_precond(name, B, M, D, omega):
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):
-    ppc = cfg.panels_per_chart or (2 if g.kind == "square" else 8)
     if cfg.refine == "corner":
-        return corner_schedule(g, k, panels_per_chart=ppc,
-                               rounds_per_level=cfg.marking_rounds)
-    m = initial_mesh(g, ppc)
-    for _ in range(k):
-        m = uniform_refine(m)
-    return m
+        return corner_schedule(g, k)
+    return corner_schedule(g, k, rounds_per_level=0)
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Evaluate every requested preconditioner on every refinement level."""
     g = make_geometry(cfg.geometry, cfg.scale, cfg.ellipse_ratio)
-    names = cfg.preconds if isinstance(cfg.preconds, tuple) else _parse_precond_names(cfg.preconds)
     omega = cfg.omega_override or richardson_weight(1, cfg.degree)[2]
     rows = []
     for k in range(1, cfg.levels + 1):
@@ -108,7 +115,7 @@ def run_experiment(cfg: ExperimentConfig):
             M = mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
             D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
             kappas = {}
-            for name in names:
+            for name in cfg.preconds:
                 G = _build_precond(name, B, M, D, omega)
                 kappas[name] = kappa(G, A)
         except Exception as exc:
@@ -127,40 +134,25 @@ def run_experiment(cfg: ExperimentConfig):
 
 def emit_table(rows, fmt="csv", path=None, cfg: ExperimentConfig | None = None):
     """Render report rows; returns the text and optionally writes it."""
-    names = list(rows[0].kappas) if rows else (
-        list(cfg.preconds) if cfg and isinstance(cfg.preconds, tuple) else [])
-
-    def sci(x):
-        return f"{x:.3e}"
-
+    names = list(rows[0].kappas) if rows else (list(cfg.preconds) if cfg else [])
+    table = [["level", "h_min", "h_max", "dofs"] + names]
+    table += [[str(r.level), f"{r.h_min:.3e}", f"{r.h_max:.3e}", str(r.dofs)]
+              + [f"{r.kappas[n]:.3e}" for n in names] for r in rows]
     if fmt == "csv":
-        lines = ["level,h_min,h_max,dofs," + ",".join(names)]
-        for r in rows:
-            vals = [str(r.level), sci(r.h_min), sci(r.h_max), str(r.dofs)]
-            vals += [sci(r.kappas[n]) for n in names]
-            lines.append(",".join(vals))
-        text = "\n".join(lines) + "\n"
+        lines = [",".join(vals) for vals in table]
     elif fmt == "md":
-        header = []
+        lines = ["| " + " | ".join(vals) + " |" for vals in table]
+        lines.insert(1, "|" + "|".join("---" for _ in table[0]) + "|")
         if cfg is not None:
-            header = [
+            lines[:0] = [
                 f"Spectral condition numbers kappa_S(G A) on the {cfg.geometry} "
                 f"(degree {cfg.degree}, s = {cfg.s_order}, alpha = {cfg.alpha}, "
                 f"{cfg.inner_product} product, {cfg.refine} refinement).",
                 "",
             ]
-        cols = ["level", "h_min", "h_max", "dofs"] + names
-        lines = header + [
-            "| " + " | ".join(cols) + " |",
-            "|" + "|".join("---" for _ in cols) + "|",
-        ]
-        for r in rows:
-            vals = [str(r.level), sci(r.h_min), sci(r.h_max), str(r.dofs)]
-            vals += [sci(r.kappas[n]) for n in names]
-            lines.append("| " + " | ".join(vals) + " |")
-        text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -170,13 +162,10 @@ def emit_table(rows, fmt="csv", path=None, cfg: ExperimentConfig | None = None):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_FIELD_TYPES = {
-    "geometry": str, "scale": float, "ellipse_ratio": float, "degree": int,
-    "levels": int, "refine": str, "panels_per_chart": int, "marking_rounds": int,
-    "preconds": str, "alpha": float, "quad_n": int, "inner_product": str,
-    "fmt": str, "output": str, "dump_matrices": str, "omega_override": float,
-    "seed": int,
-}
+# config-file values are parsed by the type of the field's default; the
+# preconditioner list stays a comma string until the config parses it
+_FIELD_TYPES = {f.name: str if f.name == "preconds" else type(f.default)
+                for f in fields(ExperimentConfig)}
 
 
 def read_config(path) -> dict:
@@ -205,8 +194,6 @@ def config_from_args(args) -> ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "preconds" in values and isinstance(values["preconds"], str):
-        values["preconds"] = _parse_precond_names(values["preconds"])
     return ExperimentConfig(**values)
 
 
@@ -217,20 +204,17 @@ def _add_run_flags(p):
     p.add_argument("--ellipse-ratio", dest="ellipse_ratio", type=float, default=None)
     p.add_argument("--degree", type=int, choices=[1, 3], default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--refine", choices=["corner", "uniform"], default=None)
-    p.add_argument("--panels-per-chart", dest="panels_per_chart", type=int, default=None)
-    p.add_argument("--marking-rounds", dest="marking_rounds", type=int, default=None)
+    p.add_argument("--refine", choices=REFINES, default=None)
     p.add_argument("--precond", dest="preconds", default=None,
                    help="comma list: lumped,mass,richardson:2,jacobi")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--quad-n", dest="quad_n", type=int, default=None)
     p.add_argument("--inner-product", dest="inner_product",
                    choices=["exact", "mesh-averaged"], default=None)
-    p.add_argument("--format", dest="fmt", choices=["csv", "md"], default=None)
+    p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--dump-matrices", dest="dump_matrices", default=None)
     p.add_argument("--omega-override", dest="omega_override", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def cmd_run(args):

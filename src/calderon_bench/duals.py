@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .fespace import FeSpace, build_space, node_supports, reference_basis, reference_basis_deriv
 from .gram import mass_matrix
-from .mesh import uniform_refine
+from .mesh import panel_samples, uniform_refine
 from .quadrature import gauss_rule
 
 _QUAD = gauss_rule(16)
@@ -55,14 +55,11 @@ class DualBasis:
     lumped: np.ndarray         # <1, phi_nu>
 
 
-def _panel_quad(s, p):
-    """Quadrature nodes/weights (arc measure) and speeds on panel p."""
-    panel = s.mesh.panels[p]
-    dt = panel.t1 - panel.t0
-    t = panel.t0 + dt * _QUAD.nodes
-    c = s.mesh.geometry.charts[panel.chart]
-    speed = np.linalg.norm(c.velocity(t), axis=-1)
-    return _QUAD.nodes, _QUAD.weights * speed * dt, speed * dt
+def _arc_measure(m):
+    """Per panel (P, n): quadrature weights of the arc measure at the _QUAD
+    nodes, and the arc-length Jacobian ds/dx of the reference coordinate."""
+    _, speed, dt = panel_samples(m, _QUAD.nodes)
+    return _QUAD.weights * speed * dt[:, None], speed * dt[:, None]
 
 
 def build_bubbles(s: FeSpace) -> BubbleSet:
@@ -81,6 +78,7 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
     Vq = reference_basis(q, _QUAD.nodes)
     Dq = reference_basis_deriv(q, _QUAD.nodes)
     Vl = reference_basis(s.degree, _QUAD.nodes)
+    w_arcs, ds_dxs = _arc_measure(s.mesh)
 
     local = []
     for nu in range(s.ndof):
@@ -111,7 +109,7 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
         C = np.zeros((len(rows), ndof))
         H = np.zeros((ndof, ndof))
         for p in panels:
-            _, w_arc, ds_dx = _panel_quad(s, p)
+            w_arc, ds_dx = w_arcs[p], ds_dxs[p]
             cols = [j for j, (pp, _) in enumerate(dofs) if pp == p]
             if len(panels) == 2 and p == panels[1]:
                 # junction dof (panels[0], q) doubles as local index 0 here
@@ -157,8 +155,8 @@ def bubble_phi_products(b: BubbleSet) -> np.ndarray:
     Vq = reference_basis(b.degree, _QUAD.nodes)
     Vl = reference_basis(s.degree, _QUAD.nodes)
     G = np.zeros((s.ndof, s.ndof))
-    for p in range(s.mesh.n_panels):
-        _, w_arc, _ = _panel_quad(s, p)
+    w_arcs, _ = _arc_measure(s.mesh)
+    for p, w_arc in enumerate(w_arcs):
         for mu in s.conn[p]:
             cf = b.local[mu].get(p)
             if cf is None:
@@ -244,16 +242,11 @@ def holding_space(d: DualBasis) -> HoldingSpace:
     Vl = reference_basis(ell, _QUAD.nodes)
     Dl = reference_basis_deriv(ell, _QUAD.nodes)
     Vq_cache = {}
+    w_arcs, ds_dxs = _arc_measure(m2)
     for p in range(s.mesh.n_panels):
         for side in (0, 1):
             child = 2 * p + side
-            panel = m2.panels[child]
-            dt = panel.t1 - panel.t0
-            t = panel.t0 + dt * _QUAD.nodes
-            c = m2.geometry.charts[panel.chart]
-            speed = np.linalg.norm(c.velocity(t), axis=-1)
-            w_arc = _QUAD.weights * speed * dt
-            ds_dx = speed * dt
+            w_arc, ds_dx = w_arcs[child], ds_dxs[child]
             # active functions on this child: fine nodal + parent bubbles
             xp = 0.5 * (_QUAD.nodes + side)
             key = side
@@ -348,14 +341,10 @@ def l2_project(s: FeSpace, u, n_quad: int = 20):
     g = gauss_rule(n_quad)
     Vl = reference_basis(s.degree, g.nodes)
     rhs = np.zeros(s.ndof)
-    geom = s.mesh.geometry
+    pts, speed, dt = panel_samples(s.mesh, g.nodes)
+    w_arcs = g.weights * speed * dt[:, None]
     for p, panel in enumerate(s.mesh.panels):
-        dt = panel.t1 - panel.t0
-        t = panel.t0 + dt * g.nodes
-        c = geom.charts[panel.chart]
-        w_arc = g.weights * np.linalg.norm(c.velocity(t), axis=-1) * dt
-        uv = u(c.point(t), panel.chart)
-        rhs[s.conn[p]] += Vl @ (w_arc * uv)
+        rhs[s.conn[p]] += Vl @ (w_arcs[p] * u(pts[p], panel.chart))
     M = mass_matrix(s, "exact", n_quad=n_quad)
     return np.linalg.solve(M, rhs)
 
@@ -366,8 +355,7 @@ def nodal_norms(s: FeSpace):
     h1 = np.zeros(s.ndof)
     Vl = reference_basis(s.degree, _QUAD.nodes)
     Dl = reference_basis_deriv(s.degree, _QUAD.nodes)
-    for p in range(s.mesh.n_panels):
-        _, w_arc, ds_dx = _panel_quad(s, p)
+    for p, (w_arc, ds_dx) in enumerate(zip(*_arc_measure(s.mesh))):
         for a, nu in enumerate(s.conn[p]):
             l2[nu] += np.dot(w_arc, Vl[a] ** 2)
             h1[nu] += np.dot(w_arc, (Dl[a] / ds_dx) ** 2)
@@ -381,8 +369,7 @@ def bubble_norms(b: BubbleSet):
     h1 = np.zeros(s.ndof)
     Vq = reference_basis(b.degree, _QUAD.nodes)
     Dq = reference_basis_deriv(b.degree, _QUAD.nodes)
-    for p in range(s.mesh.n_panels):
-        _, w_arc, ds_dx = _panel_quad(s, p)
+    for p, (w_arc, ds_dx) in enumerate(zip(*_arc_measure(s.mesh))):
         for mu in s.conn[p]:
             cf = b.local[mu].get(p)
             if cf is None:

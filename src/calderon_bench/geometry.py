@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import adaptive_integrate
+from .quadrature import adaptive_integrate, gauss_rule
+
+_LEN_RULE = gauss_rule(16)
+_MAX_PIECE = 0.25  # composite piece size (parameter units) for arc length
 
 
 class CoercivityRiskError(ValueError):
@@ -124,21 +127,20 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
             f"diameter {diameter:.4g} > 1: single layer coercivity is not "
             f"guaranteed (logarithmic capacity must stay below 1); reduce scale"
         )
-    scales = tuple(_chart_arc_length(c) / (c.t1 - c.t0) for c in charts)
+    scales = tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0) for c in charts)
     return Geometry(kind, scale, charts, corners, diameter, scales)
 
 
-def _chart_arc_length(chart, max_piece=0.25, n=16):
-    """Composite Gauss arc length of a full chart (machine accurate for the
-    shipped analytic-speed charts)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    pieces = max(1, int(math.ceil((chart.t1 - chart.t0) / max_piece)))
-    edges = np.linspace(chart.t0, chart.t1, pieces + 1)
+def arc_length(chart, t0: float, t1: float) -> float:
+    """Arc length of the parameter interval [t0, t1] of a chart: composite
+    16-point Gauss on pieces of at most 0.25, machine accurate for the
+    shipped (analytic-speed) charts."""
+    pieces = max(1, math.ceil((t1 - t0) / _MAX_PIECE))
+    edges = np.linspace(t0, t1, pieces + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        speed = np.linalg.norm(chart.velocity(a + (b - a) * x), axis=-1)
-        total += (b - a) * np.dot(w, speed)
+        speed = np.linalg.norm(chart.velocity(a + (b - a) * _LEN_RULE.nodes), axis=-1)
+        total += (b - a) * np.dot(_LEN_RULE.weights, speed)
     return total
 
 

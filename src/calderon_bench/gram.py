@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fespace import FeSpace, reference_basis
+from .mesh import panel_samples
 from .quadrature import gauss_rule
 
 KINDS = ("exact", "mesh-averaged")
@@ -28,19 +29,14 @@ def mass_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray
     _check_kind(kind)
     g = gauss_rule(n_quad)
     V = reference_basis(s.degree, g.nodes)          # (l+1, n)
-    N = s.ndof
-    M = np.zeros((N, N))
-    geom = s.mesh.geometry
-    for p, panel in enumerate(s.mesh.panels):
-        dt = panel.t1 - panel.t0
-        if kind == "exact":
-            t = panel.t0 + dt * g.nodes
-            jac = np.linalg.norm(geom.charts[panel.chart].velocity(t), axis=-1) * dt
-        else:
-            jac = np.full(g.nodes.size, panel.length)
-        block = (V * (g.weights * jac)) @ V.T
-        idx = s.conn[p]
-        M[np.ix_(idx, idx)] += block
+    if kind == "exact":
+        _, speed, dt = panel_samples(s.mesh, g.nodes)
+        jac = speed * dt[:, None]
+    else:
+        jac = np.array([p.length for p in s.mesh.panels])[:, None]
+    blocks = (V * (g.weights * jac)[:, None, :]) @ V.T   # (P, l+1, l+1)
+    M = np.zeros((s.ndof, s.ndof))
+    np.add.at(M, (s.conn[:, :, None], s.conn[:, None, :]), blocks)
     return M
 
 

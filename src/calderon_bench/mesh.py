@@ -12,6 +12,9 @@ would let curvature wobble push at-cap pairs over the limit and unwind the
 entire grading.  On constant-speed charts (square, circle) the normalized
 and arc-length ratios coincide, so arc ratios obey the factor 2 exactly;
 on the ellipse they obey 2 * (1 + O(h)).
+
+``panel_samples`` is the one place where reference nodes are mapped onto
+panels; assembly, the Gram matrices and the duals all integrate through it.
 """
 
 from __future__ import annotations
@@ -20,16 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Geometry
-from .quadrature import gauss_rule
+from .geometry import Geometry, arc_length
 
 # neighbour size-ratio cap for the closure; the tiny slack absorbs roundoff
 # on pairs whose exact ratio is 2
 KMESH_RATIO = 2.0
 _RATIO_CAP = KMESH_RATIO * (1.0 + 1e-9)
-
-_LEN_RULE = gauss_rule(16)
-_MAX_PIECE = 0.25  # composite piece size (parameter units) for length quadrature
 
 
 @dataclass(frozen=True)
@@ -63,23 +62,32 @@ class Mesh:
         return sum(p.length for p in self.panels)
 
 
-def panel_length(g: Geometry, chart: int, t0: float, t1: float) -> float:
-    """Arc length of a parameter sub-interval, machine accurate for the
-    shipped (analytic-speed) charts."""
-    c = g.charts[chart]
-    pieces = max(1, int(np.ceil((t1 - t0) / _MAX_PIECE)))
-    edges = np.linspace(t0, t1, pieces + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = a + (b - a) * _LEN_RULE.nodes
-        speed = np.linalg.norm(c.velocity(t), axis=-1)
-        total += (b - a) * np.dot(_LEN_RULE.weights, speed)
-    return total
+def panel_samples(m: Mesh, unit_nodes, panels=None):
+    """Reference nodes in [0, 1] mapped onto panels, t = t0 + (t1 - t0) x.
+
+    Returns the curve points (P, n, 2), the chart speeds |chi'(t)| (P, n)
+    and the parameter lengths t1 - t0 (P,) of the given panel ids (all
+    panels by default).  Each run of consecutive panels on one chart is
+    evaluated in one call, so a mesh in chart order evaluates each chart once.
+    """
+    sel = m.panels if panels is None else [m.panels[i] for i in panels]
+    chart = np.array([p.chart for p in sel], dtype=int)
+    dt = np.array([p.t1 - p.t0 for p in sel])
+    t = np.array([p.t0 for p in sel])[:, None] + dt[:, None] * np.asarray(unit_nodes)
+    cuts = [0, *(np.flatnonzero(np.diff(chart)) + 1), len(sel)]
+    runs = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        c = m.geometry.charts[chart[a]]
+        runs.append((c.point(t[a:b]), np.linalg.norm(c.velocity(t[a:b]), axis=-1)))
+    # a single run (one panel, or a one-chart curve) is returned without a
+    # copy; the near field calls this per panel on 10^4-10^5 nodes
+    points, speed = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+    return points, speed, dt
 
 
 def _make_panel(g, chart, t0, t1, generation):
     qlen = (t1 - t0) * g.chart_scales[chart]
-    return Panel(chart, t0, t1, panel_length(g, chart, t0, t1), qlen, generation)
+    return Panel(chart, t0, t1, arc_length(g.charts[chart], t0, t1), qlen, generation)
 
 
 def _bisect(g, p: Panel):
@@ -118,13 +126,13 @@ def _kmesh_close(g, panels):
     raise RuntimeError("K-mesh closure did not terminate")
 
 
-def initial_mesh(g: Geometry, panels_per_chart: int) -> Mesh:
+def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     """Split every chart into equal parameter sub-intervals."""
-    if panels_per_chart < 1:
-        raise ValueError("panels_per_chart must be >= 1")
+    if per_chart < 1:
+        raise ValueError("initial_mesh: per_chart must be >= 1")
     panels = []
     for ci, c in enumerate(g.charts):
-        edges = np.linspace(c.t0, c.t1, panels_per_chart + 1)
+        edges = np.linspace(c.t0, c.t1, per_chart + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             panels.append(_make_panel(g, ci, a, b, 0))
     return Mesh(g, tuple(_kmesh_close(g, panels)))
@@ -160,17 +168,16 @@ def corner_panels(m: Mesh):
     return sorted(ids)
 
 
-def corner_schedule(g: Geometry, k: int, panels_per_chart: int | None = None,
-                    rounds_per_level: int = 4) -> Mesh:
-    """Benchmark mesh family: k uniform bisections of the initial partition,
-    then ``rounds_per_level * k`` rounds of bisecting every panel that
-    touches a corner point.  h_max halves per level while h_min shrinks like
-    2**(-(1+rounds_per_level)*k) up to closure effects."""
+def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
+    """Benchmark mesh family: k uniform bisections of the initial partition
+    (2 panels per chart on the square, 8 otherwise), then
+    ``rounds_per_level * k`` rounds of bisecting every panel that touches a
+    corner point.  h_max halves per level while h_min shrinks like
+    2**(-(1+rounds_per_level)*k) up to closure effects; rounds_per_level = 0
+    gives the uniform family."""
     if k < 1:
         raise ValueError("corner_schedule: k must be >= 1")
-    if panels_per_chart is None:
-        panels_per_chart = 2 if g.kind == "square" else 8
-    m = initial_mesh(g, panels_per_chart)
+    m = initial_mesh(g, 2 if g.kind == "square" else 8)
     for _ in range(k):
         m = uniform_refine(m)
     for _ in range(rounds_per_level * k):

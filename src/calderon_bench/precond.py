@@ -48,8 +48,7 @@ def lumped_precond(B: np.ndarray, d: np.ndarray) -> Precond:
 
 
 def mass_precond(B: np.ndarray, M: np.ndarray) -> Precond:
-    spd_factor(M)  # fail early with a clear error if M is not SPD
-    c = scipy.linalg.cho_factor(M)
+    c = (spd_factor(M), True)                     # lower Cholesky factor of M
     X = scipy.linalg.cho_solve(c, B)              # M^{-1} B
     G = scipy.linalg.cho_solve(c, X.T).T          # (M^{-1} B) M^{-1}
     return Precond("mass", _sym(G))

@@ -9,19 +9,11 @@ delegated to LAPACK via numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class NotSPDError(np.linalg.LinAlgError):
     pass
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    values: np.ndarray  # ascending
-    pencil: str = ""
 
 
 def spd_factor(S: np.ndarray) -> np.ndarray:
@@ -30,14 +22,6 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise NotSPDError("matrix is not symmetric positive definite") from None
-
-
-def sym_eig(S: np.ndarray, with_vectors: bool = False, pencil: str = ""):
-    """Eigenvalues (ascending) of a dense symmetric matrix."""
-    if with_vectors:
-        w, V = np.linalg.eigh(S)
-        return Spectrum(w, pencil), V
-    return Spectrum(np.linalg.eigvalsh(S), pencil)
 
 
 def kappa(G, A: np.ndarray) -> float:
@@ -49,8 +33,8 @@ def kappa(G, A: np.ndarray) -> float:
     Gm = getattr(G, "matrix", G)
     L = spd_factor(A)
     C = L.T @ Gm @ L
-    spec = sym_eig(0.5 * (C + C.T), pencil="L^T G L")
-    lo, hi = spec.values[0], spec.values[-1]
+    lam = np.linalg.eigvalsh(0.5 * (C + C.T))
+    lo, hi = lam[0], lam[-1]
     if lo <= 0:
         raise NotSPDError("preconditioned pencil is not positive definite")
     return hi / lo

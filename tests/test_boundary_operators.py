@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
-                                               _require_spd,
-                                               assemble_hypersingular,
-                                               assemble_operator_pair,
-                                               assemble_single_layer,
+                                               _require_spd, assemble_operator_pair,
                                                write_dense_matrix)
 from calderon_bench.fespace import build_space
 from calderon_bench.geometry import make_geometry
@@ -14,7 +11,7 @@ from calderon_bench.mesh import Mesh, initial_mesh
 from calderon_bench.quadrature import adaptive_integrate
 
 from helpers import (circle_uniform_operators, circle_uniform_space,
-                     corner_operators, corner_space, geom)
+                     corner_operators, geom)
 
 RADIUS = 0.25
 
@@ -76,16 +73,9 @@ def test_hypersingular_on_constants():
 def test_alpha_must_be_positive():
     s = circle_uniform_space(8, 1)
     with pytest.raises(ValueError):
-        assemble_hypersingular(s, alpha=0.0)
+        assemble_operator_pair(s, alpha=0.0)
     with pytest.raises(ValueError):
         assemble_operator_pair(s, alpha=-0.1)
-
-
-def test_pair_assembly_matches_individual():
-    s = corner_space("ellipse", 1, 1)
-    A, B = assemble_operator_pair(s)
-    assert np.array_equal(A, assemble_single_layer(s))
-    assert np.array_equal(B, assemble_hypersingular(s))
 
 
 def test_far_field_entry_matches_adaptive_oracle():
@@ -93,7 +83,7 @@ def test_far_field_entry_matches_adaptive_oracle():
     single panel-pair integral that the oracle can check directly."""
     g = geom("circle")
     s = build_space(initial_mesh(g, 16), 3)
-    A = assemble_single_layer(s)
+    A, _ = assemble_operator_pair(s)
     chart = g.charts[0]
     for pa, pb, a, b in ((0, 8, 1, 2), (2, 10, 2, 2), (5, 12, 1, 1)):
         panel_a, panel_b = s.mesh.panels[pa], s.mesh.panels[pb]
@@ -147,8 +137,8 @@ def test_panel_order_invariance():
     ell = 3
     s = build_space(m, ell)
     s_rot = build_space(rotated, ell)
-    A = assemble_single_layer(s)
-    A_rot = assemble_single_layer(s_rot)
+    A, _ = assemble_operator_pair(s)
+    A_rot, _ = assemble_operator_pair(s_rot)
     P = m.n_panels
     perm = np.empty(s.ndof, dtype=int)
     for i in range(P):                       # vertex i is start of panel i
@@ -171,7 +161,7 @@ def test_spd_guard_raises():
 def test_too_few_panels_rejected():
     g = make_geometry("circle", 0.5)
     s = build_space(initial_mesh(g, 3), 1)
-    assemble_single_layer(s)                   # 3 panels is the minimum
+    assemble_operator_pair(s)                  # 3 panels is the minimum
     with pytest.raises(Exception):
         build_space(initial_mesh(g, 2), 1)
 

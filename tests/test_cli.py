@@ -4,8 +4,11 @@ import io
 import numpy as np
 import pytest
 
+import calderon_bench
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
+
+ALL_SIX = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +126,64 @@ def test_error_annotates_level():
 
 def test_verify_subcommand_passes():
     assert main(["verify"]) == 0
+
+
+def test_config_rejects_misspelled_refine(tmp_path):
+    # a config-file value bypasses argparse choices; it must not fall back
+    # to uniform refinement
+    path = tmp_path / "typo.cfg"
+    path.write_text("refine = corners\nlevels = 2\ndegree = 1\n")
+    with pytest.raises(ValueError, match="refine"):
+        main(["run", "--config", str(path), "--output", str(tmp_path / "t.csv")])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_config_rejects_zero_levels():
+    with pytest.raises(ValueError, match="levels"):
+        main(["run", "--levels", "0"])
+
+
+def test_config_rejects_unknown_format(tmp_path):
+    path = tmp_path / "fmt.cfg"
+    path.write_text("fmt = html\n")
+    with pytest.raises(ValueError, match="format"):
+        main(["run", "--config", str(path)])
+    with pytest.raises(ValueError, match="format"):
+        ExperimentConfig(fmt="html")
+
+
+def test_config_rejects_richardson_zero_steps():
+    with pytest.raises(ValueError, match="richardson:0"):
+        main(["run", "--precond", "lumped,richardson:0", "--levels", "1"])
+    with pytest.raises(ValueError):
+        ExperimentConfig(preconds=("richardson:0",))
+    assert ExperimentConfig(preconds="lumped, richardson:3").preconds == (
+        "lumped", "richardson:3")
+
+
+# kappa tables pinned at the consolidation of the panel-sample layer; any
+# change to assembly, Gram matrices, preconditioners or kappa shows here
+GOLDEN = {
+    ("square", 3, "exact"): (
+        "level,h_min,h_max,dofs,lumped,mass,richardson:2,richardson:4,richardson:6,jacobi\n"
+        "1,7.812e-03,1.250e-01,144,1.485e+01,7.561e+00,7.256e+00,6.930e+00,7.165e+00,4.032e+02\n"
+        "2,2.441e-04,6.250e-02,288,1.478e+01,7.610e+00,7.260e+00,6.903e+00,7.162e+00,1.670e+03\n"
+    ),
+    ("ellipse", 1, "mesh-averaged"): (
+        "level,h_min,h_max,dofs,lumped,mass,richardson:2,richardson:4,richardson:6,jacobi\n"
+        "1,3.069e-03,8.575e-02,48,1.300e+01,1.527e+01,2.490e+01,1.638e+01,1.558e+01,1.300e+01\n"
+        "2,9.587e-05,4.746e-02,96,1.294e+01,1.541e+01,2.481e+01,1.629e+01,1.559e+01,1.294e+01\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry,degree,inner", list(GOLDEN))
+def test_golden_kappa_tables(geometry, degree, inner):
+    cfg = ExperimentConfig(geometry=geometry, degree=degree, inner_product=inner,
+                           levels=2, preconds=ALL_SIX)
+    assert emit_table(run_experiment(cfg), "csv") == GOLDEN[geometry, degree, inner]
+
+
+def test_public_names_resolve():
+    for name in calderon_bench.__all__:
+        assert getattr(calderon_bench, name) is not None, name

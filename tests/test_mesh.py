@@ -4,7 +4,8 @@ import pytest
 from calderon_bench.geometry import make_geometry, total_length
 from calderon_bench.mesh import (corner_panels, corner_schedule, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
-                                 refine, uniform_refine)
+                                 panel_samples, refine, uniform_refine)
+from calderon_bench.quadrature import gauss_rule
 
 RATIO_CAP = 2.0 * (1 + 1e-9)
 
@@ -143,3 +144,24 @@ def test_dump_format(tmp_path, square):
     pid, chart, t0, t1, ln = lines[3].split()
     assert int(pid) == 3 and 0 <= int(chart) < 4
     assert float(t1) > float(t0) and float(ln) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("kind", ["square", "ellipse"])
+def test_panel_samples_match_direct_chart_calls(kind):
+    """The batched samples equal, bit for bit, one chart call per panel,
+    for all panels and for a selection that mixes charts and repeats."""
+    g = make_geometry(kind, 0.5, 2.0)
+    m = corner_schedule(g, 2)
+    unit = gauss_rule(5).nodes
+    picked = [3, 0, m.n_panels - 1, 3]
+    for ids, kwargs in ((range(m.n_panels), {}), (picked, {"panels": picked})):
+        pts, speed, dt = panel_samples(m, unit, **kwargs)
+        assert pts.shape == (len(ids), unit.size, 2)
+        assert speed.shape == (len(ids), unit.size) and dt.shape == (len(ids),)
+        for row, i in enumerate(ids):
+            p = m.panels[i]
+            c = g.charts[p.chart]
+            t = p.t0 + (p.t1 - p.t0) * unit
+            assert dt[row] == p.t1 - p.t0
+            assert np.array_equal(pts[row], c.point(t))
+            assert np.array_equal(speed[row], np.linalg.norm(c.velocity(t), axis=-1))
