@@ -4,9 +4,11 @@ resulting spectral condition numbers under local refinement."""
 
 from .geometry import (Geometry, make_geometry, chart_eval, chart_speed, arc_length,
                        total_length)
-from .mesh import Mesh, initial_mesh, refine, uniform_refine, corner_schedule, panel_samples
+from .mesh import (Mesh, initial_mesh, refine, uniform_refine, corner_schedule, panel_samples,
+                   panel_chords)
 from .fespace import FeSpace, build_space, eval_basis
-from .quadrature import QuadRule, PairRule, gauss_rule, pair_rule, adaptive_integrate
+from .quadrature import (QuadRule, PairRule, gauss_rule, log_rule, pair_rule,
+                         adaptive_integrate)
 from .gram import mass_matrix, lumped_matrix, scaled_basis
 from .boundary_operators import assemble_operator_pair
 from .precond import (Precond, lumped_precond, mass_precond, jacobi_precond,
@@ -17,8 +19,9 @@ from .cli import ExperimentConfig, ReportRow, run_experiment, emit_table
 __all__ = [
     "Geometry", "make_geometry", "chart_eval", "chart_speed", "arc_length", "total_length",
     "Mesh", "initial_mesh", "refine", "uniform_refine", "corner_schedule", "panel_samples",
+    "panel_chords",
     "FeSpace", "build_space", "eval_basis",
-    "QuadRule", "PairRule", "gauss_rule", "pair_rule", "adaptive_integrate",
+    "QuadRule", "PairRule", "gauss_rule", "log_rule", "pair_rule", "adaptive_integrate",
     "mass_matrix", "lumped_matrix", "scaled_basis",
     "assemble_operator_pair",
     "Precond", "lumped_precond", "mass_precond", "jacobi_precond",

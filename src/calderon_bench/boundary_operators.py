@@ -7,7 +7,8 @@ Hypersingular: realized through integration by parts, (B~ u)(v) =
 alpha <u,1><v,1>; only the log-kernel quadrature is ever needed.
 
 Panel pairs are classified as identical / adjacent / separated; the first
-two use the graded singular rules from :mod:`quadrature`, the rest a tensor
+two use the Duffy-log pair rules from :mod:`quadrature` with distances
+taken from chart chords in panel-relative coordinates, the rest a tensor
 Gauss rule evaluated in bulk.
 """
 
@@ -17,8 +18,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fespace import FeSpace, reference_basis, reference_basis_deriv
-from .gram import lumped_matrix
-from .mesh import panel_samples
+from .mesh import panel_chords, panel_samples
 from .quadrature import gauss_rule, pair_rule
 
 
@@ -36,9 +36,7 @@ _CHUNK_ROWS = 1024
 
 
 def _log_kernel_r2(r2):
-    # clamp protects against exact cancellation at the innermost graded
-    # cells; the affected weights are O(1e-25)
-    return _KERNEL_HALF * np.log(np.maximum(r2, 1e-300))
+    return _KERNEL_HALF * np.log(r2)
 
 
 def _scatter_matrices(s: FeSpace, rule, speed, dts):
@@ -63,78 +61,100 @@ def _scatter_matrices(s: FeSpace, rule, speed, dts):
     return S_val, S_der
 
 
-def _assemble_log_galerkin(s: FeSpace, quad_n: int):
-    """Galerkin matrices of the log kernel against basis values (single
-    layer) and against arc-length derivatives (hypersingular core)."""
+def _far_field(s: FeSpace, quad_n: int):
+    """Tensor-Gauss log-kernel sums over all panel pairs that are neither
+    identical nor adjacent, and m[nu] = <phi_nu, 1> from the same samples.
+
+    The kernel is built in row chunks inside two preallocated buffers; the
+    near-field blocks are set to r^2 = 1 before the log, so they add 0.
+    """
     P = s.mesh.n_panels
-    if P < 3:
-        raise AssemblyError("assembly requires at least 3 panels on the curve")
     grule = gauss_rule(quad_n)
     pts, speed, dts = panel_samples(s.mesh, grule.nodes)
     S_val, S_der = _scatter_matrices(s, grule, speed, dts)
 
     n = grule.nodes.size
-    flat = pts.reshape(P * n, 2)
+    x, y = pts.reshape(P * n, 2).T
+    # columns of the identical and adjacent panels of every row
+    panel = np.arange(P * n) // n
+    near_cols = ((panel[:, None] + np.array([-1, 0, 1])) % P)[:, :, None] * n + np.arange(n)
+    near_cols = near_cols.reshape(P * n, 3 * n)
+    chunk = min(_CHUNK_ROWS, P * n)
+    buf, tmp = np.empty((chunk, P * n)), np.empty((chunk, P * n))
     A_val = np.zeros((s.ndof, s.ndof))
     A_der = np.zeros((s.ndof, s.ndof))
     SvT = S_val.T.tocsr()
     SdT = S_der.T.tocsr()
-    for start in range(0, P * n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, P * n)
-        dx = flat[start:stop, 0][:, None] - flat[None, :, 0]
-        dy = flat[start:stop, 1][:, None] - flat[None, :, 1]
-        K = _log_kernel_r2(dx * dx + dy * dy)
-        # the near-field blocks (identical/adjacent panels) come from the
-        # graded singular rules instead
-        for p in range(start // n, (stop - 1) // n + 1):
-            r0, r1 = max(p * n, start) - start, min((p + 1) * n, stop) - start
-            for q in ((p - 1) % P, p, (p + 1) % P):
-                K[r0:r1, q * n:(q + 1) * n] = 0.0
+    for start in range(0, P * n, chunk):
+        stop = min(start + chunk, P * n)
+        K, T = buf[:stop - start], tmp[:stop - start]
+        np.subtract.outer(x[start:stop], x, out=K)
+        K *= K
+        np.subtract.outer(y[start:stop], y, out=T)
+        T *= T
+        K += T
+        K[np.arange(stop - start)[:, None], near_cols[start:stop]] = 1.0
+        if K.min() <= 0.0:
+            raise AssemblyError("far-field quadrature points of distinct panels coincide")
+        np.log(K, out=K)
+        K *= _KERNEL_HALF
         Y_val = (SvT @ K.T).T                      # K_chunk @ S_val
         Y_der = (SdT @ K.T).T
         A_val += S_val[start:stop].T @ Y_val
         A_der += S_der[start:stop].T @ Y_der
+    m = np.asarray(S_val.sum(axis=0)).ravel()
+    return A_val, A_der, m
 
-    # singular pairs
-    ell = s.degree
+
+def _near_field(s: FeSpace, quad_n: int):
+    """Identical and adjacent panel-pair blocks, all panels at once.
+
+    Returns the row and column dof ids (3P, l+1) and the blocks (3P, l+1,
+    l+1) of the basis pairing and of the derivative pairing: rows 0..P-1
+    are the identical pairs (p, p), rows P..2P-1 the adjacent pairs
+    (p, p+1) and rows 2P..3P-1 their mirrors (p+1, p).  Distances come
+    from chords in panel-relative coordinates: chi(u + dt (t - u)) -
+    chi(u) inside a panel, and the chords from the shared vertex
+    chi(t1_p) = chi(t0_q) for adjacent panels.
+    """
+    m, ell = s.mesh, s.degree
+    nxt = np.roll(np.arange(m.n_panels), -1)
     r_id = pair_rule("identical", quad_n)
     r_ad = pair_rule("adjacent", quad_n)
-    basis = {}
-    for tag, r in (("id", r_id), ("ad", r_ad)):
-        basis[tag] = (
-            reference_basis(ell, r.tnodes), reference_basis(ell, r.unodes),
-            reference_basis_deriv(ell, r.tnodes), reference_basis_deriv(ell, r.unodes),
-        )
+    c_id = panel_chords(m, r_id.unodes, r_id.offsets)
+    c_ad = panel_chords(m, 1.0, -r_ad.offsets) - panel_chords(m, 0.0, r_ad.unodes)[nxt]
 
-    for p in range(P):
-        cp = s.conn[p]
-        # identical
-        Vt, Vu, Dt, Du = basis["id"]
-        (x,), (spt,), _ = panel_samples(s.mesh, r_id.tnodes, panels=[p])
-        (y,), (spu,), _ = panel_samples(s.mesh, r_id.unodes, panels=[p])
-        r2 = ((x - y) ** 2).sum(axis=-1)
-        wk = r_id.weights * _log_kernel_r2(r2)
-        dt2 = dts[p] * dts[p]
-        A_val[np.ix_(cp, cp)] += dt2 * ((Vt * (spt * wk)) @ (Vu * spu).T)
-        A_der[np.ix_(cp, cp)] += (Dt * wk) @ Du.T
-        # adjacent (p, p+1); the rule's singular corner is (t, u) = (1, 0)
-        q = (p + 1) % P
-        cq = s.conn[q]
-        Vt, Vu, Dt, Du = basis["ad"]
-        (x,), (spt,), _ = panel_samples(s.mesh, r_ad.tnodes, panels=[p])
-        (y,), (spu,), _ = panel_samples(s.mesh, r_ad.unodes, panels=[q])
-        r2 = ((x - y) ** 2).sum(axis=-1)
-        wk = r_ad.weights * _log_kernel_r2(r2)
-        blockA = (dts[p] * dts[q]) * ((Vt * (spt * wk)) @ (Vu * spu).T)
-        blockB = (Dt * wk) @ Du.T
-        A_val[np.ix_(cp, cq)] += blockA
-        A_val[np.ix_(cq, cp)] += blockA.T
-        A_der[np.ix_(cp, cq)] += blockB
-        A_der[np.ix_(cq, cp)] += blockB.T
+    blocks_val, blocks_der = [], []
+    for r, chord, q in ((r_id, c_id, slice(None)), (r_ad, c_ad, nxt)):
+        _, sp_t, dt = panel_samples(m, r.tnodes)
+        _, sp_u, _ = panel_samples(m, r.unodes)
+        wk = r.weights * _log_kernel_r2((chord * chord).sum(axis=-1))   # (P, n)
+        Vt, Vu = reference_basis(ell, r.tnodes), reference_basis(ell, r.unodes)
+        Dt, Du = reference_basis_deriv(ell, r.tnodes), reference_basis_deriv(ell, r.unodes)
+        wv = wk * sp_t * sp_u[q] * (dt * dt[q])[:, None]
+        blocks_val.append((Vt * wv[:, None, :]) @ Vu.T)
+        blocks_der.append((Dt * wk[:, None, :]) @ Du.T)
+    blocks_val.append(blocks_val[1].transpose(0, 2, 1))
+    blocks_der.append(blocks_der[1].transpose(0, 2, 1))
+    rows = np.concatenate([s.conn, s.conn, s.conn[nxt]])
+    cols = np.concatenate([s.conn, s.conn[nxt], s.conn])
+    return rows, cols, np.concatenate(blocks_val), np.concatenate(blocks_der)
 
+
+def _assemble_log_galerkin(s: FeSpace, quad_n: int):
+    """Galerkin matrices of the log kernel against basis values (single
+    layer) and against arc-length derivatives (hypersingular core), and
+    the vector m[nu] = <phi_nu, 1>."""
+    if s.mesh.n_panels < 3:
+        raise AssemblyError("assembly requires at least 3 panels on the curve")
+    A_val, A_der, m = _far_field(s, quad_n)
+    rows, cols, blocks_val, blocks_der = _near_field(s, quad_n)
+    idx = (rows[:, :, None], cols[:, None, :])
+    np.add.at(A_val, idx, blocks_val)
+    np.add.at(A_der, idx, blocks_der)
     A_val = 0.5 * (A_val + A_val.T)
     A_der = 0.5 * (A_der + A_der.T)
-    return A_val, A_der
+    return A_val, A_der, m
 
 
 def _require_spd(Mt, what, exc):
@@ -158,8 +178,7 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
-    A, Bt = _assemble_log_galerkin(s, quad_n)
-    m = lumped_matrix(s, "exact", n_quad=quad_n)
+    A, Bt, m = _assemble_log_galerkin(s, quad_n)
     B = Bt + alpha * np.outer(m, m)
     _require_spd(
         A, "single layer (geometry guard diameter <= 1 should ensure coercivity)",

@@ -18,7 +18,7 @@ import numpy as np
 from . import boundary_operators as bops
 from . import duals as duals_mod
 from .geometry import make_geometry, total_length
-from .gram import lumped_matrix, mass_matrix, scaled_basis
+from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
 from .fespace import build_space, reference_basis
 from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (jacobi_precond, lumped_precond, mass_precond,
@@ -27,6 +27,8 @@ from .quadrature import gauss_rule, pair_rule
 from .spectral import kappa
 
 
+GEOMETRIES = ("square", "circle", "ellipse")
+DEGREES = (1, 3)
 REFINES = ("corner", "uniform")
 FORMATS = ("csv", "md")
 
@@ -54,6 +56,13 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject bad values before any work starts."""
         object.__setattr__(self, "preconds", _parse_precond_names(self.preconds))
+        if self.geometry not in GEOMETRIES:
+            raise ValueError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
+        if self.degree not in DEGREES:
+            raise ValueError(f"degree must be one of {DEGREES}, got {self.degree!r}")
+        if self.inner_product not in KINDS:
+            raise ValueError(f"inner_product must be one of {KINDS}, "
+                             f"got {self.inner_product!r}")
         if self.refine not in REFINES:
             raise ValueError(f"refine must be one of {REFINES}, got {self.refine!r}")
         if self.levels < 1:
@@ -199,10 +208,10 @@ def config_from_args(args) -> ExperimentConfig:
 
 def _add_run_flags(p):
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--geometry", choices=["square", "circle", "ellipse"], default=None)
+    p.add_argument("--geometry", choices=GEOMETRIES, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--ellipse-ratio", dest="ellipse_ratio", type=float, default=None)
-    p.add_argument("--degree", type=int, choices=[1, 3], default=None)
+    p.add_argument("--degree", type=int, choices=DEGREES, default=None)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--refine", choices=REFINES, default=None)
     p.add_argument("--precond", dest="preconds", default=None,
@@ -210,7 +219,7 @@ def _add_run_flags(p):
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--quad-n", dest="quad_n", type=int, default=None)
     p.add_argument("--inner-product", dest="inner_product",
-                   choices=["exact", "mesh-averaged"], default=None)
+                   choices=KINDS, default=None)
     p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--dump-matrices", dest="dump_matrices", default=None)
@@ -247,11 +256,11 @@ def _verify_checks():
 
     def singular_rules():
         r = pair_rule("identical", 16)
-        v1 = np.dot(r.weights, np.log(np.abs(r.tnodes - r.unodes)))
+        v1 = np.dot(r.weights, np.log(np.abs(r.offsets)))
         ra = pair_rule("adjacent", 16)
-        v2 = np.dot(ra.weights, np.log(np.abs(ra.tnodes - 1.0 - ra.unodes)))
-        return (abs(v1 / -1.5 - 1) < 1e-10
-                and abs(v2 / (2 * np.log(2) - 1.5) - 1) < 1e-9)
+        v2 = np.dot(ra.weights, np.log(ra.offsets + ra.unodes))
+        return (abs(v1 / -1.5 - 1) < 1e-12
+                and abs(v2 / (2 * np.log(2) - 1.5) - 1) < 1e-12)
 
     def mesh_invariants():
         ok = True

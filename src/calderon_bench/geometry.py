@@ -2,7 +2,9 @@
 
 A geometry is a list of charts over pairwise disjoint parameter intervals,
 glued cyclically into a single closed curve.  The chart speed |chi'(t)| is
-the one-dimensional Jacobian entering every arc-length integral.
+the one-dimensional Jacobian entering every arc-length integral; the chord
+chi(t + h) - chi(t) is evaluated without cancellation, so distances inside
+tiny panels keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class AffineChart:
         v = (self.p1 - self.p0) / (self.t1 - self.t0)
         return np.broadcast_to(v, t.shape + (2,)).copy()
 
+    def chord(self, t, h):
+        """chi(t + h) - chi(t) without cancellation: velocity times h."""
+        return np.multiply.outer(np.asarray(h, dtype=float),
+                                 (self.p1 - self.p0) / (self.t1 - self.t0))
+
 
 @dataclass(frozen=True)
 class EllipticChart:
@@ -63,6 +70,13 @@ class EllipticChart:
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
         return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
+
+    def chord(self, t, h):
+        """chi(t + h) - chi(t) without cancellation, by the half-angle form
+        2 sin(h/2) (-a sin(t + h/2), b cos(t + h/2))."""
+        t, h = np.asarray(t, dtype=float), np.asarray(h, dtype=float)
+        mid, s = t + 0.5 * h, 2.0 * np.sin(0.5 * h)
+        return np.stack([-self.a * s * np.sin(mid), self.b * s * np.cos(mid)], axis=-1)
 
 
 @dataclass(frozen=True)

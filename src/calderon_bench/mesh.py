@@ -15,6 +15,8 @@ on the ellipse they obey 2 * (1 + O(h)).
 
 ``panel_samples`` is the one place where reference nodes are mapped onto
 panels; assembly, the Gram matrices and the duals all integrate through it.
+``panel_chords`` gives the near field its point differences inside and
+between neighbouring panels.
 """
 
 from __future__ import annotations
@@ -62,27 +64,54 @@ class Mesh:
         return sum(p.length for p in self.panels)
 
 
-def panel_samples(m: Mesh, unit_nodes, panels=None):
-    """Reference nodes in [0, 1] mapped onto panels, t = t0 + (t1 - t0) x.
+def panel_samples(m: Mesh, unit_nodes):
+    """Reference nodes in [0, 1] mapped onto every panel, t = t0 + (t1 - t0) x.
 
     Returns the curve points (P, n, 2), the chart speeds |chi'(t)| (P, n)
-    and the parameter lengths t1 - t0 (P,) of the given panel ids (all
-    panels by default).  Each run of consecutive panels on one chart is
-    evaluated in one call, so a mesh in chart order evaluates each chart once.
+    and the parameter lengths t1 - t0 (P,).  A point is the panel's start
+    point plus the chord chi(t) - chi(t0), so it does not depend on where
+    the chart's parameter interval sits, only on the offset of the panel
+    inside it.  Each run of consecutive panels on one chart is evaluated in
+    one call, so a mesh in chart order evaluates each chart once.
     """
-    sel = m.panels if panels is None else [m.panels[i] for i in panels]
-    chart = np.array([p.chart for p in sel], dtype=int)
-    dt = np.array([p.t1 - p.t0 for p in sel])
-    t = np.array([p.t0 for p in sel])[:, None] + dt[:, None] * np.asarray(unit_nodes)
-    cuts = [0, *(np.flatnonzero(np.diff(chart)) + 1), len(sel)]
-    runs = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        c = m.geometry.charts[chart[a]]
-        runs.append((c.point(t[a:b]), np.linalg.norm(c.velocity(t[a:b]), axis=-1)))
-    # a single run (one panel, or a one-chart curve) is returned without a
-    # copy; the near field calls this per panel on 10^4-10^5 nodes
-    points, speed = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
-    return points, speed, dt
+    t0, dt = _panel_params(m.panels)
+    h = dt * np.asarray(unit_nodes)
+    points, speed = np.empty(h.shape + (2,)), np.empty(h.shape)
+    for c, run in _chart_runs(m.panels):
+        chart = m.geometry.charts[c]
+        points[run] = chart.point(t0[run]) + chart.chord(t0[run], h[run])
+        speed[run] = np.linalg.norm(chart.velocity(t0[run] + h[run]), axis=-1)
+    return points, speed, dt[:, 0]
+
+
+def panel_chords(m: Mesh, anchor, step):
+    """chi(t + h) - chi(t) on every panel, shape (P, n, 2), for
+    t = t0 + (t1 - t0) anchor and h = (t1 - t0) step.
+
+    ``anchor`` and ``step`` are reference coordinates that broadcast to
+    (n,).  The chord comes from the chart's cancellation-free form, so a
+    point pair inside a panel of parameter length 1e-9 keeps its distance
+    to full relative accuracy.
+    """
+    t0, dt = _panel_params(m.panels)
+    t, h = np.broadcast_arrays(t0 + dt * np.asarray(anchor), dt * np.asarray(step))
+    out = np.empty(t.shape + (2,))
+    for c, run in _chart_runs(m.panels):
+        out[run] = m.geometry.charts[c].chord(t[run], h[run])
+    return out
+
+
+def _panel_params(panels):
+    """Start parameters and parameter lengths as (P, 1) columns."""
+    t0 = np.array([p.t0 for p in panels])[:, None]
+    return t0, np.array([p.t1 for p in panels])[:, None] - t0
+
+
+def _chart_runs(panels):
+    """(chart id, slice) of each run of consecutive panels on one chart."""
+    chart = np.array([p.chart for p in panels], dtype=int)
+    cuts = [0, *(np.flatnonzero(np.diff(chart)) + 1), len(panels)]
+    return [(chart[a], slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _make_panel(g, chart, t0, t1, generation):

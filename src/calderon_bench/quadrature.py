@@ -3,22 +3,24 @@
 All rules live on the unit interval / unit square; callers map them into
 panel parameter intervals.  The pair rules handle kernels with a logarithmic
 singularity on the diagonal (identical panels) or at a shared corner
-(adjacent panels) by composite tensor Gauss quadrature on geometrically
-graded subdivisions.
+(adjacent panels) by Duffy maps that turn the singularity into log factors
+along coordinate directions, each integrated by a 1-D rule for p + q log x.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# grading toward the singularity: cells shrink by this ratio until the
-# remaining region contributes below ~1e-12
-GRADING_RATIO = 0.15
-GRADING_DEPTH = math.ceil(math.log(1e-12) / math.log(GRADING_RATIO))
+# pull-back exponent of the log rule: x = y**LOG_POWER turns x^k and
+# x^k log x (k <= 7, the highest power degree-3 pairs produce) into
+# integrands that 20-point Gauss resolves to 5e-14; y**6 leaves 2e-13 on
+# log x itself
+LOG_POWER = 7
+# the log rule has this many more points than the smooth direction's Gauss
+LOG_EXTRA_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,16 @@ class PairRule:
     ``relation`` is one of ``separated``, ``adjacent``, ``identical``.
     For ``adjacent`` the singular corner is canonically (t, u) = (1, 0),
     i.e. the end of the first panel touches the start of the second.
+    ``offsets`` holds the singular distance variable without cancellation:
+    t - u for ``identical`` and 1 - t for ``adjacent`` (None for
+    ``separated``).
     """
 
     relation: str
     tnodes: np.ndarray
     unodes: np.ndarray
     weights: np.ndarray
+    offsets: np.ndarray | None = None
 
 
 def gauss_rule(n: int) -> QuadRule:
@@ -53,68 +59,60 @@ def gauss_rule(n: int) -> QuadRule:
     return QuadRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, degree=2 * n - 1)
 
 
-def _graded_intervals(depth: int = GRADING_DEPTH, ratio: float = GRADING_RATIO):
-    """Subdivision of [0,1] accumulating geometrically toward 0.
+def log_rule(n: int) -> QuadRule:
+    """Rule on [0, 1] for p(x) + q(x) log x: Gauss pulled back by x = y**7.
 
-    Returns (lo, hi) arrays; the innermost cell [0, ratio**depth] is kept
-    (its quadrature error is below the grading target).
+    x^k becomes the polynomial 7 y^(7k+6), exact for k <= (2n-7)/7;
+    x^k log x becomes 49 y^(7k+6) log y, which Gauss resolves to about
+    1e-13 at n = 20 for k <= 7.
     """
-    pts = ratio ** np.arange(depth + 1)          # 1, r, r^2, ..., r^depth
-    lo = np.concatenate(([0.0], pts[::-1][:-1]))  # 0, r^depth, ..., r
-    hi = pts[::-1]                                # r^depth, ..., r, 1
-    return lo, hi
+    g = gauss_rule(n)
+    y = g.nodes
+    return QuadRule(nodes=y ** LOG_POWER,
+                    weights=LOG_POWER * y ** (LOG_POWER - 1) * g.weights,
+                    degree=(2 * n - LOG_POWER) // LOG_POWER)
 
 
-def _composite_1d(grading_toward, base_n):
-    """Composite Gauss nodes/weights on [0,1] graded toward 0 or 1."""
-    g = gauss_rule(base_n)
-    lo, hi = _graded_intervals()
-    if grading_toward == 1:
-        lo, hi = 1.0 - hi[::-1], 1.0 - lo[::-1]
-    nodes = (lo[:, None] + (hi - lo)[:, None] * g.nodes[None, :]).ravel()
-    weights = ((hi - lo)[:, None] * g.weights[None, :]).ravel()
-    return nodes, weights
+def _tensor(a, b):
+    """Tensor product of two 1-D rules: (a nodes, b nodes, weights) flat."""
+    return (np.repeat(a.nodes, b.nodes.size), np.tile(b.nodes, a.nodes.size),
+            np.repeat(a.weights, b.nodes.size) * np.tile(b.weights, a.nodes.size))
 
 
 def pair_rule(relation: str, base_n: int) -> PairRule:
     """Quadrature rule on [0,1]^2 for a pair of panels in the given relation.
 
     ``separated``  -> plain tensor Gauss.
-    ``adjacent``   -> tensor Gauss on cells graded toward the corner (1, 0).
-    ``identical``  -> Duffy-type split of the two triangles with grading
-                      toward the singular diagonal; valid for kernels with a
-                      logarithmic singularity.
+    ``identical``  -> Duffy split u = t(1 - v) of the lower triangle and its
+                      mirror: log|t - u| = log t + log v, the log rule in
+                      both t and v.
+    ``adjacent``   -> corner Duffy split in (s, u), s = 1 - t: u = s v on
+                      {u <= s} and s = u v on {s <= u}; the distance to the
+                      corner factors as s (or u) times a smooth function of
+                      v, so the log rule runs along s (or u) and Gauss
+                      along v.
+    The log rule has ``base_n + LOG_EXTRA_POINTS`` points; Gauss has ``base_n``.
     """
     if base_n < 4:
         raise ValueError(f"pair_rule: base_n must be >= 4, got {base_n}")
     g = gauss_rule(base_n)
     if relation == "separated":
-        t = np.repeat(g.nodes, base_n)
-        u = np.tile(g.nodes, base_n)
-        w = np.repeat(g.weights, base_n) * np.tile(g.weights, base_n)
-        return PairRule("separated", t, u, w)
-
-    if relation == "adjacent":
-        tn, tw = _composite_1d(grading_toward=1, base_n=base_n)
-        un, uw = _composite_1d(grading_toward=0, base_n=base_n)
-        t = np.repeat(tn, un.size)
-        u = np.tile(un, tn.size)
-        w = np.repeat(tw, un.size) * np.tile(uw, tn.size)
-        return PairRule("adjacent", t, u, w)
+        return PairRule("separated", *_tensor(g, g))
+    lg = log_rule(base_n + LOG_EXTRA_POINTS)
 
     if relation == "identical":
-        # lower triangle {0 <= u <= t}: u = t(1 - v), Jacobian t; the kernel
-        # log|t - u| = log t + log v is edge-singular in both coordinates
-        tn, tw = _composite_1d(grading_toward=0, base_n=base_n)
-        vn, vw = _composite_1d(grading_toward=0, base_n=base_n)
-        t = np.repeat(tn, vn.size)
-        v = np.tile(vn, tn.size)
-        w = np.repeat(tw, vn.size) * np.tile(vw, tn.size) * t
-        u = t * (1.0 - v)
-        tt = np.concatenate([t, u])
-        uu = np.concatenate([u, t])
-        ww = np.concatenate([w, w])
-        return PairRule("identical", tt, uu, ww)
+        # lower triangle {0 <= u <= t}: u = t(1 - v), Jacobian t
+        t, v, w = _tensor(lg, lg)
+        u, d, w = t * (1.0 - v), t * v, w * t
+        return PairRule("identical", np.concatenate([t, u]), np.concatenate([u, t]),
+                        np.concatenate([w, w]), np.concatenate([d, -d]))
+
+    if relation == "adjacent":
+        # {u <= s}: u = s v, Jacobian s; {s <= u}: s = u v, Jacobian u
+        r, v, w = _tensor(lg, g)
+        s = np.concatenate([r, r * v])
+        u = np.concatenate([r * v, r])
+        return PairRule("adjacent", 1.0 - s, u, np.concatenate([w * r, w * r]), s)
 
     raise ValueError(f"pair_rule: unknown relation {relation!r}")
 

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
-                                               _require_spd, assemble_operator_pair,
-                                               write_dense_matrix)
-from calderon_bench.fespace import build_space
-from calderon_bench.geometry import make_geometry
-from calderon_bench.gram import lumped_matrix, mass_matrix
-from calderon_bench.mesh import Mesh, initial_mesh
-from calderon_bench.quadrature import adaptive_integrate
+import dataclasses
 
-from helpers import (circle_uniform_operators, circle_uniform_space,
-                     corner_operators, geom)
+from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
+                                               _assemble_log_galerkin, _require_spd,
+                                               assemble_operator_pair, write_dense_matrix)
+from calderon_bench.fespace import build_space
+from calderon_bench.geometry import AffineChart, make_geometry
+from calderon_bench.gram import lumped_matrix, mass_matrix
+from calderon_bench.mesh import Mesh, corner_schedule, initial_mesh
+from calderon_bench.precond import lumped_precond
+from calderon_bench.quadrature import adaptive_integrate
+from calderon_bench.spectral import kappa
+
+from helpers import (QUAD_N, circle_uniform_operators, circle_uniform_space,
+                     corner_operators, corner_space, geom)
 
 RADIUS = 0.25
 
@@ -166,6 +170,15 @@ def test_too_few_panels_rejected():
         build_space(initial_mesh(g, 2), 1)
 
 
+def test_coincident_far_field_points_rejected():
+    """A curve traversed twice puts panel i and panel i + P on the same
+    points; the far field must refuse it rather than take log 0."""
+    m = initial_mesh(geom("circle"), 4)
+    s = build_space(Mesh(m.geometry, m.panels * 2), 1)
+    with pytest.raises(AssemblyError, match="coincide"):
+        assemble_operator_pair(s)
+
+
 def test_dense_dump_roundtrip(tmp_path):
     A, _ = corner_operators("square", 1, 1)
     path = tmp_path / "A.txt"
@@ -175,3 +188,43 @@ def test_dense_dump_roundtrip(tmp_path):
     assert n == A.shape[0] and len(lines) == n + 1
     back = np.array([[float(x) for x in line.split()] for line in lines[1:]])
     assert np.array_equal(back, A)
+
+
+@pytest.mark.parametrize("kind, ell", [("square", 3), ("ellipse", 1)])
+def test_stabilization_moments_match_lumped_diagonal(kind, ell):
+    """m[nu] = <phi_nu, 1> comes from the far field's sample weights; it is
+    the exact-product lumped diagonal up to rounding."""
+    s = corner_space(kind, 2, ell)
+    _, _, m = _assemble_log_galerkin(s, QUAD_N)
+    D = lumped_matrix(s, "exact", n_quad=QUAD_N)
+    assert np.abs(m / D - 1).max() <= 1e-14
+
+
+def test_shifted_chart_parameters_give_same_matrices():
+    """Moving every chart's parameter interval by +1000 moves no point of
+    the curve, so A and B must not change: every distance is taken
+    relative to a panel, not from absolute parameters."""
+    g = geom("square")
+    shift = 1000.0
+    charts = tuple(AffineChart(c.t0 + shift, c.t1 + shift, c.p0, c.p1) for c in g.charts)
+    corners = tuple(tuple((i, t + shift) for i, t in c) for c in g.corners)
+    moved = dataclasses.replace(g, charts=charts, corners=corners)
+    A, B = corner_operators("square", 5, 3)
+    A1, B1 = assemble_operator_pair(build_space(corner_schedule(moved, 5), 3), QUAD_N, 0.05)
+    for X, X1 in ((A, A1), (B, B1)):
+        assert np.abs(X1 - X).max() <= 1e-12 * np.abs(X).max()
+
+
+# measured relative change of the level-6 lumped kappa (square, degree 3)
+# between quad_n = 12 and 20: 9.6e-11
+KAPPA_QUAD_TOL = 1e-9
+
+
+def test_kappa_stable_under_quadrature_order():
+    s = corner_space("square", 6, 3)
+    D = lumped_matrix(s, "exact", n_quad=QUAD_N)
+    A12, B12 = corner_operators("square", 6, 3)
+    A20, B20 = assemble_operator_pair(s, 20, 0.05)
+    k12 = kappa(lumped_precond(B12, D), A12)
+    k20 = kappa(lumped_precond(B20, D), A20)
+    assert abs(k20 / k12 - 1) <= KAPPA_QUAD_TOL

@@ -152,6 +152,20 @@ def test_config_rejects_unknown_format(tmp_path):
         ExperimentConfig(fmt="html")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("degree", 2), ("geometry", "circel"), ("inner_product", "averaged"),
+])
+def test_config_file_rejects_bad_choice(tmp_path, field, value):
+    # config-file values bypass argparse choices; each must fail when the
+    # config is built, before any level is assembled, not print a table
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {value}\nlevels = 1\npreconds = lumped,mass\n")
+    with pytest.raises(ValueError, match=field):
+        main(["run", "--config", str(path)])
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_rejects_richardson_zero_steps():
     with pytest.raises(ValueError, match="richardson:0"):
         main(["run", "--precond", "lumped,richardson:0", "--levels", "1"])

@@ -4,7 +4,7 @@ import pytest
 from calderon_bench.geometry import make_geometry, total_length
 from calderon_bench.mesh import (corner_panels, corner_schedule, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
-                                 panel_samples, refine, uniform_refine)
+                                 panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
 
 RATIO_CAP = 2.0 * (1 + 1e-9)
@@ -148,20 +148,39 @@ def test_dump_format(tmp_path, square):
 
 @pytest.mark.parametrize("kind", ["square", "ellipse"])
 def test_panel_samples_match_direct_chart_calls(kind):
-    """The batched samples equal, bit for bit, one chart call per panel,
-    for all panels and for a selection that mixes charts and repeats."""
+    """The batched samples equal, bit for bit, one chart call per panel.  A
+    point is the panel's start point plus the chord to it, which agrees
+    with the chart point at the absolute parameter to rounding."""
     g = make_geometry(kind, 0.5, 2.0)
     m = corner_schedule(g, 2)
     unit = gauss_rule(5).nodes
-    picked = [3, 0, m.n_panels - 1, 3]
-    for ids, kwargs in ((range(m.n_panels), {}), (picked, {"panels": picked})):
-        pts, speed, dt = panel_samples(m, unit, **kwargs)
-        assert pts.shape == (len(ids), unit.size, 2)
-        assert speed.shape == (len(ids), unit.size) and dt.shape == (len(ids),)
-        for row, i in enumerate(ids):
-            p = m.panels[i]
-            c = g.charts[p.chart]
-            t = p.t0 + (p.t1 - p.t0) * unit
-            assert dt[row] == p.t1 - p.t0
-            assert np.array_equal(pts[row], c.point(t))
-            assert np.array_equal(speed[row], np.linalg.norm(c.velocity(t), axis=-1))
+    pts, speed, dt = panel_samples(m, unit)
+    assert pts.shape == (m.n_panels, unit.size, 2)
+    assert speed.shape == (m.n_panels, unit.size) and dt.shape == (m.n_panels,)
+    for i, p in enumerate(m.panels):
+        c = g.charts[p.chart]
+        h = (p.t1 - p.t0) * unit
+        t = p.t0 + h
+        assert dt[i] == p.t1 - p.t0
+        assert np.array_equal(pts[i], c.point(p.t0) + c.chord(p.t0, h))
+        assert np.abs(pts[i] - c.point(t)).max() <= 4e-16
+        assert np.array_equal(speed[i], np.linalg.norm(c.velocity(t), axis=-1))
+
+
+@pytest.mark.parametrize("kind", ["square", "ellipse"])
+def test_panel_chords_keep_relative_accuracy(kind):
+    """chi(t + h) - chi(t) matches the point difference where that is
+    accurate, and keeps its relative size where the difference cancels."""
+    g = make_geometry(kind, 0.5, 2.0)
+    m = corner_schedule(g, 2)
+    unit = gauss_rule(5).nodes
+    pts, speed, dt = panel_samples(m, unit)
+    c = panel_chords(m, 0.0, unit)
+    start = pts - c                       # every row's panel start point
+    assert np.abs(start - start[:, :1]).max() <= 1e-16
+    # a step of 1e-30 of the panel: the point difference is 0, the chord
+    # is the speed times the step
+    tiny = panel_chords(m, unit, 1e-30)
+    length = np.linalg.norm(tiny, axis=-1)
+    assert np.abs(length / (1e-30 * dt[:, None] * speed) - 1).max() <= 1e-14
+
