@@ -32,7 +32,7 @@ class CoercivityError(AssemblyError):
 
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
-_CHUNK_ROWS = 1024
+_CHUNK_COLS = 1024
 
 
 def _log_kernel_r2(r2):
@@ -65,8 +65,11 @@ def _far_field(s: FeSpace, quad_n: int):
     """Tensor-Gauss log-kernel sums over all panel pairs that are neither
     identical nor adjacent, and m[nu] = <phi_nu, 1> from the same samples.
 
-    The kernel is built in row chunks inside two preallocated buffers; the
-    near-field blocks are set to r^2 = 1 before the log, so they add 0.
+    The kernel is built in column chunks, each a contiguous (P n, c) view
+    of two preallocated buffers, so the sparse products read it without a
+    copy; the kernel is symmetric to the bit, so column j of a chunk is row
+    j of the kernel.  The near-field blocks are set to r^2 = 1 before the
+    log, so they add 0.
     """
     P = s.mesh.n_panels
     grule = gauss_rule(quad_n)
@@ -74,34 +77,34 @@ def _far_field(s: FeSpace, quad_n: int):
     S_val, S_der = _scatter_matrices(s, grule, speed, dts)
 
     n = grule.nodes.size
-    x, y = pts.reshape(P * n, 2).T
-    # columns of the identical and adjacent panels of every row
-    panel = np.arange(P * n) // n
-    near_cols = ((panel[:, None] + np.array([-1, 0, 1])) % P)[:, :, None] * n + np.arange(n)
-    near_cols = near_cols.reshape(P * n, 3 * n)
-    chunk = min(_CHUNK_ROWS, P * n)
-    buf, tmp = np.empty((chunk, P * n)), np.empty((chunk, P * n))
+    N = P * n
+    x, y = pts.reshape(N, 2).T
+    # rows of the identical and adjacent panels of every column
+    panel = np.arange(N) // n
+    near_rows = ((panel[:, None] + np.array([-1, 0, 1])) % P)[:, :, None] * n + np.arange(n)
+    near_rows = near_rows.reshape(N, 3 * n)
+    chunk = min(_CHUNK_COLS, N)
+    buf, tmp = np.empty(N * chunk), np.empty(N * chunk)
     A_val = np.zeros((s.ndof, s.ndof))
     A_der = np.zeros((s.ndof, s.ndof))
     SvT = S_val.T.tocsr()
     SdT = S_der.T.tocsr()
-    for start in range(0, P * n, chunk):
-        stop = min(start + chunk, P * n)
-        K, T = buf[:stop - start], tmp[:stop - start]
-        np.subtract.outer(x[start:stop], x, out=K)
+    for start in range(0, N, chunk):
+        stop = min(start + chunk, N)
+        c = stop - start
+        K, T = buf[:N * c].reshape(N, c), tmp[:N * c].reshape(N, c)
+        np.subtract.outer(x, x[start:stop], out=K)
         K *= K
-        np.subtract.outer(y[start:stop], y, out=T)
+        np.subtract.outer(y, y[start:stop], out=T)
         T *= T
         K += T
-        K[np.arange(stop - start)[:, None], near_cols[start:stop]] = 1.0
+        K[near_rows[start:stop], np.arange(c)[:, None]] = 1.0
         if K.min() <= 0.0:
             raise AssemblyError("far-field quadrature points of distinct panels coincide")
         np.log(K, out=K)
         K *= _KERNEL_HALF
-        Y_val = (SvT @ K.T).T                      # K_chunk @ S_val
-        Y_der = (SdT @ K.T).T
-        A_val += S_val[start:stop].T @ Y_val
-        A_der += S_der[start:stop].T @ Y_der
+        A_val += S_val[start:stop].T @ (SvT @ K).T     # rows start:stop of K S_val
+        A_der += S_der[start:stop].T @ (SdT @ K).T
     m = np.asarray(S_val.sum(axis=0)).ravel()
     return A_val, A_der, m
 

@@ -9,6 +9,7 @@ invariants with one pass/fail line per property.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -24,7 +25,7 @@ from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neigh
 from .precond import (jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import kappa
+from .spectral import kappa, spd_factor
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -48,7 +49,8 @@ class ExperimentConfig:
     fmt: str = "csv"
     output: str = ""
     dump_matrices: str = ""
-    omega_override: float = 0.0       # 0 = use the reference-element weight
+    omega_override: float = 0.0       # 0 = use the reference-element weight;
+                                      # omega >= 2/lambda_max is caught per mesh
 
     # the operator order is pinned by the shipped kernel pair
     s_order = 0.5
@@ -69,6 +71,9 @@ class ExperimentConfig:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        if not (math.isfinite(self.omega_override) and self.omega_override >= 0):
+            raise ValueError("omega_override must be finite and >= 0 (0 = reference "
+                             f"weight), got {self.omega_override!r}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,11 @@ def run_experiment(cfg: ExperimentConfig):
             A, B = bops.assemble_operator_pair(s, cfg.quad_n, cfg.alpha)
             M = mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
             D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
+            L = spd_factor(A)
             kappas = {}
             for name in cfg.preconds:
                 G = _build_precond(name, B, M, D, omega)
-                kappas[name] = kappa(G, A)
+                kappas[name] = kappa(G, A, L)
         except Exception as exc:
             raise RuntimeError(f"level {k}: {exc}") from exc
         rows.append(ReportRow(k, m.h_min, m.h_max, s.ndof, kappas))
@@ -307,6 +313,20 @@ def _verify_checks():
         k3 = kappa(scaled_basis(B, D), scaled_basis(A, D))
         return abs(k1 / k2 - 1) < 1e-8 and abs(k1 / k3 - 1) < 1e-8
 
+    def richardson_contraction():
+        # q_h = max |1 - omega lambda(D^{-1/2} M D^{-1/2})| on a graded mesh
+        # against the reference-element bound q_ref
+        detail, ok = [], True
+        for ell in (1, 3):
+            s = build_space(corner_schedule(gs, 3), ell)
+            lam_minus, lam_plus, omega = richardson_weight(1, ell)
+            q_ref = (lam_plus - lam_minus) / (lam_plus + lam_minus)
+            lam = np.linalg.eigvalsh(scaled_basis(mass_matrix(s), lumped_matrix(s)))
+            q_h = np.abs(1.0 - omega * lam).max()
+            ok &= q_h <= q_ref * (1 + 1e-10)
+            detail.append(f"degree {ell}: q_h = {q_h:.6f}, q_ref = {q_ref:.6f}")
+        return bool(ok), "; ".join(detail)
+
     def duals_quick():
         s = build_space(corner_schedule(gs, 1), 1)
         b = duals_mod.build_bubbles(s)
@@ -322,12 +342,15 @@ def _verify_checks():
         ("lumping identity", lumping_identity),
         ("partition of unity", partition_of_unity),
         ("richardson reference weights", richardson_weights),
+        ("richardson contraction, level-3 square", richardson_contraction),
         ("kappa coincidence and scaling", kappa_identities),
         ("dual basis biorthogonality", duals_quick),
     ]
 
 
 def cmd_verify(_args):
+    """One PASS/FAIL line per check; a check that returns (ok, detail)
+    also prints the measured numbers after its name."""
     failures = 0
     for name, check in _verify_checks():
         try:
@@ -335,6 +358,9 @@ def cmd_verify(_args):
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             ok = False
             name = f"{name} ({exc})"
+        if isinstance(ok, tuple):
+            ok, detail = ok
+            name = f"{name}: {detail}"
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failures += not ok
     return 1 if failures else 0

@@ -24,8 +24,8 @@ def _check_kind(kind):
         raise ValueError(f"inner-product kind must be one of {KINDS}, got {kind!r}")
 
 
-def mass_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray:
-    """Dense symmetric Gram matrix <phi_nu, phi_nu'> in the chosen product."""
+def _panel_blocks(s: FeSpace, kind: str, n_quad: int) -> np.ndarray:
+    """Per-panel Gram blocks <phi_a, phi_b> on each panel, shape (P, l+1, l+1)."""
     _check_kind(kind)
     g = gauss_rule(n_quad)
     V = reference_basis(s.degree, g.nodes)          # (l+1, n)
@@ -34,9 +34,13 @@ def mass_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray
         jac = speed * dt[:, None]
     else:
         jac = np.array([p.length for p in s.mesh.panels])[:, None]
-    blocks = (V * (g.weights * jac)[:, None, :]) @ V.T   # (P, l+1, l+1)
+    return (V * (g.weights * jac)[:, None, :]) @ V.T
+
+
+def mass_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray:
+    """Dense symmetric Gram matrix <phi_nu, phi_nu'> in the chosen product."""
     M = np.zeros((s.ndof, s.ndof))
-    np.add.at(M, (s.conn[:, :, None], s.conn[:, None, :]), blocks)
+    np.add.at(M, (s.conn[:, :, None], s.conn[:, None, :]), _panel_blocks(s, kind, n_quad))
     return M
 
 
@@ -44,10 +48,12 @@ def lumped_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarr
     """Diagonal entries <1, phi_nu>, computed as mass-matrix row sums.
 
     The basis is a partition of unity, so row sums and the defining
-    integrals agree identically; one code path keeps the lumping identity
-    exact by construction.
+    integrals agree identically; summing the same per-panel blocks that
+    ``mass_matrix`` scatters keeps the lumping identity exact by
+    construction, without forming the N x N matrix.
     """
-    return mass_matrix(s, kind, n_quad).sum(axis=1)
+    rows = _panel_blocks(s, kind, n_quad).sum(axis=2)   # (P, l+1)
+    return np.bincount(s.conn.ravel(), weights=rows.ravel(), minlength=s.ndof)
 
 
 def scaled_basis(A: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Builders for the four preconditioners and the Richardson damping weight.
 
 G^D = D^{-1} B D^{-1}            (lumped; exact diagonal inverse)
-G^M = M^{-1} B M^{-1}            (mass; dense inverse via Cholesky)
+G^M = M^{-1} B M^{-1}            (mass; banded Cholesky solves with M)
 G^(k) = R^(k) B R^(k)            (k damped Richardson steps toward M^{-1})
 G^J = (diag M)^{-1} B (diag M)^{-1}   (Jacobi; fails for degree > 1)
+
+The coupling matrices are sparse and banded: M couples only dofs of a
+common panel, so in reverse Cuthill-McKee order of its graph its band is
+2l wide on a closed curve, and R^(k), a polynomial of degree k - 1 in
+D^{-1} M, widens it by that much per step.  M is factored as a banded SPD
+matrix, R^(k) is built by k - 1 sparse products, and each G costs two
+solves or two sparse-times-dense products with B; G itself stays dense.
 
 The damping weight omega = 2 / (lambda- + lambda+) comes from the extremal
 generalized eigenvalues of the lumped-preconditioned mass matrix on the
@@ -20,8 +27,10 @@ from math import factorial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .spectral import spd_factor
+from .spectral import NotSPDError
 
 
 class RichardsonDivergenceError(RuntimeError):
@@ -47,10 +56,31 @@ def lumped_precond(B: np.ndarray, d: np.ndarray) -> Precond:
     return Precond("lumped", G)
 
 
+def _banded_cholesky(Ms, perm) -> np.ndarray:
+    """Lower banded Cholesky factor of Ms[perm][:, perm], in LAPACK's
+    lower band storage; raises NotSPDError if Ms is not SPD."""
+    C = Ms[perm][:, perm].tocoo()
+    off = C.row - C.col
+    low = off >= 0
+    ab = np.zeros((off[low].max() + 1, Ms.shape[0]))
+    ab[off[low], C.col[low]] = C.data[low]
+    try:
+        return scipy.linalg.cholesky_banded(ab, lower=True)
+    except np.linalg.LinAlgError:
+        raise NotSPDError("matrix is not symmetric positive definite") from None
+
+
 def mass_precond(B: np.ndarray, M: np.ndarray) -> Precond:
-    c = (spd_factor(M), True)                     # lower Cholesky factor of M
-    X = scipy.linalg.cho_solve(c, B)              # M^{-1} B
-    G = scipy.linalg.cho_solve(c, X.T).T          # (M^{-1} B) M^{-1}
+    Ms = sparse.csr_matrix(M)
+    perm = reverse_cuthill_mckee(Ms, symmetric_mode=True)
+    c = (_banded_cholesky(Ms, perm), True)
+
+    def solve(X):                                  # M^{-1} X
+        Y = np.empty_like(X)
+        Y[perm] = scipy.linalg.cho_solve_banded(c, X[perm])
+        return Y
+
+    G = solve(solve(B).T).T                        # (M^{-1} B) M^{-1}
     return Precond("mass", _sym(G))
 
 
@@ -120,26 +150,48 @@ def richardson_weight(d: int, ell: int):
 # Richardson approximate inverse
 
 
-def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np.ndarray:
-    """R^(k) from k damped Richardson iterations for M^{-1} preconditioned
-    by the diagonal d, starting from R^(0) = 0."""
+def _check_contraction(Ms, d: np.ndarray, omega: float):
+    """Raise unless |1 - omega*lambda| < 1 for every eigenvalue lambda of
+    D^{-1} M.  With D > 0 that holds exactly when omega > 0, M is SPD and
+    (2/omega) D - M is SPD; both are tested by a banded Cholesky
+    factorization, which costs linear work."""
+    if not omega > 0:
+        raise RichardsonDivergenceError(f"omega={omega} must be positive")
+    perm = reverse_cuthill_mckee(Ms, symmetric_mode=True)
+    for S, what in ((Ms, "M"), (sparse.diags(2.0 / omega * d) - Ms, "(2/omega) D - M")):
+        try:
+            _banded_cholesky(S, perm)
+        except NotSPDError:
+            raise RichardsonDivergenceError(
+                f"omega={omega} violates |1 - omega*lambda| < 1 on this mesh: "
+                f"{what} is not positive definite") from None
+
+
+def _richardson_sparse(M: np.ndarray, d: np.ndarray, k: int, omega: float):
+    """R^(k) as a sparse matrix, from k - 1 sparse products."""
     if k < 1:
         raise ValueError("k must be >= 1")
     d = np.asarray(d, dtype=float)
-    lam = np.linalg.eigvalsh(M / np.outer(np.sqrt(d), np.sqrt(d)))
-    if np.max(np.abs(1.0 - omega * lam)) >= 1.0:
-        raise RichardsonDivergenceError(
-            f"omega={omega} violates |1 - omega*lambda| < 1 on this mesh "
-            f"(lambda in [{lam[0]:.4g}, {lam[-1]:.4g}])"
-        )
-    dinv = 1.0 / d
-    R = omega * np.diag(dinv)
+    if np.any(d <= 0):
+        raise ValueError("lumped diagonal must be positive")
+    Ms = sparse.csr_matrix(M)
+    _check_contraction(Ms, d, omega)
+    Dinv = sparse.diags(1.0 / d, format="csr")
+    eye = sparse.identity(M.shape[0], format="csr")
+    R = omega * Dinv
     for _ in range(k - 1):
-        R = R + omega * (dinv[:, None] * (np.eye(M.shape[0]) - M @ R))
+        R = R + omega * (Dinv @ (eye - Ms @ R))
     return _sym(R)
+
+
+def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np.ndarray:
+    """R^(k) from k damped Richardson iterations for M^{-1} preconditioned
+    by the diagonal d, starting from R^(0) = 0; a dense array."""
+    return _richardson_sparse(M, d, k, omega).toarray()
 
 
 def richardson_precond(B: np.ndarray, M: np.ndarray, d: np.ndarray, k: int,
                        omega: float) -> Precond:
-    R = richardson_inverse(M, d, k, omega)
-    return Precond(f"richardson:{k}", _sym(R @ B @ R), {"k": k, "omega": omega})
+    R = _richardson_sparse(M, d, k, omega)
+    G = R @ (R @ B).T                              # (R B R)^T, as R = R^T
+    return Precond(f"richardson:{k}", _sym(G), {"k": k, "omega": omega})

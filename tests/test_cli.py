@@ -201,3 +201,18 @@ def test_golden_kappa_tables(geometry, degree, inner):
 def test_public_names_resolve():
     for name in calderon_bench.__all__:
         assert getattr(calderon_bench, name) is not None, name
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_omega_override_rejected_up_front(tmp_path, value):
+    # a negative or non-finite weight fails when the config is built, from a
+    # flag or a config file, before any level is assembled
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="omega_override"):
+        main(["run", "--levels", "1", "--omega-override", value, "--output", str(out)])
+    path = tmp_path / "omega.cfg"
+    path.write_text(f"omega_override = {value}\nlevels = 1\n")
+    with pytest.raises(ValueError, match="omega_override"):
+        main(["run", "--config", str(path), "--output", str(out)])
+    assert not out.exists()
+    assert ExperimentConfig(omega_override=0.0).omega_override == 0.0

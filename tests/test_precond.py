@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from calderon_bench.precond import (Precond, RichardsonDivergenceError,
                                     jacobi_precond, lumped_precond, mass_precond,
                                     reference_mass_and_lumped, richardson_inverse,
                                     richardson_precond, richardson_weight)
-from calderon_bench.spectral import kappa
+from calderon_bench.spectral import NotSPDError, kappa
 
 from helpers import corner_gram, corner_operators
 
@@ -116,6 +117,62 @@ def test_richardson_divergence_guard():
     d = np.diag(M).copy()
     with pytest.raises(RichardsonDivergenceError):
         richardson_inverse(M, d, 3, omega=50.0)
+
+
+def _richardson_dense(M, d, k, omega):
+    """Reference: the dense recurrence R <- R + omega D^{-1} (I - M R)."""
+    dinv = 1.0 / d
+    R = omega * np.diag(dinv)
+    for _ in range(k - 1):
+        R = R + omega * (dinv[:, None] * (np.eye(M.shape[0]) - M @ R))
+    return 0.5 * (R + R.T)
+
+
+def _mass_precond_dense(B, M):
+    """Reference: M^{-1} B M^{-1} by dense Cholesky solves."""
+    c = (np.linalg.cholesky(M), True)
+    G = scipy.linalg.cho_solve(c, scipy.linalg.cho_solve(c, B).T).T
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_sparse_richardson_matches_dense_recurrence(ell):
+    M, D = corner_gram("square", 3, ell)
+    _, _, om = richardson_weight(1, ell)
+    for k in (1, 2, 4, 6, 64):
+        ref = _richardson_dense(M, D, k, om)
+        R = richardson_inverse(M, D, k, om)
+        assert np.abs(R - ref).max() <= 1e-13 * np.abs(ref).max(), k
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_mass_precond_matches_dense_cholesky(ell):
+    _, B = corner_operators("square", 3, ell)
+    M, _ = corner_gram("square", 3, ell)
+    ref = _mass_precond_dense(B, M)
+    assert np.abs(mass_precond(B, M).matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mass_precond_rejects_indefinite_mass():
+    M = np.diag([1.0, 2.0, -1.0, 3.0])
+    M[0, 1] = M[1, 0] = 0.5
+    with pytest.raises(NotSPDError):
+        mass_precond(_random_spd(4), M)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_divergence_guard_at_the_mesh_bound(ell):
+    """The guard's definiteness test flips at omega = 2 / lambda_max of
+    D^{-1/2} M D^{-1/2}, here computed by a dense eigensolver."""
+    M, D = corner_gram("square", 3, ell)
+    sq = np.sqrt(D)
+    lam_max = np.linalg.eigvalsh(M / np.outer(sq, sq))[-1]
+    richardson_inverse(M, D, 2, (1 - 1e-6) * 2.0 / lam_max)
+    with pytest.raises(RichardsonDivergenceError):
+        richardson_inverse(M, D, 2, (1 + 1e-6) * 2.0 / lam_max)
+    for omega in (0.0, -0.5, float("nan")):
+        with pytest.raises(RichardsonDivergenceError):
+            richardson_inverse(M, D, 2, omega)
 
 
 def test_richardson_precond_first_step_is_scaled_lumped():

@@ -83,6 +83,16 @@ def test_kappa_scalar_invariance():
     assert kappa(G, 10.0 * A) == pytest.approx(k, rel=1e-10)
 
 
+def test_kappa_with_shared_factor_matches_own_factor():
+    G, A = _random_spd(9), _random_spd(9)
+    L = spd_factor(A)
+    for Gi in (G, 3.0 * G, np.linalg.inv(A)):
+        C = L.T @ Gi @ L                        # reference: two dense GEMMs
+        lam = np.linalg.eigvalsh(0.5 * (C + C.T))
+        assert kappa(Gi, A, L) == kappa(Gi, A)
+        assert kappa(Gi, A, L) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+
+
 def test_kappa_rejects_indefinite():
     A = _random_spd(4)
     G = np.diag([1.0, -1.0, 1.0, 1.0])
