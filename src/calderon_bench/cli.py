@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0 (B~ alone is only semi-coercive), "
+                             f"got {self.alpha!r}")
         if not (math.isfinite(self.omega_override) and self.omega_override >= 0):
             raise ValueError("omega_override must be finite and >= 0 (0 = reference "
                              f"weight), got {self.omega_override!r}")

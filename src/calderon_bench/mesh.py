@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Geometry, arc_length
+from .geometry import Geometry, arc_lengths
 
 # neighbour size-ratio cap for the closure; the tiny slack absorbs roundoff
 # on pairs whose exact ratio is 2
@@ -114,26 +114,30 @@ def _chart_runs(panels):
     return [(chart[a], slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _make_panel(g, chart, t0, t1, generation):
-    qlen = (t1 - t0) * g.chart_scales[chart]
-    return Panel(chart, t0, t1, arc_length(g.charts[chart], t0, t1), qlen, generation)
-
-
-def _bisect(g, p: Panel):
-    tm = 0.5 * (p.t0 + p.t1)
-    return (
-        _make_panel(g, p.chart, p.t0, tm, p.generation + 1),
-        _make_panel(g, p.chart, tm, p.t1, p.generation + 1),
-    )
+def _chart_panels(g, chart, t0, t1, generation):
+    """Panels over the intervals [t0[i], t1[i]] of one chart, with their arc
+    lengths from one batched call."""
+    lengths = arc_lengths(g.charts[chart], t0, t1)
+    scale = g.chart_scales[chart]
+    return [Panel(chart, a, b, h, (b - a) * scale, k)
+            for a, b, h, k in zip(t0, t1, lengths, generation)]
 
 
 def _bisect_marked(g, panels, marked):
+    """The panels with every marked one replaced by its two halves; the
+    halves' arc lengths come from one batched call per chart."""
+    halves, marked = {}, sorted(marked)
+    for c in {panels[i].chart for i in marked}:
+        ids = [i for i in marked if panels[i].chart == c]
+        t0 = np.array([panels[i].t0 for i in ids])
+        t1 = np.array([panels[i].t1 for i in ids])
+        tm = 0.5 * (t0 + t1)
+        gen = [panels[i].generation + 1 for i in ids] * 2
+        kids = _chart_panels(g, c, np.concatenate([t0, tm]), np.concatenate([tm, t1]), gen)
+        halves.update((i, (kids[j], kids[j + len(ids)])) for j, i in enumerate(ids))
     out = []
     for i, p in enumerate(panels):
-        if i in marked:
-            out.extend(_bisect(g, p))
-        else:
-            out.append(p)
+        out.extend(halves.get(i, (p,)))
     return out
 
 
@@ -162,8 +166,7 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     panels = []
     for ci, c in enumerate(g.charts):
         edges = np.linspace(c.t0, c.t1, per_chart + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            panels.append(_make_panel(g, ci, a, b, 0))
+        panels += _chart_panels(g, ci, edges[:-1], edges[1:], [0] * per_chart)
     return Mesh(g, tuple(_kmesh_close(g, panels)))
 
 

@@ -118,9 +118,10 @@ def test_dump_matrices_flag(tmp_path):
 
 
 def test_error_annotates_level():
-    cfg = ExperimentConfig(geometry="square", degree=1, levels=1, alpha=-1.0,
-                           preconds=("lumped",))
-    with pytest.raises(RuntimeError, match="level 1"):
+    # omega >= 2/lambda_max depends on the mesh, so only the level can tell
+    cfg = ExperimentConfig(geometry="square", degree=1, levels=1, omega_override=10.0,
+                           preconds=("richardson:1",))
+    with pytest.raises(RuntimeError, match="level 1: omega=10.0"):
         run_experiment(cfg)
 
 
@@ -216,3 +217,17 @@ def test_omega_override_rejected_up_front(tmp_path, value):
         main(["run", "--config", str(path), "--output", str(out)])
     assert not out.exists()
     assert ExperimentConfig(omega_override=0.0).omega_override == 0.0
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_alpha_rejected_up_front(tmp_path, value):
+    # B~ annihilates constants, so B needs alpha > 0; a bad alpha fails when
+    # the config is built, from a flag or a config file, before level 1
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="alpha"):
+        main(["run", "--levels", "1", "--alpha", value, "--output", str(out)])
+    path = tmp_path / "alpha.cfg"
+    path.write_text(f"alpha = {value}\nlevels = 1\n")
+    with pytest.raises(ValueError, match="alpha"):
+        main(["run", "--config", str(path), "--output", str(out)])
+    assert not out.exists()

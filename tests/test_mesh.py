@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calderon_bench.geometry import make_geometry, total_length
+from calderon_bench.geometry import arc_length, make_geometry, total_length
 from calderon_bench.mesh import (corner_panels, corner_schedule, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
@@ -184,3 +184,14 @@ def test_panel_chords_keep_relative_accuracy(kind):
     length = np.linalg.norm(tiny, axis=-1)
     assert np.abs(length / (1e-30 * dt[:, None] * speed) - 1).max() <= 1e-14
 
+
+
+@pytest.mark.parametrize("kind", ["square", "ellipse"])
+def test_bisection_lengths_match_arc_length(kind):
+    # the children of one bisection sweep get their lengths from one
+    # batched call per chart
+    g = make_geometry(kind, 0.5, 2.0)
+    m = corner_schedule(g, 6)
+    got = np.array([p.length for p in m.panels])
+    ref = np.array([arc_length(g.charts[p.chart], p.t0, p.t1) for p in m.panels])
+    assert np.abs(got / ref - 1).max() <= 1e-15
