@@ -13,7 +13,7 @@ from .gram import mass_matrix, lumped_matrix, scaled_basis
 from .boundary_operators import assemble_operator_pair
 from .precond import (Precond, lumped_precond, mass_precond, jacobi_precond,
                       richardson_weight, richardson_inverse, richardson_precond)
-from .spectral import spd_factor, kappa
+from .spectral import spd_factor, block_factor, kappa
 from .cli import ExperimentConfig, ReportRow, run_experiment, emit_table
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "assemble_operator_pair",
     "Precond", "lumped_precond", "mass_precond", "jacobi_precond",
     "richardson_weight", "richardson_inverse", "richardson_precond",
-    "spd_factor", "kappa",
+    "spd_factor", "block_factor", "kappa",
     "ExperimentConfig", "ReportRow", "run_experiment", "emit_table",
 ]
 

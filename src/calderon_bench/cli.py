@@ -20,12 +20,12 @@ from . import boundary_operators as bops
 from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
-from .fespace import build_space, reference_basis
+from .fespace import build_space, mirror_permutations, reference_basis
 from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import kappa, spd_factor
+from .spectral import block_factor, kappa, spd_factor
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -131,11 +131,13 @@ def run_experiment(cfg: ExperimentConfig):
             A, B = bops.assemble_operator_pair(s, cfg.quad_n, cfg.alpha)
             M = mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
             D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
-            L = spd_factor(A)
+            # A by the blocks of the mesh's two mirrors, if every matrix
+            # that makes up G commutes with them; else one block
+            F = block_factor(A, mirror_permutations(s), (B, M, D))
             kappas = {}
             for name in cfg.preconds:
                 G = _build_precond(name, B, M, D, omega)
-                kappas[name] = kappa(G, A, L)
+                kappas[name] = kappa(G, A, F)
         except Exception as exc:
             raise RuntimeError(f"level {k}: {exc}") from exc
         rows.append(ReportRow(k, m.h_min, m.h_max, s.ndof, kappas))
@@ -330,6 +332,26 @@ def _verify_checks():
             detail.append(f"degree {ell}: q_h = {q_h:.6f}, q_ref = {q_ref:.6f}")
         return bool(ok), "; ".join(detail)
 
+    def mirror_blocks():
+        # kappa by the blocks of the two mirrors against the dense path, for
+        # the six preconditioners of the benchmark
+        detail, worst, ok = [], 0.0, True
+        for g, ell, inner in ((gs, 3, "exact"), (ge, 1, "mesh-averaged")):
+            s = build_space(corner_schedule(g, 3), ell)
+            A, B = bops.assemble_operator_pair(s)
+            M, D = mass_matrix(s, inner), lumped_matrix(s, inner)
+            F = block_factor(A, mirror_permutations(s), (B, M, D))
+            L = spd_factor(A)
+            omega = richardson_weight(1, ell)[2]
+            for name in ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6",
+                         "jacobi"):
+                G = _build_precond(name, B, M, D, omega)
+                worst = max(worst, abs(kappa(G, A, F) / kappa(G, A, L) - 1))
+            ok &= len(F.sizes) == 4
+            detail.append(f"{g.kind} blocks {'/'.join(map(str, F.sizes))}")
+        detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")
+        return bool(ok and worst <= 1e-10), ", ".join(detail)
+
     def duals_quick():
         s = build_space(corner_schedule(gs, 1), 1)
         b = duals_mod.build_bubbles(s)
@@ -347,6 +369,7 @@ def _verify_checks():
         ("richardson reference weights", richardson_weights),
         ("richardson contraction, level-3 square", richardson_contraction),
         ("kappa coincidence and scaling", kappa_identities),
+        ("kappa by mirror blocks, level-3 square and ellipse", mirror_blocks),
         ("dual basis biorthogonality", duals_quick),
     ]
 

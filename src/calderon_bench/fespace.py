@@ -2,7 +2,8 @@
 
 Degree-l Lagrange elements with equispaced nodes per panel; vertex nodes are
 shared between neighbouring panels, so on a closed curve the space has
-l * n_panels degrees of freedom.
+l * n_panels degrees of freedom.  ``mirror_permutations`` gives the dof
+maps of the curve's two mirrors when the mesh has them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, panel_samples
 
 
 @lru_cache(maxsize=None)
@@ -107,3 +108,40 @@ def node_supports(s: FeSpace):
         for a, nu in enumerate(s.conn[p]):
             supports[nu].append((p, a))
     return supports
+
+
+# a mirrored panel's end points must land on its image panel's end points to
+# this fraction of the panel's length; near a corner an absolute tolerance
+# would exceed a whole panel
+MIRROR_MATCH = 1e-6
+
+
+def mirror_permutations(s: FeSpace):
+    """Dof permutations (p_x, p_y) of the mirrors x -> 2 c_x - x and
+    y -> 2 c_y - y about the geometry's mirror centre c, or () if the mesh
+    does not have both.
+
+    A mirror reverses the cyclic panel order, panel i -> (c - i) mod P, and
+    the local node order inside a panel, so p[conn[i, a]] = conn[c - i, l - a].
+    The offset c comes from the image of panel 0's start point; the map is
+    accepted only if every panel's mirrored end points match its image
+    panel's end points to MIRROR_MATCH times its length.  Node positions
+    are not searched: the mesh structure fixes the map.
+    """
+    m = s.mesh
+    ends = panel_samples(m, [0.0, 1.0])[0]               # (P, 2, 2): start, end
+    length = np.array([p.length for p in m.panels])
+    centre = np.asarray(m.geometry.mirror_centre, dtype=float)
+    P, out = m.n_panels, []
+    for axis in (0, 1):
+        image = ends.copy()
+        image[..., axis] = 2.0 * centre[axis] - image[..., axis]
+        c = np.argmin(np.linalg.norm(ends[:, 1] - image[0, 0], axis=-1))
+        j = (c - np.arange(P)) % P
+        gap = np.linalg.norm(image - ends[j, ::-1], axis=-1).max(axis=1)
+        if not np.all(gap <= MIRROR_MATCH * length):
+            return ()
+        p = np.empty(s.ndof, dtype=int)
+        p[s.conn] = s.conn[j, ::-1]
+        out.append(p)
+    return tuple(out)

@@ -85,7 +85,9 @@ class Geometry:
     (i+1)'s start.  ``corners`` lists the refinement anchor points, each as a
     tuple of (chart, parameter) aliases naming the same curve point.
     ``chart_scales`` holds each chart's average speed (arc length over
-    parameter length), the per-chart unit used by the mesh grading."""
+    parameter length), the per-chart unit used by the mesh grading.
+    ``mirror_centre`` is the crossing point of the curve's two mirror axes,
+    one parallel to each coordinate axis."""
 
     kind: str
     scale: float
@@ -93,6 +95,7 @@ class Geometry:
     corners: tuple
     diameter: float
     chart_scales: tuple
+    mirror_centre: tuple
 
     @property
     def n_charts(self):
@@ -121,11 +124,13 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
         corners = tuple(
             ((i, charts[i].t0), ((i - 1) % 4, charts[(i - 1) % 4].t1)) for i in range(4)
         )
+        centre = (0.5 * a, 0.5 * a)
     elif kind == "circle":
         r = scale / 2.0
         diameter = scale
         charts = (EllipticChart(0.0, 2.0 * math.pi, r, r),)
         corners = _equispaced_corners()
+        centre = (0.0, 0.0)
     elif kind == "ellipse":
         if ellipse_ratio <= 0:
             raise ValueError("ellipse_ratio must be positive")
@@ -134,6 +139,7 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
         diameter = 2.0 * max(a, b)
         charts = (EllipticChart(0.0, 2.0 * math.pi, a, b),)
         corners = _equispaced_corners()
+        centre = (0.0, 0.0)
     else:
         raise ValueError(f"unknown geometry kind {kind!r}")
     if diameter > 1.0 + 1e-14:
@@ -142,7 +148,7 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
             f"guaranteed (logarithmic capacity must stay below 1); reduce scale"
         )
     scales = tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0) for c in charts)
-    return Geometry(kind, scale, charts, corners, diameter, scales)
+    return Geometry(kind, scale, charts, corners, diameter, scales, centre)
 
 
 def arc_length(chart, t0: float, t1: float) -> float:

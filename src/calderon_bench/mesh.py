@@ -5,13 +5,17 @@ order.  Refinement bisects panels at the parameter midpoint; a uniform
 K-mesh property (neighbouring sizes within a factor 2) is enforced by
 recursive closure bisections after every local refinement.
 
-The closure compares speed-normalized sizes (parameter length times the
-chart's average speed).  These are exactly dyadic under midpoint bisection,
-so a graded profile sitting at ratio 2 is stable; an arc-length threshold
-would let curvature wobble push at-cap pairs over the limit and unwind the
-entire grading.  On constant-speed charts (square, circle) the normalized
-and arc-length ratios coincide, so arc ratios obey the factor 2 exactly;
-on the ellipse they obey 2 * (1 + O(h)).
+The closure compares speed-normalized sizes: an initial panel gets its
+chart's parameter length over the panel count times the chart's average
+speed, and each half of a bisection gets exactly half of its parent's size.
+Neighbour ratios on a chart are therefore exact powers of two, even where
+the bisected parameter lengths round (the ellipse's anchors pi/2, pi and
+3 pi/2 are not dyadic), so a graded profile sitting at ratio 2 is stable
+and a mirror-symmetric marking gives a mirror-symmetric mesh.  An
+arc-length threshold would let curvature wobble push at-cap pairs over the
+limit and unwind the entire grading.  On constant-speed charts (square,
+circle) the normalized and arc-length ratios coincide, so arc ratios obey
+the factor 2 to rounding; on the ellipse they obey 2 * (1 + O(h)).
 
 ``panel_samples`` is the one place where reference nodes are mapped onto
 panels; assembly, the Gram matrices and the duals all integrate through it.
@@ -27,8 +31,8 @@ import numpy as np
 
 from .geometry import Geometry, arc_lengths
 
-# neighbour size-ratio cap for the closure; the tiny slack absorbs roundoff
-# on pairs whose exact ratio is 2
+# neighbour size-ratio cap for the closure; the tiny slack only matters
+# across a junction of two charts with different average speeds
 KMESH_RATIO = 2.0
 _RATIO_CAP = KMESH_RATIO * (1.0 + 1e-9)
 
@@ -39,7 +43,7 @@ class Panel:
     t0: float
     t1: float
     length: float       # arc length |T|
-    qlength: float      # parameter length times chart average speed
+    qlength: float      # speed-normalized size: chart unit times 2**-bisections
     generation: int
 
 
@@ -114,26 +118,27 @@ def _chart_runs(panels):
     return [(chart[a], slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _chart_panels(g, chart, t0, t1, generation):
+def _chart_panels(g, chart, t0, t1, qlength, generation):
     """Panels over the intervals [t0[i], t1[i]] of one chart, with their arc
     lengths from one batched call."""
     lengths = arc_lengths(g.charts[chart], t0, t1)
-    scale = g.chart_scales[chart]
-    return [Panel(chart, a, b, h, (b - a) * scale, k)
-            for a, b, h, k in zip(t0, t1, lengths, generation)]
+    return [Panel(chart, a, b, h, q, k)
+            for a, b, h, q, k in zip(t0, t1, lengths, qlength, generation)]
 
 
 def _bisect_marked(g, panels, marked):
     """The panels with every marked one replaced by its two halves; the
-    halves' arc lengths come from one batched call per chart."""
+    halves' arc lengths come from one batched call per chart, and each half
+    gets exactly half of its parent's normalized size."""
     halves, marked = {}, sorted(marked)
     for c in {panels[i].chart for i in marked}:
         ids = [i for i in marked if panels[i].chart == c]
         t0 = np.array([panels[i].t0 for i in ids])
         t1 = np.array([panels[i].t1 for i in ids])
         tm = 0.5 * (t0 + t1)
+        q = [0.5 * panels[i].qlength for i in ids] * 2
         gen = [panels[i].generation + 1 for i in ids] * 2
-        kids = _chart_panels(g, c, np.concatenate([t0, tm]), np.concatenate([tm, t1]), gen)
+        kids = _chart_panels(g, c, np.concatenate([t0, tm]), np.concatenate([tm, t1]), q, gen)
         halves.update((i, (kids[j], kids[j + len(ids)])) for j, i in enumerate(ids))
     out = []
     for i, p in enumerate(panels):
@@ -142,18 +147,13 @@ def _bisect_marked(g, panels, marked):
 
 
 def _kmesh_close(g, panels):
-    # repeated sweeps: bisect the larger panel of every violating neighbour
-    # pair until the ratio cap holds everywhere
+    # repeated sweeps: bisect every panel larger than the cap times one of
+    # its two cyclic neighbours until the cap holds everywhere
     for _ in range(10000):
-        P = len(panels)
-        marked = set()
-        for i in range(P):
-            j = (i + 1) % P
-            if panels[i].qlength > _RATIO_CAP * panels[j].qlength:
-                marked.add(i)
-            elif panels[j].qlength > _RATIO_CAP * panels[i].qlength:
-                marked.add(j)
-        if not marked:
+        q = np.array([p.qlength for p in panels])
+        limit = _RATIO_CAP * np.minimum(np.roll(q, 1), np.roll(q, -1))
+        marked = np.flatnonzero(q > limit)
+        if not marked.size:
             return panels
         panels = _bisect_marked(g, panels, marked)
     raise RuntimeError("K-mesh closure did not terminate")
@@ -166,7 +166,9 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     panels = []
     for ci, c in enumerate(g.charts):
         edges = np.linspace(c.t0, c.t1, per_chart + 1)
-        panels += _chart_panels(g, ci, edges[:-1], edges[1:], [0] * per_chart)
+        q0 = (c.t1 - c.t0) / per_chart * g.chart_scales[ci]
+        panels += _chart_panels(g, ci, edges[:-1], edges[1:], [q0] * per_chart,
+                                [0] * per_chart)
     return Mesh(g, tuple(_kmesh_close(g, panels)))
 
 
@@ -188,16 +190,15 @@ def uniform_refine(m: Mesh) -> Mesh:
 
 def corner_panels(m: Mesh):
     """Ids of the panels whose closure touches a geometry corner point."""
-    ids = set()
+    chart = np.array([p.chart for p in m.panels])
+    t0 = np.array([p.t0 for p in m.panels])
+    t1 = np.array([p.t1 for p in m.panels])
+    tol = 1e-12 * (t1 - t0)
+    hit = np.zeros(m.n_panels, dtype=bool)
     for corner in m.geometry.corners:
         for ci, tc in corner:
-            for i, p in enumerate(m.panels):
-                if p.chart != ci:
-                    continue
-                tol = 1e-12 * (p.t1 - p.t0)
-                if p.t0 - tol <= tc <= p.t1 + tol:
-                    ids.add(i)
-    return sorted(ids)
+            hit |= (chart == ci) & (t0 - tol <= tc) & (tc <= t1 + tol)
+    return np.flatnonzero(hit).tolist()
 
 
 def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
@@ -224,12 +225,9 @@ def neighbor_ratios(m: Mesh, normalized: bool = False):
     enforces; the default reports arc-length ratios.
     """
     attr = "qlength" if normalized else "length"
-    P = m.n_panels
-    out = np.empty(P)
-    for i in range(P):
-        a, b = getattr(m.panels[i], attr), getattr(m.panels[(i + 1) % P], attr)
-        out[i] = max(a, b) / min(a, b)
-    return out
+    a = np.array([getattr(p, attr) for p in m.panels])
+    b = np.roll(a, -1)
+    return np.maximum(a, b) / np.minimum(a, b)
 
 
 def is_conforming(m: Mesh) -> bool:

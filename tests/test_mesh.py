@@ -195,3 +195,18 @@ def test_bisection_lengths_match_arc_length(kind):
     got = np.array([p.length for p in m.panels])
     ref = np.array([arc_length(g.charts[p.chart], p.t0, p.t1) for p in m.panels])
     assert np.abs(got / ref - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse"])
+def test_corner_schedule_is_dyadic_and_quadrant_symmetric(kind):
+    # normalized sizes are halved exactly at every bisection, so rounding
+    # in the bisected parameters of the non-dyadic anchors pi/2, pi and
+    # 3 pi/2 cannot push an at-cap pair over the cap and set off closure
+    # bisections in one quadrant only
+    g = make_geometry(kind, 0.5, 2.0)
+    for k in range(1, 7):
+        m = corner_schedule(g, k)
+        mid = np.array([0.5 * (p.t0 + p.t1) for p in m.panels])
+        counts = np.bincount((mid // (0.5 * np.pi)).astype(int), minlength=4)
+        assert counts.tolist() == [m.n_panels // 4] * 4, (k, counts)
+        assert set(neighbor_ratios(m, normalized=True).tolist()) <= {1.0, 2.0}, k

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from calderon_bench.spectral import NotSPDError, kappa, spd_factor
+from calderon_bench.boundary_operators import assemble_operator_pair
+from calderon_bench.fespace import build_space, mirror_permutations
+from calderon_bench.geometry import make_geometry
+from calderon_bench.gram import lumped_matrix
+from calderon_bench.mesh import corner_schedule, refine
+from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
+                                    richardson_precond, richardson_weight)
+from calderon_bench.spectral import (TAU, NotSPDError, block_factor, character_bases, kappa,
+                                     spd_factor)
 
-from helpers import faddeev_leverrier
+from helpers import corner_gram, corner_operators, corner_space, faddeev_leverrier
 
 rng = np.random.RandomState(314159)
 
@@ -98,3 +107,87 @@ def test_kappa_rejects_indefinite():
     G = np.diag([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(NotSPDError):
         kappa(G, A)
+
+
+# ---------------------------------------------------------------------------
+# kappa by the blocks of the curve's two mirrors
+
+def _preconds(B, M, D, ell):
+    omega = richardson_weight(1, ell)[2]
+    out = {"lumped": lumped_precond(B, D), "mass": mass_precond(B, M),
+           "jacobi": jacobi_precond(B, M)}
+    out.update({f"richardson:{k}": richardson_precond(B, M, D, k, omega) for k in (2, 4, 6)})
+    return out
+
+
+def _level(kind, k, ell, inner):
+    s = corner_space(kind, k, ell)
+    A, B = corner_operators(kind, k, ell)
+    M, D = corner_gram(kind, k, ell, inner)
+    return s, A, B, M, D
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_block_kappa_matches_dense(kind, ell, inner):
+    for k in range(1, 5):
+        s, A, B, M, D = _level(kind, k, ell, inner)
+        F = block_factor(A, mirror_permutations(s), (B, M, D))
+        assert len(F.sizes) == 4 and sum(F.sizes) == s.ndof, (k, F.sizes)
+        L = spd_factor(A)
+        for name, G in _preconds(B, M, D, ell).items():
+            assert kappa(G, A, F) == pytest.approx(kappa(G, A, L), rel=1e-10), (k, name)
+
+
+def test_character_bases_orthogonal_partition():
+    s = corner_space("square", 2, 3)
+    perms = mirror_permutations(s)
+    bases = character_bases(perms, s.ndof)
+    Q = scipy.sparse.vstack(bases).toarray()         # rows: the whole basis
+    assert Q.shape == (s.ndof, s.ndof)
+    assert np.abs(Q @ Q.T - np.eye(s.ndof)).max() <= 1e-14
+    assert np.abs(Q.T @ Q - np.eye(s.ndof)).max() <= 1e-14
+    # every row lives on one orbit {i, p_x(i), p_y(i), p_x p_y(i)}
+    px, py = perms
+    for row in Q:
+        support = set(np.flatnonzero(row))
+        i = min(support)
+        assert support <= {i, px[i], py[i], px[py[i]]}
+    # the blocks decouple a mirror-invariant matrix
+    M, _ = corner_gram("square", 2, 3)
+    QMQ = Q @ M @ Q.T
+    cuts = np.cumsum([0] + [b.shape[0] for b in bases])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        QMQ[a:b, a:b] = 0.0
+    assert np.abs(QMQ).max() <= 1e-15 * np.abs(M).max()
+    # the sizes of the level-5 degree-3 square
+    s5 = corner_space("square", 5, 3)
+    assert [b.shape[0] for b in character_bases(mirror_permutations(s5), s5.ndof)] == [
+        313, 312, 312, 311]
+
+
+def test_guard_refuses_a_broken_mirror():
+    # one entry of B (and its transpose) moved by 1e-6 max|B| without its
+    # mirror images: the factor is one block and kappa is the dense value
+    s, A, B, M, D = _level("square", 2, 1, "exact")
+    Bp = B.copy()
+    i, j = 3, 5
+    Bp[i, j] += 1e-6 * np.abs(B).max()
+    Bp[j, i] = Bp[i, j]
+    F = block_factor(A, mirror_permutations(s), (Bp, M, D))
+    assert F.sizes == (s.ndof,) and F.residual > TAU
+    for name, G in _preconds(Bp, M, D, 1).items():
+        assert kappa(G, A, F) == kappa(G, A), name
+
+
+def test_mesh_without_mirror_takes_single_block():
+    # one panel refined on one side of the ellipse: no mirror maps the mesh
+    # onto itself, so the factor is one block
+    g = make_geometry("ellipse", 0.5, 2.0)
+    s = build_space(refine(corner_schedule(g, 1), {1}), 1)
+    assert mirror_permutations(s) == ()
+    A, B = assemble_operator_pair(s)
+    F = block_factor(A, mirror_permutations(s), (B,))
+    assert F.sizes == (s.ndof,) and F.residual == 0.0
+    G = lumped_precond(B, lumped_matrix(s))
+    assert kappa(G, A, F) == kappa(G, A)
