@@ -10,7 +10,9 @@ Panel pairs fall in three classes, each with its own rule:
 
 - near (identical and adjacent): the Duffy-log pair rules from
   :mod:`quadrature`, with distances taken from chart chords in
-  panel-relative coordinates;
+  panel-relative coordinates.  Chords and speeds are evaluated once per
+  distinct node of the two rules, the identical rule on one of its two
+  mirror halves;
 - close (separated, but with a gap below _ETA = 2 times the larger panel):
   the quad_n-point tensor Gauss rule, all pairs in one array operation;
 - admissible (every other pair, the bulk): a tensor Gauss rule of
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fespace import FeSpace, reference_basis, reference_basis_deriv
-from .mesh import panel_chords, panel_samples
+from .mesh import panel_chords, panel_samples, panel_speeds
 from .quadrature import gauss_rule, pair_rule
 
 
@@ -178,29 +180,48 @@ def _near_field(s: FeSpace, quad_n: int):
     from chords in panel-relative coordinates: chi(u + dt (t - u)) -
     chi(u) inside a panel, and the chords from the shared vertex
     chi(t1_p) = chi(t0_q) for adjacent panels.
+
+    Each chart quantity is evaluated once per distinct reference node.
+    The identical rule is two mirror halves, (t, u, w, d) and (u, t, w,
+    -d), with one |chord|: the first half gives a block X, the pair block
+    is X + X^T.  The adjacent rule's offsets and u nodes share one node
+    set, on which both vertex chord families are evaluated and gathered.
+    The speeds of both rules come from one ``panel_speeds`` call.
     """
     m, ell = s.mesh, s.degree
     nxt = np.roll(np.arange(m.n_panels), -1)
     r_id = pair_rule("identical", quad_n)
     r_ad = pair_rule("adjacent", quad_n)
-    c_id = panel_chords(m, r_id.unodes, r_id.offsets)
-    c_ad = panel_chords(m, 1.0, -r_ad.offsets) - panel_chords(m, 0.0, r_ad.unodes)[nxt]
+    half, n_ad = r_id.weights.size // 2, r_ad.weights.size
+    t_id, u_id = r_id.tnodes[:half], r_id.unodes[:half]
 
-    blocks_val, blocks_der = [], []
-    for r, chord, q in ((r_id, c_id, slice(None)), (r_ad, c_ad, nxt)):
-        _, sp_t, dt = panel_samples(m, r.tnodes)
-        _, sp_u, _ = panel_samples(m, r.unodes)
-        wk = r.weights * _log_kernel_r2((chord * chord).sum(axis=-1))   # (P, n)
-        Vt, Vu = reference_basis(ell, r.tnodes), reference_basis(ell, r.unodes)
-        Dt, Du = reference_basis_deriv(ell, r.tnodes), reference_basis_deriv(ell, r.unodes)
-        wv = wk * sp_t * sp_u[q] * (dt * dt[q])[:, None]
-        blocks_val.append((Vt * wv[:, None, :]) @ Vu.T)
-        blocks_der.append((Dt * wk[:, None, :]) @ Du.T)
-    blocks_val.append(blocks_val[1].transpose(0, 2, 1))
-    blocks_der.append(blocks_der[1].transpose(0, 2, 1))
+    # speeds at the t and u nodes of the identical half and of the adjacent rule
+    nodes, at_node = np.unique(np.concatenate([t_id, u_id, r_ad.tnodes, r_ad.unodes]),
+                               return_inverse=True)
+    speed, dt = panel_speeds(m, nodes)
+    sp = np.split(speed[:, at_node], np.cumsum([half, half, n_ad]), axis=1)
+    # the adjacent chords chi(t1 - dt s) - chi(t0' + dt' u) from the vertex
+    steps, at_step = np.unique(np.concatenate([r_ad.offsets, r_ad.unodes]), return_inverse=True)
+    c_ad = (panel_chords(m, 1.0, -steps)[:, at_step[:n_ad]]
+            - panel_chords(m, 0.0, steps)[nxt[:, None], at_step[n_ad:]])
+    c_id = panel_chords(m, u_id, r_id.offsets[:half])
+
+    blocks = []
+    for t, u, w, chord, sp_t, sp_u, q in (
+            (t_id, u_id, r_id.weights[:half], c_id, sp[0], sp[1], slice(None)),
+            (r_ad.tnodes, r_ad.unodes, r_ad.weights, c_ad, sp[2], sp[3][nxt], nxt)):
+        wk = w * _log_kernel_r2(chord[..., 0] ** 2 + chord[..., 1] ** 2)    # (P, n)
+        wv = wk * sp_t * sp_u * (dt * dt[q])[:, None]
+        blocks.append([(reference_basis(ell, t) * wv[:, None, :]) @ reference_basis(ell, u).T,
+                       (reference_basis_deriv(ell, t) * wk[:, None, :])
+                       @ reference_basis_deriv(ell, u).T])
+    (id_val, id_der), (ad_val, ad_der) = blocks
+    T = (0, 2, 1)                                   # the transpose of every block
     rows = np.concatenate([s.conn, s.conn, s.conn[nxt]])
     cols = np.concatenate([s.conn, s.conn[nxt], s.conn])
-    return rows, cols, np.concatenate(blocks_val), np.concatenate(blocks_der)
+    return (rows, cols,
+            np.concatenate([id_val + id_val.transpose(T), ad_val, ad_val.transpose(T)]),
+            np.concatenate([id_der + id_der.transpose(T), ad_der, ad_der.transpose(T)]))
 
 
 def _assemble_log_galerkin(s: FeSpace, quad_n: int):

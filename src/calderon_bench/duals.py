@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .fespace import FeSpace, build_space, node_supports, reference_basis, reference_basis_deriv
 from .gram import mass_matrix
-from .mesh import panel_samples, uniform_refine
+from .mesh import panel_samples, panel_speeds, uniform_refine
 from .quadrature import gauss_rule
 
 _QUAD = gauss_rule(16)
@@ -58,7 +58,7 @@ class DualBasis:
 def _arc_measure(m):
     """Per panel (P, n): quadrature weights of the arc measure at the _QUAD
     nodes, and the arc-length Jacobian ds/dx of the reference coordinate."""
-    _, speed, dt = panel_samples(m, _QUAD.nodes)
+    speed, dt = panel_speeds(m, _QUAD.nodes)
     return _QUAD.weights * speed * dt[:, None], speed * dt[:, None]
 
 

@@ -45,6 +45,11 @@ class AffineChart:
         v = (self.p1 - self.p0) / (self.t1 - self.t0)
         return np.broadcast_to(v, t.shape + (2,)).copy()
 
+    def speed(self, t):
+        """|chi'(t)|, constant: the same rounding as the norm of velocity."""
+        v = (self.p1 - self.p0) / (self.t1 - self.t0)
+        return np.full(np.shape(t), np.sqrt(v[0] * v[0] + v[1] * v[1]))
+
     def chord(self, t, h):
         """chi(t + h) - chi(t) without cancellation: velocity times h."""
         return np.multiply.outer(np.asarray(h, dtype=float),
@@ -70,6 +75,12 @@ class EllipticChart:
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
         return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
+
+    def speed(self, t):
+        """|chi'(t)| without stacking the velocity, to the same rounding."""
+        t = np.asarray(t, dtype=float)
+        x, y = self.a * np.sin(t), self.b * np.cos(t)
+        return np.sqrt(x * x + y * y)
 
     def chord(self, t, h):
         """chi(t + h) - chi(t) without cancellation, by the half-angle form
@@ -168,8 +179,7 @@ def arc_lengths(chart, t0, t1) -> np.ndarray:
         sel = pieces == k
         edges = np.linspace(t0[sel], t1[sel], k + 1, axis=-1)
         a, b = edges[:, :-1], edges[:, 1:]
-        speed = np.linalg.norm(chart.velocity(a[..., None] + (b - a)[..., None] * _LEN_RULE.nodes),
-                               axis=-1)
+        speed = chart.speed(a[..., None] + (b - a)[..., None] * _LEN_RULE.nodes)
         # a row-wise reduction, not BLAS: every piece's sum is rounded alike,
         # so equal pieces give equal lengths wherever they sit in the batch
         out[sel] = ((b - a) * (speed * _LEN_RULE.weights).sum(axis=-1)).sum(axis=-1)
@@ -202,8 +212,7 @@ def chart_eval(g: Geometry, chart: int, t):
 def chart_speed(g: Geometry, chart: int, t):
     """|chi'(t)|, the d=1 Jacobian; constant on affine charts."""
     c = g.charts[chart]
-    v = c.velocity(_check_param(c, t))
-    return np.linalg.norm(v, axis=-1)
+    return c.speed(_check_param(c, t))
 
 
 def total_length(g: Geometry, tol: float = 1e-13) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fespace import FeSpace, reference_basis
-from .mesh import panel_samples
+from .mesh import panel_speeds
 from .quadrature import gauss_rule
 
 KINDS = ("exact", "mesh-averaged")
@@ -30,7 +30,7 @@ def _panel_blocks(s: FeSpace, kind: str, n_quad: int) -> np.ndarray:
     g = gauss_rule(n_quad)
     V = reference_basis(s.degree, g.nodes)          # (l+1, n)
     if kind == "exact":
-        _, speed, dt = panel_samples(s.mesh, g.nodes)
+        speed, dt = panel_speeds(s.mesh, g.nodes)
         jac = speed * dt[:, None]
     else:
         jac = np.array([p.length for p in s.mesh.panels])[:, None]

@@ -19,8 +19,9 @@ the factor 2 to rounding; on the ellipse they obey 2 * (1 + O(h)).
 
 ``panel_samples`` is the one place where reference nodes are mapped onto
 panels; assembly, the Gram matrices and the duals all integrate through it.
-``panel_chords`` gives the near field its point differences inside and
-between neighbouring panels.
+``panel_speeds`` is its speed path on its own, for the integrals that need
+the arc measure but no points.  ``panel_chords`` gives the near field its
+point differences inside and between neighbouring panels.
 """
 
 from __future__ import annotations
@@ -72,20 +73,32 @@ def panel_samples(m: Mesh, unit_nodes):
     """Reference nodes in [0, 1] mapped onto every panel, t = t0 + (t1 - t0) x.
 
     Returns the curve points (P, n, 2), the chart speeds |chi'(t)| (P, n)
-    and the parameter lengths t1 - t0 (P,).  A point is the panel's start
-    point plus the chord chi(t) - chi(t0), so it does not depend on where
-    the chart's parameter interval sits, only on the offset of the panel
-    inside it.  Each run of consecutive panels on one chart is evaluated in
-    one call, so a mesh in chart order evaluates each chart once.
+    from ``panel_speeds`` and the parameter lengths t1 - t0 (P,).  A point
+    is the panel's start point plus the chord chi(t) - chi(t0), so it does
+    not depend on where the chart's parameter interval sits, only on the
+    offset of the panel inside it.  Each run of consecutive panels on one
+    chart is evaluated in one call, so a mesh in chart order evaluates each
+    chart once.
     """
     t0, dt = _panel_params(m.panels)
     h = dt * np.asarray(unit_nodes)
-    points, speed = np.empty(h.shape + (2,)), np.empty(h.shape)
+    points = np.empty(h.shape + (2,))
     for c, run in _chart_runs(m.panels):
         chart = m.geometry.charts[c]
         points[run] = chart.point(t0[run]) + chart.chord(t0[run], h[run])
-        speed[run] = np.linalg.norm(chart.velocity(t0[run] + h[run]), axis=-1)
-    return points, speed, dt[:, 0]
+    return points, panel_speeds(m, unit_nodes)[0], dt[:, 0]
+
+
+def panel_speeds(m: Mesh, unit_nodes):
+    """The chart speeds |chi'(t)| (P, n) at t = t0 + (t1 - t0) x for the
+    reference nodes x, and the parameter lengths t1 - t0 (P,); for the
+    integrals that need the measure but no points."""
+    t0, dt = _panel_params(m.panels)
+    t = t0 + dt * np.asarray(unit_nodes)
+    speed = np.empty(t.shape)
+    for c, run in _chart_runs(m.panels):
+        speed[run] = m.geometry.charts[c].speed(t[run])
+    return speed, dt[:, 0]
 
 
 def panel_chords(m: Mesh, anchor, step):
@@ -231,19 +244,28 @@ def neighbor_ratios(m: Mesh, normalized: bool = False):
 
 
 def is_conforming(m: Mesh) -> bool:
-    """Consecutive panels share exactly one endpoint (allowing chart jumps)."""
-    P = m.n_panels
-    for i in range(P):
-        p, q = m.panels[i], m.panels[(i + 1) % P]
-        cp, cq = m.geometry.charts[p.chart], m.geometry.charts[q.chart]
-        if p.chart == q.chart and np.isclose(p.t1, q.t0, rtol=0, atol=1e-12):
-            continue
-        # chart junction (possibly the chart gluing back onto itself)
-        if not (np.isclose(p.t1, cp.t1) and np.isclose(q.t0, cq.t0)):
-            return False
-        if not np.allclose(cp.point(p.t1), cq.point(q.t0), atol=1e-12):
-            return False
-    return True
+    """Consecutive panels share exactly one endpoint (allowing chart jumps).
+
+    On one chart the next panel must start exactly where the previous one
+    ends: bisection copies its end points, so a shared vertex is one float,
+    and a tolerance would accept gaps and overlaps far larger than the
+    smallest corner panels.  Across a chart junction (possibly a chart
+    gluing back onto itself) the panels must end and start exactly at their
+    charts' ends, and the two charts must meet in one point.
+    """
+    charts = m.geometry.charts
+    chart = np.array([p.chart for p in m.panels])
+    t0 = np.array([p.t0 for p in m.panels])
+    t1 = np.array([p.t1 for p in m.panels])
+    nxt = np.roll(np.arange(m.n_panels), -1)
+    inner = (chart == chart[nxt]) & (t1 == t0[nxt])
+    junction = ((t1 == np.array([c.t1 for c in charts])[chart])
+                & (t0 == np.array([c.t0 for c in charts])[chart])[nxt])
+    if not np.all(inner | junction):
+        return False
+    return all(np.allclose(charts[chart[i]].point(t1[i]), charts[chart[j]].point(t0[j]),
+                           rtol=0, atol=1e-12)
+               for i, j in zip(np.flatnonzero(~inner), nxt[~inner]))
 
 
 def dump_mesh(m: Mesh, path):

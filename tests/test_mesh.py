@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from calderon_bench.geometry import arc_length, make_geometry, total_length
-from calderon_bench.mesh import (corner_panels, corner_schedule, dump_mesh,
+from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
+
+from helpers import corner_mesh
 
 RATIO_CAP = 2.0 * (1 + 1e-9)
 
@@ -122,6 +126,26 @@ def test_corner_schedule_invariants(kind, k):
         assert neighbor_ratios(m).max() <= RATIO_CAP
     else:
         assert neighbor_ratios(m).max() <= 2.5
+
+
+@pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
+def test_benchmark_meshes_share_end_points_exactly(kind):
+    for k in range(1, 7):
+        assert is_conforming(corner_mesh(kind, k)), k
+
+
+@pytest.mark.parametrize("shift", [5e-13, -5e-13], ids=["gap", "overlap"])
+def test_is_conforming_rejects_gap_after_tiny_panel(square, shift):
+    """A 1e-14 panel followed by a 5e-13 parameter gap (50 times the
+    panel) or by a 5e-13 overlap leaves the curve torn; an absolute
+    tolerance of 1e-12 on the shared parameter accepted both."""
+    m = corner_schedule(square, 1)
+    p = m.panels[0]
+    tiny = dataclasses.replace(p, t1=p.t0 + 1e-14)
+    joined = Mesh(square, (tiny, dataclasses.replace(p, t0=tiny.t1)) + m.panels[1:])
+    torn = Mesh(square, (tiny, dataclasses.replace(p, t0=tiny.t1 + shift)) + m.panels[1:])
+    assert is_conforming(joined)
+    assert not is_conforming(torn)
 
 
 def test_corner_panels_touch_corners(square):

@@ -96,6 +96,30 @@ def test_pair_rule_sizes():
         assert abs(pair_rule(rel, 12).weights.sum() - 1) < 1e-13, rel
 
 
+@pytest.mark.parametrize("n", [4, 8, 12, 20])
+def test_identical_rule_is_two_mirror_halves(n):
+    """The near field evaluates the first half only and mirrors its block:
+    the second half must be (u, t, w, -d) of the first, bit for bit."""
+    r = pair_rule("identical", n)
+    h = r.weights.size // 2
+    assert np.array_equal(r.tnodes[h:], r.unodes[:h])
+    assert np.array_equal(r.unodes[h:], r.tnodes[:h])
+    assert np.array_equal(r.weights[h:], r.weights[:h])
+    assert np.array_equal(r.offsets[h:], -r.offsets[:h])
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 20])
+def test_adjacent_offsets_and_unodes_share_one_node_set(n):
+    """The near field evaluates both vertex chord families on one node set:
+    the log nodes r and the products r v, 260 values at n = 12 for the
+    480 points."""
+    r = pair_rule("adjacent", n)
+    nodes = np.unique(r.offsets)
+    assert np.array_equal(nodes, np.unique(r.unodes))
+    lg = n + LOG_EXTRA_POINTS
+    assert nodes.size == lg + lg * n
+
+
 def test_adaptive_basics():
     assert adaptive_integrate(lambda x: np.ones_like(x), (0, 1)) == pytest.approx(1.0)
     assert adaptive_integrate(np.log, (0.0, 1.0), tol=1e-11) == pytest.approx(-1.0, abs=1e-10)
