@@ -11,7 +11,7 @@ from .quadrature import (QuadRule, PairRule, gauss_rule, log_rule, pair_rule,
                          adaptive_integrate)
 from .gram import mass_matrix, lumped_matrix, scaled_basis
 from .boundary_operators import assemble_operator_pair
-from .precond import (Precond, lumped_precond, mass_precond, jacobi_precond,
+from .precond import (lumped_precond, mass_precond, jacobi_precond,
                       richardson_weight, richardson_inverse, richardson_precond)
 from .spectral import spd_factor, block_factor, kappa
 from .cli import ExperimentConfig, ReportRow, run_experiment, emit_table
@@ -24,7 +24,7 @@ __all__ = [
     "QuadRule", "PairRule", "gauss_rule", "log_rule", "pair_rule", "adaptive_integrate",
     "mass_matrix", "lumped_matrix", "scaled_basis",
     "assemble_operator_pair",
-    "Precond", "lumped_precond", "mass_precond", "jacobi_precond",
+    "lumped_precond", "mass_precond", "jacobi_precond",
     "richardson_weight", "richardson_inverse", "richardson_precond",
     "spd_factor", "block_factor", "kappa",
     "ExperimentConfig", "ReportRow", "run_experiment", "emit_table",

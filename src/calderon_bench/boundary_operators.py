@@ -95,7 +95,7 @@ def _admissible_pairs(mesh):
     """
     ends, _, _ = panel_samples(mesh, [0.0, 1.0])
     c = 0.5 * (ends[:, 0] + ends[:, 1])
-    h = np.array([p.length for p in mesh.panels])
+    h = mesh.length
     gap = np.hypot(np.subtract.outer(c[:, 0], c[:, 0]), np.subtract.outer(c[:, 1], c[:, 1]))
     gap -= 0.5 * np.add.outer(h, h)
     return gap >= _ETA * np.maximum.outer(h, h)

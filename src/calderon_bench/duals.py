@@ -343,8 +343,8 @@ def l2_project(s: FeSpace, u, n_quad: int = 20):
     rhs = np.zeros(s.ndof)
     pts, speed, dt = panel_samples(s.mesh, g.nodes)
     w_arcs = g.weights * speed * dt[:, None]
-    for p, panel in enumerate(s.mesh.panels):
-        rhs[s.conn[p]] += Vl @ (w_arcs[p] * u(pts[p], panel.chart))
+    for p, chart in enumerate(s.mesh.chart.tolist()):
+        rhs[s.conn[p]] += Vl @ (w_arcs[p] * u(pts[p], chart))
     M = mass_matrix(s, "exact", n_quad=n_quad)
     return np.linalg.solve(M, rhs)
 

@@ -72,19 +72,12 @@ def build_space(m: Mesh, degree: int) -> FeSpace:
     P = m.n_panels
     if P < 3:
         raise ValueError("need at least 3 panels on a closed curve")
-    conn = np.empty((P, degree + 1), dtype=int)
-    node_chart = np.empty(P * degree, dtype=int)
-    node_param = np.empty(P * degree)
-    for i, p in enumerate(m.panels):
-        node_chart[i] = p.chart
-        node_param[i] = p.t0
-        conn[i, 0] = i
-        conn[i, degree] = (i + 1) % P
-        for j in range(1, degree):
-            nid = P + i * (degree - 1) + (j - 1)
-            conn[i, j] = nid
-            node_chart[nid] = p.chart
-            node_param[nid] = p.t0 + (j / degree) * (p.t1 - p.t0)
+    vertex = np.arange(P)
+    interior = P + np.arange(P * (degree - 1)).reshape(P, degree - 1)
+    conn = np.column_stack([vertex, interior, np.roll(vertex, -1)])
+    x = np.arange(1, degree) / degree
+    node_chart = np.concatenate([m.chart, np.repeat(m.chart, degree - 1)])
+    node_param = np.concatenate([m.t0, (m.t0[:, None] + x * (m.t1 - m.t0)[:, None]).ravel()])
     return FeSpace(m, degree, conn, node_chart, node_param)
 
 
@@ -130,7 +123,6 @@ def mirror_permutations(s: FeSpace):
     """
     m = s.mesh
     ends = panel_samples(m, [0.0, 1.0])[0]               # (P, 2, 2): start, end
-    length = np.array([p.length for p in m.panels])
     centre = np.asarray(m.geometry.mirror_centre, dtype=float)
     P, out = m.n_panels, []
     for axis in (0, 1):
@@ -139,7 +131,7 @@ def mirror_permutations(s: FeSpace):
         c = np.argmin(np.linalg.norm(ends[:, 1] - image[0, 0], axis=-1))
         j = (c - np.arange(P)) % P
         gap = np.linalg.norm(image - ends[j, ::-1], axis=-1).max(axis=1)
-        if not np.all(gap <= MIRROR_MATCH * length):
+        if not np.all(gap <= MIRROR_MATCH * m.length):
             return ()
         p = np.empty(s.ndof, dtype=int)
         p[s.conn] = s.conn[j, ::-1]

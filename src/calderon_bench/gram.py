@@ -33,7 +33,7 @@ def _panel_blocks(s: FeSpace, kind: str, n_quad: int) -> np.ndarray:
         speed, dt = panel_speeds(s.mesh, g.nodes)
         jac = speed * dt[:, None]
     else:
-        jac = np.array([p.length for p in s.mesh.panels])[:, None]
+        jac = s.mesh.length[:, None]
     return (V * (g.weights * jac)[:, None, :]) @ V.T
 
 

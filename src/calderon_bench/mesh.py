@@ -1,9 +1,16 @@
 """Conforming partitions of a closed curve into panels.
 
 Panels are parameter sub-intervals of the geometry charts, kept in cyclic
-order.  Refinement bisects panels at the parameter midpoint; a uniform
-K-mesh property (neighbouring sizes within a factor 2) is enforced by
-recursive closure bisections after every local refinement.
+order.  A ``Mesh`` holds them as arrays with one entry per panel: the chart
+id, the end parameters t0 and t1, the arc length and the normalized size
+below.  Refinement, closure and every caller work on these arrays;
+``Mesh.panels`` reads them back as (chart, t0, t1, length) records for
+reports and tests.
+
+Refinement bisects panels at the parameter midpoint, all marked panels as
+one array operation; a uniform K-mesh property (neighbouring sizes within a
+factor 2) is enforced by recursive closure bisections after every local
+refinement.
 
 The closure compares speed-normalized sizes: an initial panel gets its
 chart's parameter length over the panel count times the chart's average
@@ -21,12 +28,15 @@ the factor 2 to rounding; on the ellipse they obey 2 * (1 + O(h)).
 panels; assembly, the Gram matrices and the duals all integrate through it.
 ``panel_speeds`` is its speed path on its own, for the integrals that need
 the arc measure but no points.  ``panel_chords`` gives the near field its
-point differences inside and between neighbouring panels.
+point differences inside and between neighbouring panels.  All three
+evaluate the charts through ``_per_chart``, one call per run of consecutive
+panels on one chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,35 +48,45 @@ KMESH_RATIO = 2.0
 _RATIO_CAP = KMESH_RATIO * (1.0 + 1e-9)
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
+    """One panel of a mesh, read from its arrays by ``Mesh.panels``."""
+
     chart: int
     t0: float
     t1: float
     length: float       # arc length |T|
-    qlength: float      # speed-normalized size: chart unit times 2**-bisections
-    generation: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
+    """Panels in cyclic order, one array entry per panel."""
+
     geometry: Geometry
-    panels: tuple
+    chart: np.ndarray       # chart id
+    t0: np.ndarray          # start parameter
+    t1: np.ndarray          # end parameter
+    length: np.ndarray      # arc length |T|
+    qlength: np.ndarray     # speed-normalized size: chart unit times 2**-bisections
 
     @property
     def n_panels(self):
-        return len(self.panels)
+        return self.chart.size
+
+    @property
+    def panels(self):
+        """The panels as (chart, t0, t1, length) records."""
+        return tuple(map(Panel, self.chart.tolist(), self.t0, self.t1, self.length))
 
     @property
     def h_min(self):
-        return min(p.length for p in self.panels)
+        return self.length.min()
 
     @property
     def h_max(self):
-        return max(p.length for p in self.panels)
+        return self.length.max()
 
     def total_length(self):
-        return sum(p.length for p in self.panels)
+        return self.length.sum()
 
 
 def panel_samples(m: Mesh, unit_nodes):
@@ -76,29 +96,19 @@ def panel_samples(m: Mesh, unit_nodes):
     from ``panel_speeds`` and the parameter lengths t1 - t0 (P,).  A point
     is the panel's start point plus the chord chi(t) - chi(t0), so it does
     not depend on where the chart's parameter interval sits, only on the
-    offset of the panel inside it.  Each run of consecutive panels on one
-    chart is evaluated in one call, so a mesh in chart order evaluates each
-    chart once.
+    offset of the panel inside it.
     """
-    t0, dt = _panel_params(m.panels)
-    h = dt * np.asarray(unit_nodes)
-    points = np.empty(h.shape + (2,))
-    for c, run in _chart_runs(m.panels):
-        chart = m.geometry.charts[c]
-        points[run] = chart.point(t0[run]) + chart.chord(t0[run], h[run])
-    return points, panel_speeds(m, unit_nodes)[0], dt[:, 0]
+    start = _per_chart(m, "point", m.t0)[:, None]
+    speed, dt = panel_speeds(m, unit_nodes)
+    return start + panel_chords(m, 0.0, unit_nodes), speed, dt
 
 
 def panel_speeds(m: Mesh, unit_nodes):
     """The chart speeds |chi'(t)| (P, n) at t = t0 + (t1 - t0) x for the
     reference nodes x, and the parameter lengths t1 - t0 (P,); for the
     integrals that need the measure but no points."""
-    t0, dt = _panel_params(m.panels)
-    t = t0 + dt * np.asarray(unit_nodes)
-    speed = np.empty(t.shape)
-    for c, run in _chart_runs(m.panels):
-        speed[run] = m.geometry.charts[c].speed(t[run])
-    return speed, dt[:, 0]
+    dt = m.t1 - m.t0
+    return _per_chart(m, "speed", m.t0[:, None] + dt[:, None] * np.asarray(unit_nodes)), dt
 
 
 def panel_chords(m: Mesh, anchor, step):
@@ -110,65 +120,55 @@ def panel_chords(m: Mesh, anchor, step):
     point pair inside a panel of parameter length 1e-9 keeps its distance
     to full relative accuracy.
     """
-    t0, dt = _panel_params(m.panels)
-    t, h = np.broadcast_arrays(t0 + dt * np.asarray(anchor), dt * np.asarray(step))
-    out = np.empty(t.shape + (2,))
-    for c, run in _chart_runs(m.panels):
-        out[run] = m.geometry.charts[c].chord(t[run], h[run])
+    dt = (m.t1 - m.t0)[:, None]
+    return _per_chart(m, "chord", *np.broadcast_arrays(m.t0[:, None] + dt * np.asarray(anchor),
+                                                       dt * np.asarray(step)))
+
+
+def _per_chart(m: Mesh, method, *args):
+    """The chart method ``method`` on the panel rows of ``args``, one call
+    per run of consecutive panels on one chart; a mesh in chart order
+    evaluates each chart once."""
+    cuts = [0, *(np.flatnonzero(np.diff(m.chart)) + 1), m.n_panels]
+    return np.concatenate([getattr(m.geometry.charts[m.chart[a]], method)(*(x[a:b] for x in args))
+                           for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+def _arc_lengths(g: Geometry, chart, t0, t1):
+    """Arc lengths of the intervals [t0[i], t1[i]] of the charts chart[i],
+    one batched ``arc_lengths`` call per chart."""
+    out = np.empty(t0.shape)
+    for c in np.unique(chart):
+        on = chart == c
+        out[on] = arc_lengths(g.charts[c], t0[on], t1[on])
     return out
 
 
-def _panel_params(panels):
-    """Start parameters and parameter lengths as (P, 1) columns."""
-    t0 = np.array([p.t0 for p in panels])[:, None]
-    return t0, np.array([p.t1 for p in panels])[:, None] - t0
+def _bisect(m: Mesh, split) -> Mesh:
+    """The mesh with every panel where the mask ``split`` holds replaced by
+    its two halves; each half gets exactly half of its parent's normalized
+    size."""
+    reps = 1 + split
+    chart, t0, t1, length, q = (np.repeat(a, reps) for a in
+                                (m.chart, m.t0, m.t1, m.length, m.qlength))
+    left = (np.cumsum(reps) - 2)[split]       # new index of each split panel's left half
+    right = left + 1
+    t1[left] = t0[right] = 0.5 * (m.t0[split] + m.t1[split])
+    halves = np.concatenate([left, right])
+    q[halves] *= 0.5
+    length[halves] = _arc_lengths(m.geometry, chart[halves], t0[halves], t1[halves])
+    return Mesh(m.geometry, chart, t0, t1, length, q)
 
 
-def _chart_runs(panels):
-    """(chart id, slice) of each run of consecutive panels on one chart."""
-    chart = np.array([p.chart for p in panels], dtype=int)
-    cuts = [0, *(np.flatnonzero(np.diff(chart)) + 1), len(panels)]
-    return [(chart[a], slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _chart_panels(g, chart, t0, t1, qlength, generation):
-    """Panels over the intervals [t0[i], t1[i]] of one chart, with their arc
-    lengths from one batched call."""
-    lengths = arc_lengths(g.charts[chart], t0, t1)
-    return [Panel(chart, a, b, h, q, k)
-            for a, b, h, q, k in zip(t0, t1, lengths, qlength, generation)]
-
-
-def _bisect_marked(g, panels, marked):
-    """The panels with every marked one replaced by its two halves; the
-    halves' arc lengths come from one batched call per chart, and each half
-    gets exactly half of its parent's normalized size."""
-    halves, marked = {}, sorted(marked)
-    for c in {panels[i].chart for i in marked}:
-        ids = [i for i in marked if panels[i].chart == c]
-        t0 = np.array([panels[i].t0 for i in ids])
-        t1 = np.array([panels[i].t1 for i in ids])
-        tm = 0.5 * (t0 + t1)
-        q = [0.5 * panels[i].qlength for i in ids] * 2
-        gen = [panels[i].generation + 1 for i in ids] * 2
-        kids = _chart_panels(g, c, np.concatenate([t0, tm]), np.concatenate([tm, t1]), q, gen)
-        halves.update((i, (kids[j], kids[j + len(ids)])) for j, i in enumerate(ids))
-    out = []
-    for i, p in enumerate(panels):
-        out.extend(halves.get(i, (p,)))
-    return out
-
-
-def _kmesh_close(g, panels):
+def _kmesh_close(m: Mesh) -> Mesh:
     # repeated sweeps: bisect every panel larger than the cap times one of
     # its two cyclic neighbours until the cap holds everywhere
     for _ in range(10000):
-        q = np.array([p.qlength for p in panels])
-        limit = _RATIO_CAP * np.minimum(np.roll(q, 1), np.roll(q, -1))
-        marked = np.flatnonzero(q > limit)
-        if not marked.size:
-            return panels
-        panels = _bisect_marked(g, panels, marked)
+        q = m.qlength
+        split = q > _RATIO_CAP * np.minimum(np.roll(q, 1), np.roll(q, -1))
+        if not split.any():
+            return m
+        m = _bisect(m, split)
     raise RuntimeError("K-mesh closure did not terminate")
 
 
@@ -176,13 +176,12 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     """Split every chart into equal parameter sub-intervals."""
     if per_chart < 1:
         raise ValueError("initial_mesh: per_chart must be >= 1")
-    panels = []
-    for ci, c in enumerate(g.charts):
-        edges = np.linspace(c.t0, c.t1, per_chart + 1)
-        q0 = (c.t1 - c.t0) / per_chart * g.chart_scales[ci]
-        panels += _chart_panels(g, ci, edges[:-1], edges[1:], [q0] * per_chart,
-                                [0] * per_chart)
-    return Mesh(g, tuple(_kmesh_close(g, panels)))
+    edges = np.array([np.linspace(c.t0, c.t1, per_chart + 1) for c in g.charts])
+    q = np.array([(c.t1 - c.t0) / per_chart * s for c, s in zip(g.charts, g.chart_scales)])
+    chart = np.repeat(np.arange(g.n_charts), per_chart)
+    t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    return _kmesh_close(Mesh(g, chart, t0, t1, _arc_lengths(g, chart, t0, t1),
+                             np.repeat(q, per_chart)))
 
 
 def refine(m: Mesh, marked) -> Mesh:
@@ -192,8 +191,9 @@ def refine(m: Mesh, marked) -> Mesh:
         raise ValueError("refine: marked set is empty")
     if not marked <= set(range(m.n_panels)):
         raise ValueError("refine: invalid panel ids")
-    panels = _bisect_marked(m.geometry, list(m.panels), marked)
-    return Mesh(m.geometry, tuple(_kmesh_close(m.geometry, panels)))
+    split = np.zeros(m.n_panels, dtype=bool)
+    split[list(marked)] = True
+    return _kmesh_close(_bisect(m, split))
 
 
 def uniform_refine(m: Mesh) -> Mesh:
@@ -203,14 +203,11 @@ def uniform_refine(m: Mesh) -> Mesh:
 
 def corner_panels(m: Mesh):
     """Ids of the panels whose closure touches a geometry corner point."""
-    chart = np.array([p.chart for p in m.panels])
-    t0 = np.array([p.t0 for p in m.panels])
-    t1 = np.array([p.t1 for p in m.panels])
-    tol = 1e-12 * (t1 - t0)
+    tol = 1e-12 * (m.t1 - m.t0)
     hit = np.zeros(m.n_panels, dtype=bool)
     for corner in m.geometry.corners:
         for ci, tc in corner:
-            hit |= (chart == ci) & (t0 - tol <= tc) & (tc <= t1 + tol)
+            hit |= (m.chart == ci) & (m.t0 - tol <= tc) & (tc <= m.t1 + tol)
     return np.flatnonzero(hit).tolist()
 
 
@@ -237,8 +234,7 @@ def neighbor_ratios(m: Mesh, normalized: bool = False):
     ``normalized`` selects the speed-normalized sizes that the closure
     enforces; the default reports arc-length ratios.
     """
-    attr = "qlength" if normalized else "length"
-    a = np.array([getattr(p, attr) for p in m.panels])
+    a = m.qlength if normalized else m.length
     b = np.roll(a, -1)
     return np.maximum(a, b) / np.minimum(a, b)
 
@@ -253,10 +249,7 @@ def is_conforming(m: Mesh) -> bool:
     gluing back onto itself) the panels must end and start exactly at their
     charts' ends, and the two charts must meet in one point.
     """
-    charts = m.geometry.charts
-    chart = np.array([p.chart for p in m.panels])
-    t0 = np.array([p.t0 for p in m.panels])
-    t1 = np.array([p.t1 for p in m.panels])
+    charts, chart, t0, t1 = m.geometry.charts, m.chart, m.t0, m.t1
     nxt = np.roll(np.arange(m.n_panels), -1)
     inner = (chart == chart[nxt]) & (t1 == t0[nxt])
     junction = ((t1 == np.array([c.t1 for c in charts])[chart])

@@ -20,7 +20,6 @@ matrices are assembled from element contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -37,23 +36,15 @@ class RichardsonDivergenceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Precond:
-    kind: str
-    matrix: np.ndarray
-    params: dict = field(default_factory=dict)
-
-
 def _sym(X):
     return 0.5 * (X + X.T)
 
 
-def lumped_precond(B: np.ndarray, d: np.ndarray) -> Precond:
+def lumped_precond(B: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("lumped diagonal must be positive")
-    G = B / np.outer(d, d)
-    return Precond("lumped", G)
+    return B / np.outer(d, d)
 
 
 def _banded_cholesky(Ms, perm) -> np.ndarray:
@@ -70,7 +61,7 @@ def _banded_cholesky(Ms, perm) -> np.ndarray:
         raise NotSPDError("matrix is not symmetric positive definite") from None
 
 
-def mass_precond(B: np.ndarray, M: np.ndarray) -> Precond:
+def mass_precond(B: np.ndarray, M: np.ndarray) -> np.ndarray:
     Ms = sparse.csr_matrix(M)
     perm = reverse_cuthill_mckee(Ms, symmetric_mode=True)
     c = (_banded_cholesky(Ms, perm), True)
@@ -81,14 +72,14 @@ def mass_precond(B: np.ndarray, M: np.ndarray) -> Precond:
         return Y
 
     G = solve(solve(B).T).T                        # (M^{-1} B) M^{-1}
-    return Precond("mass", _sym(G))
+    return _sym(G)
 
 
-def jacobi_precond(B: np.ndarray, M: np.ndarray) -> Precond:
+def jacobi_precond(B: np.ndarray, M: np.ndarray) -> np.ndarray:
     d = np.diag(M).copy()
     if np.any(d <= 0):
         raise ValueError("mass diagonal must be positive")
-    return Precond("jacobi", B / np.outer(d, d))
+    return B / np.outer(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np
 
 
 def richardson_precond(B: np.ndarray, M: np.ndarray, d: np.ndarray, k: int,
-                       omega: float) -> Precond:
+                       omega: float) -> np.ndarray:
     R = _richardson_sparse(M, d, k, omega)
     G = R @ (R @ B).T                              # (R B R)^T, as R = R^T
-    return Precond(f"richardson:{k}", _sym(G), {"k": k, "omega": omega})
+    return _sym(G)

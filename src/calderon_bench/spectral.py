@@ -150,23 +150,19 @@ def _extreme_eigenvalues(G: np.ndarray, L: np.ndarray):
     return lam[0], lam[-1]
 
 
-def kappa(G, A: np.ndarray, factor=None) -> float:
+def kappa(G: np.ndarray, A: np.ndarray, factor: BlockFactor | None = None) -> float:
     """Spectral condition number kappa_S(G A) for SPD G and A.
 
-    ``G`` may be a dense matrix or any object with a ``matrix`` attribute
-    (a preconditioner).  ``factor`` is a :class:`BlockFactor` of A, or the
-    dense lower Cholesky factor of A from :func:`spd_factor`; pass it to
-    share one factorization of A across several preconditioners, or omit
-    it to factor A here.  Over blocks, kappa is the largest block
-    eigenvalue over the smallest.
+    ``factor`` is a :class:`BlockFactor` of A from :func:`block_factor`;
+    pass it to share one factorization of A across several
+    preconditioners, or omit it to factor A here as one block.  Over
+    blocks, kappa is the largest block eigenvalue over the smallest.
     """
-    Gm = getattr(G, "matrix", G)
     if factor is None:
-        factor = spd_factor(A)
-    blocks = getattr(factor, "blocks", ((None, factor),))
+        factor = block_factor(A)
     lo, hi = np.inf, -np.inf
-    for Qt, L in blocks:
-        b_lo, b_hi = _extreme_eigenvalues(Gm if Qt is None else _project(Gm, Qt), L)
+    for Qt, L in factor.blocks:
+        b_lo, b_hi = _extreme_eigenvalues(G if Qt is None else _project(G, Qt), L)
         lo, hi = min(lo, b_lo), max(hi, b_hi)
     if lo <= 0:
         raise NotSPDError("preconditioned pencil is not positive definite")

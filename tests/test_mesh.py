@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -86,6 +84,8 @@ def test_refine_errors(square):
         refine(m, set())
     with pytest.raises(ValueError):
         refine(m, {99})
+    with pytest.raises(ValueError):
+        refine(m, {-1})
 
 
 def test_refine_is_monotone(ellipse):
@@ -140,12 +140,16 @@ def test_is_conforming_rejects_gap_after_tiny_panel(square, shift):
     panel) or by a 5e-13 overlap leaves the curve torn; an absolute
     tolerance of 1e-12 on the shared parameter accepted both."""
     m = corner_schedule(square, 1)
-    p = m.panels[0]
-    tiny = dataclasses.replace(p, t1=p.t0 + 1e-14)
-    joined = Mesh(square, (tiny, dataclasses.replace(p, t0=tiny.t1)) + m.panels[1:])
-    torn = Mesh(square, (tiny, dataclasses.replace(p, t0=tiny.t1 + shift)) + m.panels[1:])
-    assert is_conforming(joined)
-    assert not is_conforming(torn)
+    end = m.t0[0] + 1e-14
+
+    def cut(start):
+        # panel 0 cut into [t0, end] and [start, t1], both keeping its chart
+        chart, length, qlength = (np.insert(a, 0, a[0]) for a in (m.chart, m.length, m.qlength))
+        return Mesh(square, chart, np.insert(m.t0, 1, start), np.insert(m.t1, 0, end),
+                    length, qlength)
+
+    assert is_conforming(cut(end))
+    assert not is_conforming(cut(end + shift))
 
 
 def test_corner_panels_touch_corners(square):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from calderon_bench.precond import (Precond, RichardsonDivergenceError,
+from calderon_bench.precond import (RichardsonDivergenceError,
                                     jacobi_precond, lumped_precond, mass_precond,
                                     reference_mass_and_lumped, richardson_inverse,
                                     richardson_precond, richardson_weight)
@@ -21,20 +21,20 @@ def _random_spd(n):
 def test_lumped_precond_examples():
     d = np.array([2.0, 3.0, 5.0])
     G = lumped_precond(np.diag(d) @ np.diag(d), d)
-    assert np.allclose(G.matrix, np.eye(3))
+    assert np.allclose(G, np.eye(3))
     G2 = lumped_precond(np.eye(3), 2.0 * np.ones(3))
-    assert np.allclose(G2.matrix, np.eye(3) / 4)
+    assert np.allclose(G2, np.eye(3) / 4)
     with pytest.raises(ValueError):
         lumped_precond(np.eye(2), np.array([1.0, 0.0]))
 
 
 def test_mass_precond_examples():
     M = _random_spd(5)
-    assert np.allclose(mass_precond(M, M).matrix, np.linalg.inv(M), atol=1e-10)
+    assert np.allclose(mass_precond(M, M), np.linalg.inv(M), atol=1e-10)
     B = _random_spd(5)
-    assert np.allclose(mass_precond(B, np.eye(5)).matrix, B)
+    assert np.allclose(mass_precond(B, np.eye(5)), B)
     # residual identity G M B^{-1} M = I
-    G = mass_precond(B, M).matrix
+    G = mass_precond(B, M)
     resid = G @ M @ np.linalg.solve(B, M) - np.eye(5)
     assert np.abs(resid).max() < 1e-10
 
@@ -42,7 +42,7 @@ def test_mass_precond_examples():
 def test_jacobi_equals_mass_for_diagonal():
     M = np.diag([1.0, 4.0, 9.0])
     B = _random_spd(3)
-    assert np.allclose(jacobi_precond(B, M).matrix, mass_precond(B, M).matrix,
+    assert np.allclose(jacobi_precond(B, M), mass_precond(B, M),
                        atol=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_mass_precond_matches_dense_cholesky(ell):
     _, B = corner_operators("square", 3, ell)
     M, _ = corner_gram("square", 3, ell)
     ref = _mass_precond_dense(B, M)
-    assert np.abs(mass_precond(B, M).matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(mass_precond(B, M) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_mass_precond_rejects_indefinite_mass():
@@ -181,7 +181,7 @@ def test_richardson_precond_first_step_is_scaled_lumped():
     _, _, om = richardson_weight(1, 1)
     G1 = richardson_precond(B, M, D, 1, om)
     GD = lumped_precond(B, D)
-    assert np.allclose(G1.matrix, om * om * GD.matrix, rtol=1e-12)
+    assert np.allclose(G1, om * om * GD, rtol=1e-12)
     assert kappa(G1, A) == pytest.approx(kappa(GD, A), rel=1e-8)
 
 
@@ -210,13 +210,13 @@ def test_precond_matrices_symmetric_spd():
     _, _, om = richardson_weight(1, 3)
     for G in (lumped_precond(B, D), mass_precond(B, M), jacobi_precond(B, M),
               richardson_precond(B, M, D, 4, om)):
-        assert isinstance(G, Precond)
-        assert np.abs(G.matrix - G.matrix.T).max() <= 1e-12 * np.abs(G.matrix).max()
-        np.linalg.cholesky(G.matrix)
+        assert isinstance(G, np.ndarray) and G.shape == B.shape
+        assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
+        np.linalg.cholesky(G)
 
 
 def test_kappa_scalar_invariance_with_precond():
     A, B = corner_operators("square", 1, 1)
     _, D = corner_gram("square", 1, 1)
     G = lumped_precond(B, D)
-    assert kappa(10.0 * G.matrix, A) == pytest.approx(kappa(G, A), rel=1e-10)
+    assert kappa(10.0 * G, A) == pytest.approx(kappa(G, A), rel=1e-10)

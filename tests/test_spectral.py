@@ -94,12 +94,12 @@ def test_kappa_scalar_invariance():
 
 def test_kappa_with_shared_factor_matches_own_factor():
     G, A = _random_spd(9), _random_spd(9)
-    L = spd_factor(A)
+    F, L = block_factor(A), spd_factor(A)
     for Gi in (G, 3.0 * G, np.linalg.inv(A)):
         C = L.T @ Gi @ L                        # reference: two dense GEMMs
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
-        assert kappa(Gi, A, L) == kappa(Gi, A)
-        assert kappa(Gi, A, L) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+        assert kappa(Gi, A, F) == kappa(Gi, A)
+        assert kappa(Gi, A, F) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
 
 
 def test_kappa_rejects_indefinite():
@@ -134,9 +134,9 @@ def test_block_kappa_matches_dense(kind, ell, inner):
         s, A, B, M, D = _level(kind, k, ell, inner)
         F = block_factor(A, mirror_permutations(s), (B, M, D))
         assert len(F.sizes) == 4 and sum(F.sizes) == s.ndof, (k, F.sizes)
-        L = spd_factor(A)
+        dense = block_factor(A)
         for name, G in _preconds(B, M, D, ell).items():
-            assert kappa(G, A, F) == pytest.approx(kappa(G, A, L), rel=1e-10), (k, name)
+            assert kappa(G, A, F) == pytest.approx(kappa(G, A, dense), rel=1e-10), (k, name)
 
 
 def test_character_bases_orthogonal_partition():
