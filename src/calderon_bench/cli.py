@@ -353,11 +353,13 @@ def _verify_checks():
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 
     def duals_quick():
-        s = build_space(corner_schedule(gs, 1), 1)
-        b = duals_mod.build_bubbles(s)
-        d = duals_mod.build_dual_basis(s, b)
-        bio = np.abs(d.pairing - np.diag(d.lumped)).max()
-        return bio < 1e-10 and duals_mod.eval_dual_sum(d) < 1e-10
+        ok = True
+        for ell in (1, 3):
+            s = build_space(corner_schedule(gs, 1), ell)
+            d = duals_mod.build_dual_basis(s, duals_mod.build_bubbles(s))
+            ok &= np.abs(d.pairing - np.diag(d.lumped)).max() < 1e-10
+            ok &= duals_mod.eval_dual_sum(d) < 1e-10
+        return bool(ok)
 
     return [
         ("geometry arc lengths", geometry_lengths),
@@ -370,7 +372,7 @@ def _verify_checks():
         ("richardson contraction, level-3 square", richardson_contraction),
         ("kappa coincidence and scaling", kappa_identities),
         ("kappa by mirror blocks, level-3 square and ellipse", mirror_blocks),
-        ("dual basis biorthogonality", duals_quick),
+        ("dual basis biorthogonality, degrees 1 and 3", duals_quick),
     ]
 
 

@@ -12,6 +12,12 @@ makes that existence constructive so the tests can verify it numerically:
 * the induced Fortin projector, the nodal-to-dual bijection, and the plain
   L2 projector.
 
+The bubbles are held in the space's ``conn`` layout: ``BubbleSet.coef[p, a]``
+holds the degree-q Lagrange values on panel p of the bubble of node
+conn[p, a], and a bubble lives on exactly its node's support.  Every Gram
+block is a per-panel product from ``gram.panel_products``, summed through
+``conn`` by ``gram.scatter_blocks`` as the mass matrix is.
+
 Computations happen in a holding space: the nodal space on the uniformly
 refined mesh plus all bubbles.  That space contains S, every phi~, and the
 ranges of the projectors, so the operator identities become exact matrix
@@ -25,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fespace import FeSpace, build_space, node_supports, reference_basis, reference_basis_deriv
-from .gram import mass_matrix
-from .mesh import panel_samples, panel_speeds, uniform_refine
+from .fespace import FeSpace, build_space, reference_basis, reference_basis_deriv
+from .gram import mass_matrix, panel_products, scatter_blocks
+from .mesh import chart_runs, panel_samples, panel_speeds, uniform_refine
 from .quadrature import gauss_rule
 
 _QUAD = gauss_rule(16)
@@ -41,8 +47,8 @@ class EnrichmentError(RuntimeError):
 @dataclass(frozen=True)
 class BubbleSet:
     space: FeSpace
-    degree: int                # enriched polynomial degree 2l + 2
-    local: tuple               # per node: dict panel -> (degree+1,) Lagrange values
+    degree: int                # enriched polynomial degree q = 2l + 2
+    coef: np.ndarray           # (P, l+1, q+1): values on panel p of the bubble of conn[p, a]
     phi_l2sq: np.ndarray       # ||phi_nu||_{L2}^2 entering the constraints
 
 
@@ -62,6 +68,19 @@ def _arc_measure(m):
     return _QUAD.weights * speed * dt[:, None], speed * dt[:, None]
 
 
+def _solve_kkt(C, H, g):
+    """Batched minimizers of x^T H x subject to C x = g, for C (B, r, n),
+    H (B, n, n) and right-hand sides g (B, r, k); returns x (B, n, k)."""
+    B, r, n = C.shape
+    kkt = np.block([[2.0 * H, np.swapaxes(C, 1, 2)], [C, np.zeros((B, r, r))]])
+    rhs = np.concatenate([np.zeros((B, n, g.shape[2])), g], axis=1)
+    try:
+        return np.linalg.solve(kkt, rhs)[:, :n]
+    except np.linalg.LinAlgError:
+        raise EnrichmentError(f"singular constraint system: {n} bubble values "
+                              f"cannot meet {r} constraints") from None
+
+
 def build_bubbles(s: FeSpace) -> BubbleSet:
     """Per node, the H1-seminorm-minimal enriched function theta_nu with
     <theta_nu, phi_mu> = delta_{nu mu} ||phi_nu||^2 for every mu whose
@@ -69,102 +88,53 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
 
     The solve happens on the support mapped to reference intervals, with
     the true arc measure pulled along, so the constraints hold exactly for
-    curved charts as well.
+    curved charts as well.  The vertex node of panel p has the unknowns
+    1..q on panel p-1 (value q sits at the node, shared with value 0 on
+    panel p) and 1..q-1 on panel p, and the constraint rows conn[p-1] then
+    conn[p][1:]; all vertex nodes are one batched KKT solve.  For l > 1
+    each panel solves once more, with one right-hand side per interior node.
     """
-    q = 2 * s.degree + 2
-    supports = node_supports(s)
-    M = mass_matrix(s, "exact", n_quad=16)
-    phi_l2sq = np.diag(M).copy()
-    Vq = reference_basis(q, _QUAD.nodes)
+    ell, P = s.degree, s.mesh.n_panels
+    q = 2 * ell + 2
+    phi_l2sq = np.diag(mass_matrix(s, "exact", n_quad=16)).copy()
+    w_arc, ds_dx = _arc_measure(s.mesh)
     Dq = reference_basis_deriv(q, _QUAD.nodes)
-    Vl = reference_basis(s.degree, _QUAD.nodes)
-    w_arcs, ds_dxs = _arc_measure(s.mesh)
+    # per panel: <phi_a, L_j> (P, l+1, q+1) and the H1 pairing of L_i, L_j
+    C = panel_products(w_arc, reference_basis(ell, _QUAD.nodes), reference_basis(q, _QUAD.nodes))
+    H = panel_products(_QUAD.weights / ds_dx, Dq, Dq)
+    coef = np.zeros((P, ell + 1, q + 1))
 
-    local = []
-    for nu in range(s.ndof):
-        sup = supports[nu]
-        if len(sup) == 1:
-            panels = [sup[0][0]]
-        else:
-            # vertex node: order support panels left (node at x=1), right (x=0)
-            left = next(p for p, a in sup if a == s.degree)
-            right = next(p for p, a in sup if a == 0)
-            panels = [left, right]
-        # dof table: (panel, local lagrange index); outer boundary dofs are
-        # dropped, the junction dof is shared between the two panels
-        dofs = []
-        if len(panels) == 1:
-            dofs = [(panels[0], j) for j in range(1, q)]
-        else:
-            dofs = [(panels[0], j) for j in range(1, q + 1)]
-            dofs += [(panels[1], j) for j in range(1, q)]
-        ndof = len(dofs)
+    # the two support panels of each vertex node: p-1 (node at a = l) and p
+    # (a = 0); S maps a panel's q+1 values onto the 2q-1 unknowns, dropping
+    # the support's outer ends, and T its l+1 nodes onto the 2l+1 rows
+    sides = ((np.arange(P) - 1, ell, np.eye(2 * q - 1, q + 1, k=1),
+              np.eye(2 * ell + 1, ell + 1)),
+             (np.arange(P), 0, np.eye(2 * q - 1, q + 1, k=1 - q),
+              np.eye(2 * ell + 1, ell + 1, k=-ell)))
+    g = np.zeros((P, 2 * ell + 1, 1))
+    g[:, ell, 0] = phi_l2sq[s.conn[:, 0]]
+    x = _solve_kkt(sum(T @ C[p] @ S.T for p, _, S, T in sides),
+                   sum(S @ H[p] @ S.T for p, _, S, _ in sides), g)[..., 0]
+    for p, a, S, _ in sides:
+        coef[p, a] = x @ S
 
-        rows = []
-        for p in panels:
-            rows.extend(int(i) for i in s.conn[p])
-        rows = sorted(set(rows))
-        row_of = {mu: r for r, mu in enumerate(rows)}
-
-        C = np.zeros((len(rows), ndof))
-        H = np.zeros((ndof, ndof))
-        for p in panels:
-            w_arc, ds_dx = w_arcs[p], ds_dxs[p]
-            cols = [j for j, (pp, _) in enumerate(dofs) if pp == p]
-            if len(panels) == 2 and p == panels[1]:
-                # junction dof (panels[0], q) doubles as local index 0 here
-                cols = [q - 1] + cols
-                idxs = [0] + [dofs[j][1] for j in cols[1:]]
-            else:
-                idxs = [dofs[j][1] for j in cols]
-            B = Vq[idxs]                 # bubble dof values at quad points
-            dB = Dq[idxs]
-            for mu in s.conn[p]:
-                C[row_of[mu], cols] += B @ (w_arc * Vl[list(s.conn[p]).index(mu)])
-            H[np.ix_(cols, cols)] += (dB / ds_dx) @ (dB * _QUAD.weights).T
-
-        g = np.zeros(len(rows))
-        g[row_of[nu]] = phi_l2sq[nu]
-        kkt = np.block([[2.0 * H, C.T], [C, np.zeros((len(rows), len(rows)))]])
-        rhs = np.concatenate([np.zeros(ndof), g])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            raise EnrichmentError(
-                f"singular constraint system for node {nu}: enrichment degree "
-                f"{q} is insufficient for degree {s.degree}"
-            ) from None
-        x = sol[:ndof]
-
-        coeffs = {}
-        for p in panels:
-            vec = np.zeros(q + 1)
-            for j, (pp, idx) in enumerate(dofs):
-                if pp == p:
-                    vec[idx] = x[j]
-            if len(panels) == 2 and p == panels[1]:
-                vec[0] = x[q - 1]        # junction dof: (panels[0], q) == (panels[1], 0)
-            coeffs[p] = vec
-        local.append(coeffs)
-    return BubbleSet(s, q, tuple(local), phi_l2sq)
+    if ell > 1:
+        # interior nodes: the panel's own values 1..q-1 under its l+1 constraints
+        S = np.eye(q - 1, q + 1, k=1)
+        a = np.arange(1, ell)
+        g = np.zeros((P, ell + 1, ell - 1))
+        g[:, a, a - 1] = phi_l2sq[s.conn[:, a]]
+        coef[:, a] = np.swapaxes(_solve_kkt(C @ S.T, S @ H @ S.T, g), 1, 2) @ S
+    return BubbleSet(s, q, coef, phi_l2sq)
 
 
 def bubble_phi_products(b: BubbleSet) -> np.ndarray:
     """<theta_mu, phi_nu> recomputed by quadrature, shape (N, N)."""
     s = b.space
-    Vq = reference_basis(b.degree, _QUAD.nodes)
-    Vl = reference_basis(s.degree, _QUAD.nodes)
-    G = np.zeros((s.ndof, s.ndof))
-    w_arcs, _ = _arc_measure(s.mesh)
-    for p, w_arc in enumerate(w_arcs):
-        for mu in s.conn[p]:
-            cf = b.local[mu].get(p)
-            if cf is None:
-                continue
-            theta = cf @ Vq
-            for a, nu in enumerate(s.conn[p]):
-                G[mu, nu] += np.dot(w_arc, theta * Vl[a])
-    return G
+    w_arc, _ = _arc_measure(s.mesh)
+    theta = b.coef @ reference_basis(b.degree, _QUAD.nodes)         # (P, l+1, n)
+    return scatter_blocks(s.ndof, s.conn, panel_products(
+        w_arc, theta, reference_basis(s.degree, _QUAD.nodes)))
 
 
 def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
@@ -187,19 +157,12 @@ def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
 def eval_dual_sum(d: DualBasis, n_samples: int = 1000):
     """Max deviation of sum_nu phi~_nu from 1, sampled along the curve."""
     s = d.space
-    t_combo = d.combo.sum(axis=1)       # sum over nu of the bubble weights
-    worst = 0.0
     per_panel = max(2, -(-n_samples // s.mesh.n_panels))
     xs = np.linspace(0.02, 0.98, per_panel)
-    Vq = reference_basis(d.bubbles.degree, xs)
-    for p in range(s.mesh.n_panels):
-        val = np.ones(xs.size)          # nodal partition of unity, exact
-        for mu in s.conn[p]:
-            cf = d.bubbles.local[mu].get(p)
-            if cf is not None:
-                val += t_combo[mu] * (cf @ Vq)
-        worst = max(worst, float(np.max(np.abs(val - 1.0))))
-    return worst
+    weight = d.combo.sum(axis=1)[s.conn]     # sum over nu of each panel's bubble weights
+    theta = d.bubbles.coef @ reference_basis(d.bubbles.degree, xs)
+    val = 1.0 + np.einsum("pa,pax->px", weight, theta)    # nodal partition of unity is exact
+    return float(np.max(np.abs(val - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,57 +182,36 @@ class HoldingSpace:
 
 def holding_space(d: DualBasis) -> HoldingSpace:
     s = d.space
-    ell = s.degree
-    q = d.bubbles.degree
-    m2 = uniform_refine(s.mesh)
-    s2 = build_space(m2, ell)
+    ell, q, P = s.degree, d.bubbles.degree, s.mesh.n_panels
+    s2 = build_space(uniform_refine(s.mesh), ell)
     n2, N = s2.ndof, s.ndof
     dim = n2 + N
 
-    # coordinates of the coarse nodal basis inside the fine nodal basis
-    R = np.zeros((n2, N))
-    locals_fine = np.linspace(0.0, 1.0, ell + 1)
-    for p in range(s.mesh.n_panels):
-        for side in (0, 1):
-            child = 2 * p + side
-            xp = 0.5 * (locals_fine + side)
-            vals = reference_basis(ell, xp)      # (l+1 coarse, l+1 fine nodes)
-            for a, nu in enumerate(s.conn[p]):
-                R[s2.conn[child], nu] = vals[a]
+    # child 2p + side is the half [side/2, (side+1)/2] of panel p; its active
+    # functions are its fine nodal basis and the bubbles of conn[p]
+    R = np.zeros((n2, N))      # coordinates of the coarse nodal basis in the fine one
+    vals, ders = [], []
+    for side in (0, 1):
+        xf = 0.5 * (np.linspace(0.0, 1.0, ell + 1) + side)
+        R[s2.conn[side::2, :, None], s.conn[:, None, :]] = reference_basis(ell, xf).T
+        xp = 0.5 * (_QUAD.nodes + side)
+        vals.append(d.bubbles.coef @ reference_basis(q, xp))
+        ders.append(d.bubbles.coef @ (0.5 * reference_basis_deriv(q, xp)))
 
-    G = np.zeros((dim, dim))
-    G1 = np.zeros((dim, dim))
-    Vl = reference_basis(ell, _QUAD.nodes)
-    Dl = reference_basis_deriv(ell, _QUAD.nodes)
-    Vq_cache = {}
-    w_arcs, ds_dxs = _arc_measure(m2)
-    for p in range(s.mesh.n_panels):
-        for side in (0, 1):
-            child = 2 * p + side
-            w_arc, ds_dx = w_arcs[child], ds_dxs[child]
-            # active functions on this child: fine nodal + parent bubbles
-            xp = 0.5 * (_QUAD.nodes + side)
-            key = side
-            if key not in Vq_cache:
-                Vq_cache[key] = (reference_basis(q, xp), reference_basis_deriv(q, xp))
-            Vqp, Dqp = Vq_cache[key]
-            rows_f = s2.conn[child]
-            vals_f = Vl
-            ders_f = Dl / ds_dx
-            bubbles = [mu for mu in s.conn[p] if d.bubbles.local[mu].get(p) is not None]
-            vals_b = np.array([d.bubbles.local[mu][p] @ Vqp for mu in bubbles])
-            ders_b = np.array([d.bubbles.local[mu][p] @ (0.5 * Dqp) for mu in bubbles]) / ds_dx
-            idx = np.concatenate([rows_f, n2 + np.array(bubbles, dtype=int)])
-            vals = np.vstack([vals_f, vals_b]) if bubbles else vals_f
-            ders = np.vstack([ders_f, ders_b]) if bubbles else ders_f
-            G[np.ix_(idx, idx)] += (vals * w_arc) @ vals.T
-            G1[np.ix_(idx, idx)] += (ders * w_arc) @ ders.T
+    w_arc, ds_dx = _arc_measure(s2.mesh)
+    fine = (2 * P, ell + 1, _QUAD.nodes.size)
+    U = np.concatenate([np.broadcast_to(reference_basis(ell, _QUAD.nodes), fine),
+                        np.stack(vals, axis=1).reshape(fine)], axis=1)
+    dU = np.concatenate([np.broadcast_to(reference_basis_deriv(ell, _QUAD.nodes), fine),
+                         np.stack(ders, axis=1).reshape(fine)], axis=1) / ds_dx[:, None, :]
+    ids = np.hstack([s2.conn, n2 + np.repeat(s.conn, 2, axis=0)])
+    G = scatter_blocks(dim, ids, panel_products(w_arc, U, U))
+    G1 = scatter_blocks(dim, ids, panel_products(w_arc, dU, dU))
 
-    nodal_rep = np.vstack([R, np.zeros((N, N))])
-    dual_rep = np.vstack([R, d.combo])
-    ones_rep = np.concatenate([np.ones(n2), np.zeros(N)])
     return HoldingSpace(s2, dim, 0.5 * (G + G.T), 0.5 * (G1 + G1.T),
-                        nodal_rep, dual_rep, ones_rep)
+                        nodal_rep=np.vstack([R, np.zeros((N, N))]),
+                        dual_rep=np.vstack([R, d.combo]),
+                        ones_rep=np.concatenate([np.ones(n2), np.zeros(N)]))
 
 
 def fortin_matrix(d: DualBasis, hold: HoldingSpace | None = None):
@@ -315,12 +257,11 @@ def bijection_matrix(d: DualBasis, hold: HoldingSpace | None = None):
     (computed through the biorthogonal pairing)."""
     if hold is None:
         hold = holding_space(d)
-    fwd = hold.dual_rep
 
     def inverse(u_hold):
         return (hold.nodal_rep.T @ (hold.gram @ u_hold)) / np.diag(d.pairing)
 
-    return fwd, inverse, hold
+    return hold.dual_rep, inverse, hold
 
 
 def bijection_l2_norm(d: DualBasis, hold: HoldingSpace | None = None) -> float:
@@ -337,46 +278,37 @@ def bijection_l2_norm(d: DualBasis, hold: HoldingSpace | None = None) -> float:
 
 def l2_project(s: FeSpace, u, n_quad: int = 20):
     """Coefficients of the L2-orthogonal projection of a callable
-    u(points, chart) -> values onto the space."""
+    u(points, chart) -> values onto the space; u gets the (m, 2) quadrature
+    points of one run of panels on one chart per call."""
     g = gauss_rule(n_quad)
-    Vl = reference_basis(s.degree, g.nodes)
-    rhs = np.zeros(s.ndof)
     pts, speed, dt = panel_samples(s.mesh, g.nodes)
-    w_arcs = g.weights * speed * dt[:, None]
-    for p, chart in enumerate(s.mesh.chart.tolist()):
-        rhs[s.conn[p]] += Vl @ (w_arcs[p] * u(pts[p], chart))
-    M = mass_matrix(s, "exact", n_quad=n_quad)
-    return np.linalg.solve(M, rhs)
+    u_vals = np.concatenate([u(pts[a:b].reshape(-1, 2), c).reshape(b - a, -1)
+                             for c, a, b in chart_runs(s.mesh)])
+    moments = (g.weights * speed * dt[:, None] * u_vals) @ reference_basis(s.degree, g.nodes).T
+    rhs = np.bincount(s.conn.ravel(), weights=moments.ravel(), minlength=s.ndof)
+    return np.linalg.solve(mass_matrix(s, "exact", n_quad=n_quad), rhs)
+
+
+def _norms(s: FeSpace, coef, degree):
+    """(L2 norm, H1 seminorm) of the functions whose degree-``degree``
+    Lagrange values on panel p are coef[p, a], (P, l+1, degree+1), or
+    coef[a] on every panel; function conn[p, a] owns row a."""
+    w_arc, ds_dx = _arc_measure(s.mesh)
+    vals = coef @ reference_basis(degree, _QUAD.nodes)
+    ders = (coef @ reference_basis_deriv(degree, _QUAD.nodes)) / ds_dx[:, None, :]
+    sq = (np.diagonal(panel_products(w_arc, f, f), axis1=1, axis2=2) for f in (vals, ders))
+    return tuple(np.sqrt(np.bincount(s.conn.ravel(), weights=x.ravel(), minlength=s.ndof))
+                 for x in sq)
 
 
 def nodal_norms(s: FeSpace):
     """(L2 norm, H1 seminorm) of every nodal basis function."""
-    l2 = np.zeros(s.ndof)
-    h1 = np.zeros(s.ndof)
-    Vl = reference_basis(s.degree, _QUAD.nodes)
-    Dl = reference_basis_deriv(s.degree, _QUAD.nodes)
-    for p, (w_arc, ds_dx) in enumerate(zip(*_arc_measure(s.mesh))):
-        for a, nu in enumerate(s.conn[p]):
-            l2[nu] += np.dot(w_arc, Vl[a] ** 2)
-            h1[nu] += np.dot(w_arc, (Dl[a] / ds_dx) ** 2)
-    return np.sqrt(l2), np.sqrt(h1)
+    return _norms(s, np.eye(s.degree + 1), s.degree)
 
 
 def bubble_norms(b: BubbleSet):
     """(L2 norm, H1 seminorm) of every bubble."""
-    s = b.space
-    l2 = np.zeros(s.ndof)
-    h1 = np.zeros(s.ndof)
-    Vq = reference_basis(b.degree, _QUAD.nodes)
-    Dq = reference_basis_deriv(b.degree, _QUAD.nodes)
-    for p, (w_arc, ds_dx) in enumerate(zip(*_arc_measure(s.mesh))):
-        for mu in s.conn[p]:
-            cf = b.local[mu].get(p)
-            if cf is None:
-                continue
-            l2[mu] += np.dot(w_arc, (cf @ Vq) ** 2)
-            h1[mu] += np.dot(w_arc, ((cf @ Dq) / ds_dx) ** 2)
-    return np.sqrt(l2), np.sqrt(h1)
+    return _norms(b.space, b.coef, b.degree)
 
 
 def dual_norms(d: DualBasis, hold: HoldingSpace | None = None):

@@ -52,6 +52,10 @@ class FeSpace:
     node_chart: np.ndarray  # (ndof,) canonical chart per node
     node_param: np.ndarray  # (ndof,) canonical parameter per node
 
+    def __post_init__(self):
+        for a in (self.conn, self.node_chart, self.node_param):
+            a.flags.writeable = False
+
     @property
     def ndof(self):
         return self.node_param.size
@@ -92,15 +96,6 @@ def eval_basis(s: FeSpace, panel: int, x):
         raise ValueError("local coordinate outside [0, 1]")
     ids = s.conn[panel]
     return ids, reference_basis(s.degree, x), reference_basis_deriv(s.degree, x)
-
-
-def node_supports(s: FeSpace):
-    """For each node, the list of (panel, local index) pairs carrying it."""
-    supports = [[] for _ in range(s.ndof)]
-    for p in range(s.mesh.n_panels):
-        for a, nu in enumerate(s.conn[p]):
-            supports[nu].append((p, a))
-    return supports
 
 
 # a mirrored panel's end points must land on its image panel's end points to

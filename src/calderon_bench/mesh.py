@@ -3,12 +3,14 @@
 Panels are parameter sub-intervals of the geometry charts, kept in cyclic
 order.  A ``Mesh`` holds them as arrays with one entry per panel: the chart
 id, the end parameters t0 and t1, the arc length and the normalized size
-below.  Refinement, closure and every caller work on these arrays;
-``Mesh.panels`` reads them back as (chart, t0, t1, length) records for
-reports and tests.
+below.  The arrays are read-only once built, so a cached mesh cannot be
+changed under its other holders.  Refinement, closure and every caller
+work on these arrays; ``Mesh.panels`` reads them back as (chart, t0, t1,
+length) records for reports and tests.
 
 Refinement bisects panels at the parameter midpoint, all marked panels as
-one array operation; a uniform K-mesh property (neighbouring sizes within a
+one array operation, and raises where that midpoint is not a float strictly
+inside the panel; a uniform K-mesh property (neighbouring sizes within a
 factor 2) is enforced by recursive closure bisections after every local
 refinement.
 
@@ -30,7 +32,7 @@ panels; assembly, the Gram matrices and the duals all integrate through it.
 the arc measure but no points.  ``panel_chords`` gives the near field its
 point differences inside and between neighbouring panels.  All three
 evaluate the charts through ``_per_chart``, one call per run of consecutive
-panels on one chart.
+panels on one chart as ``chart_runs`` lists them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class Panel(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Panels in cyclic order, one array entry per panel."""
+    """Panels in cyclic order, one array entry per panel.  Meshes are cached
+    and shared, so the arrays are made read-only."""
 
     geometry: Geometry
     chart: np.ndarray       # chart id
@@ -67,6 +70,10 @@ class Mesh:
     t1: np.ndarray          # end parameter
     length: np.ndarray      # arc length |T|
     qlength: np.ndarray     # speed-normalized size: chart unit times 2**-bisections
+
+    def __post_init__(self):
+        for a in (self.chart, self.t0, self.t1, self.length, self.qlength):
+            a.flags.writeable = False
 
     @property
     def n_panels(self):
@@ -125,13 +132,18 @@ def panel_chords(m: Mesh, anchor, step):
                                                        dt * np.asarray(step)))
 
 
+def chart_runs(m: Mesh):
+    """(chart, first, stop) of every run of consecutive panels on one
+    chart; a mesh in chart order has one run per chart."""
+    cuts = [0, *(np.flatnonzero(np.diff(m.chart)) + 1), m.n_panels]
+    return [(int(m.chart[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def _per_chart(m: Mesh, method, *args):
     """The chart method ``method`` on the panel rows of ``args``, one call
-    per run of consecutive panels on one chart; a mesh in chart order
-    evaluates each chart once."""
-    cuts = [0, *(np.flatnonzero(np.diff(m.chart)) + 1), m.n_panels]
-    return np.concatenate([getattr(m.geometry.charts[m.chart[a]], method)(*(x[a:b] for x in args))
-                           for a, b in zip(cuts[:-1], cuts[1:])])
+    per chart run."""
+    return np.concatenate([getattr(m.geometry.charts[c], method)(*(x[a:b] for x in args))
+                           for c, a, b in chart_runs(m)])
 
 
 def _arc_lengths(g: Geometry, chart, t0, t1):
@@ -147,13 +159,19 @@ def _arc_lengths(g: Geometry, chart, t0, t1):
 def _bisect(m: Mesh, split) -> Mesh:
     """The mesh with every panel where the mask ``split`` holds replaced by
     its two halves; each half gets exactly half of its parent's normalized
-    size."""
+    size.  A panel whose float midpoint is not strictly inside it raises."""
+    mid = 0.5 * (m.t0[split] + m.t1[split])
+    flat = np.flatnonzero(split)[(mid <= m.t0[split]) | (m.t1[split] <= mid)]
+    if flat.size:
+        i = flat[0]
+        raise ValueError(f"cannot bisect the panel [{float(m.t0[i])!r}, {float(m.t1[i])!r}] of "
+                         f"chart {m.chart[i]}: its midpoint is not a float between its end points")
     reps = 1 + split
     chart, t0, t1, length, q = (np.repeat(a, reps) for a in
                                 (m.chart, m.t0, m.t1, m.length, m.qlength))
     left = (np.cumsum(reps) - 2)[split]       # new index of each split panel's left half
     right = left + 1
-    t1[left] = t0[right] = 0.5 * (m.t0[split] + m.t1[split])
+    t1[left] = t0[right] = mid
     halves = np.concatenate([left, right])
     q[halves] *= 0.5
     length[halves] = _arc_lengths(m.geometry, chart[halves], t0[halves], t1[halves])
@@ -247,14 +265,15 @@ def is_conforming(m: Mesh) -> bool:
     and a tolerance would accept gaps and overlaps far larger than the
     smallest corner panels.  Across a chart junction (possibly a chart
     gluing back onto itself) the panels must end and start exactly at their
-    charts' ends, and the two charts must meet in one point.
+    charts' ends, and the two charts must meet in one point.  Every panel must
+    have t1 > t0.
     """
     charts, chart, t0, t1 = m.geometry.charts, m.chart, m.t0, m.t1
     nxt = np.roll(np.arange(m.n_panels), -1)
     inner = (chart == chart[nxt]) & (t1 == t0[nxt])
     junction = ((t1 == np.array([c.t1 for c in charts])[chart])
                 & (t0 == np.array([c.t0 for c in charts])[chart])[nxt])
-    if not np.all(inner | junction):
+    if not np.all((inner | junction) & (t1 > t0)):
         return False
     return all(np.allclose(charts[chart[i]].point(t1[i]), charts[chart[j]].point(t0[j]),
                            rtol=0, atol=1e-12)

@@ -2,8 +2,9 @@
 
 Everything is memoized so the expensive assemblies (corner families up to
 level 6, the 128-panel circle) are computed once per pytest session and
-shared between the module tests and the acceptance suite.  Returned arrays
-are treated as read-only by convention.
+shared between the module tests and the acceptance suite.  The returned
+matrices are read-only, as the meshes and spaces are, so a test that writes
+into a shared one fails at the write.
 """
 
 from functools import lru_cache
@@ -35,15 +36,21 @@ def corner_space(kind, k, ell):
     return build_space(corner_mesh(kind, k), ell)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def corner_operators(kind, k, ell):
-    return assemble_operator_pair(corner_space(kind, k, ell), QUAD_N, ALPHA)
+    return _read_only(*assemble_operator_pair(corner_space(kind, k, ell), QUAD_N, ALPHA))
 
 
 @lru_cache(maxsize=None)
 def corner_gram(kind, k, ell, inner="exact"):
     s = corner_space(kind, k, ell)
-    return mass_matrix(s, inner, n_quad=QUAD_N), lumped_matrix(s, inner, n_quad=QUAD_N)
+    return _read_only(mass_matrix(s, inner, n_quad=QUAD_N), lumped_matrix(s, inner, n_quad=QUAD_N))
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +61,7 @@ def circle_uniform_space(n_panels, ell):
 
 @lru_cache(maxsize=None)
 def circle_uniform_operators(n_panels, ell):
-    return assemble_operator_pair(circle_uniform_space(n_panels, ell), QUAD_N, ALPHA)
+    return _read_only(*assemble_operator_pair(circle_uniform_space(n_panels, ell), QUAD_N, ALPHA))
 
 
 def faddeev_leverrier(A):

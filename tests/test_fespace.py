@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calderon_bench.fespace import build_space, eval_basis, node_supports
+from calderon_bench.fespace import build_space, eval_basis
 from calderon_bench.geometry import make_geometry
 from calderon_bench.mesh import corner_schedule, initial_mesh
 
@@ -26,11 +26,17 @@ def test_dof_counts(square_mesh):
 def test_vertex_nodes_belong_to_two_panels(square_mesh):
     for ell in (1, 3):
         s = build_space(square_mesh, ell)
-        sup = node_supports(s)
-        for v in range(s.mesh.n_panels):          # vertex ids come first
-            assert len(sup[v]) == 2
-        for nu in range(s.mesh.n_panels, s.ndof):
-            assert len(sup[nu]) == 1
+        panels_per_node = np.bincount(s.conn.ravel(), minlength=s.ndof)
+        P = s.mesh.n_panels                       # vertex ids come first
+        assert np.all(panels_per_node[:P] == 2)
+        assert np.all(panels_per_node[P:] == 1)
+
+
+@pytest.mark.parametrize("name", ["conn", "node_chart", "node_param"])
+def test_space_arrays_are_read_only(square_mesh, name):
+    s = build_space(square_mesh, 3)
+    with pytest.raises(ValueError):
+        getattr(s, name)[0] = getattr(s, name)[1]
 
 
 def test_eval_basis_linear_midpoint(square_mesh):

@@ -7,7 +7,7 @@ from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, dump_mesh
                                  panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
 
-from helpers import corner_mesh
+from helpers import corner_mesh, geom
 
 RATIO_CAP = 2.0 * (1 + 1e-9)
 
@@ -150,6 +150,38 @@ def test_is_conforming_rejects_gap_after_tiny_panel(square, shift):
 
     assert is_conforming(cut(end))
     assert not is_conforming(cut(end + shift))
+
+
+def test_is_conforming_rejects_empty_panel(square):
+    # an empty panel [t0, t0] ahead of panel 0 still chains end points exactly
+    m = corner_schedule(square, 1)
+    chart, t0, length, qlength = (np.insert(a, 0, a[0]) for a in
+                                  (m.chart, m.t0, m.length, m.qlength))
+    t1 = np.insert(m.t1, 0, m.t0[0])
+    assert is_conforming(m)
+    assert not is_conforming(Mesh(square, chart, t0, t1, length, qlength))
+
+
+@pytest.mark.parametrize("kind, rounds", [("square", 48), ("ellipse", 49)])
+def test_bisection_below_float_resolution_raises(kind, rounds):
+    """Two uniform bisections, then corner rounds: one round short of the
+    limit still builds a conforming mesh, and the next one cannot split a
+    corner panel in floating point and raises instead of making it empty."""
+    g = geom(kind)
+    m = uniform_refine(uniform_refine(initial_mesh(g, 2 if kind == "square" else 8)))
+    for _ in range(rounds - 1):
+        m = refine(m, corner_panels(m))
+    assert is_conforming(m)
+    assert np.all(m.t1 > m.t0)
+    with pytest.raises(ValueError, match=r"chart \d+.*midpoint"):
+        refine(m, corner_panels(m))
+
+
+@pytest.mark.parametrize("name", ["chart", "t0", "t1", "length", "qlength"])
+def test_mesh_arrays_are_read_only(name):
+    m = corner_mesh("square", 1)
+    with pytest.raises(ValueError):
+        getattr(m, name)[0] = getattr(m, name)[1]
 
 
 def test_corner_panels_touch_corners(square):
