@@ -49,6 +49,7 @@ class BubbleSet:
     space: FeSpace
     degree: int                # enriched polynomial degree q = 2l + 2
     coef: np.ndarray           # (P, l+1, q+1): values on panel p of the bubble of conn[p, a]
+    mass: np.ndarray           # exact mass matrix of the space, 16-point rule
     phi_l2sq: np.ndarray       # ||phi_nu||_{L2}^2 entering the constraints
 
 
@@ -96,7 +97,8 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
     """
     ell, P = s.degree, s.mesh.n_panels
     q = 2 * ell + 2
-    phi_l2sq = np.diag(mass_matrix(s, "exact", n_quad=16)).copy()
+    M = mass_matrix(s, "exact", n_quad=16)
+    phi_l2sq = np.diag(M).copy()
     w_arc, ds_dx = _arc_measure(s.mesh)
     Dq = reference_basis_deriv(q, _QUAD.nodes)
     # per panel: <phi_a, L_j> (P, l+1, q+1) and the H1 pairing of L_i, L_j
@@ -125,7 +127,7 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
         g = np.zeros((P, ell + 1, ell - 1))
         g[:, a, a - 1] = phi_l2sq[s.conn[:, a]]
         coef[:, a] = np.swapaxes(_solve_kkt(C @ S.T, S @ H @ S.T, g), 1, 2) @ S
-    return BubbleSet(s, q, coef, phi_l2sq)
+    return BubbleSet(s, q, coef, M, phi_l2sq)
 
 
 def bubble_phi_products(b: BubbleSet) -> np.ndarray:
@@ -143,7 +145,7 @@ def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
     phi~_nu = phi_nu + (<1,phi_nu>/<theta_nu,phi_nu>) theta_nu
                     - sum_mu (<phi_nu,phi_mu>/<theta_mu,phi_mu>) theta_mu
     """
-    M = mass_matrix(s, "exact", n_quad=16)
+    M = b.mass
     lumped = M.sum(axis=1)
     Gtf = bubble_phi_products(b)
     diag_tf = np.diag(Gtf).copy()
@@ -271,8 +273,7 @@ def bijection_l2_norm(d: DualBasis, hold: HoldingSpace | None = None) -> float:
         hold = holding_space(d)
     E = hold.dual_rep
     A = E.T @ hold.gram @ E
-    M = mass_matrix(d.space, "exact", n_quad=16)
-    lam = scipy.linalg.eigh(0.5 * (A + A.T), M, eigvals_only=True)
+    lam = scipy.linalg.eigh(0.5 * (A + A.T), d.bubbles.mass, eigvals_only=True)
     return float(np.sqrt(max(lam)))
 
 

@@ -6,34 +6,39 @@ eigenvalue ratio of that symmetric pencil; no nonsymmetric eigensolver is
 needed.  L^T G L is formed by two triangular BLAS products and its
 spectrum by the dense symmetric eigensolver; both run in LAPACK/BLAS.
 
-One factor of A serves every preconditioner of a level, and it is taken by
-blocks.  The shipped curves (square, circle, ellipse) are mirror symmetric
-about two axes, and so is the corner-graded mesh.  The mirrors permute the
-dofs by involutions p_x and p_y, and A, B, M and D are invariant under
-both, so they commute with the Klein four-group {1, p_x, p_y, p_x p_y}.
-So does every preconditioner, which is X B X with X one of D^{-1},
-M^{-1}, diag(M)^{-1} or a polynomial in D^{-1} M.  In the sparse
-orthogonal basis Q of the group's four characters (the orbits
-{i, p_x(i), p_y(i), p_x p_y(i)} with signs (+-1, +-1), at most 4 nonzeros
-per column) all of them are block diagonal.  ``block_factor`` holds the
-blocks Q_k and the Cholesky factor of each Q_k^T A Q_k, and ``kappa``
-takes the extreme eigenvalues over the blocks: four eigen-solves of about
-N/4 in place of one of N.
+The whole level is taken by blocks.  The shipped curves (square, circle,
+ellipse) are mirror symmetric about two axes, and so is the corner-graded
+mesh.  The mirrors permute the dofs by involutions p_x and p_y, and A, B,
+M and D are invariant under both, so they commute with the Klein
+four-group {1, p_x, p_y, p_x p_y}.  So does every preconditioner, which is
+X B X with X one of D^{-1}, M^{-1}, diag(M)^{-1} or a polynomial in
+D^{-1} M.  In the sparse orthogonal basis Q of the group's four characters
+(the orbits {i, p_x(i), p_y(i), p_x p_y(i)} with signs (+-1, +-1), at most
+4 nonzeros per column) all of them are block diagonal, and
+Q_k^T G Q_k = X_k B_k X_k.  ``block_factor`` holds the blocks Q_k and the
+Cholesky factor of each Q_k^T A Q_k; ``BlockFactor.project`` gives B_k
+once per level, ``project_sparse`` and ``project_diagonal`` give M, D and
+diag(M) in the same basis, and the builders of ``precond`` form each G_k
+on its block.  ``kappa`` takes the extreme eigenvalues over the blocks:
+four eigen-solves of about N/4 in place of one of N.  A G given as one
+dense matrix is projected onto the blocks by the same helper.
 
 The guard: the blocks are used only if every matrix that makes up G
 commutes with both mirrors to TAU, measured as max|X[p][:, p] - X| /
-max|X|.  The residual is at most about 1e-14 for A, M and D; for B it
-grows with the corner grading (1.8e-10 on the level-5 square, 2.3e-7 on
-the level-6 ellipse), as the corner entries carry the rounding of
-absolute chart parameters.  In every measured case the blocks moved
-kappa by less than that residual, relative.  Otherwise, and on a curve
-or mesh without the mirrors, the factor is one block with Q = I, and
-``kappa`` runs the same loop once on the dense matrices.
+max|X| (M is read sparse, D as its diagonal).  The residual is at most
+about 1e-14 for A, M and D; for B it grows with the corner grading
+(1.8e-10 on the level-5 square, 2.3e-7 on the level-6 ellipse), as the
+corner entries carry the rounding of absolute chart parameters.  In every
+measured case the blocks moved kappa by less than that residual,
+relative.  Otherwise, and on a curve or mesh without the mirrors, the
+factor is one block with Q = I, and the same code runs once on the full
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -70,10 +75,47 @@ class BlockFactor:
     def sizes(self):
         return tuple(L.shape[0] for _, L in self.blocks)
 
+    @cached_property
+    def _basis(self):
+        """The whole basis Q^T (CSR, rows block by block) and the block of
+        each row; None for Q = I."""
+        if self.blocks[0][0] is None:
+            return None
+        return (sparse.vstack([Qt for Qt, _ in self.blocks], format="csr"),
+                np.repeat(np.arange(len(self.blocks)), self.sizes))
 
-def mirror_residual(X: np.ndarray, p: np.ndarray) -> float:
-    """max|X[p][:, p] - X| / max|X| for a matrix, max|X[p] - X| / max|X|
-    for a diagonal given by its entries."""
+    def project(self, X: np.ndarray) -> tuple:
+        """Q_k^T X Q_k of a dense symmetric X, block by block."""
+        return tuple(X if Qt is None else _project(X, Qt) for Qt, _ in self.blocks)
+
+    def project_sparse(self, S):
+        """Q^T S Q of a sparse symmetric S that commutes with the group, as
+        one block-diagonal CSR matrix: the rounding left between blocks is
+        dropped."""
+        S = sparse.csr_matrix(S)
+        if self._basis is None:
+            return S
+        Qt, block = self._basis
+        P = (Qt @ S @ Qt.T).tocoo()
+        keep = (block[P.row] == block[P.col]) & (P.data != 0)
+        return sparse.csr_matrix((P.data[keep], (P.row[keep], P.col[keep])), shape=P.shape)
+
+    def project_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """The diagonal of Q^T diag(d) Q, blocks concatenated; for d
+        constant on the orbits that is the whole of it."""
+        d = np.asarray(d, dtype=float)
+        if self._basis is None:
+            return d
+        Qt = self._basis[0]
+        return Qt.multiply(Qt) @ d
+
+
+def mirror_residual(X, p: np.ndarray) -> float:
+    """max|X[p][:, p] - X| / max|X| for a dense or sparse matrix,
+    max|X[p] - X| / max|X| for a diagonal given by its entries."""
+    if sparse.issparse(X):
+        X = sparse.csr_matrix(X)
+        return float(abs(X[p][:, p] - X).max() / abs(X).max())
     X = np.asarray(X)
     Y = X.take(p, axis=0)
     if X.ndim == 2:
@@ -150,19 +192,24 @@ def _extreme_eigenvalues(G: np.ndarray, L: np.ndarray):
     return lam[0], lam[-1]
 
 
-def kappa(G: np.ndarray, A: np.ndarray, factor: BlockFactor | None = None) -> float:
+def kappa(G, A: np.ndarray, factor: BlockFactor | None = None) -> float:
     """Spectral condition number kappa_S(G A) for SPD G and A.
 
     ``factor`` is a :class:`BlockFactor` of A from :func:`block_factor`;
     pass it to share one factorization of A across several
-    preconditioners, or omit it to factor A here as one block.  Over
-    blocks, kappa is the largest block eigenvalue over the smallest.
+    preconditioners, or omit it to factor A here as one block.  G is
+    either the tuple of its blocks Q_k^T G Q_k, in the factor's order, or
+    one dense matrix, which is projected here.  Over blocks, kappa is the
+    largest block eigenvalue over the smallest.
     """
     if factor is None:
         factor = block_factor(A)
+    blocks = G if isinstance(G, tuple) else factor.project(G)
+    if len(blocks) != len(factor.blocks):
+        raise ValueError(f"G has {len(blocks)} blocks, the factor of A {len(factor.blocks)}")
     lo, hi = np.inf, -np.inf
-    for Qt, L in factor.blocks:
-        b_lo, b_hi = _extreme_eigenvalues(G if Qt is None else _project(G, Qt), L)
+    for Gk, (_, L) in zip(blocks, factor.blocks):
+        b_lo, b_hi = _extreme_eigenvalues(Gk, L)
         lo, hi = min(lo, b_lo), max(hi, b_hi)
     if lo <= 0:
         raise NotSPDError("preconditioned pencil is not positive definite")

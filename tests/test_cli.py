@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 import calderon_bench
+from calderon_bench import cli, precond
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
+from calderon_bench.mesh import corner_schedule, refine
+from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
+from calderon_bench.spectral import kappa
 
 ALL_SIX = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
 
@@ -197,6 +201,124 @@ def test_golden_kappa_tables(geometry, degree, inner):
     cfg = ExperimentConfig(geometry=geometry, degree=degree, inner_product=inner,
                            levels=2, preconds=ALL_SIX)
     assert emit_table(run_experiment(cfg), "csv") == GOLDEN[geometry, degree, inner]
+
+
+# ---------------------------------------------------------------------------
+# the run path builds every G on the blocks of A's factor
+
+
+def _spy_levels(monkeypatch):
+    """Record the arguments and the factor of every ``level_blocks`` call."""
+    seen, real = [], cli.level_blocks
+
+    def spy(*args):
+        out = real(*args)
+        seen.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(cli, "level_blocks", spy)
+    return seen
+
+
+def _dense_kappas(args, names, omega):
+    """kappa of each G built at full size, with one dense factor of A."""
+    A, B, M, D, _ = args
+    return {n: kappa(cli._build_precond(n, B, M, D, omega), A) for n in names}
+
+
+@pytest.mark.parametrize("geometry,degree,inner", [("square", 1, "exact"),
+                                                   ("square", 3, "exact"),
+                                                   ("ellipse", 1, "mesh-averaged")])
+def test_run_kappa_matches_dense_path(monkeypatch, geometry, degree, inner):
+    seen = _spy_levels(monkeypatch)
+    cfg = ExperimentConfig(geometry=geometry, degree=degree, inner_product=inner,
+                           levels=4, preconds=ALL_SIX)
+    rows = run_experiment(cfg)
+    omega = richardson_weight(1, degree)[2]
+    for row, (args, F) in zip(rows, seen, strict=True):
+        assert len(F.sizes) == 4, row.level
+        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+            assert row.kappas[name] == pytest.approx(ref, rel=1e-10), (row.level, name)
+
+
+@pytest.mark.parametrize("which", ["B", "M"])
+def test_broken_mirror_runs_as_one_block(monkeypatch, which):
+    # B (or M, which the guard reads sparse) moved off its mirror images by
+    # 1e-6 max|X| at one symmetric entry pair: every level falls back to one
+    # block, which runs the dense arithmetic and gives the dense kappa
+    def broken(X):
+        X = X.copy()
+        X[3, 5] += 1e-6 * np.abs(X).max()
+        X[5, 3] = X[3, 5]
+        return X
+
+    if which == "B":
+        real = cli.bops.assemble_operator_pair
+        monkeypatch.setattr(cli.bops, "assemble_operator_pair",
+                            lambda *args: (real(*args)[0], broken(real(*args)[1])))
+    else:
+        real = cli.mass_matrix
+        monkeypatch.setattr(cli, "mass_matrix", lambda *args, **kw: broken(real(*args, **kw)))
+    seen = _spy_levels(monkeypatch)
+    rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
+                                           preconds=ALL_SIX))
+    omega = richardson_weight(1, 3)[2]
+    for row, (args, F) in zip(rows, seen, strict=True):
+        assert F.sizes == (row.dofs,) and F.residual > 1e-7
+        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+            assert row.kappas[name] == ref, name
+
+
+def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
+    # one panel refined on one side of the ellipse: no mirror maps the mesh
+    # onto itself
+    monkeypatch.setattr(cli, "level_mesh", lambda cfg, g, k: refine(corner_schedule(g, 1), {1}))
+    seen = _spy_levels(monkeypatch)
+    rows = run_experiment(ExperimentConfig(geometry="ellipse", degree=1, levels=1,
+                                           preconds=ALL_SIX))
+    (args, F), = seen
+    assert args[4] == () and F.sizes == (rows[0].dofs,)
+    for name, ref in _dense_kappas(args, ALL_SIX, richardson_weight(1, 1)[2]).items():
+        assert rows[0].kappas[name] == ref, name
+
+
+def test_no_full_size_preconditioner_on_four_blocks(monkeypatch):
+    # every builder receives B as four blocks and returns four; the sparse
+    # coupling work runs once per level: one RCM order, one contraction
+    # check, and banded factors for it (2) and for M's blocks (4)
+    received, calls = [], {"rcm": 0, "check": 0, "banded": 0}
+    for name in ("lumped_precond", "mass_precond", "jacobi_precond", "richardson_precond"):
+        def spy(B, *args, _real=getattr(cli, name)):
+            G = _real(B, *args)
+            received.append((B, G))
+            return G
+        monkeypatch.setattr(cli, name, spy)
+    for key, name in (("rcm", "reverse_cuthill_mckee"), ("check", "_check_contraction"),
+                      ("banded", "_banded_cholesky")):
+        def counted(*args, _key=key, _real=getattr(precond, name), **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(precond, name, counted)
+    levels = 2
+    rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=levels,
+                                           preconds=ALL_SIX))
+    assert len(received) == levels * len(ALL_SIX)
+    sizes = [r.dofs for r in rows for _ in ALL_SIX]
+    for (B, G), n in zip(received, sizes):
+        assert isinstance(B, tuple) and len(B) == 4 and sum(b.shape[0] for b in B) == n
+        assert isinstance(G, tuple) and [g.shape for g in G] == [b.shape for b in B]
+        assert max(b.shape[0] for b in B) < n
+    assert calls == {"rcm": levels, "check": levels, "banded": levels * (2 + 4)}
+
+
+def test_bad_omega_raises_through_the_blocks():
+    # a weight that breaks the contraction on the mesh is caught by the one
+    # check per level, and reported with the level
+    cfg = ExperimentConfig(geometry="square", degree=3, levels=2, omega_override=10.0,
+                           preconds=ALL_SIX)
+    with pytest.raises(RuntimeError, match="level 1: omega=10.0") as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, RichardsonDivergenceError)
 
 
 def test_public_names_resolve():

@@ -113,6 +113,14 @@ def test_bubble_constraints(dual_setup):
     assert np.abs(np.diag(G) - b.phi_l2sq).max() <= 1e-12 * b.phi_l2sq.max()
 
 
+def test_bubbles_carry_the_exact_mass_matrix(dual_setup):
+    # the one mass matrix the bubbles, the duals and the bijection norm use
+    _, _, s, b, d = dual_setup
+    assert np.array_equal(b.mass, mass_matrix(s, "exact", n_quad=16))
+    assert d.bubbles.mass is b.mass
+    assert np.array_equal(b.phi_l2sq, np.diag(b.mass))
+
+
 def test_bubble_supports_inside_nodal_supports(dual_setup):
     # coef holds a bubble exactly on its node's panels; none of them is idle
     _, _, s, b, _ = dual_setup

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from calderon_bench.precond import (RichardsonDivergenceError,
+from calderon_bench.precond import (Coupling, RichardsonDivergenceError,
                                     jacobi_precond, lumped_precond, mass_precond,
                                     reference_mass_and_lumped, richardson_inverse,
                                     richardson_precond, richardson_weight)
@@ -110,6 +110,21 @@ def test_richardson_symmetry_and_convergence():
         resid = np.linalg.norm(np.eye(n) - S @ Rw, 2)
         assert resid == pytest.approx(contraction**k, rel=1e-6)
     assert np.abs(richardson_inverse(M, D, 64, om) - np.linalg.inv(M)).max() < 1e-10
+
+
+def test_richardson_chain_continues_and_restarts():
+    # R^(2), R^(4), R^(6) from one chain are the R^(k) of separate chains;
+    # a smaller k, another omega or another d starts the chain again
+    M, D = corner_gram("square", 2, 3)
+    _, _, om = richardson_weight(1, 3)
+    C = Coupling.dense(M)
+    for k in (2, 4, 6, 1, 3):
+        assert np.array_equal(C.richardson(D, k, om).toarray(),
+                              richardson_inverse(M, D, k, om)), k
+    assert np.array_equal(C.richardson(D, 4, 0.9 * om).toarray(),
+                          richardson_inverse(M, D, 4, 0.9 * om))
+    D2 = 1.1 * D
+    assert np.array_equal(C.richardson(D2, 5, om).toarray(), richardson_inverse(M, D2, 5, om))
 
 
 def test_richardson_divergence_guard():

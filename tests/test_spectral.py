@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse
 
 from calderon_bench.boundary_operators import assemble_operator_pair
+from calderon_bench.cli import _build_precond, level_blocks
 from calderon_bench.fespace import build_space, mirror_permutations
 from calderon_bench.geometry import make_geometry
-from calderon_bench.gram import lumped_matrix
-from calderon_bench.mesh import corner_schedule, refine
+from calderon_bench.gram import lumped_matrix, mass_matrix
+from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
 from calderon_bench.spectral import (TAU, NotSPDError, block_factor, character_bases, kappa,
@@ -137,6 +138,60 @@ def test_block_kappa_matches_dense(kind, ell, inner):
         dense = block_factor(A)
         for name, G in _preconds(B, M, D, ell).items():
             assert kappa(G, A, F) == pytest.approx(kappa(G, A, dense), rel=1e-10), (k, name)
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_block_builds_match_projected_dense(kind, ell, inner):
+    # each G_k built on its block from B_k, M-hat and d-hat is Q_k^T G Q_k
+    # of the G built at full size
+    omega = richardson_weight(1, ell)[2]
+    for k in range(1, 5):
+        s, A, B, M, D = _level(kind, k, ell, inner)
+        F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+        assert F.sizes == C.sizes == tuple(b.shape[0] for b in Bs) and len(F.sizes) == 4
+        for name, G in _preconds(B, M, D, ell).items():
+            blocks = _build_precond(name, Bs, C, d, omega)
+            assert isinstance(blocks, tuple) and len(blocks) == 4, (k, name)
+            for Gk, ref in zip(blocks, F.project(G)):
+                assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), (k, name)
+
+
+@pytest.mark.parametrize("kind,n_panels", [("circle", 6), ("ellipse", 10)])
+def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
+    # a panel that a mirror maps onto itself couples a dof with its own
+    # image, so diag(Q^T M Q) is not the image of diag(M) (12 % apart
+    # here); Jacobi must take the latter
+    s = build_space(initial_mesh(make_geometry(kind, 0.5, 2.0), n_panels), 3)
+    A, B = assemble_operator_pair(s)
+    M, D = mass_matrix(s), lumped_matrix(s)
+    F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+    assert len(F.sizes) == 4
+    assert np.abs(C.M.diagonal() - C.m).max() > 0.1 * C.m.max()
+    omega = richardson_weight(1, 3)[2]
+    for name, G in _preconds(B, M, D, 3).items():
+        blocks = _build_precond(name, Bs, C, d, omega)
+        for Gk, ref in zip(blocks, F.project(G)):
+            assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), name
+        assert kappa(blocks, A, F) == pytest.approx(kappa(G, A), rel=1e-10), name
+
+
+def test_projected_coupling_is_block_diagonal():
+    # M-hat keeps no entry between blocks and matches Q^T M Q inside them;
+    # D and diag(M) are constant on orbits, so their images are diagonal
+    s, A, B, M, D = _level("square", 2, 3, "exact")
+    F, _, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+    Qt = scipy.sparse.vstack([b for b, _ in F.blocks]).toarray()
+    cuts = np.cumsum((0,) + F.sizes)
+    full = Qt @ M @ Qt.T
+    Mh = C.M.toarray()
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        assert np.abs(Mh[a:b, a:b] - full[a:b, a:b]).max() <= 1e-15 * np.abs(M).max()
+        full[a:b, a:b] = Mh[a:b, a:b] = 0.0
+    assert not Mh.any()
+    for x, xh in ((D, d), (np.diag(M), C.m)):
+        X = Qt @ np.diag(x) @ Qt.T
+        assert np.abs(X - np.diag(xh)).max() <= 1e-15 * x.max()
 
 
 def test_character_bases_orthogonal_partition():
