@@ -363,13 +363,15 @@ def _verify_checks():
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 
     def duals_quick():
-        ok = True
+        ok, detail = True, []
         for ell in (1, 3):
             s = build_space(corner_schedule(gs, 1), ell)
             d = duals_mod.build_dual_basis(s, duals_mod.build_bubbles(s))
             ok &= np.abs(d.pairing - np.diag(d.lumped)).max() < 1e-10
             ok &= duals_mod.eval_dual_sum(d) < 1e-10
-        return bool(ok)
+            detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d):.5f}, "
+                          f"||I|| = {duals_mod.bijection_l2_norm(d):.5f}")
+        return bool(ok), "; ".join(detail)
 
     return [
         ("geometry arc lengths", geometry_lengths),
@@ -382,7 +384,7 @@ def _verify_checks():
         ("richardson contraction, level-3 square", richardson_contraction),
         ("kappa coincidence and scaling", kappa_identities),
         ("kappa by mirror blocks, level-3 square and ellipse", mirror_blocks),
-        ("dual basis biorthogonality, degrees 1 and 3", duals_quick),
+        ("dual basis biorthogonality, degrees 1 and 3, level-1 square", duals_quick),
     ]
 
 

@@ -16,12 +16,18 @@ The bubbles are held in the space's ``conn`` layout: ``BubbleSet.coef[p, a]``
 holds the degree-q Lagrange values on panel p of the bubble of node
 conn[p, a], and a bubble lives on exactly its node's support.  Every Gram
 block is a per-panel product from ``gram.panel_products``, summed through
-``conn`` by ``gram.scatter_blocks`` as the mass matrix is.
+``conn`` as the mass matrix is; the holding space's into sparse arrays.
 
 Computations happen in a holding space: the nodal space on the uniformly
 refined mesh plus all bubbles.  That space contains S, every phi~, and the
 ranges of the projectors, so the operator identities become exact matrix
-identities up to quadrature.
+identities up to quadrature.  Its Gram matrices G and the coordinates R
+and E of the nodal basis and of the duals are sparse.  The norms need N x N
+matrices only: with M~ = E^T G E, M the mass matrix and Pi = diag(pairing),
+the Fortin projector has ||P||^2 = lambda_max(M~ Pi^-1 M Pi^-1), as for
+fixed moments v = R^T G u the least ||u||^2 is v^T M^-1 v, and M is SPD even
+where the holding basis is dependent.  The bijection has ||I||^2 =
+lambda_max(M~, M), and the duals have L2 norms sqrt(diag M~).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .fespace import FeSpace, build_space, reference_basis, reference_basis_deriv
 from .gram import mass_matrix, panel_products, scatter_blocks
@@ -173,108 +180,106 @@ def eval_dual_sum(d: DualBasis, n_samples: int = 1000):
 
 @dataclass(frozen=True)
 class HoldingSpace:
-    fine: FeSpace
     dim: int
-    gram: np.ndarray        # L2 Gram of the holding basis
-    gram_h1: np.ndarray     # H1-seminorm Gram
-    nodal_rep: np.ndarray   # (dim, N) coordinates of phi_nu
-    dual_rep: np.ndarray    # (dim, N) coordinates of phi~_nu
-    ones_rep: np.ndarray    # coordinates of the constant 1
+    gram: scipy.sparse.csr_array       # L2 Gram of the holding basis
+    gram_h1: scipy.sparse.csr_array    # H1-seminorm Gram
+    nodal_rep: scipy.sparse.csr_array  # (dim, N) coordinates of phi_nu
+    dual_rep: scipy.sparse.csr_array   # (dim, N) coordinates of phi~_nu
+    ones_rep: np.ndarray               # coordinates of the constant 1
+
+
+def _sparse(shape, values, rows, cols) -> scipy.sparse.csr_array:
+    """The values at (rows, cols), broadcast together, summed into a sparse array."""
+    values, rows, cols = (x.ravel() for x in np.broadcast_arrays(values, rows, cols))
+    return scipy.sparse.csr_array((values, (rows, cols)), shape=shape)
 
 
 def holding_space(d: DualBasis) -> HoldingSpace:
     s = d.space
-    ell, q, P = s.degree, d.bubbles.degree, s.mesh.n_panels
+    ell, q, P, n = s.degree, d.bubbles.degree, s.mesh.n_panels, _QUAD.nodes.size
     s2 = build_space(uniform_refine(s.mesh), ell)
     n2, N = s2.ndof, s.ndof
     dim = n2 + N
 
-    # child 2p + side is the half [side/2, (side+1)/2] of panel p; its active
+    # children 2p and 2p + 1 are the halves of panel p; their fine nodes a < l
+    # (the others start the next child) count every fine node once, and R
+    # holds there the coarse nodal basis of conn[p].  A child's active
     # functions are its fine nodal basis and the bubbles of conn[p]
-    R = np.zeros((n2, N))      # coordinates of the coarse nodal basis in the fine one
-    vals, ders = [], []
-    for side in (0, 1):
-        xf = 0.5 * (np.linspace(0.0, 1.0, ell + 1) + side)
-        R[s2.conn[side::2, :, None], s.conn[:, None, :]] = reference_basis(ell, xf).T
-        xp = 0.5 * (_QUAD.nodes + side)
-        vals.append(d.bubbles.coef @ reference_basis(q, xp))
-        ders.append(d.bubbles.coef @ (0.5 * reference_basis_deriv(q, xp)))
+    R = _sparse((n2, N), reference_basis(ell, np.arange(2 * ell) / (2 * ell)).T,
+                s2.conn[:, :ell].reshape(P, 2 * ell, 1), s.conn[:, None, :])
+    xp = 0.5 * (_QUAD.nodes + np.arange(2)[:, None]).ravel()     # both halves of [0, 1]
+    fine = (2 * P, ell + 1, n)
+    vals, ders = (np.swapaxes((d.bubbles.coef @ B).reshape(P, ell + 1, 2, n), 1, 2).reshape(fine)
+                  for B in (reference_basis(q, xp), 0.5 * reference_basis_deriv(q, xp)))
 
     w_arc, ds_dx = _arc_measure(s2.mesh)
-    fine = (2 * P, ell + 1, _QUAD.nodes.size)
-    U = np.concatenate([np.broadcast_to(reference_basis(ell, _QUAD.nodes), fine),
-                        np.stack(vals, axis=1).reshape(fine)], axis=1)
+    U = np.concatenate([np.broadcast_to(reference_basis(ell, _QUAD.nodes), fine), vals], axis=1)
     dU = np.concatenate([np.broadcast_to(reference_basis_deriv(ell, _QUAD.nodes), fine),
-                         np.stack(ders, axis=1).reshape(fine)], axis=1) / ds_dx[:, None, :]
+                         ders], axis=1) / ds_dx[:, None, :]
     ids = np.hstack([s2.conn, n2 + np.repeat(s.conn, 2, axis=0)])
-    G = scatter_blocks(dim, ids, panel_products(w_arc, U, U))
-    G1 = scatter_blocks(dim, ids, panel_products(w_arc, dU, dU))
-
-    return HoldingSpace(s2, dim, 0.5 * (G + G.T), 0.5 * (G1 + G1.T),
-                        nodal_rep=np.vstack([R, np.zeros((N, N))]),
-                        dual_rep=np.vstack([R, d.combo]),
+    G, G1 = (_sparse((dim, dim), panel_products(w_arc, X, X), ids[:, :, None], ids[:, None, :])
+             for X in (U, dU))
+    return HoldingSpace(dim, G, G1,
+                        nodal_rep=scipy.sparse.vstack([R, scipy.sparse.csr_array((N, N))], "csr"),
+                        dual_rep=scipy.sparse.vstack([R, scipy.sparse.csr_array(d.combo)], "csr"),
                         ones_rep=np.concatenate([np.ones(n2), np.zeros(N)]))
 
 
+def dual_gram(hold: HoldingSpace, h1: bool = False) -> np.ndarray:
+    """M~ = E^T G E, the dense N x N Gram matrix of the duals in the L2
+    product, or with ``h1`` in the H1 seminorm."""
+    E = hold.dual_rep
+    return (E.T @ (hold.gram_h1 if h1 else hold.gram) @ E).toarray()
+
+
 def fortin_matrix(d: DualBasis, hold: HoldingSpace | None = None):
-    """Coefficient matrix on the holding space of the biorthogonal Fortin
-    projector P u = sum_nu <u, phi_nu> / <phi~_nu, phi_nu> phi~_nu."""
-    if hold is None:
-        hold = holding_space(d)
-    denom = np.diag(d.pairing)
-    P = hold.dual_rep @ ((hold.nodal_rep.T @ hold.gram) / denom[:, None])
+    """Dense coefficient matrix on the holding space of the biorthogonal
+    Fortin projector P u = sum_nu <u, phi_nu> / <phi~_nu, phi_nu> phi~_nu."""
+    hold = hold or holding_space(d)
+    P = hold.dual_rep @ ((hold.nodal_rep.T @ hold.gram).toarray() / np.diag(d.pairing)[:, None])
     return P, hold
 
 
-def gram_operator_norm(P: np.ndarray, G: np.ndarray, rank_tol: float = 1e-10) -> float:
-    """Operator norm of the coefficient matrix P in the norm induced by the
-    (possibly rank-deficient) Gram matrix G.
+def _pencil(d: DualBasis, hold: HoldingSpace | None):
+    """M~, M and diag(pairing) in the order c[0], c[-1], c[1], ... of the nodes c round
+    the curve, where M is banded: in node order its Cholesky fill decays to subnormals."""
+    c = d.space.conn[:, :-1].ravel()
+    o = np.column_stack([c, c[::-1]]).ravel()[:c.size]
+    return (dual_gram(hold or holding_space(d))[np.ix_(o, o)], d.bubbles.mass[np.ix_(o, o)],
+            np.diag(d.pairing)[o])
 
-    The holding basis can contain exact linear dependencies (for degree 3
-    the H1-minimal bubbles are quintics, and per panel one combination of
-    them lies in the piecewise-cubic fine space), so the norm is computed
-    on the quotient: directions of G below rank_tol represent the zero
-    function and are discarded.
-    """
-    dscale = 1.0 / np.sqrt(np.diag(G))
-    Gn = G * np.outer(dscale, dscale)
-    lam, V = np.linalg.eigh(Gn)
-    keep = lam > rank_tol * lam[-1]
-    X = V[:, keep] * np.sqrt(lam[keep])           # Gn^(1/2) on its range
-    Pn = (P * dscale[None, :]) / dscale[:, None]  # P in the scaled basis
-    Y = X.T @ Pn @ (X / lam[keep])                # Gn^(1/2) P Gn^(-1/2) on the range
-    return float(np.linalg.norm(Y, ord=2))
+
+def _sqrt_top(A: np.ndarray, B: np.ndarray | None = None) -> float:
+    """sqrt of the largest eigenvalue of the symmetric A, or of the pencil (A, B)."""
+    top = [len(A) - 1] * 2
+    return float(np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=top)[0]))
 
 
 def fortin_l2_norm(d: DualBasis, hold: HoldingSpace | None = None) -> float:
     """Discrete L2 operator norm of the Fortin projector on the holding
-    space (largest generalized singular value)."""
-    P, hold = fortin_matrix(d, hold)
-    return gram_operator_norm(P, hold.gram)
+    space, sqrt(lambda_max(L^T Pi^-1 M~ Pi^-1 L)) with M = L L^T."""
+    Mt, M, pi = _pencil(d, hold)
+    L = scipy.linalg.cholesky(M, lower=True)
+    return _sqrt_top(L.T @ (Mt / np.outer(pi, pi)) @ L)
 
 
 def bijection_matrix(d: DualBasis, hold: HoldingSpace | None = None):
-    """The bijection phi_nu -> phi~_nu as a map from coarse nodal
+    """The bijection phi_nu -> phi~_nu as a dense map from coarse nodal
     coefficients into the holding space, plus its inverse on the dual span
     (computed through the biorthogonal pairing)."""
-    if hold is None:
-        hold = holding_space(d)
+    hold = hold or holding_space(d)
 
     def inverse(u_hold):
         return (hold.nodal_rep.T @ (hold.gram @ u_hold)) / np.diag(d.pairing)
 
-    return hold.dual_rep, inverse, hold
+    return hold.dual_rep.toarray(), inverse, hold
 
 
 def bijection_l2_norm(d: DualBasis, hold: HoldingSpace | None = None) -> float:
     """Discrete L2 operator norm of the nodal-to-dual bijection,
-    sup ||I u|| / ||u|| over the coarse space."""
-    if hold is None:
-        hold = holding_space(d)
-    E = hold.dual_rep
-    A = E.T @ hold.gram @ E
-    lam = scipy.linalg.eigh(0.5 * (A + A.T), d.bubbles.mass, eigvals_only=True)
-    return float(np.sqrt(max(lam)))
+    sup ||I u|| / ||u|| over the coarse space: sqrt(lambda_max(M~, M))."""
+    Mt, M, _ = _pencil(d, hold)
+    return _sqrt_top(Mt, M)
 
 
 def l2_project(s: FeSpace, u, n_quad: int = 20):
@@ -284,7 +289,7 @@ def l2_project(s: FeSpace, u, n_quad: int = 20):
     g = gauss_rule(n_quad)
     pts, speed, dt = panel_samples(s.mesh, g.nodes)
     u_vals = np.concatenate([u(pts[a:b].reshape(-1, 2), c).reshape(b - a, -1)
-                             for c, a, b in chart_runs(s.mesh)])
+                             for c, a, b in chart_runs(s.mesh.chart)])
     moments = (g.weights * speed * dt[:, None] * u_vals) @ reference_basis(s.degree, g.nodes).T
     rhs = np.bincount(s.conn.ravel(), weights=moments.ravel(), minlength=s.ndof)
     return np.linalg.solve(mass_matrix(s, "exact", n_quad=n_quad), rhs)
@@ -314,9 +319,5 @@ def bubble_norms(b: BubbleSet):
 
 def dual_norms(d: DualBasis, hold: HoldingSpace | None = None):
     """(L2 norm, H1 seminorm) of every dual function."""
-    if hold is None:
-        hold = holding_space(d)
-    E = hold.dual_rep
-    l2 = np.sqrt(np.einsum("in,ij,jn->n", E, hold.gram, E))
-    h1 = np.sqrt(np.maximum(np.einsum("in,ij,jn->n", E, hold.gram_h1, E), 0.0))
-    return l2, h1
+    hold = hold or holding_space(d)
+    return tuple(np.sqrt(np.maximum(np.diag(dual_gram(hold, h1)), 0.0)) for h1 in (False, True))

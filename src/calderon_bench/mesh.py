@@ -32,7 +32,7 @@ panels; assembly, the Gram matrices and the duals all integrate through it.
 the arc measure but no points.  ``panel_chords`` gives the near field its
 point differences inside and between neighbouring panels.  All three
 evaluate the charts through ``_per_chart``, one call per run of consecutive
-panels on one chart as ``chart_runs`` lists them.
+panels on one chart as ``chart_runs`` lists them; so do the arc lengths.
 """
 
 from __future__ import annotations
@@ -132,28 +132,25 @@ def panel_chords(m: Mesh, anchor, step):
                                                        dt * np.asarray(step)))
 
 
-def chart_runs(m: Mesh):
-    """(chart, first, stop) of every run of consecutive panels on one
-    chart; a mesh in chart order has one run per chart."""
-    cuts = [0, *(np.flatnonzero(np.diff(m.chart)) + 1), m.n_panels]
-    return [(int(m.chart[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+def chart_runs(chart):
+    """(chart, first, stop) of every run of equal entries of the chart ids
+    ``chart``; a mesh's ``chart`` in chart order has one run per chart."""
+    cuts = [0, *(np.flatnonzero(np.diff(chart)) + 1), chart.size]
+    return [(int(chart[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _per_chart(m: Mesh, method, *args):
     """The chart method ``method`` on the panel rows of ``args``, one call
     per chart run."""
     return np.concatenate([getattr(m.geometry.charts[c], method)(*(x[a:b] for x in args))
-                           for c, a, b in chart_runs(m)])
+                           for c, a, b in chart_runs(m.chart)])
 
 
 def _arc_lengths(g: Geometry, chart, t0, t1):
     """Arc lengths of the intervals [t0[i], t1[i]] of the charts chart[i],
-    one batched ``arc_lengths`` call per chart."""
-    out = np.empty(t0.shape)
-    for c in np.unique(chart):
-        on = chart == c
-        out[on] = arc_lengths(g.charts[c], t0[on], t1[on])
-    return out
+    in mesh order; one batched ``arc_lengths`` call per chart run."""
+    return np.concatenate([arc_lengths(g.charts[c], t0[a:b], t1[a:b])
+                           for c, a, b in chart_runs(chart)])
 
 
 def _bisect(m: Mesh, split) -> Mesh:
@@ -170,9 +167,8 @@ def _bisect(m: Mesh, split) -> Mesh:
     chart, t0, t1, length, q = (np.repeat(a, reps) for a in
                                 (m.chart, m.t0, m.t1, m.length, m.qlength))
     left = (np.cumsum(reps) - 2)[split]       # new index of each split panel's left half
-    right = left + 1
-    t1[left] = t0[right] = mid
-    halves = np.concatenate([left, right])
+    t1[left] = t0[left + 1] = mid
+    halves = np.flatnonzero(np.repeat(split, reps))   # both halves, in mesh order
     q[halves] *= 0.5
     length[halves] = _arc_lengths(m.geometry, chart[halves], t0[halves], t1[halves])
     return Mesh(m.geometry, chart, t0, t1, length, q)

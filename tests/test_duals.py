@@ -193,6 +193,36 @@ def test_fortin_norm_moderate(dual_setup):
     assert 1.0 - 1e-10 <= norm <= 2.0
 
 
+def _quotient_norm(P, G, rank_tol=1e-10):
+    """Operator norm of the coefficient matrix P in the norm induced by the
+    (possibly rank-deficient) Gram matrix G, all dim x dim.
+
+    The holding basis can contain exact linear dependencies (for degree 3
+    the H1-minimal bubbles are quintics, and per panel one combination of
+    them lies in the piecewise-cubic fine space), so the norm is computed
+    on the quotient: directions of G below rank_tol represent the zero
+    function and are discarded.
+    """
+    dscale = 1.0 / np.sqrt(np.diag(G))
+    Gn = G * np.outer(dscale, dscale)
+    lam, V = np.linalg.eigh(Gn)
+    keep = lam > rank_tol * lam[-1]
+    X = V[:, keep] * np.sqrt(lam[keep])           # Gn^(1/2) on its range
+    Pn = (P * dscale[None, :]) / dscale[:, None]  # P in the scaled basis
+    Y = X.T @ Pn @ (X / lam[keep])                # Gn^(1/2) P Gn^(-1/2) on the range
+    return float(np.linalg.norm(Y, ord=2))
+
+
+def test_fortin_norm_matches_the_quotient(dual_setup):
+    # the N x N pencil against the norm of the dim x dim projector on the
+    # quotient of the holding space by the null directions of its Gram
+    _, _, _, _, d = dual_setup
+    hold = holding_space(d)
+    P, _ = fortin_matrix(d, hold)
+    ref = _quotient_norm(P, hold.gram.toarray())
+    assert abs(fortin_l2_norm(d, hold) / ref - 1.0) <= 1e-12
+
+
 def test_bijection_identities(dual_setup):
     _, _, s, _, d = dual_setup
     fwd, inverse, hold = bijection_matrix(d)
@@ -203,15 +233,24 @@ def test_bijection_identities(dual_setup):
     assert np.linalg.matrix_rank(fwd) == s.ndof
 
 
-def test_bijection_norm_regression():
-    # discrete L2 norm of the bijection stays in a level-independent bracket
-    norms = []
-    for k in range(1, 5):
-        s = build_space(corner_mesh("square", k), 1)
+@pytest.mark.parametrize("kind, ell", [("square", 1), ("square", 3),
+                                       ("ellipse", 1), ("ellipse", 3)])
+def test_bijection_norm_regression(kind, ell):
+    """The paper's stability constants stay in level-independent brackets
+    through level 6: the L2 norms of the Fortin projector and of the
+    nodal-to-dual bijection, and the largest dual/nodal ratios of the L2
+    norms and H1 seminorms, each at most 10 % above its level-1 value."""
+    rows = []
+    for k in range(1, 7):
+        s = build_space(corner_mesh(kind, k), ell)
         d = build_dual_basis(s, build_bubbles(s))
-        norms.append(bijection_l2_norm(d))
-    assert max(norms[1:]) <= 1.1 * norms[0]
-    assert min(norms) >= 1.0 - 1e-10          # I fixes the constant function
+        hold = holding_space(d)
+        (nl2, nh1), (dl2, dh1) = nodal_norms(s), dual_norms(d, hold)
+        rows.append([fortin_l2_norm(d, hold), bijection_l2_norm(d, hold),
+                     (dl2 / nl2).max(), (dh1 / nh1).max()])
+    rows = np.array(rows)
+    assert np.all(rows[1:] <= 1.1 * rows[0])
+    assert rows[:, :2].min() >= 1.0 - 1e-10   # P and I fix the constant function
 
 
 def test_l2_project_reproduces_space():
