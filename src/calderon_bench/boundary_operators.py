@@ -16,9 +16,14 @@ Panel pairs fall in three classes, each with its own rule:
 - close (separated, but with a gap below _ETA = 2 times the larger panel):
   the quad_n-point tensor Gauss rule, all pairs in one array operation;
 - admissible (every other pair, the bulk): a tensor Gauss rule of
-  ceil(quad_n / 2) points per panel, evaluated in bulk on one triangle of
-  the symmetric kernel.  The order follows the distance relative to the
-  panel sizes (Sauter & Schwab, Boundary Element Methods, ch. 5).
+  ceil(quad_n / 2) points per panel, evaluated in bulk.  The order follows
+  the distance relative to the panel sizes (Sauter & Schwab, Boundary
+  Element Methods, ch. 5).
+
+The kernel is symmetric, so every class is summed on one triangle of panel
+pairs into Z, and each matrix is Z + Z^T, symmetric to the bit: the
+identical pair contributes one mirror half X of its rule, the adjacent pair
+(p, p+1) and the close pairs p > q their blocks once.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fespace import FeSpace, reference_basis, reference_basis_deriv
+from .gram import lumped_matrix
 from .mesh import panel_chords, panel_samples, panel_speeds
 from .quadrature import gauss_rule, pair_rule
 
@@ -103,20 +109,22 @@ def _admissible_pairs(mesh):
 
 def _far_field(s: FeSpace, quad_n: int):
     """Gauss log-kernel sums over all panel pairs that are neither
-    identical nor adjacent, and m[nu] = <phi_nu, 1> at full order.
+    identical nor adjacent, on one triangle of the symmetric kernel.
 
     Separated pairs fall in two classes (see ``_admissible_pairs``):
     admissible pairs take a tensor Gauss rule of ceil(quad_n / 2) points
     per panel, the few close pairs next to the near field the full
-    quad_n-point rule.  Both passes sum one triangle of the symmetric
-    kernel into Z, and the result is Z + Z^T, symmetric to the bit.
+    quad_n-point rule.  Returns the coarse pass's sums Z_val, Z_der
+    (ndof, ndof), whose Z + Z^T is the admissible part, and the close
+    pairs p > q as row and column dof ids (C, l+1) with their blocks
+    (C, l+1, l+1) of the basis and of the derivative pairing.
 
     The coarse pass builds the kernel in column chunks of whole panels,
     each a contiguous view of two preallocated buffers holding the rows on
     and below the chunk's diagonal block; that block holds both (p, q) and
     (q, p) and is halved.  Identical, adjacent and close pairs are set to
     r^2 = 1 before the log, so they add 0.  The close pass evaluates all
-    its pairs (p > q) at once.
+    its pairs at once.
     """
     P = s.mesh.n_panels
     far = _admissible_pairs(s.mesh)
@@ -163,30 +171,29 @@ def _far_field(s: FeSpace, quad_n: int):
     if r2.size and r2.min() <= 0.0:
         raise AssemblyError("far-field quadrature points of distinct panels coincide")
     K = _log_kernel_r2(r2)
-    idx = (s.conn[p][:, :, None], s.conn[q][:, None, :])
-    np.add.at(Z_val, idx, w_val[p].transpose(0, 2, 1) @ K @ w_val[q])
-    np.add.at(Z_der, idx, w_der[p].transpose(0, 2, 1) @ K @ w_der[q])
-    m = np.asarray(_scatter(s, w_val).sum(axis=0)).ravel()
-    return Z_val + Z_val.T, Z_der + Z_der.T, m
+    return (Z_val, Z_der, s.conn[p], s.conn[q],
+            w_val[p].transpose(0, 2, 1) @ K @ w_val[q],
+            w_der[p].transpose(0, 2, 1) @ K @ w_der[q])
 
 
 def _near_field(s: FeSpace, quad_n: int):
-    """Identical and adjacent panel-pair blocks, all panels at once.
+    """Identical and adjacent panel-pair blocks, all panels at once, on one
+    triangle of the symmetric kernel.
 
-    Returns the row and column dof ids (3P, l+1) and the blocks (3P, l+1,
+    Returns the row and column dof ids (2P, l+1) and the blocks (2P, l+1,
     l+1) of the basis pairing and of the derivative pairing: rows 0..P-1
-    are the identical pairs (p, p), rows P..2P-1 the adjacent pairs
-    (p, p+1) and rows 2P..3P-1 their mirrors (p+1, p).  Distances come
-    from chords in panel-relative coordinates: chi(u + dt (t - u)) -
+    hold one mirror half X of the identical pair (p, p), whose pair block
+    is X + X^T, and rows P..2P-1 the adjacent pairs (p, p+1).  Distances
+    come from chords in panel-relative coordinates: chi(u + dt (t - u)) -
     chi(u) inside a panel, and the chords from the shared vertex
     chi(t1_p) = chi(t0_q) for adjacent panels.
 
     Each chart quantity is evaluated once per distinct reference node.
     The identical rule is two mirror halves, (t, u, w, d) and (u, t, w,
-    -d), with one |chord|: the first half gives a block X, the pair block
-    is X + X^T.  The adjacent rule's offsets and u nodes share one node
-    set, on which both vertex chord families are evaluated and gathered.
-    The speeds of both rules come from one ``panel_speeds`` call.
+    -d), with one |chord|; only the first is evaluated.  The adjacent
+    rule's offsets and u nodes share one node set, on which both vertex
+    chord families are evaluated and gathered.  The speeds of both rules
+    come from one ``panel_speeds`` call.
     """
     m, ell = s.mesh, s.degree
     nxt = np.roll(np.arange(m.n_panels), -1)
@@ -216,28 +223,8 @@ def _near_field(s: FeSpace, quad_n: int):
                        (reference_basis_deriv(ell, t) * wk[:, None, :])
                        @ reference_basis_deriv(ell, u).T])
     (id_val, id_der), (ad_val, ad_der) = blocks
-    T = (0, 2, 1)                                   # the transpose of every block
-    rows = np.concatenate([s.conn, s.conn, s.conn[nxt]])
-    cols = np.concatenate([s.conn, s.conn[nxt], s.conn])
-    return (rows, cols,
-            np.concatenate([id_val + id_val.transpose(T), ad_val, ad_val.transpose(T)]),
-            np.concatenate([id_der + id_der.transpose(T), ad_der, ad_der.transpose(T)]))
-
-
-def _assemble_log_galerkin(s: FeSpace, quad_n: int):
-    """Galerkin matrices of the log kernel against basis values (single
-    layer) and against arc-length derivatives (hypersingular core), and
-    the vector m[nu] = <phi_nu, 1>."""
-    if s.mesh.n_panels < 3:
-        raise AssemblyError("assembly requires at least 3 panels on the curve")
-    A_val, A_der, m = _far_field(s, quad_n)
-    rows, cols, blocks_val, blocks_der = _near_field(s, quad_n)
-    idx = (rows[:, :, None], cols[:, None, :])
-    np.add.at(A_val, idx, blocks_val)
-    np.add.at(A_der, idx, blocks_der)
-    A_val = 0.5 * (A_val + A_val.T)
-    A_der = 0.5 * (A_der + A_der.T)
-    return A_val, A_der, m
+    return (np.concatenate([s.conn, s.conn]), np.concatenate([s.conn, s.conn[nxt]]),
+            np.concatenate([id_val, ad_val]), np.concatenate([id_der, ad_der]))
 
 
 def _require_spd(Mt, what, exc):
@@ -256,13 +243,22 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     A is symmetric positive definite for admissible geometries (diameter
     <= 1).  B = B~ + alpha m m^T: B~ acts on arc-length derivatives through
     the single layer kernel and therefore annihilates constants; the
-    rank-one term with m[nu] = <phi_nu, 1> restores definiteness for any
-    alpha > 0.
+    rank-one term with m[nu] = <phi_nu, 1>, the exact lumped diagonal,
+    restores definiteness for any alpha > 0.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
-    A, Bt, m = _assemble_log_galerkin(s, quad_n)
-    B = Bt + alpha * np.outer(m, m)
+    if s.mesh.n_panels < 3:
+        raise AssemblyError("assembly requires at least 3 panels on the curve")
+    Z_val, Z_der, *close = _far_field(s, quad_n)
+    rows, cols, val, der = (np.concatenate(x) for x in zip(_near_field(s, quad_n), close))
+    idx = (rows[:, :, None], cols[:, None, :])
+    np.add.at(Z_val, idx, val)
+    np.add.at(Z_der, idx, der)
+    A = Z_val + Z_val.T
+    B = Z_der + Z_der.T
+    m = lumped_matrix(s, "exact", n_quad=quad_n)
+    B += alpha * np.outer(m, m)
     _require_spd(
         A, "single layer (geometry guard diameter <= 1 should ensure coercivity)",
         CoercivityError,

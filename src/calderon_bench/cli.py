@@ -90,16 +90,22 @@ class ReportRow:
 
 
 def _parse_precond_names(spec):
-    """Names from a comma list or a sequence; richardson:k needs k >= 1."""
+    """Names from a comma list or a sequence, at least one and each once;
+    richardson:k needs k >= 1 without leading zeros, so that each column
+    has one spelling."""
     if isinstance(spec, str):
         spec = spec.split(",")
     names = tuple(x.strip() for x in spec if x.strip())
+    if not names:
+        raise ValueError("the preconditioner list is empty")
     for name in names:
         base, _, k = name.partition(":")
         if name not in ("lumped", "mass", "jacobi") and not (
-                base == "richardson" and k.isdigit() and int(k) >= 1):
-            raise ValueError(f"unknown preconditioner {name!r} (lumped, mass, "
-                             "jacobi or richardson:k with k >= 1)")
+                base == "richardson" and k.isdigit() and k[0] != "0"):
+            raise ValueError(f"unknown preconditioner {name!r} (lumped, mass, jacobi or "
+                             "richardson:k with k >= 1, without leading zeros)")
+        if names.count(name) > 1:
+            raise ValueError(f"preconditioner {name!r} is listed twice")
     return names
 
 
@@ -367,7 +373,7 @@ def _verify_checks():
         for ell in (1, 3):
             s = build_space(corner_schedule(gs, 1), ell)
             d = duals_mod.build_dual_basis(s, duals_mod.build_bubbles(s))
-            ok &= np.abs(d.pairing - np.diag(d.lumped)).max() < 1e-10
+            ok &= np.abs(d.pairing.toarray() - np.diag(d.lumped)).max() < 1e-10
             ok &= duals_mod.eval_dual_sum(d) < 1e-10
             detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d):.5f}, "
                           f"||I|| = {duals_mod.bijection_l2_norm(d):.5f}")

@@ -16,7 +16,7 @@ The bubbles are held in the space's ``conn`` layout: ``BubbleSet.coef[p, a]``
 holds the degree-q Lagrange values on panel p of the bubble of node
 conn[p, a], and a bubble lives on exactly its node's support.  Every Gram
 block is a per-panel product from ``gram.panel_products``, summed through
-``conn`` as the mass matrix is; the holding space's into sparse arrays.
+``conn`` into a sparse array; only the mass matrix stays dense.
 
 Computations happen in a holding space: the nodal space on the uniformly
 refined mesh plus all bubbles.  That space contains S, every phi~, and the
@@ -39,7 +39,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .fespace import FeSpace, build_space, reference_basis, reference_basis_deriv
-from .gram import mass_matrix, panel_products, scatter_blocks
+from .gram import mass_matrix, panel_products
 from .mesh import chart_runs, panel_samples, panel_speeds, uniform_refine
 from .quadrature import gauss_rule
 
@@ -64,8 +64,8 @@ class BubbleSet:
 class DualBasis:
     space: FeSpace
     bubbles: BubbleSet
-    combo: np.ndarray          # phi~_nu = phi_nu + sum_mu combo[mu, nu] theta_mu
-    pairing: np.ndarray        # <phi~_nu, phi_mu>, quadrature-independent check
+    combo: scipy.sparse.csr_array    # phi~_nu = phi_nu + sum_mu combo[mu, nu] theta_mu
+    pairing: scipy.sparse.csr_array  # <phi~_nu, phi_mu>, quadrature-independent check
     lumped: np.ndarray         # <1, phi_nu>
 
 
@@ -137,13 +137,14 @@ def build_bubbles(s: FeSpace) -> BubbleSet:
     return BubbleSet(s, q, coef, M, phi_l2sq)
 
 
-def bubble_phi_products(b: BubbleSet) -> np.ndarray:
+def bubble_phi_products(b: BubbleSet) -> scipy.sparse.csr_array:
     """<theta_mu, phi_nu> recomputed by quadrature, shape (N, N)."""
     s = b.space
     w_arc, _ = _arc_measure(s.mesh)
     theta = b.coef @ reference_basis(b.degree, _QUAD.nodes)         # (P, l+1, n)
-    return scatter_blocks(s.ndof, s.conn, panel_products(
-        w_arc, theta, reference_basis(s.degree, _QUAD.nodes)))
+    return _sparse((s.ndof, s.ndof),
+                   panel_products(w_arc, theta, reference_basis(s.degree, _QUAD.nodes)),
+                   s.conn[:, :, None], s.conn[:, None, :])
 
 
 def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
@@ -152,15 +153,15 @@ def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
     phi~_nu = phi_nu + (<1,phi_nu>/<theta_nu,phi_nu>) theta_nu
                     - sum_mu (<phi_nu,phi_mu>/<theta_mu,phi_mu>) theta_mu
     """
-    M = b.mass
-    lumped = M.sum(axis=1)
+    M = scipy.sparse.csr_array(b.mass)
+    lumped = b.mass.sum(axis=1)
     Gtf = bubble_phi_products(b)
-    diag_tf = np.diag(Gtf).copy()
+    diag_tf = Gtf.diagonal()
     if np.any(np.abs(diag_tf) < 1e-14 * np.max(b.phi_l2sq)):
         raise EnrichmentError("vanishing <theta_nu, phi_nu>")
-    combo = np.diag(lumped / diag_tf) - M / diag_tf[:, None]
+    combo = scipy.sparse.diags_array(1.0 / diag_tf) @ (scipy.sparse.diags_array(lumped) - M)
     pairing = M + combo.T @ Gtf
-    return DualBasis(s, b, combo, pairing, lumped)
+    return DualBasis(s, b, combo.tocsr(), pairing.tocsr(), lumped)
 
 
 def eval_dual_sum(d: DualBasis, n_samples: int = 1000):
@@ -221,7 +222,7 @@ def holding_space(d: DualBasis) -> HoldingSpace:
              for X in (U, dU))
     return HoldingSpace(dim, G, G1,
                         nodal_rep=scipy.sparse.vstack([R, scipy.sparse.csr_array((N, N))], "csr"),
-                        dual_rep=scipy.sparse.vstack([R, scipy.sparse.csr_array(d.combo)], "csr"),
+                        dual_rep=scipy.sparse.vstack([R, d.combo], "csr"),
                         ones_rep=np.concatenate([np.ones(n2), np.zeros(N)]))
 
 
@@ -236,7 +237,8 @@ def fortin_matrix(d: DualBasis, hold: HoldingSpace | None = None):
     """Dense coefficient matrix on the holding space of the biorthogonal
     Fortin projector P u = sum_nu <u, phi_nu> / <phi~_nu, phi_nu> phi~_nu."""
     hold = hold or holding_space(d)
-    P = hold.dual_rep @ ((hold.nodal_rep.T @ hold.gram).toarray() / np.diag(d.pairing)[:, None])
+    pi = d.pairing.diagonal()
+    P = hold.dual_rep @ ((hold.nodal_rep.T @ hold.gram).toarray() / pi[:, None])
     return P, hold
 
 
@@ -246,7 +248,7 @@ def _pencil(d: DualBasis, hold: HoldingSpace | None):
     c = d.space.conn[:, :-1].ravel()
     o = np.column_stack([c, c[::-1]]).ravel()[:c.size]
     return (dual_gram(hold or holding_space(d))[np.ix_(o, o)], d.bubbles.mass[np.ix_(o, o)],
-            np.diag(d.pairing)[o])
+            d.pairing.diagonal()[o])
 
 
 def _sqrt_top(A: np.ndarray, B: np.ndarray | None = None) -> float:
@@ -270,7 +272,7 @@ def bijection_matrix(d: DualBasis, hold: HoldingSpace | None = None):
     hold = hold or holding_space(d)
 
     def inverse(u_hold):
-        return (hold.nodal_rep.T @ (hold.gram @ u_hold)) / np.diag(d.pairing)
+        return (hold.nodal_rep.T @ (hold.gram @ u_hold)) / d.pairing.diagonal()
 
     return hold.dual_rep.toarray(), inverse, hold
 

@@ -7,8 +7,8 @@ per-panel average |T| / |parameter interval|.  On affine charts the two
 coincide; the averaged product makes every lumped entry exactly computable
 on curved geometries.
 
-``panel_products`` and ``scatter_blocks`` (per-panel pairings, summed
-through the panels' node ids) build the mass matrix and every Gram block of
+``panel_products`` (per-panel pairings, summed through the panels' node
+ids) builds the mass matrix, the lumped diagonal and every Gram block of
 the duals.
 """
 
@@ -30,13 +30,6 @@ def panel_products(w: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (U * w[:, None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def scatter_blocks(n: int, ids: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """n x n sum of the per-panel blocks (P, a, a) at rows and columns ids (P, a)."""
-    out = np.zeros((n, n))
-    np.add.at(out, (ids[:, :, None], ids[:, None, :]), blocks)
-    return out
-
-
 def _panel_blocks(s: FeSpace, kind: str, n_quad: int) -> np.ndarray:
     """Per-panel Gram blocks <phi_a, phi_b> on each panel, shape (P, l+1, l+1)."""
     g = gauss_rule(n_quad)
@@ -53,7 +46,9 @@ def _panel_blocks(s: FeSpace, kind: str, n_quad: int) -> np.ndarray:
 
 def mass_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray:
     """Dense symmetric Gram matrix <phi_nu, phi_nu'> in the chosen product."""
-    return scatter_blocks(s.ndof, s.conn, _panel_blocks(s, kind, n_quad))
+    M = np.zeros((s.ndof, s.ndof))
+    np.add.at(M, (s.conn[:, :, None], s.conn[:, None, :]), _panel_blocks(s, kind, n_quad))
+    return M
 
 
 def lumped_matrix(s: FeSpace, kind: str = "exact", n_quad: int = 12) -> np.ndarray:

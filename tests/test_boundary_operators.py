@@ -7,10 +7,9 @@ import scipy.sparse as sparse
 
 from calderon_bench import boundary_operators as bops
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
-                                               _admissible_pairs, _assemble_log_galerkin,
-                                               _far_field, _log_kernel_r2, _near_field,
-                                               _require_spd, assemble_operator_pair,
-                                               write_dense_matrix)
+                                               _admissible_pairs, _far_field, _log_kernel_r2,
+                                               _near_field, _require_spd,
+                                               assemble_operator_pair, write_dense_matrix)
 from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import AffineChart, make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
@@ -198,12 +197,15 @@ def test_dense_dump_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("kind, ell", [("square", 3), ("ellipse", 1)])
 def test_stabilization_moments_match_lumped_diagonal(kind, ell):
-    """m[nu] = <phi_nu, 1> comes from the far field's sample weights; it is
-    the exact-product lumped diagonal up to rounding."""
+    """B = B~ + alpha m m^T with m[nu] = <phi_nu, 1> the exact-product lumped
+    diagonal D: raising alpha by 1 adds D D^T, up to rounding (measured:
+    3.0e-15 of max|D D^T| on the square, 2.0e-14 on the ellipse)."""
     s = corner_space(kind, 2, ell)
-    _, _, m = _assemble_log_galerkin(s, QUAD_N)
+    _, B = corner_operators(kind, 2, ell)
+    _, B1 = assemble_operator_pair(s, QUAD_N, 1.05)
     D = lumped_matrix(s, "exact", n_quad=QUAD_N)
-    assert np.abs(m / D - 1).max() <= 1e-14
+    DD = np.outer(D, D)
+    assert np.abs(B1 - B - DD).max() <= 1e-12 * np.abs(DD).max()
 
 
 def test_shifted_chart_parameters_give_same_matrices():
@@ -278,28 +280,48 @@ FAR_CASES = {
 }
 
 
+def _far_sum(s):
+    """The far field as assembly uses it: the close blocks scattered into
+    the coarse pass's triangle Z, then Z + Z^T."""
+    Z_val, Z_der, rows, cols, val, der = _far_field(s, QUAD_N)
+    idx = (rows[:, :, None], cols[:, None, :])
+    np.add.at(Z_val, idx, val)
+    np.add.at(Z_der, idx, der)
+    return Z_val + Z_val.T, Z_der + Z_der.T
+
+
 @lru_cache(maxsize=None)
 def _far_pair(case):
     s = FAR_CASES[case]()
-    return _far_field(s, QUAD_N), _full_order_far_field(s, QUAD_N)
+    return s, _far_sum(s), _full_order_far_field(s, QUAD_N)
 
 
 @pytest.mark.parametrize("case", list(FAR_CASES))
 def test_far_field_matches_full_order_sweep(case):
     """Admissible pairs at ceil(quad_n / 2) points move no entry by more
     than 1e-10 of the largest (measured: 2e-11 on the degree-3 square,
-    2e-14 on the degree-1 curves); m stays at full order."""
-    (A_val, A_der, m), (R_val, R_der, m_ref) = _far_pair(case)
+    2e-14 on the degree-1 curves); m, the exact lumped diagonal, is the
+    full-order sum of the sample weights."""
+    s, (A_val, A_der), (R_val, R_der, m_ref) = _far_pair(case)
     for got, ref in ((A_val, R_val), (A_der, R_der)):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), case
-    assert np.array_equal(m, m_ref)
+    m = lumped_matrix(s, "exact", n_quad=QUAD_N)
+    assert np.abs(m / m_ref - 1).max() <= 1e-14
+
+
+OPERATORS = {
+    "square-6-p3": lambda: corner_operators("square", 6, 3),
+    "ellipse-6-p1": lambda: corner_operators("ellipse", 6, 1),
+    "circle-128-p1": lambda: circle_uniform_operators(128, 1),
+}
 
 
 @pytest.mark.parametrize("case", list(FAR_CASES))
-def test_far_field_exactly_symmetric(case):
-    (A_val, A_der, _), _ = _far_pair(case)
-    assert np.array_equal(A_val, A_val.T)
-    assert np.array_equal(A_der, A_der.T)
+def test_operators_exactly_symmetric(case):
+    """Every panel pair is summed on one triangle Z and each matrix is
+    Z + Z^T, so A and B are symmetric to the bit."""
+    for X in OPERATORS[case]():
+        assert np.array_equal(X, X.T), case
 
 
 @pytest.mark.parametrize("case", list(FAR_CASES))
@@ -330,11 +352,12 @@ def test_close_pass_is_the_full_order_rule(monkeypatch):
     s = corner_space("square", 2, 3)
     monkeypatch.setattr(bops, "_admissible_pairs",
                         lambda mesh: np.zeros((mesh.n_panels,) * 2, dtype=bool))
-    A_val, A_der, m = _far_field(s, QUAD_N)
+    A_val, A_der = _far_sum(s)
     R_val, R_der, m_ref = _full_order_far_field(s, QUAD_N)
     for got, ref in ((A_val, R_val), (A_der, R_der)):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert np.array_equal(m, m_ref)
+    m = lumped_matrix(s, "exact", n_quad=QUAD_N)
+    assert np.abs(m / m_ref - 1).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +394,17 @@ def _reference_near_field(s, quad_n):
 @pytest.mark.parametrize("kind, ell", [("square", 3), ("circle", 3), ("ellipse", 1),
                                        ("ellipse", 3)])
 def test_near_field_matches_full_sample_sweep(kind, ell):
-    """One mirrored half of the identical rule and the adjacent chords at
+    """One mirrored half X of the identical rule and the adjacent chords at
     their distinct nodes give the same blocks as the full sweep, to
-    rounding (measured: 5.2e-16 of the largest block entry)."""
+    rounding: X + X^T its identical block, and the adjacent block (p, p+1)
+    its adjacent block (measured: 5.2e-16 of the largest block entry)."""
     for k in range(1, 7):
         s = corner_space(kind, k, ell)
+        P = s.mesh.n_panels
         rows, cols, val, der = _near_field(s, QUAD_N)
         R, C, V, D = _reference_near_field(s, QUAD_N)
-        assert np.array_equal(rows, R) and np.array_equal(cols, C), k
+        assert np.array_equal(rows, R[:2 * P]) and np.array_equal(cols, C[:2 * P]), k
         for got, ref in ((val, V), (der, D)):
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), k
+            assert got.shape == (2 * P,) + ref.shape[1:]
+            got = np.concatenate([got[:P] + got[:P].transpose(0, 2, 1), got[P:]])
+            assert np.abs(got - ref[:2 * P]).max() <= 1e-14 * np.abs(ref).max(), k

@@ -109,6 +109,23 @@ def test_bad_precond_name():
         main(["run", "--precond", "ilu", "--levels", "1"])
 
 
+@pytest.mark.parametrize("spec, match", [
+    ("", "empty"), (" , ", "empty"),
+    ("lumped,mass,lumped", "twice"), ("richardson:2, richardson:2", "twice"),
+    ("richardson:02", "leading zeros"), ("lumped,richardson:00", "leading zeros"),
+])
+def test_bad_precond_list(spec, match, capsys):
+    # each would print a table whose columns do not match the list: none,
+    # fewer than asked, or one coupling twice under two spellings
+    with pytest.raises(ValueError, match=match):
+        main(["run", "--precond", spec, "--levels", "1"])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(preconds=spec)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(preconds=tuple(spec.split(",")))
+
+
 def test_dump_matrices_flag(tmp_path):
     out = tmp_path / "dumps"
     rc = main(["run", "--geometry", "square", "--levels", "1",
