@@ -14,22 +14,25 @@ Panel pairs fall in three classes, each with its own rule:
   distinct node of the two rules, the identical rule on one of its two
   mirror halves;
 - close (separated, but with a gap below _ETA = 2 times the larger panel):
-  the quad_n-point tensor Gauss rule, all pairs in one array operation;
+  the quad_n-point tensor Gauss rule;
 - admissible (every other pair, the bulk): a tensor Gauss rule of
-  ceil(quad_n / 2) points per panel, evaluated in bulk.  The order follows
-  the distance relative to the panel sizes (Sauter & Schwab, Boundary
-  Element Methods, ch. 5).
+  ceil(quad_n / 2) points per panel.  The order follows the distance
+  relative to the panel sizes (Sauter & Schwab, Boundary Element Methods,
+  ch. 5).
 
-The kernel is symmetric, so every class is summed on one triangle of panel
-pairs into Z, and each matrix is Z + Z^T, symmetric to the bit: the
-identical pair contributes one mirror half X of its rule, the adjacent pair
-(p, p+1) and the close pairs p > q their blocks once.
+Close and admissible pairs go through one per-pair routine, which differs
+only in its rule.  The kernel is symmetric, so every class is summed on
+one triangle of panel pairs into Z, and each matrix is Z + Z^T, symmetric
+to the bit: the identical pair contributes one mirror half X of its rule,
+the adjacent pair (p, p+1) and the separated pairs p > q their blocks
+once.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
-import scipy.sparse as sparse
 
 from .fespace import FeSpace, reference_basis, reference_basis_deriv
 from .gram import lumped_matrix
@@ -47,7 +50,7 @@ class CoercivityError(AssemblyError):
 
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
-_CHUNK_COLS = 1024
+_PAIR_BLOCK = 2048  # panel pairs per far-field block
 # a separated panel pair is admissible, and takes the coarse rule of
 # _coarse_n(quad_n) points per panel, when its gap is at least _ETA times
 # its larger panel.  Measured on the level-5 square, degree 3, against the
@@ -80,14 +83,6 @@ def _basis_weights(s: FeSpace, rule, speed, dts):
     return w_val, w_der
 
 
-def _scatter(s: FeSpace, w):
-    """Sparse (P n, ndof) map from sample values to global dofs."""
-    P, n, k = w.shape
-    rows = np.repeat(np.arange(P * n), k)
-    cols = np.repeat(s.conn, n, axis=0).reshape(P, n, k).ravel()
-    return sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(P * n, s.ndof))
-
-
 def _admissible_pairs(mesh):
     """(P, P) mask of the panel pairs far enough apart for the coarse rule.
 
@@ -107,73 +102,46 @@ def _admissible_pairs(mesh):
     return gap >= _ETA * np.maximum.outer(h, h)
 
 
+def _pair_blocks(s: FeSpace, rule, p, q):
+    """Tensor Gauss blocks of the panel pairs (p[i], q[i]), _PAIR_BLOCK
+    pairs at a time.
+
+    Yields the row and column dof ids (C, l+1) and the blocks (C, l+1,
+    l+1) of the basis pairing and of the derivative pairing, each the
+    pair's sample weights around its (n, n) log-kernel matrix.
+    """
+    pts, speed, dts = panel_samples(s.mesh, rule.nodes)
+    w_val, w_der = _basis_weights(s, rule, speed, dts)
+    x, y = pts[..., 0], pts[..., 1]
+    for i in range(0, p.size, _PAIR_BLOCK):
+        a, b = p[i:i + _PAIR_BLOCK], q[i:i + _PAIR_BLOCK]
+        dx = x[a][:, :, None] - x[b][:, None, :]
+        dy = y[a][:, :, None] - y[b][:, None, :]
+        r2 = dx * dx + dy * dy
+        if r2.min() <= 0.0:
+            raise AssemblyError("far-field quadrature points of distinct panels coincide")
+        K = _log_kernel_r2(r2)
+        yield (s.conn[a], s.conn[b], w_val[a].transpose(0, 2, 1) @ K @ w_val[b],
+               w_der[a].transpose(0, 2, 1) @ K @ w_der[b])
+
+
 def _far_field(s: FeSpace, quad_n: int):
-    """Gauss log-kernel sums over all panel pairs that are neither
-    identical nor adjacent, on one triangle of the symmetric kernel.
+    """Gauss log-kernel blocks of all panel pairs p > q that are neither
+    identical nor adjacent, each pair once (the kernel is symmetric).
 
     Separated pairs fall in two classes (see ``_admissible_pairs``):
     admissible pairs take a tensor Gauss rule of ceil(quad_n / 2) points
     per panel, the few close pairs next to the near field the full
-    quad_n-point rule.  Returns the coarse pass's sums Z_val, Z_der
-    (ndof, ndof), whose Z + Z^T is the admissible part, and the close
-    pairs p > q as row and column dof ids (C, l+1) with their blocks
-    (C, l+1, l+1) of the basis and of the derivative pairing.
-
-    The coarse pass builds the kernel in column chunks of whole panels,
-    each a contiguous view of two preallocated buffers holding the rows on
-    and below the chunk's diagonal block; that block holds both (p, q) and
-    (q, p) and is halved.  Identical, adjacent and close pairs are set to
-    r^2 = 1 before the log, so they add 0.  The close pass evaluates all
-    its pairs at once.
+    quad_n-point rule.  Yields the blocks of ``_pair_blocks``, the
+    admissible pairs first.
     """
     P = s.mesh.n_panels
     far = _admissible_pairs(s.mesh)
-    rule = gauss_rule(_coarse_n(quad_n))
-    pts, speed, dts = panel_samples(s.mesh, rule.nodes)
-    S_val, S_der = (_scatter(s, w) for w in _basis_weights(s, rule, speed, dts))
-
-    n = rule.nodes.size
-    N = P * n
-    x, y = pts.reshape(N, 2).T
-    step = min(max(1, _CHUNK_COLS // n), P)         # panels per chunk
-    buf, tmp = np.empty(N * step * n), np.empty(N * step * n)
-    Z_val = np.zeros((s.ndof, s.ndof))
-    Z_der = np.zeros((s.ndof, s.ndof))
-    for q0 in range(0, P, step):
-        q1 = min(q0 + step, P)
-        a, b = q0 * n, q1 * n
-        size = (N - a) * (b - a)
-        K, T = buf[:size].reshape(N - a, b - a), tmp[:size].reshape(N - a, b - a)
-        np.subtract.outer(x[a:], x[a:b], out=K)
-        K *= K
-        np.subtract.outer(y[a:], y[a:b], out=T)
-        T *= T
-        K += T
-        i, j = np.nonzero(~far[q0:, q0:q1])
-        K.reshape(P - q0, n, q1 - q0, n)[i, :, j, :] = 1.0
-        if K.min() <= 0.0:
-            raise AssemblyError("far-field quadrature points of distinct panels coincide")
-        np.log(K, out=K)
-        K *= _KERNEL_HALF
-        K[:b - a] *= 0.5                           # holds (p, q) and (q, p)
-        Z_val += S_val[a:b].T @ (S_val[a:].T @ K).T    # S[a:b]^T K^T S[a:]
-        Z_der += S_der[a:b].T @ (S_der[a:].T @ K).T
-
-    rule = gauss_rule(quad_n)
-    pts, speed, dts = panel_samples(s.mesh, rule.nodes)
-    w_val, w_der = _basis_weights(s, rule, speed, dts)
+    yield from _pair_blocks(s, gauss_rule(_coarse_n(quad_n)), *np.nonzero(np.tril(far, -1)))
     # close pairs p > q: not admissible, and neither identical nor adjacent
     p, q = np.nonzero(np.tril(~far, -2))
     keep = p - q < P - 1                              # (P-1, 0) are adjacent
-    p, q = p[keep], q[keep]
-    d = pts[p][:, :, None, :] - pts[q][:, None, :, :]
-    r2 = (d * d).sum(axis=-1)
-    if r2.size and r2.min() <= 0.0:
-        raise AssemblyError("far-field quadrature points of distinct panels coincide")
-    K = _log_kernel_r2(r2)
-    return (Z_val, Z_der, s.conn[p], s.conn[q],
-            w_val[p].transpose(0, 2, 1) @ K @ w_val[q],
-            w_der[p].transpose(0, 2, 1) @ K @ w_der[q])
+    yield from _pair_blocks(s, gauss_rule(quad_n), p[keep], q[keep])
 
 
 def _near_field(s: FeSpace, quad_n: int):
@@ -250,11 +218,13 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
     if s.mesh.n_panels < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
-    Z_val, Z_der, *close = _far_field(s, quad_n)
-    rows, cols, val, der = (np.concatenate(x) for x in zip(_near_field(s, quad_n), close))
-    idx = (rows[:, :, None], cols[:, None, :])
-    np.add.at(Z_val, idx, val)
-    np.add.at(Z_der, idx, der)
+    N = s.ndof
+    Z_val, Z_der = np.zeros(N * N), np.zeros(N * N)
+    for rows, cols, val, der in chain([_near_field(s, quad_n)], _far_field(s, quad_n)):
+        idx = (rows[:, :, None] * N + cols[:, None, :]).ravel()   # 1-D: numpy's fast path
+        np.add.at(Z_val, idx, val.ravel())
+        np.add.at(Z_der, idx, der.ravel())
+    Z_val, Z_der = Z_val.reshape(N, N), Z_der.reshape(N, N)
     A = Z_val + Z_val.T
     B = Z_der + Z_der.T
     m = lumped_matrix(s, "exact", n_quad=quad_n)

@@ -136,17 +136,12 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
             ((i, charts[i].t0), ((i - 1) % 4, charts[(i - 1) % 4].t1)) for i in range(4)
         )
         centre = (0.5 * a, 0.5 * a)
-    elif kind == "circle":
-        r = scale / 2.0
-        diameter = scale
-        charts = (EllipticChart(0.0, 2.0 * math.pi, r, r),)
-        corners = _equispaced_corners()
-        centre = (0.0, 0.0)
-    elif kind == "ellipse":
-        if ellipse_ratio <= 0:
+    elif kind in ("circle", "ellipse"):
+        ratio = 1.0 if kind == "circle" else ellipse_ratio
+        if ratio <= 0:
             raise ValueError("ellipse_ratio must be positive")
         a = scale / 2.0
-        b = a / ellipse_ratio
+        b = a / ratio
         diameter = 2.0 * max(a, b)
         charts = (EllipticChart(0.0, 2.0 * math.pi, a, b),)
         corners = _equispaced_corners()

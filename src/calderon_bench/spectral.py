@@ -31,8 +31,10 @@ about 1e-14 for A, M and D; for B it grows with the corner grading
 corner entries carry the rounding of absolute chart parameters.  In every
 measured case the blocks moved kappa by less than that residual,
 relative.  Otherwise, and on a curve or mesh without the mirrors, the
-factor is one block with Q = I, and the same code runs once on the full
-matrices.
+factor is one block: the character basis of the trivial group, Q = I as a
+sparse identity, through which the same code runs once on the full
+matrices.  Products with it only multiply by 1 and add 0, so they are
+exact.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BlockFactor:
     """A by blocks for :func:`kappa`: one (Q_k^T, L_k) per block, with Q_k^T
-    a sparse row basis (None for Q = I) and L_k the lower Cholesky factor
-    of Q_k^T A Q_k.  ``residual`` is the largest mirror residual the guard
-    measured (0 when no mirror was offered)."""
+    a sparse row basis (the identity for one block) and L_k the lower
+    Cholesky factor of Q_k^T A Q_k.  ``residual`` is the largest mirror
+    residual the guard measured (0 when no mirror was offered)."""
 
     blocks: tuple
     residual: float
@@ -78,36 +80,28 @@ class BlockFactor:
     @cached_property
     def _basis(self):
         """The whole basis Q^T (CSR, rows block by block) and the block of
-        each row; None for Q = I."""
-        if self.blocks[0][0] is None:
-            return None
+        each row."""
         return (sparse.vstack([Qt for Qt, _ in self.blocks], format="csr"),
                 np.repeat(np.arange(len(self.blocks)), self.sizes))
 
     def project(self, X: np.ndarray) -> tuple:
         """Q_k^T X Q_k of a dense symmetric X, block by block."""
-        return tuple(X if Qt is None else _project(X, Qt) for Qt, _ in self.blocks)
+        return tuple(_project(X, Qt) for Qt, _ in self.blocks)
 
     def project_sparse(self, S):
         """Q^T S Q of a sparse symmetric S that commutes with the group, as
         one block-diagonal CSR matrix: the rounding left between blocks is
         dropped."""
-        S = sparse.csr_matrix(S)
-        if self._basis is None:
-            return S
         Qt, block = self._basis
-        P = (Qt @ S @ Qt.T).tocoo()
+        P = (Qt @ sparse.csr_matrix(S) @ Qt.T).tocoo()
         keep = (block[P.row] == block[P.col]) & (P.data != 0)
         return sparse.csr_matrix((P.data[keep], (P.row[keep], P.col[keep])), shape=P.shape)
 
     def project_diagonal(self, d: np.ndarray) -> np.ndarray:
         """The diagonal of Q^T diag(d) Q, blocks concatenated; for d
         constant on the orbits that is the whole of it."""
-        d = np.asarray(d, dtype=float)
-        if self._basis is None:
-            return d
         Qt = self._basis[0]
-        return Qt.multiply(Qt) @ d
+        return Qt.multiply(Qt) @ np.asarray(d, dtype=float)
 
 
 def mirror_residual(X, p: np.ndarray) -> float:
@@ -169,16 +163,12 @@ def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
     The blocks are used only if A and every matrix or diagonal in
     ``commuting`` has a mirror residual of at most TAU under each
     permutation; otherwise, and without permutations, the factor is one
-    block with Q = I.
+    block with Q = I, the basis of the trivial group.
     """
     residual = max((mirror_residual(X, p) for X in (A, *commuting) for p in perms),
                    default=0.0)
-    if perms and residual <= TAU:
-        bases = character_bases(perms, A.shape[0])
-        blocks = tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases)
-    else:
-        blocks = ((None, spd_factor(A)),)
-    return BlockFactor(blocks, residual)
+    bases = character_bases(perms if residual <= TAU else (), A.shape[0])
+    return BlockFactor(tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases), residual)
 
 
 def _extreme_eigenvalues(G: np.ndarray, L: np.ndarray):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -281,12 +282,13 @@ FAR_CASES = {
 
 
 def _far_sum(s):
-    """The far field as assembly uses it: the close blocks scattered into
-    the coarse pass's triangle Z, then Z + Z^T."""
-    Z_val, Z_der, rows, cols, val, der = _far_field(s, QUAD_N)
-    idx = (rows[:, :, None], cols[:, None, :])
-    np.add.at(Z_val, idx, val)
-    np.add.at(Z_der, idx, der)
+    """The far field as assembly uses it: the admissible and close blocks
+    scattered into one triangle Z, then Z + Z^T."""
+    Z_val, Z_der = np.zeros((s.ndof, s.ndof)), np.zeros((s.ndof, s.ndof))
+    for rows, cols, val, der in _far_field(s, QUAD_N):
+        idx = (rows[:, :, None], cols[:, None, :])
+        np.add.at(Z_val, idx, val)
+        np.add.at(Z_der, idx, der)
     return Z_val + Z_val.T, Z_der + Z_der.T
 
 
@@ -307,6 +309,43 @@ def test_far_field_matches_full_order_sweep(case):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), case
     m = lumped_matrix(s, "exact", n_quad=QUAD_N)
     assert np.abs(m / m_ref - 1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("case", list(FAR_CASES))
+def test_far_field_evaluates_each_separated_pair_once(case, monkeypatch):
+    """The kernel is evaluated n_c^2 times per admissible pair p > q and n^2
+    times per close pair p > q, with n_c = ceil(n / 2): no pair twice, no
+    identical or adjacent pair, and no masked entry."""
+    calls = []
+
+    def counted(r2):
+        calls.append(r2.size)
+        return _log_kernel_r2(r2)
+
+    monkeypatch.setattr(bops, "_log_kernel_r2", counted)
+    s = FAR_CASES[case]()
+    P = s.mesh.n_panels
+    admissible = int(_admissible_pairs(s.mesh).sum()) // 2
+    close = P * (P - 1) // 2 - P - admissible        # P adjacent pairs on the ring
+    for _ in _far_field(s, QUAD_N):
+        pass
+    n_c = -(-QUAD_N // 2)
+    assert sum(calls) == n_c ** 2 * admissible + QUAD_N ** 2 * close, case
+
+
+def test_assembly_allocation_peak():
+    """The far field holds one block of pairs at a time: the allocation peak
+    of a level-5 ellipse assembly (degree 1, N = 416) stays below 43 MiB
+    (measured: 24.5 MiB; a column-chunked far field with two buffers of
+    6P x 1020 floats read 65.3 MiB)."""
+    s = corner_space("ellipse", 5, 1)
+    tracemalloc.start()
+    try:
+        assemble_operator_pair(s, QUAD_N, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 43 * 2 ** 20, peak / 2 ** 20
 
 
 OPERATORS = {

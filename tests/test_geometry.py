@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from calderon_bench.geometry import (CoercivityRiskError, arc_length, arc_lengths,
-                                     chart_eval, chart_speed, make_geometry, total_length)
+from calderon_bench.geometry import (CoercivityRiskError, EllipticChart, arc_length,
+                                     arc_lengths, chart_eval, chart_speed, make_geometry,
+                                     total_length)
 from calderon_bench.quadrature import gauss_rule
 
 ELLIPSE_PERIMETER = 4 * 0.25 * ellipe(1 - (0.125 / 0.25) ** 2)  # scale .5, ratio 2
@@ -93,6 +94,27 @@ def test_corner_aliases_name_the_same_point():
         for corner in g.corners:
             pts = np.array([chart_eval(g, ci, t) for ci, t in corner])
             assert np.allclose(pts, pts[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 0.3, 0.7])
+def test_circle_is_the_ellipse_of_ratio_one(scale):
+    """The circle is built as the ellipse of axis ratio 1, whatever
+    ellipse_ratio is passed; it keeps kind "circle", one angle chart of
+    radius scale/2 about the origin, the four anchors at multiples of pi/2
+    and diameter = scale, exactly."""
+    ref = EllipticChart(0.0, 2.0 * np.pi, scale / 2.0, scale / 2.0)
+    anchors = (((0, 0.0), (0, 2.0 * np.pi)),) + tuple(((0, k * np.pi / 2.0),) for k in (1, 2, 3))
+    for ratio in (2.0, 0.5, -1.0):
+        g = make_geometry("circle", scale, ratio)
+        assert (g.kind, g.scale, g.diameter, g.mirror_centre) == ("circle", scale, scale, (0.0, 0.0))
+        (c,) = g.charts
+        assert (type(c), c.t0, c.t1, c.a, c.b) == (EllipticChart, ref.t0, ref.t1, ref.a, ref.b)
+        assert np.array_equal(c.center, ref.center)
+        assert g.corners == anchors
+        assert g.chart_scales == (arc_length(ref, ref.t0, ref.t1) / (ref.t1 - ref.t0),)
+        e = make_geometry("ellipse", scale, 1.0)
+        assert (e.charts[0].a, e.charts[0].b, e.corners, e.chart_scales) == (c.a, c.b, g.corners,
+                                                                            g.chart_scales)
 
 
 def _arc_length_loop(chart, t0, t1):
