@@ -3,7 +3,8 @@
 Degree-l Lagrange elements with equispaced nodes per panel; vertex nodes are
 shared between neighbouring panels, so on a closed curve the space has
 l * n_panels degrees of freedom.  ``mirror_permutations`` gives the dof
-maps of the curve's two mirrors when the mesh has them.
+maps of the curve's mirrors (two axis mirrors, and the diagonal one on the
+square and the circle) when the mesh has them.
 """
 
 from __future__ import annotations
@@ -103,11 +104,17 @@ def eval_basis(s: FeSpace, panel: int, x):
 # would exceed a whole panel
 MIRROR_MATCH = 1e-6
 
+# the mirrors x, y and the diagonal about the mirror centre, acting on the
+# offset from it (as a row vector)
+_MIRRORS = (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
 
 def mirror_permutations(s: FeSpace):
-    """Dof permutations (p_x, p_y) of the mirrors x -> 2 c_x - x and
-    y -> 2 c_y - y about the geometry's mirror centre c, or () if the mesh
-    does not have both.
+    """Dof permutations of the curve's mirrors about the geometry's mirror
+    centre c: (p_x, p_y, p_d) for x -> 2 c_x - x, y -> 2 c_y - y and the
+    diagonal mirror (x, y) -> (c_x + y - c_y, c_y + x - c_x) when the mesh
+    has all three (the square and the circle), (p_x, p_y) when it has only
+    the axis mirrors (the ellipse), or () otherwise.
 
     A mirror reverses the cyclic panel order, panel i -> (c - i) mod P, and
     the local node order inside a panel, so p[conn[i, a]] = conn[c - i, l - a].
@@ -120,14 +127,13 @@ def mirror_permutations(s: FeSpace):
     ends = panel_samples(m, [0.0, 1.0])[0]               # (P, 2, 2): start, end
     centre = np.asarray(m.geometry.mirror_centre, dtype=float)
     P, out = m.n_panels, []
-    for axis in (0, 1):
-        image = ends.copy()
-        image[..., axis] = 2.0 * centre[axis] - image[..., axis]
+    for k, R in enumerate(_MIRRORS):
+        image = centre + (ends - centre) @ R
         c = np.argmin(np.linalg.norm(ends[:, 1] - image[0, 0], axis=-1))
         j = (c - np.arange(P)) % P
         gap = np.linalg.norm(image - ends[j, ::-1], axis=-1).max(axis=1)
         if not np.all(gap <= MIRROR_MATCH * m.length):
-            return ()
+            return tuple(out) if k == 2 else ()
         p = np.empty(s.ndof, dtype=int)
         p[s.conn] = s.conn[j, ::-1]
         out.append(p)

@@ -97,8 +97,9 @@ class Geometry:
     tuple of (chart, parameter) aliases naming the same curve point.
     ``chart_scales`` holds each chart's average speed (arc length over
     parameter length), the per-chart unit used by the mesh grading.
-    ``mirror_centre`` is the crossing point of the curve's two mirror axes,
-    one parallel to each coordinate axis."""
+    ``mirror_centre`` is the crossing point of the curve's mirror axes:
+    one parallel to each coordinate axis, and on the square and the circle
+    also the diagonal through it."""
 
     kind: str
     scale: float

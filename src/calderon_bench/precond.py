@@ -15,9 +15,10 @@ at full size.
 
 The coupling matrices are sparse and banded: M couples only dofs of a
 common panel, so in reverse Cuthill-McKee order of its graph its band is
-2l wide on a closed curve (l on each symmetry block, which holds a
-quarter of the curve without the wrap-around), and R^(k), a polynomial of
-degree k - 1 in D^{-1} M, widens it by that much per step.  A
+2l wide on a closed curve (l on each symmetry block, which holds a piece
+of the curve without the wrap-around: a quarter under the two axis
+mirrors, and an eighth for a 1-D block of D4 on the square), and R^(k), a
+polynomial of degree k - 1 in D^{-1} M, widens it by that much per step.  A
 :class:`Coupling` does the sparse work once for every builder of its
 level: one RCM order, one banded factor of M per block, one Richardson
 contraction check and one chain of sparse products that passes each R^(k)

@@ -15,19 +15,26 @@ X B X with X one of D^{-1}, M^{-1}, diag(M)^{-1} or a polynomial in
 D^{-1} M.  In the sparse orthogonal basis Q of the group's four characters
 (the orbits {i, p_x(i), p_y(i), p_x p_y(i)} with signs (+-1, +-1), at most
 4 nonzeros per column) all of them are block diagonal, and
-Q_k^T G Q_k = X_k B_k X_k.  ``block_factor`` holds the blocks Q_k and the
+Q_k^T G Q_k = X_k B_k X_k.  The square and the circle, and their meshes,
+also have the diagonal mirror p_d, and the group is D4: its four 1-D
+characters halve the blocks (+, +) and (-, -), and the blocks (-, +) and
+(+, -) have the same spectrum, so only (-, +) is kept (see
+``character_bases``).  That is four blocks of about N/8 and one of N/4,
+which span 3N/4 rows.  ``block_factor`` holds the blocks Q_k and the
 Cholesky factor of each Q_k^T A Q_k; ``BlockFactor.project`` gives B_k
 once per level, ``project_sparse`` and ``project_diagonal`` give M, D and
 diag(M) in the same basis, and the builders of ``precond`` form each G_k
 on its block.  ``kappa`` takes the extreme eigenvalues over the blocks:
-four eigen-solves of about N/4 in place of one of N.  A G given as one
-dense matrix is projected onto the blocks by the same helper.
+four eigen-solves of about N/4 in place of one of N, or on D4 four of
+N/8 and one of N/4.  A G given as one dense matrix is projected onto the
+blocks by the same helper.
 
 The guard: the blocks are used only if every matrix that makes up G
-commutes with both mirrors to TAU, measured as max|X[p][:, p] - X| /
-max|X| (M is read sparse, D as its diagonal).  The residual is at most
-about 1e-14 for A, M and D; for B it grows with the corner grading
-(1.8e-10 on the level-5 square, 2.3e-7 on the level-6 ellipse), as the
+commutes with every mirror offered to TAU, measured as
+max|X[p][:, p] - X| / max|X| (M is read sparse, D as its diagonal).  The
+residual is at most about 1e-14 for A, M and D; for B under the axis
+mirrors it grows with the corner grading (1.8e-10 on the level-5 square,
+2.3e-7 on the level-6 ellipse; 1.3e-13 under p_d on the square), as the
 corner entries carry the rounding of absolute chart parameters.  In every
 measured case the blocks moved kappa by less than that residual,
 relative.  Otherwise, and on a curve or mesh without the mirrors, the
@@ -67,8 +74,11 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
 class BlockFactor:
     """A by blocks for :func:`kappa`: one (Q_k^T, L_k) per block, with Q_k^T
     a sparse row basis (the identity for one block) and L_k the lower
-    Cholesky factor of Q_k^T A Q_k.  ``residual`` is the largest mirror
-    residual the guard measured (0 when no mirror was offered)."""
+    Cholesky factor of Q_k^T A Q_k.  On D4 the rows of all blocks span
+    3N/4, as one block of each iso-spectral pair is left out, so Q^T X Q
+    has every eigenvalue of X but not X's size.  ``residual`` is the
+    largest mirror residual the guard measured (0 when no mirror was
+    offered)."""
 
     blocks: tuple
     residual: float
@@ -106,39 +116,67 @@ class BlockFactor:
 
 def mirror_residual(X, p: np.ndarray) -> float:
     """max|X[p][:, p] - X| / max|X| for a dense or sparse matrix,
-    max|X[p] - X| / max|X| for a diagonal given by its entries."""
+    max|X[p] - X| / max|X| for a diagonal given by its entries.
+
+    p is an involution, so entry (p(i), p(j)) of X[p][:, p] - X is minus
+    entry (i, j), and the rows i <= p(i) of a dense X hold the maximum."""
     if sparse.issparse(X):
         X = sparse.csr_matrix(X)
         return float(abs(X[p][:, p] - X).max() / abs(X).max())
     X = np.asarray(X)
-    Y = X.take(p, axis=0)
     if X.ndim == 2:
-        Y = Y.take(p, axis=1)
-    Y -= X
+        rows = np.flatnonzero(np.arange(p.size) <= p)
+        Y = X.take(p[rows], axis=0).take(p, axis=1)
+        Y -= X.take(rows, axis=0)
+    else:
+        Y = X.take(p) - X
     return float(max(Y.max(), -Y.min()) / max(X.max(), -X.min()))
 
 
 def character_bases(perms, n: int):
-    """Sparse orthonormal row bases Q_k^T (CSR, n_k x n) of the character
-    blocks of the group generated by the commuting dof involutions
-    ``perms``; together their rows form an orthogonal n x n matrix.
+    """Sparse orthonormal row bases Q_k^T (CSR, n_k x n) of the symmetry
+    blocks of the group generated by the dof involutions ``perms``.
 
-    Block k holds, for every orbit, the vector sum over the group of
-    chi_k(g) e_{g(r)} (r the orbit's least dof), normalized; orbits whose
-    stabilizer is not in the kernel of chi_k give the zero vector and no
-    row.
+    Up to two commuting involutions (such as none, for the trivial group,
+    or the Klein group {1, p_x, p_y, p_x p_y} of the two axis mirrors) give
+    one block per character, and together their rows form an orthogonal
+    n x n matrix.
+
+    Three, (p_x, p_y, p_d) with p_d p_x p_d = p_y, generate D4, the group
+    of the square.  Its four 1-D characters, those with chi(p_x) =
+    chi(p_y), split the Klein blocks (+, +) and (-, -) by chi(p_d) = +-1;
+    the fifth block is the Klein block (-, +), one copy of the 2-D
+    irreducible representation.  p_d maps it onto its partner (+, -), so
+    every matrix that commutes with D4 has the same spectrum on both, and
+    the partner is left out: the rows span 3n/4, not n, and carry every
+    eigenvalue of such a matrix, though not every multiplicity.
+
+    A 1-D block holds, for every orbit, the vector sum over the group of
+    chi(g) e_{g(r)} (r the orbit's least dof), normalized; orbits whose
+    stabilizer is not in the kernel of chi give the zero vector and no
+    row.  The 2-D block is built the same way over the Klein group.
     """
     elems = [np.arange(n)]
     for p in perms:
         elems += [p[e] for e in elems]
     images = np.stack(elems)                            # (|G|, n): g(i)
+    if len(perms) < 3:
+        return _orbit_bases(images, range(len(elems)))
+    # element e is a product of generators by the bits of e: 1 p_x, 2 p_y,
+    # 4 p_d; the characters 0, 3, 4, 7 have chi(p_x) = chi(p_y)
+    return _orbit_bases(images, (0, 3, 4, 7)) + _orbit_bases(images[:4], (1,))
+
+
+def _orbit_bases(images, characters):
+    """The row bases of ``character_bases`` for the group whose element e
+    maps dof i to images[e, i], one per character k, with
+    chi_k(e) = (-1)^(number of generators in both k and e)."""
+    size, n = images.shape
     reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
     rows = images[:, reps]                              # (|G|, R)
     out = []
-    for k in range(len(elems)):
-        # element e is the product of the generators in the bits of e, and
-        # chi_k(e) = (-1)^(number of generators in both k and e)
-        chi = np.array([(-1.0) ** bin(e & k).count("1") for e in range(len(elems))])
+    for k in characters:
+        chi = np.array([(-1.0) ** bin(e & k).count("1") for e in range(size)])
         Qt = sparse.csr_matrix(
             (np.broadcast_to(chi[:, None], rows.shape).ravel(),
              (np.broadcast_to(np.arange(reps.size), rows.shape).ravel(), rows.ravel())),
@@ -156,9 +194,10 @@ def _project(X: np.ndarray, Qt) -> np.ndarray:
 
 
 def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
-    """Factor of A for :func:`kappa` by the character blocks of the group
-    generated by the dof involutions ``perms`` (such as the two mirrors
-    of ``fespace.mirror_permutations``).
+    """Factor of A for :func:`kappa` by the blocks of ``character_bases``
+    for the dof involutions ``perms`` (the mirrors of
+    ``fespace.mirror_permutations``: the Klein group of the two axis
+    mirrors, or D4 with the diagonal one).
 
     The blocks are used only if A and every matrix or diagonal in
     ``commuting`` has a mirror residual of at most TAU under each

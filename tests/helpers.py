@@ -21,6 +21,18 @@ ALPHA = 0.05
 QUAD_N = 12
 
 
+# block sizes of the mirror blocks on corner levels 1-4: D4's four 1-D
+# blocks and its 2-D block on the square (3N/4 rows), the axis mirrors'
+# four blocks on the ellipse (N rows)
+BLOCK_SIZES = {
+    ("square", 1): [(7, 6, 6, 5, 12), (13, 12, 12, 11, 24), (21, 20, 20, 19, 40),
+                    (33, 32, 32, 31, 64)],
+    ("square", 3): [(19, 18, 18, 17, 36), (37, 36, 36, 35, 72), (61, 60, 60, 59, 120),
+                    (97, 96, 96, 95, 192)],
+    ("ellipse", 1): [(13, 12, 12, 11), (25, 24, 24, 23), (41, 40, 40, 39), (65, 64, 64, 63)],
+}
+
+
 @lru_cache(maxsize=None)
 def geom(kind):
     return make_geometry(kind, 0.5, 2.0)

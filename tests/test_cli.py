@@ -8,9 +8,12 @@ import calderon_bench
 from calderon_bench import cli, precond
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
+from calderon_bench.fespace import mirror_permutations
 from calderon_bench.mesh import corner_schedule, refine
 from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
-from calderon_bench.spectral import kappa
+from calderon_bench.spectral import TAU, kappa, mirror_residual
+
+from helpers import BLOCK_SIZES
 
 ALL_SIX = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
 
@@ -146,8 +149,12 @@ def test_error_annotates_level():
         run_experiment(cfg)
 
 
-def test_verify_subcommand_passes():
+def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
+    # the level-3 blocks: D4's five on the square, the axis mirrors' four
+    # on the ellipse
+    out = capsys.readouterr().out
+    assert "square blocks 61/60/60/59/120, ellipse blocks 41/40/40/39" in out
 
 
 def test_config_rejects_misspelled_refine(tmp_path):
@@ -253,7 +260,7 @@ def test_run_kappa_matches_dense_path(monkeypatch, geometry, degree, inner):
     rows = run_experiment(cfg)
     omega = richardson_weight(1, degree)[2]
     for row, (args, F) in zip(rows, seen, strict=True):
-        assert len(F.sizes) == 4, row.level
+        assert F.sizes == BLOCK_SIZES[geometry, degree][row.level - 1], row.level
         for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
             assert row.kappas[name] == pytest.approx(ref, rel=1e-10), (row.level, name)
 
@@ -286,6 +293,37 @@ def test_broken_mirror_runs_as_one_block(monkeypatch, which):
             assert row.kappas[name] == ref, name
 
 
+def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
+    # B moved by 1e-6 max|B| at one entry pair and at all its images under
+    # the axis mirrors, but not under the diagonal one: the guard refuses
+    # D4 and takes one block, not the axis mirrors' four, and gives the
+    # dense kappa
+    def broken(s, B):
+        px, py, pd = mirror_permutations(s)
+        B = B.copy()
+        for i, j in {(g[3], g[5]) for g in (np.arange(s.ndof), px, py, px[py])}:
+            B[i, j] += 1e-6 * np.abs(B).max()
+            B[j, i] = B[i, j]
+        assert max(mirror_residual(B, p) for p in (px, py)) <= TAU < mirror_residual(B, pd)
+        return B
+
+    real = cli.bops.assemble_operator_pair
+
+    def assemble(s, *args):
+        A, B = real(s, *args)
+        return A, broken(s, B)
+
+    monkeypatch.setattr(cli.bops, "assemble_operator_pair", assemble)
+    seen = _spy_levels(monkeypatch)
+    rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
+                                           preconds=ALL_SIX))
+    omega = richardson_weight(1, 3)[2]
+    for row, (args, F) in zip(rows, seen, strict=True):
+        assert len(args[4]) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
+        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+            assert row.kappas[name] == ref, name
+
+
 def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
     # one panel refined on one side of the ellipse: no mirror maps the mesh
     # onto itself
@@ -299,10 +337,10 @@ def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
         assert rows[0].kappas[name] == ref, name
 
 
-def test_no_full_size_preconditioner_on_four_blocks(monkeypatch):
-    # every builder receives B as four blocks and returns four; the sparse
-    # coupling work runs once per level: one RCM order, one contraction
-    # check, and banded factors for it (2) and for M's blocks (4)
+def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
+    # every builder receives B as the five blocks of D4 and returns five;
+    # the sparse coupling work runs once per level: one RCM order, one
+    # contraction check, and banded factors for it (2) and for M's blocks (5)
     received, calls = [], {"rcm": 0, "check": 0, "banded": 0}
     for name in ("lumped_precond", "mass_precond", "jacobi_precond", "richardson_precond"):
         def spy(B, *args, _real=getattr(cli, name)):
@@ -320,12 +358,13 @@ def test_no_full_size_preconditioner_on_four_blocks(monkeypatch):
     rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=levels,
                                            preconds=ALL_SIX))
     assert len(received) == levels * len(ALL_SIX)
-    sizes = [r.dofs for r in rows for _ in ALL_SIX]
-    for (B, G), n in zip(received, sizes):
-        assert isinstance(B, tuple) and len(B) == 4 and sum(b.shape[0] for b in B) == n
+    sizes = [(r.dofs, BLOCK_SIZES["square", 3][r.level - 1]) for r in rows for _ in ALL_SIX]
+    for (B, G), (n, n_k) in zip(received, sizes):
+        assert isinstance(B, tuple) and tuple(b.shape[0] for b in B) == n_k
+        assert sum(n_k) == 3 * n // 4
         assert isinstance(G, tuple) and [g.shape for g in G] == [b.shape for b in B]
         assert max(b.shape[0] for b in B) < n
-    assert calls == {"rcm": levels, "check": levels, "banded": levels * (2 + 4)}
+    assert calls == {"rcm": levels, "check": levels, "banded": levels * (2 + 5)}
 
 
 def test_bad_omega_raises_through_the_blocks():

@@ -10,10 +10,11 @@ from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
-from calderon_bench.spectral import (TAU, NotSPDError, block_factor, character_bases, kappa,
+from calderon_bench.spectral import (TAU, NotSPDError, _extreme_eigenvalues, _project,
+                                     block_factor, character_bases, kappa, mirror_residual,
                                      spd_factor)
 
-from helpers import corner_gram, corner_operators, corner_space, faddeev_leverrier
+from helpers import BLOCK_SIZES, corner_gram, corner_operators, corner_space, faddeev_leverrier
 
 rng = np.random.RandomState(314159)
 
@@ -111,7 +112,7 @@ def test_kappa_rejects_indefinite():
 
 
 # ---------------------------------------------------------------------------
-# kappa by the blocks of the curve's two mirrors
+# kappa by the blocks of the curve's mirrors
 
 def _preconds(B, M, D, ell):
     omega = richardson_weight(1, ell)[2]
@@ -134,7 +135,8 @@ def test_block_kappa_matches_dense(kind, ell, inner):
     for k in range(1, 5):
         s, A, B, M, D = _level(kind, k, ell, inner)
         F = block_factor(A, mirror_permutations(s), (B, M, D))
-        assert len(F.sizes) == 4 and sum(F.sizes) == s.ndof, (k, F.sizes)
+        assert F.sizes == BLOCK_SIZES[kind, ell][k - 1], (k, F.sizes)
+        assert sum(F.sizes) == (3 * s.ndof // 4 if kind == "square" else s.ndof), k
         dense = block_factor(A)
         for name, G in _preconds(B, M, D, ell).items():
             assert kappa(G, A, F) == pytest.approx(kappa(G, A, dense), rel=1e-10), (k, name)
@@ -149,15 +151,20 @@ def test_block_builds_match_projected_dense(kind, ell, inner):
     for k in range(1, 5):
         s, A, B, M, D = _level(kind, k, ell, inner)
         F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-        assert F.sizes == C.sizes == tuple(b.shape[0] for b in Bs) and len(F.sizes) == 4
+        assert F.sizes == C.sizes == tuple(b.shape[0] for b in Bs) == BLOCK_SIZES[kind, ell][k - 1]
         for name, G in _preconds(B, M, D, ell).items():
             blocks = _build_precond(name, Bs, C, d, omega)
-            assert isinstance(blocks, tuple) and len(blocks) == 4, (k, name)
+            assert isinstance(blocks, tuple) and len(blocks) == len(F.sizes), (k, name)
             for Gk, ref in zip(blocks, F.project(G)):
                 assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), (k, name)
 
 
-@pytest.mark.parametrize("kind,n_panels", [("circle", 6), ("ellipse", 10)])
+# blocks taken: the axis mirrors' four, or D4's five where a panel of the
+# 12-panel circle straddles the diagonal
+STRADDLE_BLOCKS = {("circle", 6): 4, ("ellipse", 10): 4, ("circle", 12): 5}
+
+
+@pytest.mark.parametrize("kind,n_panels", list(STRADDLE_BLOCKS))
 def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     # a panel that a mirror maps onto itself couples a dof with its own
     # image, so diag(Q^T M Q) is not the image of diag(M) (12 % apart
@@ -166,7 +173,7 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     A, B = assemble_operator_pair(s)
     M, D = mass_matrix(s), lumped_matrix(s)
     F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-    assert len(F.sizes) == 4
+    assert len(F.sizes) == STRADDLE_BLOCKS[kind, n_panels]
     assert np.abs(C.M.diagonal() - C.m).max() > 0.1 * C.m.max()
     omega = richardson_weight(1, 3)[2]
     for name, G in _preconds(B, M, D, 3).items():
@@ -195,8 +202,10 @@ def test_projected_coupling_is_block_diagonal():
 
 
 def test_character_bases_orthogonal_partition():
+    # the Klein group of the two axis mirrors, which the ellipse takes; on
+    # the square they are the first two of its three mirrors
     s = corner_space("square", 2, 3)
-    perms = mirror_permutations(s)
+    perms = mirror_permutations(s)[:2]
     bases = character_bases(perms, s.ndof)
     Q = scipy.sparse.vstack(bases).toarray()         # rows: the whole basis
     assert Q.shape == (s.ndof, s.ndof)
@@ -215,10 +224,120 @@ def test_character_bases_orthogonal_partition():
     for a, b in zip(cuts[:-1], cuts[1:]):
         QMQ[a:b, a:b] = 0.0
     assert np.abs(QMQ).max() <= 1e-15 * np.abs(M).max()
-    # the sizes of the level-5 degree-3 square
+    # the sizes of the level-5 degree-3 square, under the axis mirrors and
+    # under D4
     s5 = corner_space("square", 5, 3)
-    assert [b.shape[0] for b in character_bases(mirror_permutations(s5), s5.ndof)] == [
-        313, 312, 312, 311]
+    p5 = mirror_permutations(s5)
+    assert [b.shape[0] for b in character_bases(p5[:2], s5.ndof)] == [313, 312, 312, 311]
+    assert [b.shape[0] for b in character_bases(p5, s5.ndof)] == [157, 156, 156, 155, 312]
+
+
+def _orbit(perms, i):
+    """The orbit of dof i under the group generated by ``perms``."""
+    orbit = {i}
+    while True:
+        grown = orbit | {int(p[j]) for p in perms for j in orbit}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+@pytest.mark.parametrize("kind", ["square", "circle"])
+def test_mirror_permutations_on_d4_curves(kind):
+    # three involutions on the square and the circle, with p_d conjugating
+    # p_x into p_y; each maps every node onto its mirror image
+    for k, ell in ((1, 1), (2, 3), (3, 3)):
+        s = corner_space(kind, k, ell)
+        perms = mirror_permutations(s)
+        assert len(perms) == 3, k
+        px, py, pd = perms
+        for p in perms:
+            assert np.array_equal(np.sort(p), np.arange(s.ndof))
+            assert np.array_equal(p[p], np.arange(s.ndof))
+        assert np.array_equal(pd[px[pd]], py)
+        assert not np.array_equal(pd, px) and not np.array_equal(pd, py)
+    c = np.array(s.mesh.geometry.mirror_centre)
+    for i in range(s.ndof):
+        x, y = np.asarray(s.node_point(i)) - c
+        for p, image in zip(perms, ((-x, y), (x, -y), (y, x))):
+            assert np.abs(np.asarray(s.node_point(p[i])) - c - image).max() <= 1e-12
+
+
+def test_mirror_permutations_on_the_ellipse():
+    # the ellipse of ratio 2 has the two axis mirrors only
+    for k, ell in ((1, 1), (2, 3), (3, 3)):
+        perms = mirror_permutations(corner_space("ellipse", k, ell))
+        assert len(perms) == 2, k
+
+
+def test_d4_bases_orthonormal_on_orbits():
+    s = corner_space("square", 2, 3)
+    perms = mirror_permutations(s)
+    bases = character_bases(perms, s.ndof)
+    assert [b.shape[0] for b in bases] == [37, 36, 36, 35, 72]
+    Q = scipy.sparse.vstack(bases).toarray()
+    assert Q.shape == (3 * s.ndof // 4, s.ndof)
+    assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-14
+    # a 1-D block's row lives on one orbit of D4, a row of the 2-D block
+    # on one orbit of the axis mirrors
+    cuts = np.cumsum([0] + [b.shape[0] for b in bases])
+    for r, row in enumerate(Q):
+        support = set(np.flatnonzero(row).tolist())
+        group = perms if r < cuts[4] else perms[:2]
+        assert support <= _orbit(group, min(support)), r
+    # with the left-out partner, the axis mirrors' (+, -) block, the rows
+    # make an orthogonal n x n matrix
+    partner = character_bases(perms[:2], s.ndof)[2]
+    Qf = np.vstack([Q, partner.toarray()])
+    assert np.abs(Qf.T @ Qf - np.eye(s.ndof)).max() <= 1e-14
+    # the five blocks decouple a D4-invariant matrix
+    M, _ = corner_gram("square", 2, 3)
+    QMQ = Q @ M @ Q.T
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        QMQ[a:b, a:b] = 0.0
+    assert np.abs(QMQ).max() <= 1e-15 * np.abs(M).max()
+
+
+def test_d4_partner_blocks_are_isospectral():
+    # the left-out block (+, -) of the axis mirrors has the spectrum of the
+    # kept 2-D block (-, +) for A, B and each of the six G, and the pencil
+    # of G and A has the same extreme eigenvalues on both: why kappa may
+    # drop it
+    s, A, B, M, D = _level("square", 3, 3, "exact")
+    perms = mirror_permutations(s)
+    kept = character_bases(perms, s.ndof)[4]
+    partner = character_bases(perms[:2], s.ndof)[2]
+    assert kept.shape == partner.shape == (120, s.ndof)
+    assert abs(kept @ partner.T).max() <= 1e-15
+    for name, X in [("A", A), ("B", B), *_preconds(B, M, D, 3).items()]:
+        lam, mu = (np.linalg.eigvalsh(_project(X, Qt)) for Qt in (kept, partner))
+        assert np.abs(lam - mu).max() <= 1e-12 * np.abs(mu).max(), name
+    L = [spd_factor(_project(A, Qt)) for Qt in (kept, partner)]
+    for name, G in _preconds(B, M, D, 3).items():
+        ext, ext_partner = (np.array(_extreme_eigenvalues(_project(G, Qt), Lk))
+                            for Qt, Lk in zip((kept, partner), L))
+        assert np.abs(ext / ext_partner - 1).max() <= 1e-12, name
+
+
+def test_mirror_residual_reads_half_the_rows():
+    # the rows i <= p(i) give the residual of the full difference, to the
+    # bit, on the level-3 square's A and B and on a random matrix that
+    # commutes with no mirror
+    s, A, B, M, D = _level("square", 3, 3, "exact")
+    X = rng.randn(s.ndof, s.ndof)
+    for p in mirror_permutations(s):
+        for Y in (A, B, X):
+            assert mirror_residual(Y, p) == np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
+        assert mirror_residual(D, p) == np.abs(D[p] - D).max() / D.max()
+    # a unit entry in any row, those on a mirror's axis included, is seen
+    n = 96
+    for p in mirror_permutations(corner_space("square", 2, 1)):
+        assert np.any(p == np.arange(n))
+        j = np.flatnonzero(p != np.arange(n))[0]
+        for i in range(n):
+            X = np.zeros((n, n))
+            X[i, j] = 1.0
+            assert mirror_residual(X, p) == 1.0, i
 
 
 def test_guard_refuses_a_broken_mirror():
