@@ -101,8 +101,12 @@ def eval_basis(s: FeSpace, panel: int, x):
 
 # a mirrored panel's end points must land on its image panel's end points to
 # this fraction of the panel's length; near a corner an absolute tolerance
-# would exceed a whole panel
-MIRROR_MATCH = 1e-6
+# would exceed a whole panel.  Assembly copies every entry to its mirror
+# images, so a match gap becomes an error of A and B that the guard of
+# ``spectral.block_factor`` cannot see; the bound is the guard's TAU
+# (measured gaps: 0 on the square, at most 3.0e-8 on the ellipse and the
+# circle through level 5, 1.1e-6 on the level-6 ellipse)
+MIRROR_MATCH = 1e-7
 
 # the mirrors x, y and the diagonal about the mirror centre, acting on the
 # offset from it (as a row vector)
@@ -138,3 +142,15 @@ def mirror_permutations(s: FeSpace):
         p[s.conn] = s.conn[j, ::-1]
         out.append(p)
     return tuple(out)
+
+
+def group_elements(perms, n: int) -> np.ndarray:
+    """The maps (2^k, n) of the products of the k involutions ``perms`` of
+    range(n): row e is the product of the generators by the bits of e (1
+    the first, 2 the second, 4 the third), so row 0 is the identity.  For
+    the mirrors of ``mirror_permutations`` these are the elements of the
+    Klein group {1, p_x, p_y, p_x p_y}, or of D4 with p_d."""
+    elems = [np.arange(n)]
+    for p in perms:
+        elems += [p[e] for e in elems]
+    return np.stack(elems)

@@ -3,8 +3,8 @@
 For SPD G and A the product GA is similar to the symmetric matrix L^T G L
 with A = L L^T, so kappa_S(GA) = rho(GA) rho((GA)^{-1}) equals the extreme
 eigenvalue ratio of that symmetric pencil; no nonsymmetric eigensolver is
-needed.  L^T G L is formed by two triangular BLAS products and its
-spectrum by the dense symmetric eigensolver; both run in LAPACK/BLAS.
+needed.  L^T G L is formed by LAPACK's reduction of the symmetric-definite
+pencil (dsygst) and its spectrum by the dense symmetric eigensolver.
 
 The whole level is taken by blocks.  The shipped curves (square, circle,
 ellipse) are mirror symmetric about two axes, and so is the corner-graded
@@ -32,12 +32,14 @@ blocks by the same helper.
 The guard: the blocks are used only if every matrix that makes up G
 commutes with every mirror offered to TAU, measured as
 max|X[p][:, p] - X| / max|X| (M is read sparse, D as its diagonal).  The
-residual is at most about 1e-14 for A, M and D; for B under the axis
-mirrors it grows with the corner grading (1.8e-10 on the level-5 square,
-2.3e-7 on the level-6 ellipse; 1.3e-13 under p_d on the square), as the
-corner entries carry the rounding of absolute chart parameters.  In every
-measured case the blocks moved kappa by less than that residual,
-relative.  Otherwise, and on a curve or mesh without the mirrors, the
+residual is at most about 1e-14 for A, M and D.  A and B are assembled by
+orbits of panel pairs under the same mirrors (see
+:mod:`boundary_operators`), so wherever the maps exist they commute by
+construction and B's residual is rounding too; a sweep over every pair
+left up to 7.4e-9 in B on the level-6 square, from the rounding of
+absolute chart parameters at the corners.  The guard still reads every
+matrix, so a matrix that does not commute is refused whatever built it.
+Otherwise, and on a curve or mesh without the mirrors, the
 factor is one block: the character basis of the trivial group, Q = I as a
 sparse identity, through which the same code runs once on the full
 matrices.  Products with it only multiply by 1 and add 0, so they are
@@ -51,11 +53,15 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dsygst
+
+from .fespace import group_elements
 
 # largest relative mirror residual of A, B, M or D for which kappa is
 # taken by symmetry blocks
 TAU = 1e-7
+# rows of a dense matrix that ``mirror_residual`` gathers at a time
+_RESIDUAL_ROWS = 256
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -119,18 +125,23 @@ def mirror_residual(X, p: np.ndarray) -> float:
     max|X[p] - X| / max|X| for a diagonal given by its entries.
 
     p is an involution, so entry (p(i), p(j)) of X[p][:, p] - X is minus
-    entry (i, j), and the rows i <= p(i) of a dense X hold the maximum."""
+    entry (i, j), and the rows i <= p(i) of a dense X hold the maximum;
+    they are gathered _RESIDUAL_ROWS at a time."""
     if sparse.issparse(X):
         X = sparse.csr_matrix(X)
         return float(abs(X[p][:, p] - X).max() / abs(X).max())
     X = np.asarray(X)
-    if X.ndim == 2:
-        rows = np.flatnonzero(np.arange(p.size) <= p)
-        Y = X.take(p[rows], axis=0).take(p, axis=1)
-        Y -= X.take(rows, axis=0)
-    else:
+    if X.ndim == 1:
         Y = X.take(p) - X
-    return float(max(Y.max(), -Y.min()) / max(X.max(), -X.min()))
+        return float(max(Y.max(), -Y.min()) / max(X.max(), -X.min()))
+    rows = np.flatnonzero(np.arange(p.size) <= p)
+    worst = 0.0
+    for i in range(0, rows.size, _RESIDUAL_ROWS):
+        r = rows[i:i + _RESIDUAL_ROWS]
+        Y = X.take(p[r], axis=0).take(p, axis=1)
+        Y -= X.take(r, axis=0)
+        worst = max(worst, Y.max(), -Y.min())
+    return float(worst / max(X.max(), -X.min()))
 
 
 def character_bases(perms, n: int):
@@ -156,12 +167,9 @@ def character_bases(perms, n: int):
     stabilizer is not in the kernel of chi give the zero vector and no
     row.  The 2-D block is built the same way over the Klein group.
     """
-    elems = [np.arange(n)]
-    for p in perms:
-        elems += [p[e] for e in elems]
-    images = np.stack(elems)                            # (|G|, n): g(i)
+    images = group_elements(perms, n)                   # (|G|, n): g(i)
     if len(perms) < 3:
-        return _orbit_bases(images, range(len(elems)))
+        return _orbit_bases(images, range(len(images)))
     # element e is a product of generators by the bits of e: 1 p_x, 2 p_y,
     # 4 p_d; the characters 0, 3, 4, 7 have chi(p_x) = chi(p_y)
     return _orbit_bases(images, (0, 3, 4, 7)) + _orbit_bases(images[:4], (1,))
@@ -212,12 +220,13 @@ def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
 
 def _extreme_eigenvalues(G: np.ndarray, L: np.ndarray):
     """Smallest and largest eigenvalue of L^T G L."""
-    # U = L^T is L's storage read in Fortran order, so BLAS takes it as is
-    U = np.asarray(L, dtype=float).T
-    GL = dtrmm(1.0, U, np.array(G, dtype=float, order="F"), overwrite_b=1,
-               side=1, lower=0, trans_a=1)                  # G U^T = G L
-    C = dtrmm(1.0, U, GL, overwrite_b=1, side=0, lower=0)   # U G L = L^T G L
-    lam = np.linalg.eigvalsh(0.5 * (C + C.T))
+    # LAPACK's reduction of the pencil (itype 2): the lower triangle of
+    # L^T G L from the lower triangles of G and L, in one call
+    C, info = dsygst(np.array(G, dtype=float, order="F"), np.asfortranarray(L, dtype=float),
+                     itype=2, lower=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsygst failed with info = {info}")
+    lam = np.linalg.eigvalsh(C, UPLO="L")
     return lam[0], lam[-1]
 
 

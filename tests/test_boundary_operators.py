@@ -11,13 +11,14 @@ from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
                                                _admissible_pairs, _far_field, _log_kernel_r2,
                                                _near_field, _require_spd,
                                                assemble_operator_pair, write_dense_matrix)
-from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
+from calderon_bench.fespace import (build_space, mirror_permutations, reference_basis,
+                                    reference_basis_deriv)
 from calderon_bench.geometry import AffineChart, make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import Mesh, corner_schedule, initial_mesh, panel_chords, panel_samples
 from calderon_bench.precond import lumped_precond
 from calderon_bench.quadrature import adaptive_integrate, gauss_rule, pair_rule
-from calderon_bench.spectral import kappa
+from calderon_bench.spectral import kappa, mirror_residual
 
 from helpers import (QUAD_N, circle_uniform_operators, circle_uniform_space,
                      corner_operators, corner_space, geom)
@@ -447,3 +448,119 @@ def test_near_field_matches_full_sample_sweep(kind, ell):
             assert got.shape == (2 * P,) + ref.shape[1:]
             got = np.concatenate([got[:P] + got[:P].transpose(0, 2, 1), got[P:]])
             assert np.abs(got - ref[:2 * P]).max() <= 1e-14 * np.abs(ref).max(), k
+
+
+# ---------------------------------------------------------------------------
+# the orbit sweep: one panel pair per orbit of the mirror group, copied to
+# its images, against the sweep over every pair (the trivial group)
+
+
+def _trivial_group(monkeypatch):
+    monkeypatch.setattr(bops, "mirror_permutations", lambda s: ())
+
+
+@pytest.mark.parametrize("kind, k, ell", [("square", 5, 3), ("square", 6, 3),
+                                          ("ellipse", 5, 1)])
+def test_orbit_sweep_matches_full_sweep(kind, k, ell, monkeypatch):
+    """A copied block differs from the one the full sweep evaluates by the
+    quadrature's mirror asymmetry: rounding for A, and for B up to about
+    its mirror residual (measured: 3.3e-14 of max|A|; 2.0e-10, 7.4e-9 and
+    7.1e-9 of max|B|)."""
+    A, B = corner_operators(kind, k, ell)
+    _trivial_group(monkeypatch)
+    A0, B0 = assemble_operator_pair(corner_space(kind, k, ell), QUAD_N, 0.05)
+    assert np.abs(A - A0).max() <= 1e-13 * np.abs(A0).max()
+    assert np.abs(B - B0).max() <= 2e-8 * np.abs(B0).max()
+
+
+@pytest.mark.parametrize("kind, ell, levels", [("square", 3, range(1, 7)),
+                                               ("ellipse", 1, range(1, 6))])
+def test_orbit_sweep_commutes_with_every_mirror(kind, ell, levels):
+    """Every block is copied to all its images, and one fixed by a mirror
+    takes the mean over its stabilizer, so A and B commute with each mirror
+    to rounding (the full sweep leaves up to 7.4e-9 in B)."""
+    for k in levels:
+        perms = mirror_permutations(corner_space(kind, k, ell))
+        assert len(perms) == (3 if kind == "square" else 2), k
+        for X in corner_operators(kind, k, ell):
+            for p in perms:
+                assert mirror_residual(X, p) <= 1e-14, k
+
+
+def _pair_orbits(s):
+    """The orbits of the separated panel pairs {p, q} under the mirrors, as
+    sets of unordered pairs, from the dof maps and a search; independent of
+    the code under test."""
+    P = s.mesh.n_panels
+    panel_of = {frozenset(row.tolist()): i for i, row in enumerate(s.conn)}
+    maps = [[panel_of[frozenset(p[row].tolist())] for row in s.conn]
+            for p in mirror_permutations(s)]
+    seen, orbits = set(), []
+    for p in range(P):
+        for q in range(p - 1):
+            pair = frozenset((p, q))
+            if (p - q) % P == P - 1 or pair in seen:
+                continue
+            orbit, todo = {pair}, [pair]
+            while todo:
+                a, b = tuple(todo.pop())
+                for j in maps:
+                    image = frozenset((j[a], j[b]))
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def _one_admissible_pair_made_close(mesh):
+    far = _admissible_pairs(mesh)
+    p, q = np.argwhere(np.tril(far, -1))[0]
+    far[p, q] = far[q, p] = False
+    return far
+
+
+@pytest.mark.parametrize("kind, ell, ratio", [("square", 3, 8), ("ellipse", 1, 4)])
+def test_far_field_evaluates_each_orbit_once(kind, ell, ratio, monkeypatch):
+    """With the mirror group, the kernel runs n_c^2 times per admissible
+    orbit and n^2 times per close orbit, and about |G| times less often
+    than over every pair (measured on levels 1-6: 7.4-7.9 times on the
+    square, 3.8-4.0 on the ellipse).  An orbit is admissible only if every
+    pair of it is: one admissible pair is made close here, which the
+    mirrors do not do to its images."""
+    calls = []
+
+    def counted(r2):
+        calls.append(r2.size)
+        return _log_kernel_r2(r2)
+
+    monkeypatch.setattr(bops, "_log_kernel_r2", counted)
+    monkeypatch.setattr(bops, "_admissible_pairs", _one_admissible_pair_made_close)
+    n_c = -(-QUAD_N // 2)
+    for k in (2, 3):
+        s = corner_space(kind, k, ell)
+        far = _one_admissible_pair_made_close(s.mesh)
+        orbits = _pair_orbits(s)
+        admissible = sum(all(far[tuple(pair)] for pair in orbit) for orbit in orbits)
+        calls.clear()
+        for _ in _far_field(s, QUAD_N, bops._mirror_group(s, mirror_permutations(s))[1]):
+            pass
+        assert sum(calls) == n_c ** 2 * admissible + QUAD_N ** 2 * (len(orbits) - admissible)
+        orbit_calls = sum(calls)
+        calls.clear()
+        for _ in _far_field(s, QUAD_N):
+            pass
+        assert 0.9 * ratio < sum(calls) / orbit_calls <= ratio, k
+
+
+def test_mirror_group_maps_panels_onto_their_images():
+    """Each element's panel map sends a panel's dofs onto the dofs its dof
+    map gives, on the square (D4, 8 elements) and the ellipse (4)."""
+    for kind, size in (("square", 8), ("ellipse", 4)):
+        s = corner_space(kind, 2, 3)
+        dofs, panels = bops._mirror_group(s, mirror_permutations(s))
+        assert dofs.shape == (size, s.ndof) and panels.shape == (size, s.mesh.n_panels)
+        assert np.array_equal(dofs[0], np.arange(s.ndof))
+        for d, j in zip(dofs, panels):
+            assert np.array_equal(np.sort(d[s.conn], axis=1), np.sort(s.conn[j], axis=1))

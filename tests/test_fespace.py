@@ -122,3 +122,21 @@ def test_lump_vs_l2_bracket(kind, ell):
     ratios = lump / l2sq
     assert ratios.min() >= c1 / rho - 1e-12
     assert ratios.max() <= c2 * rho + 1e-12
+
+
+def test_mirror_match_refuses_a_gap_of_five_tenths_of_a_millionth(monkeypatch):
+    """Assembly copies entries to their mirror images, so a mesh whose
+    mirror misses by 5e-7 of a panel gets no maps (it would pass at
+    1e-6): one shared vertex of the level-2 square moved along its side."""
+    from calderon_bench import fespace
+    from calderon_bench.mesh import Mesh
+
+    m = corner_schedule(make_geometry("square", 0.5), 2)
+    i = next(i for i in range(1, m.n_panels) if m.chart[i] == m.chart[i + 1])
+    t0, t1 = m.t0.copy(), m.t1.copy()
+    t1[i] = t0[i + 1] = t1[i] + 5e-7 * (t1[i] - t0[i])
+    moved = build_space(Mesh(m.geometry, m.chart, t0, t1, m.length, m.qlength), 1)
+    assert len(fespace.mirror_permutations(build_space(m, 1))) == 3
+    assert fespace.mirror_permutations(moved) == ()
+    monkeypatch.setattr(fespace, "MIRROR_MATCH", 1e-6)
+    assert len(fespace.mirror_permutations(moved)) == 3
