@@ -67,8 +67,9 @@ class AssemblyError(RuntimeError):
 
 
 class CoercivityError(AssemblyError):
-    """The assembled single layer matrix failed the positive-definiteness
-    check; the geometry guard (diameter <= 1) was violated or defeated."""
+    """A symmetry block of the single layer matrix failed its Cholesky
+    factor in ``cli.level_blocks``; the geometry guard (diameter <= 1)
+    was violated or defeated."""
 
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
@@ -153,14 +154,21 @@ def _orbits(keys):
     """Representatives of the orbits of some objects under a group, and the
     order of each one's stabilizer.
 
-    ``keys`` (|G|, M) holds, for each object, a label of its image under
-    each element (row 0: the identity); equal labels mean the same object.
-    Labels come from geometry, and the representative of an orbit is its
-    member of least label.  Returns the representatives' ids (R,) and the
-    number of elements (R,) that map each onto itself.
+    ``keys`` yields, for each element of the group (the identity first),
+    a label (M,) of each object's image under it; equal labels mean the
+    same object.  Labels come from geometry, and the representative of an
+    orbit is its member of least label.  The labels are read one element
+    at a time, so only O(M) is held.  Returns the representatives' ids
+    (R,) and the number of elements (R,) that map each onto itself.
     """
-    reps = np.flatnonzero(keys[0] == keys.min(axis=0))
-    return reps, (keys[:, reps] == keys[0, reps]).sum(axis=0)
+    keys = iter(keys)
+    own = next(keys)
+    least, stab = own.copy(), np.ones(own.size, dtype=np.int64)
+    for key in keys:
+        np.minimum(least, key, out=least)
+        stab += key == own
+    reps = np.flatnonzero(own == least)
+    return reps, stab[reps]
 
 
 def _mean_over_stabilizer(stab, *blocks):
@@ -219,11 +227,13 @@ def _separated_orbits(mesh, panels):
     keep = p - q < P - 1                              # (P-1, 0) are adjacent
     p, q = p[keep], q[keep]
     rank = _panel_rank(mesh)
-    a, b = rank[panels][:, p], rank[panels][:, q]
-    keys = np.maximum(a, b)
-    keys *= P
-    keys += np.minimum(a, b, out=a)
-    reps, stab = _orbits(keys)
+
+    def keys():
+        for g in rank[panels]:
+            a, b = g[p], g[q]
+            yield np.maximum(a, b) * P + np.minimum(a, b)
+
+    reps, stab = _orbits(keys())
     p, q = p[reps], q[reps]
     far = _admissible_pairs(mesh)[panels[:, p], panels[:, q]].all(axis=0)
     swap = rank[p] < rank[q]
@@ -324,15 +334,6 @@ def _near_field(s: FeSpace, quad_n: int, panels=None):
                                    np.concatenate([id_der, ad_der])))
 
 
-def _require_spd(Mt, what, exc):
-    if not np.all(np.isfinite(Mt)):
-        raise exc(f"{what}: non-finite entries")
-    try:
-        np.linalg.cholesky(Mt)
-    except np.linalg.LinAlgError:
-        raise exc(f"{what}: matrix is not positive definite") from None
-
-
 def _scatter(dofs, blocks):
     """The sums Z_val and Z_der (N, N) of the blocks (rows, cols, val, der)
     at their rows and columns mapped by each of the group's dof maps
@@ -357,7 +358,8 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     <= 1).  B = B~ + alpha m m^T: B~ acts on arc-length derivatives through
     the single layer kernel and therefore annihilates constants; the
     rank-one term with m[nu] = <phi_nu, 1>, the exact lumped diagonal,
-    restores definiteness for any alpha > 0.
+    restores definiteness for any alpha > 0.  Non-finite entries raise
+    AssemblyError; ``cli.level_blocks`` checks that A and B are SPD.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
@@ -370,11 +372,9 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     B = Z_der + Z_der.T
     m = lumped_matrix(s, "exact", n_quad=quad_n)
     B += alpha * np.outer(m, m)
-    _require_spd(
-        A, "single layer (geometry guard diameter <= 1 should ensure coercivity)",
-        CoercivityError,
-    )
-    _require_spd(B, "stabilized hypersingular", AssemblyError)
+    for X, what in ((A, "single layer"), (B, "stabilized hypersingular")):
+        if not np.isfinite(X).all():
+            raise AssemblyError(f"{what}: non-finite entries")
     return A, B
 
 

@@ -26,7 +26,7 @@ from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neigh
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import block_factor, kappa
+from .spectral import NotSPDError, block_factor, kappa, spd_factor
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -122,14 +122,25 @@ def _build_precond(name, B, M, D, omega):
 
 def level_blocks(A, B, M, D, perms):
     """One level in the symmetry basis: A's factor F by the blocks of the
-    mirrors ``perms`` (one block unless A, B, M and D all commute with
-    them; five on D4, four on the axis mirrors alone), the blocks of B, M
-    as a Coupling and D's diagonal.  Every preconditioner of the level is
-    built on these."""
+    mirrors ``perms`` (one block unless M and D commute with them; five on
+    D4, four on the axis mirrors alone), the blocks of B, M as a Coupling
+    and D's diagonal.  Every preconditioner of the level is built on these.
+    The Cholesky factors of the blocks check that A and B are SPD."""
     Ms = sparse.csr_matrix(M)
-    F = block_factor(A, perms, (B, Ms, D))
+    try:
+        F = block_factor(A, perms, (Ms, D))
+    except NotSPDError:
+        raise bops.CoercivityError("single layer: a symmetry block is not positive definite "
+                                   "(geometry guard diameter <= 1)") from None
+    Bs = F.project(B)
+    try:
+        for Bk in Bs:
+            spd_factor(Bk)
+    except NotSPDError:
+        raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
+                                 "positive definite") from None
     C = Coupling(F.project_sparse(Ms), F.project_diagonal(Ms.diagonal()), F.sizes)
-    return F, F.project(B), C, F.project_diagonal(D)
+    return F, Bs, C, F.project_diagonal(D)
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):

@@ -102,10 +102,10 @@ def eval_basis(s: FeSpace, panel: int, x):
 # a mirrored panel's end points must land on its image panel's end points to
 # this fraction of the panel's length; near a corner an absolute tolerance
 # would exceed a whole panel.  Assembly copies every entry to its mirror
-# images, so a match gap becomes an error of A and B that the guard of
-# ``spectral.block_factor`` cannot see; the bound is the guard's TAU
-# (measured gaps: 0 on the square, at most 3.0e-8 on the ellipse and the
-# circle through level 5, 1.1e-6 on the level-6 ellipse)
+# images, so a match gap becomes an error of A and B that no check sees:
+# the guard of ``spectral.block_factor`` reads only M and D (measured gaps:
+# 0 on the square, at most 3.0e-8 on the ellipse and the circle through
+# level 5, 1.1e-6 on the level-6 ellipse)
 MIRROR_MATCH = 1e-7
 
 # the mirrors x, y and the diagonal about the mirror centre, acting on the

@@ -29,21 +29,19 @@ four eigen-solves of about N/4 in place of one of N, or on D4 four of
 N/8 and one of N/4.  A G given as one dense matrix is projected onto the
 blocks by the same helper.
 
-The guard: the blocks are used only if every matrix that makes up G
-commutes with every mirror offered to TAU, measured as
-max|X[p][:, p] - X| / max|X| (M is read sparse, D as its diagonal).  The
-residual is at most about 1e-14 for A, M and D.  A and B are assembled by
-orbits of panel pairs under the same mirrors (see
-:mod:`boundary_operators`), so wherever the maps exist they commute by
-construction and B's residual is rounding too; a sweep over every pair
-left up to 7.4e-9 in B on the level-6 square, from the rounding of
-absolute chart parameters at the corners.  The guard still reads every
-matrix, so a matrix that does not commute is refused whatever built it.
-Otherwise, and on a curve or mesh without the mirrors, the
-factor is one block: the character basis of the trivial group, Q = I as a
-sparse identity, through which the same code runs once on the full
-matrices.  Products with it only multiply by 1 and add 0, so they are
-exact.
+The guard: A and B are assembled by orbits of panel pairs under the
+mirrors (see :mod:`boundary_operators`), so they commute with them by
+construction.  M and D are built without the maps, so the guard reads
+them: the blocks are used only if both commute with every mirror offered
+to TAU, measured as max|X[p][:, p] - X| / max|X| (about 1e-14).
+Otherwise, and on a curve or mesh without the mirrors, the factor is one
+block: the character basis of the trivial group, Q = I as a sparse
+identity, through which the same code runs once on the full matrices.
+Products with it only multiply by 1 and add 0, so they are exact.  The
+Cholesky factors of the blocks are the check that A is SPD, with the
+backward error of one dense factor (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 10); the D4 partner has the kept block's
+spectrum.
 """
 
 from __future__ import annotations
@@ -57,11 +55,9 @@ from scipy.linalg.lapack import dsygst
 
 from .fespace import group_elements
 
-# largest relative mirror residual of A, B, M or D for which kappa is
-# taken by symmetry blocks
+# largest relative mirror residual of M and D for which kappa is taken by
+# symmetry blocks
 TAU = 1e-7
-# rows of a dense matrix that ``mirror_residual`` gathers at a time
-_RESIDUAL_ROWS = 256
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -83,8 +79,8 @@ class BlockFactor:
     Cholesky factor of Q_k^T A Q_k.  On D4 the rows of all blocks span
     3N/4, as one block of each iso-spectral pair is left out, so Q^T X Q
     has every eigenvalue of X but not X's size.  ``residual`` is the
-    largest mirror residual the guard measured (0 when no mirror was
-    offered)."""
+    largest mirror residual the guard measured on ``commuting`` (0 when
+    nothing was offered)."""
 
     blocks: tuple
     residual: float
@@ -121,27 +117,14 @@ class BlockFactor:
 
 
 def mirror_residual(X, p: np.ndarray) -> float:
-    """max|X[p][:, p] - X| / max|X| for a dense or sparse matrix,
-    max|X[p] - X| / max|X| for a diagonal given by its entries.
-
-    p is an involution, so entry (p(i), p(j)) of X[p][:, p] - X is minus
-    entry (i, j), and the rows i <= p(i) of a dense X hold the maximum;
-    they are gathered _RESIDUAL_ROWS at a time."""
-    if sparse.issparse(X):
-        X = sparse.csr_matrix(X)
-        return float(abs(X[p][:, p] - X).max() / abs(X).max())
-    X = np.asarray(X)
-    if X.ndim == 1:
+    """max|X[p][:, p] - X| / max|X| for a matrix, read as CSR,
+    max|X[p] - X| / max|X| for a diagonal given by its entries."""
+    if np.ndim(X) == 1:
+        X = np.asarray(X)
         Y = X.take(p) - X
         return float(max(Y.max(), -Y.min()) / max(X.max(), -X.min()))
-    rows = np.flatnonzero(np.arange(p.size) <= p)
-    worst = 0.0
-    for i in range(0, rows.size, _RESIDUAL_ROWS):
-        r = rows[i:i + _RESIDUAL_ROWS]
-        Y = X.take(p[r], axis=0).take(p, axis=1)
-        Y -= X.take(r, axis=0)
-        worst = max(worst, Y.max(), -Y.min())
-    return float(worst / max(X.max(), -X.min()))
+    X = sparse.csr_matrix(X)
+    return float(abs(X[p][:, p] - X).max() / abs(X).max())
 
 
 def character_bases(perms, n: int):
@@ -205,14 +188,15 @@ def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
     """Factor of A for :func:`kappa` by the blocks of ``character_bases``
     for the dof involutions ``perms`` (the mirrors of
     ``fespace.mirror_permutations``: the Klein group of the two axis
-    mirrors, or D4 with the diagonal one).
+    mirrors, or D4 with the diagonal one), with which A commutes.
 
-    The blocks are used only if A and every matrix or diagonal in
-    ``commuting`` has a mirror residual of at most TAU under each
-    permutation; otherwise, and without permutations, the factor is one
-    block with Q = I, the basis of the trivial group.
+    The blocks are used only if every matrix or diagonal in ``commuting``
+    (M and D on the run path) has a mirror residual of at most TAU under
+    each permutation; otherwise, and without permutations, the factor is
+    one block with Q = I, the basis of the trivial group.  Raises
+    NotSPDError if a block of A is not SPD.
     """
-    residual = max((mirror_residual(X, p) for X in (A, *commuting) for p in perms),
+    residual = max((mirror_residual(X, p) for X in commuting for p in perms),
                    default=0.0)
     bases = character_bases(perms if residual <= TAU else (), A.shape[0])
     return BlockFactor(tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases), residual)

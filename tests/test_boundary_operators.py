@@ -7,15 +7,17 @@ import pytest
 import scipy.sparse as sparse
 
 from calderon_bench import boundary_operators as bops
+from calderon_bench import cli
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
                                                _admissible_pairs, _far_field, _log_kernel_r2,
-                                               _near_field, _require_spd,
-                                               assemble_operator_pair, write_dense_matrix)
+                                               _near_field, assemble_operator_pair,
+                                               write_dense_matrix)
 from calderon_bench.fespace import (build_space, mirror_permutations, reference_basis,
                                     reference_basis_deriv)
 from calderon_bench.geometry import AffineChart, make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
-from calderon_bench.mesh import Mesh, corner_schedule, initial_mesh, panel_chords, panel_samples
+from calderon_bench.mesh import (Mesh, corner_schedule, initial_mesh, panel_chords,
+                                 panel_samples, refine)
 from calderon_bench.precond import lumped_precond
 from calderon_bench.quadrature import adaptive_integrate, gauss_rule, pair_rule
 from calderon_bench.spectral import kappa, mirror_residual
@@ -160,12 +162,39 @@ def test_panel_order_invariance():
     assert diff.max() <= 1e-12 * np.abs(A).max()
 
 
-def test_spd_guard_raises():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])   # indefinite
-    with pytest.raises(CoercivityError):
-        _require_spd(bad, "single layer", CoercivityError)
-    with pytest.raises(AssemblyError):
-        _require_spd(bad, "hypersingular", AssemblyError)
+def test_spd_guard_raises(monkeypatch):
+    # an indefinite A or B from assembly is refused on the run path by the
+    # Cholesky factors of its symmetry blocks: on the square's D4 blocks,
+    # and on the ellipse with one panel refined on one side, which has no
+    # mirrors, so that its one block is the dense factor
+    real = bops.assemble_operator_pair
+
+    def one_side(cfg, g, k):
+        return refine(corner_schedule(g, 1), {1})
+
+    for geometry, level_mesh in (("square", cli.level_mesh), ("ellipse", one_side)):
+        for which, cause in ((0, CoercivityError), (1, AssemblyError)):
+            def indefinite(*args):
+                out = list(real(*args))
+                out[which] = -out[which]
+                return tuple(out)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "level_mesh", level_mesh)
+                mp.setattr(bops, "assemble_operator_pair", indefinite)
+                with pytest.raises(RuntimeError) as info:
+                    cli.run_experiment(cli.ExperimentConfig(geometry=geometry, levels=1))
+            assert type(info.value.__cause__) is cause, (geometry, which)
+    # a non-finite entry of A or B is refused by assembly itself
+    s = corner_space("square", 1, 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(bops, "_log_kernel_r2", lambda r2: np.full_like(r2, np.nan))
+        with pytest.raises(AssemblyError, match="single layer"):
+            assemble_operator_pair(s)
+    with monkeypatch.context() as mp:
+        mp.setattr(bops, "lumped_matrix", lambda s, *args, **kw: np.full(s.ndof, np.inf))
+        with pytest.raises(AssemblyError, match="hypersingular"):
+            assemble_operator_pair(s)
 
 
 def test_too_few_panels_rejected():

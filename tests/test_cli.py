@@ -265,24 +265,24 @@ def test_run_kappa_matches_dense_path(monkeypatch, geometry, degree, inner):
             assert row.kappas[name] == pytest.approx(ref, rel=1e-10), (row.level, name)
 
 
-@pytest.mark.parametrize("which", ["B", "M"])
+@pytest.mark.parametrize("which", ["D", "M"])
 def test_broken_mirror_runs_as_one_block(monkeypatch, which):
-    # B (or M, which the guard reads sparse) moved off its mirror images by
-    # 1e-6 max|X| at one symmetric entry pair: every level falls back to one
-    # block, which runs the dense arithmetic and gives the dense kappa
+    # D (or M, which the guard reads sparse) moved off its mirror images by
+    # 1e-6 max|X| at one entry (M: one symmetric entry pair): every level
+    # falls back to one block, which runs the dense arithmetic and gives
+    # the dense kappa
     def broken(X):
         X = X.copy()
-        X[3, 5] += 1e-6 * np.abs(X).max()
-        X[5, 3] = X[3, 5]
+        if X.ndim == 1:
+            X[3] += 1e-6 * X.max()
+        else:
+            X[3, 5] += 1e-6 * np.abs(X).max()
+            X[5, 3] = X[3, 5]
         return X
 
-    if which == "B":
-        real = cli.bops.assemble_operator_pair
-        monkeypatch.setattr(cli.bops, "assemble_operator_pair",
-                            lambda *args: (real(*args)[0], broken(real(*args)[1])))
-    else:
-        real = cli.mass_matrix
-        monkeypatch.setattr(cli, "mass_matrix", lambda *args, **kw: broken(real(*args, **kw)))
+    name = "lumped_matrix" if which == "D" else "mass_matrix"
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kw: broken(real(*args, **kw)))
     seen = _spy_levels(monkeypatch)
     rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
                                            preconds=ALL_SIX))
@@ -294,26 +294,23 @@ def test_broken_mirror_runs_as_one_block(monkeypatch, which):
 
 
 def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
-    # B moved by 1e-6 max|B| at one entry pair and at all its images under
+    # M moved by 1e-6 max|M| at one entry pair and at all its images under
     # the axis mirrors, but not under the diagonal one: the guard refuses
     # D4 and takes one block, not the axis mirrors' four, and gives the
     # dense kappa
-    def broken(s, B):
+    real = cli.mass_matrix
+
+    def broken(s, *args, **kw):
         px, py, pd = mirror_permutations(s)
-        B = B.copy()
+        M = real(s, *args, **kw).copy()
+        top = np.abs(M).max()
         for i, j in {(g[3], g[5]) for g in (np.arange(s.ndof), px, py, px[py])}:
-            B[i, j] += 1e-6 * np.abs(B).max()
-            B[j, i] = B[i, j]
-        assert max(mirror_residual(B, p) for p in (px, py)) <= TAU < mirror_residual(B, pd)
-        return B
+            M[i, j] += 1e-6 * top
+            M[j, i] = M[i, j]
+        assert max(mirror_residual(M, p) for p in (px, py)) <= TAU < mirror_residual(M, pd)
+        return M
 
-    real = cli.bops.assemble_operator_pair
-
-    def assemble(s, *args):
-        A, B = real(s, *args)
-        return A, broken(s, B)
-
-    monkeypatch.setattr(cli.bops, "assemble_operator_pair", assemble)
+    monkeypatch.setattr(cli, "mass_matrix", broken)
     seen = _spy_levels(monkeypatch)
     rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
                                            preconds=ALL_SIX))

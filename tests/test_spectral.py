@@ -10,9 +10,9 @@ from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
-from calderon_bench.spectral import (_RESIDUAL_ROWS, TAU, NotSPDError, _extreme_eigenvalues,
-                                     _project, block_factor, character_bases, kappa,
-                                     mirror_residual, spd_factor)
+from calderon_bench.spectral import (TAU, NotSPDError, _extreme_eigenvalues, _project,
+                                     block_factor, character_bases, kappa, mirror_residual,
+                                     spd_factor)
 
 from helpers import BLOCK_SIZES, corner_gram, corner_operators, corner_space, faddeev_leverrier
 
@@ -320,9 +320,9 @@ def test_d4_partner_blocks_are_isospectral():
 
 
 def test_mirror_residual_reads_half_the_rows():
-    # the rows i <= p(i) give the residual of the full difference, to the
-    # bit, on the level-3 square's A and B and on a random matrix that
-    # commutes with no mirror
+    # the residual of a dense matrix, read as CSR, is that of the full
+    # dense difference, to the bit, on the level-3 square's A and B and on
+    # a random matrix that commutes with no mirror
     s, A, B, M, D = _level("square", 3, 3, "exact")
     X = rng.randn(s.ndof, s.ndof)
     for p in mirror_permutations(s):
@@ -338,18 +338,6 @@ def test_mirror_residual_reads_half_the_rows():
             X = np.zeros((n, n))
             X[i, j] = 1.0
             assert mirror_residual(X, p) == 1.0, i
-
-
-def test_mirror_residual_sees_every_row_gathered():
-    # the rows are gathered in pieces; a unit entry in the first or last
-    # row of any piece, or in the last row of all, is seen
-    n = 3 * _RESIDUAL_ROWS + 10
-    p = np.arange(n)[::-1].copy()                   # i <= p(i) for the first half
-    rows = np.flatnonzero(np.arange(n) <= p)
-    for r in {0, _RESIDUAL_ROWS - 1, _RESIDUAL_ROWS, rows.size - 1}:
-        X = np.zeros((n, n))
-        X[rows[r], 0] = 1.0
-        assert mirror_residual(X, p) == 1.0, r
 
 
 def test_guard_refuses_a_broken_mirror():
