@@ -46,7 +46,10 @@ one triangle of panel pairs into Z, and each matrix is Z + Z^T, symmetric
 to the bit: the identical pair contributes one mirror half X of its rule,
 the adjacent pair (p, p+1) and the separated pairs p > q their blocks
 once (an image may land in the other triangle, which Z + Z^T does not
-mind).
+mind).  Z + Z^T (and B's rank-one term) is formed in Z's own buffer, one
+pair of transposed tiles at a time, so a level holds two N x N arrays,
+Z_val and Z_der, which become A and B.  Each entry is the same sum of the
+same terms as in Z + Z^T, so the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ class CoercivityError(AssemblyError):
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
 _PAIR_BLOCK = 2048  # panel pairs per far-field block
+_TILE = 128  # rows and columns of one tile of the in-place Z + Z^T
 # a separated panel pair is admissible, and takes the coarse rule of
 # _coarse_n(quad_n) points per panel, when its gap is at least _ETA times
 # its larger panel.  Measured on the level-5 square, degree 3, against the
@@ -338,7 +342,8 @@ def _scatter(dofs, blocks):
     """The sums Z_val and Z_der (N, N) of the blocks (rows, cols, val, der)
     at their rows and columns mapped by each of the group's dof maps
     ``dofs`` (|G|, N): every block at every one of its images.  The last
-    block is released on return, before the caller forms A and B."""
+    block is released on return; ``_fold`` then turns the two buffers into
+    A and B in place."""
     N = dofs.shape[1]
     Z_val, Z_der = np.zeros(N * N), np.zeros(N * N)
     for rows, cols, val, der in blocks:
@@ -347,6 +352,29 @@ def _scatter(dofs, blocks):
             np.add.at(Z_val, idx, val.ravel())
             np.add.at(Z_der, idx, der.ravel())
     return Z_val.reshape(N, N), Z_der.reshape(N, N)
+
+
+def _fold(Z, what, alpha=0.0, m=None):
+    """Z + Z^T, plus alpha m m^T if ``m`` is given, written into Z itself.
+
+    One pass over the tile pairs (I, J) with I <= J: S = Z[I, J] + Z[J, I]^T
+    (+ alpha outer(m[I], m[J])) goes to Z[I, J] and S^T to Z[J, I], so the
+    entries (i, j) and (j, i) are the same sum, as in Z + Z^T.  A tile with
+    a non-finite entry raises AssemblyError naming ``what``.
+    """
+    N = Z.shape[0]
+    for i in range(0, N, _TILE):
+        I = slice(i, i + _TILE)
+        for j in range(i, N, _TILE):
+            J = slice(j, j + _TILE)
+            S = Z[I, J] + Z[J, I].T
+            if m is not None:
+                S += alpha * np.outer(m[I], m[J])
+            if not np.isfinite(S).all():
+                raise AssemblyError(f"{what}: non-finite entries")
+            Z[I, J] = S
+            Z[J, I] = S.T
+    return Z
 
 
 def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
@@ -368,13 +396,8 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     dofs, panels = _mirror_group(s, mirror_permutations(s))
     Z_val, Z_der = _scatter(dofs, chain([_near_field(s, quad_n, panels)],
                                         _far_field(s, quad_n, panels)))
-    A = Z_val + Z_val.T
-    B = Z_der + Z_der.T
-    m = lumped_matrix(s, "exact", n_quad=quad_n)
-    B += alpha * np.outer(m, m)
-    for X, what in ((A, "single layer"), (B, "stabilized hypersingular")):
-        if not np.isfinite(X).all():
-            raise AssemblyError(f"{what}: non-finite entries")
+    A = _fold(Z_val, "single layer")
+    B = _fold(Z_der, "stabilized hypersingular", alpha, lumped_matrix(s, "exact", n_quad=quad_n))
     return A, B
 
 

@@ -125,7 +125,9 @@ def level_blocks(A, B, M, D, perms):
     mirrors ``perms`` (one block unless M and D commute with them; five on
     D4, four on the axis mirrors alone), the blocks of B, M as a Coupling
     and D's diagonal.  Every preconditioner of the level is built on these.
-    The Cholesky factors of the blocks check that A and B are SPD."""
+    The Cholesky factors of the blocks check that A and B are SPD.  M
+    arrives as CSR on the run path; a dense M (as ``verify`` passes) is
+    converted here."""
     Ms = sparse.csr_matrix(M)
     try:
         F = block_factor(A, perms, (Ms, D))
@@ -153,29 +155,33 @@ def run_experiment(cfg: ExperimentConfig):
     """Evaluate every requested preconditioner on every refinement level."""
     g = make_geometry(cfg.geometry, cfg.scale, cfg.ellipse_ratio)
     omega = cfg.omega_override or richardson_weight(1, cfg.degree)[2]
-    rows = []
-    for k in range(1, cfg.levels + 1):
-        try:
-            m = level_mesh(cfg, g, k)
-            s = build_space(m, cfg.degree)
-            A, B = bops.assemble_operator_pair(s, cfg.quad_n, cfg.alpha)
-            M = mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
-            D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
-            F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-            kappas = {name: kappa(_build_precond(name, Bs, C, d, omega), A, F)
-                      for name in cfg.preconds}
-        except Exception as exc:
-            raise RuntimeError(f"level {k}: {exc}") from exc
-        rows.append(ReportRow(k, m.h_min, m.h_max, s.ndof, kappas))
-        if cfg.dump_matrices:
-            os.makedirs(cfg.dump_matrices, exist_ok=True)
-            pre = f"{cfg.dump_matrices}/level{k}_"
-            bops.write_dense_matrix(A, pre + "A.txt")
-            bops.write_dense_matrix(B, pre + "B.txt")
-            bops.write_dense_matrix(M, pre + "M.txt")
-            bops.write_diagonal(D, pre + "D.txt")
-            dump_mesh(m, pre + "mesh.txt")
-    return rows
+    return [_run_level(cfg, g, k, omega) for k in range(1, cfg.levels + 1)]
+
+
+def _run_level(cfg: ExperimentConfig, g, k, omega):
+    """Row k of the table.  The level's matrices live only in this call, so
+    one level is alive at a time.  M is built first and kept sparse; its
+    dense form lives only for the conversion."""
+    try:
+        m = level_mesh(cfg, g, k)
+        s = build_space(m, cfg.degree)
+        M = sparse.csr_matrix(mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n))
+        D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
+        A, B = bops.assemble_operator_pair(s, cfg.quad_n, cfg.alpha)
+        F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+        kappas = {name: kappa(_build_precond(name, Bs, C, d, omega), A, F)
+                  for name in cfg.preconds}
+    except Exception as exc:
+        raise RuntimeError(f"level {k}: {exc}") from exc
+    if cfg.dump_matrices:
+        os.makedirs(cfg.dump_matrices, exist_ok=True)
+        pre = f"{cfg.dump_matrices}/level{k}_"
+        bops.write_dense_matrix(A, pre + "A.txt")
+        bops.write_dense_matrix(B, pre + "B.txt")
+        bops.write_dense_matrix(M.toarray(), pre + "M.txt")
+        bops.write_diagonal(D, pre + "D.txt")
+        dump_mesh(m, pre + "mesh.txt")
+    return ReportRow(k, m.h_min, m.h_max, s.ndof, kappas)
 
 
 def emit_table(rows, fmt="csv", path=None, cfg: ExperimentConfig | None = None):
