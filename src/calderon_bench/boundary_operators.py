@@ -71,7 +71,7 @@ class AssemblyError(RuntimeError):
 
 class CoercivityError(AssemblyError):
     """A symmetry block of the single layer matrix failed its Cholesky
-    factor in ``cli.level_blocks``; the geometry guard (diameter <= 1)
+    factor in ``cli.build_level``; the geometry guard (diameter <= 1)
     was violated or defeated."""
 
 
@@ -387,7 +387,7 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     the single layer kernel and therefore annihilates constants; the
     rank-one term with m[nu] = <phi_nu, 1>, the exact lumped diagonal,
     restores definiteness for any alpha > 0.  Non-finite entries raise
-    AssemblyError; ``cli.level_blocks`` checks that A and B are SPD.
+    AssemblyError; ``cli.build_level`` checks that A and B are SPD.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")

@@ -21,12 +21,12 @@ from . import boundary_operators as bops
 from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
-from .fespace import build_space, mirror_permutations, reference_basis
+from .fespace import FeSpace, build_space, mirror_permutations, reference_basis
 from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import NotSPDError, block_factor, kappa, spd_factor
+from .spectral import BlockFactor, NotSPDError, block_factor, kappa, spd_factor
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -75,6 +75,9 @@ class ExperimentConfig:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and > 0 (B~ alone is only semi-coercive), "
                              f"got {self.alpha!r}")
+        if not 4 <= self.quad_n <= 56:
+            raise ValueError("quad_n must be in [4, 56] (the pair rules take at least 4 Gauss "
+                             f"points, the log rule quad_n + 8 <= 64), got {self.quad_n!r}")
         if not (math.isfinite(self.omega_override) and self.omega_override >= 0):
             raise ValueError("omega_override must be finite and >= 0 (0 = reference "
                              f"weight), got {self.omega_override!r}")
@@ -120,17 +123,38 @@ def _build_precond(name, B, M, D, omega):
     return richardson_precond(B, M, D, k, omega)
 
 
-def level_blocks(A, B, M, D, perms):
-    """One level in the symmetry basis: A's factor F by the blocks of the
-    mirrors ``perms`` (one block unless M and D commute with them; five on
-    D4, four on the axis mirrors alone), the blocks of B, M as a Coupling
-    and D's diagonal.  Every preconditioner of the level is built on these.
-    The Cholesky factors of the blocks check that A and B are SPD.  M
-    arrives as CSR on the run path; a dense M (as ``verify`` passes) is
-    converted here."""
-    Ms = sparse.csr_matrix(M)
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One level of the table: the space, A and B, M (CSR) and D, the
+    mirror permutations of the dofs, and the same level in the symmetry
+    basis: A's factor by the blocks of the mirrors (one block unless M and
+    D commute with them; five on D4, four on the axis mirrors alone), the
+    blocks of B, M as a Coupling and D's diagonal.  Every preconditioner
+    of the level is built on the last four."""
+
+    space: FeSpace
+    A: np.ndarray
+    B: np.ndarray
+    M: sparse.csr_matrix
+    D: np.ndarray
+    perms: tuple
+    factor: BlockFactor
+    B_blocks: tuple
+    coupling: Coupling
+    d: np.ndarray
+
+
+def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Level:
+    """Gram matrices, assembly, the guard and the projections of one level.
+    M and D come first and M is kept sparse, so its dense form lives only
+    for the conversion.  The Cholesky factors of the blocks check that A
+    and B are SPD: CoercivityError on A, AssemblyError on B."""
+    M = sparse.csr_matrix(mass_matrix(s, inner_product, n_quad=quad_n))
+    D = lumped_matrix(s, inner_product, n_quad=quad_n)
+    A, B = bops.assemble_operator_pair(s, quad_n, alpha)
+    perms = mirror_permutations(s)
     try:
-        F = block_factor(A, perms, (Ms, D))
+        F = block_factor(A, perms, (M, D))
     except NotSPDError:
         raise bops.CoercivityError("single layer: a symmetry block is not positive definite "
                                    "(geometry guard diameter <= 1)") from None
@@ -141,8 +165,8 @@ def level_blocks(A, B, M, D, perms):
     except NotSPDError:
         raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
                                  "positive definite") from None
-    C = Coupling(F.project_sparse(Ms), F.project_diagonal(Ms.diagonal()), F.sizes)
-    return F, Bs, C, F.project_diagonal(D)
+    C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()), F.sizes)
+    return Level(s, A, B, M, D, perms, F, Bs, C, F.project_diagonal(D))
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):
@@ -160,26 +184,23 @@ def run_experiment(cfg: ExperimentConfig):
 
 def _run_level(cfg: ExperimentConfig, g, k, omega):
     """Row k of the table.  The level's matrices live only in this call, so
-    one level is alive at a time.  M is built first and kept sparse; its
-    dense form lives only for the conversion."""
+    one level is alive at a time."""
     try:
         m = level_mesh(cfg, g, k)
         s = build_space(m, cfg.degree)
-        M = sparse.csr_matrix(mass_matrix(s, cfg.inner_product, n_quad=cfg.quad_n))
-        D = lumped_matrix(s, cfg.inner_product, n_quad=cfg.quad_n)
-        A, B = bops.assemble_operator_pair(s, cfg.quad_n, cfg.alpha)
-        F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-        kappas = {name: kappa(_build_precond(name, Bs, C, d, omega), A, F)
+        lev = build_level(s, cfg.inner_product, cfg.quad_n, cfg.alpha)
+        kappas = {name: kappa(_build_precond(name, lev.B_blocks, lev.coupling, lev.d, omega),
+                              lev.A, lev.factor)
                   for name in cfg.preconds}
     except Exception as exc:
         raise RuntimeError(f"level {k}: {exc}") from exc
     if cfg.dump_matrices:
         os.makedirs(cfg.dump_matrices, exist_ok=True)
         pre = f"{cfg.dump_matrices}/level{k}_"
-        bops.write_dense_matrix(A, pre + "A.txt")
-        bops.write_dense_matrix(B, pre + "B.txt")
-        bops.write_dense_matrix(M.toarray(), pre + "M.txt")
-        bops.write_diagonal(D, pre + "D.txt")
+        bops.write_dense_matrix(lev.A, pre + "A.txt")
+        bops.write_dense_matrix(lev.B, pre + "B.txt")
+        bops.write_dense_matrix(lev.M.toarray(), pre + "M.txt")
+        bops.write_diagonal(lev.D, pre + "D.txt")
         dump_mesh(m, pre + "mesh.txt")
     return ReportRow(k, m.h_min, m.h_max, s.ndof, kappas)
 
@@ -234,7 +255,11 @@ def read_config(path) -> dict:
             key = key.replace("-", "_")
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _FIELD_TYPES[key](val)
+            try:
+                out[key] = _FIELD_TYPES[key](val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid "
+                                 f"{_FIELD_TYPES[key].__name__}") from None
     return out
 
 
@@ -341,9 +366,8 @@ def _verify_checks():
         return all(abs(v - ref) <= tol * max(1, abs(ref)) for v, ref, tol in checks)
 
     def kappa_identities():
-        s = build_space(initial_mesh(gs, 2), 1)
-        A, B = bops.assemble_operator_pair(s)
-        D = lumped_matrix(s)
+        lev = build_level(build_space(initial_mesh(gs, 2), 1))
+        A, B, D = lev.A, lev.B, lev.D
         G = lumped_precond(B, D)
         k1 = kappa(G, A)
         k2 = kappa(A, G)                 # kappa(AG) via the swapped pencil
@@ -372,18 +396,17 @@ def _verify_checks():
         detail, worst, ok = [], 0.0, True
         names = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
         for g, ell, inner in ((gs, 3, "exact"), (ge, 1, "mesh-averaged")):
-            s = build_space(corner_schedule(g, 3), ell)
-            A, B = bops.assemble_operator_pair(s)
-            M, D = mass_matrix(s, inner), lumped_matrix(s, inner)
+            lev = build_level(build_space(corner_schedule(g, 3), ell), inner)
             omega = richardson_weight(1, ell)[2]
-            F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-            dense = block_factor(A)
+            dense = block_factor(lev.A)
             for name in names:
-                k_run = kappa(_build_precond(name, Bs, C, d, omega), A, F)
-                G = _build_precond(name, B, M, D, omega)
-                worst = max(worst, abs(k_run / kappa(G, A, dense) - 1))
-            ok &= len(F.sizes) == (5 if g.kind == "square" else 4)
-            detail.append(f"{g.kind} blocks {'/'.join(map(str, F.sizes))}")
+                k_run = kappa(_build_precond(name, lev.B_blocks, lev.coupling, lev.d, omega),
+                              lev.A, lev.factor)
+                k_dense = kappa(_build_precond(name, lev.B, lev.M, lev.D, omega), lev.A, dense)
+                worst = max(worst, abs(k_run / k_dense - 1))
+            sizes = lev.factor.sizes
+            ok &= len(sizes) == (5 if g.kind == "square" else 4)
+            detail.append(f"{g.kind} blocks {'/'.join(map(str, sizes))}")
         detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from calderon_bench.boundary_operators import assemble_operator_pair
+from calderon_bench.cli import build_level
 from calderon_bench.fespace import build_space
 from calderon_bench.geometry import make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
@@ -63,6 +64,14 @@ def corner_operators(kind, k, ell):
 def corner_gram(kind, k, ell, inner="exact"):
     s = corner_space(kind, k, ell)
     return _read_only(mass_matrix(s, inner, n_quad=QUAD_N), lumped_matrix(s, inner, n_quad=QUAD_N))
+
+
+@lru_cache(maxsize=None)
+def corner_level(kind, k, ell, inner="exact"):
+    """The run path's level record on corner level k."""
+    lev = build_level(corner_space(kind, k, ell), inner, QUAD_N, ALPHA)
+    _read_only(lev.A, lev.B, lev.D, lev.d, *lev.B_blocks)
+    return lev
 
 
 @lru_cache(maxsize=None)

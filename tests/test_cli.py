@@ -256,22 +256,21 @@ def test_golden_kappa_tables(geometry, degree, inner):
 
 
 def _spy_levels(monkeypatch):
-    """Record the arguments and the factor of every ``level_blocks`` call."""
-    seen, real = [], cli.level_blocks
+    """Record the Level of every ``build_level`` call."""
+    seen, real = [], cli.build_level
 
     def spy(*args):
-        out = real(*args)
-        seen.append((args, out[0]))
-        return out
+        lev = real(*args)
+        seen.append(lev)
+        return lev
 
-    monkeypatch.setattr(cli, "level_blocks", spy)
+    monkeypatch.setattr(cli, "build_level", spy)
     return seen
 
 
-def _dense_kappas(args, names, omega):
+def _dense_kappas(lev, names, omega):
     """kappa of each G built at full size, with one dense factor of A."""
-    A, B, M, D, _ = args
-    return {n: kappa(cli._build_precond(n, B, M, D, omega), A) for n in names}
+    return {n: kappa(cli._build_precond(n, lev.B, lev.M, lev.D, omega), lev.A) for n in names}
 
 
 @pytest.mark.parametrize("geometry,degree,inner", [("square", 1, "exact"),
@@ -283,9 +282,9 @@ def test_run_kappa_matches_dense_path(monkeypatch, geometry, degree, inner):
                            levels=4, preconds=ALL_SIX)
     rows = run_experiment(cfg)
     omega = richardson_weight(1, degree)[2]
-    for row, (args, F) in zip(rows, seen, strict=True):
-        assert F.sizes == BLOCK_SIZES[geometry, degree][row.level - 1], row.level
-        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+    for row, lev in zip(rows, seen, strict=True):
+        assert lev.factor.sizes == BLOCK_SIZES[geometry, degree][row.level - 1], row.level
+        for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
             assert row.kappas[name] == pytest.approx(ref, rel=1e-10), (row.level, name)
 
 
@@ -311,9 +310,9 @@ def test_broken_mirror_runs_as_one_block(monkeypatch, which):
     rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
                                            preconds=ALL_SIX))
     omega = richardson_weight(1, 3)[2]
-    for row, (args, F) in zip(rows, seen, strict=True):
-        assert F.sizes == (row.dofs,) and F.residual > 1e-7
-        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+    for row, lev in zip(rows, seen, strict=True):
+        assert lev.factor.sizes == (row.dofs,) and lev.factor.residual > 1e-7
+        for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
             assert row.kappas[name] == ref, name
 
 
@@ -339,9 +338,10 @@ def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
     rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
                                            preconds=ALL_SIX))
     omega = richardson_weight(1, 3)[2]
-    for row, (args, F) in zip(rows, seen, strict=True):
-        assert len(args[4]) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
-        for name, ref in _dense_kappas(args, ALL_SIX, omega).items():
+    for row, lev in zip(rows, seen, strict=True):
+        F = lev.factor
+        assert len(lev.perms) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
+        for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
             assert row.kappas[name] == ref, name
 
 
@@ -352,9 +352,9 @@ def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
     seen = _spy_levels(monkeypatch)
     rows = run_experiment(ExperimentConfig(geometry="ellipse", degree=1, levels=1,
                                            preconds=ALL_SIX))
-    (args, F), = seen
-    assert args[4] == () and F.sizes == (rows[0].dofs,)
-    for name, ref in _dense_kappas(args, ALL_SIX, richardson_weight(1, 1)[2]).items():
+    lev, = seen
+    assert lev.perms == () and lev.factor.sizes == (rows[0].dofs,)
+    for name, ref in _dense_kappas(lev, ALL_SIX, richardson_weight(1, 1)[2]).items():
         assert rows[0].kappas[name] == ref, name
 
 
@@ -430,3 +430,46 @@ def test_alpha_rejected_up_front(tmp_path, value):
     with pytest.raises(ValueError, match="alpha"):
         main(["run", "--config", str(path), "--output", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "3", "57"])
+def test_quad_n_rejected_up_front(tmp_path, value):
+    # the pair rules need 4 Gauss points and the log rule takes quad_n + 8
+    # of gauss_rule's 64; a value outside [4, 56] fails when the config is
+    # built, from a flag or a config file, before level 1
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="quad_n"):
+        main(["run", "--levels", "1", "--quad-n", value, "--output", str(out)])
+    path = tmp_path / "quad.cfg"
+    path.write_text(f"quad_n = {value}\nlevels = 1\n")
+    with pytest.raises(ValueError, match="quad_n"):
+        main(["run", "--config", str(path), "--output", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quad_n", [4, 56])
+def test_quad_n_at_the_ends_of_its_range_runs(quad_n):
+    rows = run_experiment(ExperimentConfig(levels=1, quad_n=quad_n, preconds=("lumped",)))
+    assert rows[0].kappas["lumped"] >= 1.0
+
+
+@pytest.mark.parametrize("field, flags", [
+    ("scale", ["--scale", "nan"]),
+    ("ellipse_ratio", ["--geometry", "ellipse", "--ellipse-ratio", "nan"]),
+    ("ellipse_ratio", ["--geometry", "ellipse", "--ellipse-ratio", "inf"]),
+])
+def test_non_finite_geometry_rejected_before_level_one(monkeypatch, tmp_path, field, flags):
+    # they pass the sign and diameter checks; make_geometry must refuse them
+    # before any level is built, not leave them to level-1 assembly
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=field):
+        main(["run", "--levels", "1", *flags, "--output", str(out)])
+    assert not out.exists()
+
+
+def test_config_value_that_does_not_parse_names_its_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("levels = 1\n\nquad_n = 2.5\n")
+    with pytest.raises(ValueError, match=rf"^{path}:3: quad_n = '2\.5' is not a valid int$"):
+        main(["run", "--config", str(path)])

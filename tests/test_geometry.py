@@ -86,6 +86,15 @@ def test_bad_inputs():
         make_geometry("square", -1.0)
     with pytest.raises(ValueError):
         make_geometry("ellipse", 0.5, ellipse_ratio=0.0)
+    # nan passes the sign and diameter checks, and an infinite ratio gives
+    # b = 0: each died only in assembly
+    nan, inf = float("nan"), float("inf")
+    for kind, scale, ratio, field in (("square", nan, 2.0, "scale"), ("circle", nan, 2.0, "scale"),
+                                      ("square", inf, 2.0, "scale"),
+                                      ("ellipse", 0.5, nan, "ellipse_ratio"),
+                                      ("ellipse", 0.5, inf, "ellipse_ratio")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_geometry(kind, scale, ratio)
 
 
 def test_corner_aliases_name_the_same_point():

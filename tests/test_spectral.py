@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse
 
 from calderon_bench.boundary_operators import assemble_operator_pair
-from calderon_bench.cli import _build_precond, level_blocks
+from calderon_bench.cli import _build_precond, build_level
 from calderon_bench.fespace import build_space, mirror_permutations
 from calderon_bench.geometry import make_geometry
-from calderon_bench.gram import lumped_matrix, mass_matrix
+from calderon_bench.gram import lumped_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
@@ -14,7 +14,7 @@ from calderon_bench.spectral import (TAU, NotSPDError, _extreme_eigenvalues, _pr
                                      block_factor, character_bases, kappa, mirror_residual,
                                      spd_factor)
 
-from helpers import BLOCK_SIZES, corner_gram, corner_operators, corner_space, faddeev_leverrier
+from helpers import BLOCK_SIZES, corner_gram, corner_level, corner_space, faddeev_leverrier
 
 rng = np.random.RandomState(314159)
 
@@ -122,23 +122,17 @@ def _preconds(B, M, D, ell):
     return out
 
 
-def _level(kind, k, ell, inner):
-    s = corner_space(kind, k, ell)
-    A, B = corner_operators(kind, k, ell)
-    M, D = corner_gram(kind, k, ell, inner)
-    return s, A, B, M, D
-
-
 @pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
                                             ("ellipse", 1, "mesh-averaged")])
 def test_block_kappa_matches_dense(kind, ell, inner):
     for k in range(1, 5):
-        s, A, B, M, D = _level(kind, k, ell, inner)
-        F = block_factor(A, mirror_permutations(s), (B, M, D))
+        lev = corner_level(kind, k, ell, inner)
+        A, B, n = lev.A, lev.B, lev.space.ndof
+        F = block_factor(A, lev.perms, (B, lev.M, lev.D))
         assert F.sizes == BLOCK_SIZES[kind, ell][k - 1], (k, F.sizes)
-        assert sum(F.sizes) == (3 * s.ndof // 4 if kind == "square" else s.ndof), k
+        assert sum(F.sizes) == (3 * n // 4 if kind == "square" else n), k
         dense = block_factor(A)
-        for name, G in _preconds(B, M, D, ell).items():
+        for name, G in _preconds(B, lev.M, lev.D, ell).items():
             assert kappa(G, A, F) == pytest.approx(kappa(G, A, dense), rel=1e-10), (k, name)
 
 
@@ -149,11 +143,12 @@ def test_block_builds_match_projected_dense(kind, ell, inner):
     # of the G built at full size
     omega = richardson_weight(1, ell)[2]
     for k in range(1, 5):
-        s, A, B, M, D = _level(kind, k, ell, inner)
-        F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
-        assert F.sizes == C.sizes == tuple(b.shape[0] for b in Bs) == BLOCK_SIZES[kind, ell][k - 1]
-        for name, G in _preconds(B, M, D, ell).items():
-            blocks = _build_precond(name, Bs, C, d, omega)
+        lev = corner_level(kind, k, ell, inner)
+        F, C = lev.factor, lev.coupling
+        sizes = tuple(b.shape[0] for b in lev.B_blocks)
+        assert F.sizes == C.sizes == sizes == BLOCK_SIZES[kind, ell][k - 1]
+        for name, G in _preconds(lev.B, lev.M, lev.D, ell).items():
+            blocks = _build_precond(name, lev.B_blocks, C, lev.d, omega)
             assert isinstance(blocks, tuple) and len(blocks) == len(F.sizes), (k, name)
             for Gk, ref in zip(blocks, F.project(G)):
                 assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), (k, name)
@@ -169,25 +164,23 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     # a panel that a mirror maps onto itself couples a dof with its own
     # image, so diag(Q^T M Q) is not the image of diag(M) (12 % apart
     # here); Jacobi must take the latter
-    s = build_space(initial_mesh(make_geometry(kind, 0.5, 2.0), n_panels), 3)
-    A, B = assemble_operator_pair(s)
-    M, D = mass_matrix(s), lumped_matrix(s)
-    F, Bs, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+    lev = build_level(build_space(initial_mesh(make_geometry(kind, 0.5, 2.0), n_panels), 3))
+    F, C = lev.factor, lev.coupling
     assert len(F.sizes) == STRADDLE_BLOCKS[kind, n_panels]
     assert np.abs(C.M.diagonal() - C.m).max() > 0.1 * C.m.max()
     omega = richardson_weight(1, 3)[2]
-    for name, G in _preconds(B, M, D, 3).items():
-        blocks = _build_precond(name, Bs, C, d, omega)
+    for name, G in _preconds(lev.B, lev.M, lev.D, 3).items():
+        blocks = _build_precond(name, lev.B_blocks, C, lev.d, omega)
         for Gk, ref in zip(blocks, F.project(G)):
             assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), name
-        assert kappa(blocks, A, F) == pytest.approx(kappa(G, A), rel=1e-10), name
+        assert kappa(blocks, lev.A, F) == pytest.approx(kappa(G, lev.A), rel=1e-10), name
 
 
 def test_projected_coupling_is_block_diagonal():
     # M-hat keeps no entry between blocks and matches Q^T M Q inside them;
     # D and diag(M) are constant on orbits, so their images are diagonal
-    s, A, B, M, D = _level("square", 2, 3, "exact")
-    F, _, C, d = level_blocks(A, B, M, D, mirror_permutations(s))
+    lev = corner_level("square", 2, 3)
+    F, C, M, D = lev.factor, lev.coupling, lev.M.toarray(), lev.D
     Qt = scipy.sparse.vstack([b for b, _ in F.blocks]).toarray()
     cuts = np.cumsum((0,) + F.sizes)
     full = Qt @ M @ Qt.T
@@ -196,7 +189,7 @@ def test_projected_coupling_is_block_diagonal():
         assert np.abs(Mh[a:b, a:b] - full[a:b, a:b]).max() <= 1e-15 * np.abs(M).max()
         full[a:b, a:b] = Mh[a:b, a:b] = 0.0
     assert not Mh.any()
-    for x, xh in ((D, d), (np.diag(M), C.m)):
+    for x, xh in ((D, lev.d), (np.diag(M), C.m)):
         X = Qt @ np.diag(x) @ Qt.T
         assert np.abs(X - np.diag(xh)).max() <= 1e-15 * x.max()
 
@@ -303,8 +296,9 @@ def test_d4_partner_blocks_are_isospectral():
     # kept 2-D block (-, +) for A, B and each of the six G, and the pencil
     # of G and A has the same extreme eigenvalues on both: why kappa may
     # drop it
-    s, A, B, M, D = _level("square", 3, 3, "exact")
-    perms = mirror_permutations(s)
+    lev = corner_level("square", 3, 3)
+    s, A, B, M, D = lev.space, lev.A, lev.B, lev.M, lev.D
+    perms = lev.perms
     kept = character_bases(perms, s.ndof)[4]
     partner = character_bases(perms[:2], s.ndof)[2]
     assert kept.shape == partner.shape == (120, s.ndof)
@@ -323,9 +317,10 @@ def test_mirror_residual_reads_half_the_rows():
     # the residual of a dense matrix, read as CSR, is that of the full
     # dense difference, to the bit, on the level-3 square's A and B and on
     # a random matrix that commutes with no mirror
-    s, A, B, M, D = _level("square", 3, 3, "exact")
-    X = rng.randn(s.ndof, s.ndof)
-    for p in mirror_permutations(s):
+    lev = corner_level("square", 3, 3)
+    A, B, D = lev.A, lev.B, lev.D
+    X = rng.randn(*A.shape)
+    for p in lev.perms:
         for Y in (A, B, X):
             assert mirror_residual(Y, p) == np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
         assert mirror_residual(D, p) == np.abs(D[p] - D).max() / D.max()
@@ -343,13 +338,14 @@ def test_mirror_residual_reads_half_the_rows():
 def test_guard_refuses_a_broken_mirror():
     # one entry of B (and its transpose) moved by 1e-6 max|B| without its
     # mirror images: the factor is one block and kappa is the dense value
-    s, A, B, M, D = _level("square", 2, 1, "exact")
+    lev = corner_level("square", 2, 1)
+    A, B, M, D = lev.A, lev.B, lev.M, lev.D
     Bp = B.copy()
     i, j = 3, 5
     Bp[i, j] += 1e-6 * np.abs(B).max()
     Bp[j, i] = Bp[i, j]
-    F = block_factor(A, mirror_permutations(s), (Bp, M, D))
-    assert F.sizes == (s.ndof,) and F.residual > TAU
+    F = block_factor(A, lev.perms, (Bp, M, D))
+    assert F.sizes == (lev.space.ndof,) and F.residual > TAU
     for name, G in _preconds(Bp, M, D, 1).items():
         assert kappa(G, A, F) == kappa(G, A), name
 
