@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -68,6 +69,10 @@ class ExperimentConfig:
                              f"got {self.inner_product!r}")
         if self.refine not in REFINES:
             raise ValueError(f"refine must be one of {REFINES}, got {self.refine!r}")
+        for key in ("levels", "quad_n"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.fmt not in FORMATS:
@@ -129,8 +134,9 @@ class Level:
     mirror permutations of the dofs, and the same level in the symmetry
     basis: A's factor by the blocks of the mirrors (one block unless M and
     D commute with them; five on D4, four on the axis mirrors alone), the
-    blocks of B, M as a Coupling and D's diagonal.  Every preconditioner
-    of the level is built on the last four."""
+    lower Cholesky factors of the blocks of B, M as a Coupling and D's
+    diagonal.  Every preconditioner of the level is built on the last
+    three, as a factor F with G = F^T F."""
 
     space: FeSpace
     A: np.ndarray
@@ -139,7 +145,7 @@ class Level:
     D: np.ndarray
     perms: tuple
     factor: BlockFactor
-    B_blocks: tuple
+    B_factors: tuple
     coupling: Coupling
     d: np.ndarray
 
@@ -158,15 +164,13 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
     except NotSPDError:
         raise bops.CoercivityError("single layer: a symmetry block is not positive definite "
                                    "(geometry guard diameter <= 1)") from None
-    Bs = F.project(B)
     try:
-        for Bk in Bs:
-            spd_factor(Bk)
+        LB = tuple(spd_factor(Bk) for Bk in F.project(B))
     except NotSPDError:
         raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
                                  "positive definite") from None
     C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()), F.sizes)
-    return Level(s, A, B, M, D, perms, F, Bs, C, F.project_diagonal(D))
+    return Level(s, A, B, M, D, perms, F, LB, C, F.project_diagonal(D))
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):
@@ -189,7 +193,7 @@ def _run_level(cfg: ExperimentConfig, g, k, omega):
         m = level_mesh(cfg, g, k)
         s = build_space(m, cfg.degree)
         lev = build_level(s, cfg.inner_product, cfg.quad_n, cfg.alpha)
-        kappas = {name: kappa(_build_precond(name, lev.B_blocks, lev.coupling, lev.d, omega),
+        kappas = {name: kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
                               lev.A, lev.factor)
                   for name in cfg.preconds}
     except Exception as exc:
@@ -368,10 +372,10 @@ def _verify_checks():
     def kappa_identities():
         lev = build_level(build_space(initial_mesh(gs, 2), 1))
         A, B, D = lev.A, lev.B, lev.D
-        G = lumped_precond(B, D)
-        k1 = kappa(G, A)
-        k2 = kappa(A, G)                 # kappa(AG) via the swapped pencil
-        k3 = kappa(scaled_basis(B, D), scaled_basis(A, D))
+        F = lumped_precond(B, D)
+        k1 = kappa(F, A)
+        k2 = kappa(spd_factor(A).T, F.T @ F)     # kappa(AG) via the swapped pencil
+        k3 = kappa(spd_factor(scaled_basis(B, D)).T, scaled_basis(A, D))
         return abs(k1 / k2 - 1) < 1e-8 and abs(k1 / k3 - 1) < 1e-8
 
     def richardson_contraction():
@@ -389,9 +393,9 @@ def _verify_checks():
         return bool(ok), "; ".join(detail)
 
     def mirror_blocks():
-        # kappa of the run path, G built on the mirror blocks (five of D4
+        # kappa of the run path, F built on the mirror blocks (five of D4
         # on the square, four of the axis mirrors on the ellipse), against
-        # a dense G and one dense factor of A, for the six preconditioners
+        # a dense F and one dense factor of A, for the six preconditioners
         # of the benchmark
         detail, worst, ok = [], 0.0, True
         names = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
@@ -400,7 +404,7 @@ def _verify_checks():
             omega = richardson_weight(1, ell)[2]
             dense = block_factor(lev.A)
             for name in names:
-                k_run = kappa(_build_precond(name, lev.B_blocks, lev.coupling, lev.d, omega),
+                k_run = kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
                               lev.A, lev.factor)
                 k_dense = kappa(_build_precond(name, lev.B, lev.M, lev.D, omega), lev.A, dense)
                 worst = max(worst, abs(k_run / k_dense - 1))

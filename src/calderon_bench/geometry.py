@@ -124,6 +124,8 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    if not (math.isfinite(ellipse_ratio) and ellipse_ratio > 0):
+        raise ValueError(f"ellipse_ratio must be finite and positive, got {ellipse_ratio!r}")
     if kind == "square":
         a = scale
         diameter = a * math.sqrt(2.0)
@@ -139,8 +141,6 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
         centre = (0.5 * a, 0.5 * a)
     elif kind in ("circle", "ellipse"):
         ratio = 1.0 if kind == "circle" else ellipse_ratio
-        if not (math.isfinite(ratio) and ratio > 0):
-            raise ValueError(f"ellipse_ratio must be finite and positive, got {ratio!r}")
         a = scale / 2.0
         b = a / ratio
         diameter = 2.0 * max(a, b)

@@ -1,29 +1,33 @@
 """Builders for the four preconditioners and the Richardson damping weight.
 
-G^D = D^{-1} B D^{-1}            (lumped; exact diagonal inverse)
-G^M = M^{-1} B M^{-1}            (mass; banded Cholesky solves with M)
-G^(k) = R^(k) B R^(k)            (k damped Richardson steps toward M^{-1})
-G^J = (diag M)^{-1} B (diag M)^{-1}   (Jacobi; fails for degree > 1)
+Each builder applies its coupling X once to the lower Cholesky factor L_B
+of B and returns the preconditioner G = X B X as its factor F, G = F^T F:
 
-Each builder works block by block.  Every coupling X commutes with the
-curve's mirrors, so in the symmetry basis of ``spectral.BlockFactor``
-G_k = X_k B_k X_k.  B is passed as the tuple of its blocks B_k, M as a
+F^T = D^{-1} L_B            (lumped; exact diagonal inverse)
+F^T = M^{-1} L_B            (mass; one banded Cholesky solve with M)
+F^T = R^(k) L_B             (k damped Richardson steps toward M^{-1})
+F^T = (diag M)^{-1} L_B     (Jacobi; fails for degree > 1)
+
+F^T F is symmetric by construction, and :func:`spectral.kappa` takes
+kappa_S(G A) from F without forming G.  Each builder works block by
+block.  Every coupling X commutes with the curve's mirrors, so in the
+symmetry basis of ``spectral.BlockFactor`` F_k^T = X_k L_Bk with L_Bk the
+factor of B_k.  B is passed as the tuple of the factors L_Bk, M as a
 :class:`Coupling` (M block diagonal and sparse in that basis, diag(M)
 diagonal), and D as its diagonal in that basis.  A dense B and M are one
-block with Q = I, and give a dense G.  With several blocks no G is formed
-at full size.
+block with Q = I: B is factored on entry, and F is dense.
 
 The coupling matrices are sparse and banded: M couples only dofs of a
 common panel, so in reverse Cuthill-McKee order of its graph its band is
 2l wide on a closed curve (l on each symmetry block, which holds a piece
 of the curve without the wrap-around: a quarter under the two axis
-mirrors, and an eighth for a 1-D block of D4 on the square), and R^(k), a
-polynomial of degree k - 1 in D^{-1} M, widens it by that much per step.  A
+mirrors, and an eighth for a 1-D block of D4 on the square).  A
 :class:`Coupling` does the sparse work once for every builder of its
 level: one RCM order, one banded factor of M per block, one Richardson
-contraction check and one chain of sparse products that passes each R^(k)
-on its way to the largest k asked for.  Each G_k then costs two banded
-solves or two sparse-times-dense products with B_k.
+contraction check and one Richardson chain Y_j = R^(j) L_B, which
+passes each k on its way to the largest asked for.  Each F_k then costs
+one banded solve, one diagonal scaling or the chain's steps, each a
+sparse-times-dense product with M_k.
 
 The damping weight omega = 2 / (lambda- + lambda+) comes from the extremal
 generalized eigenvalues of the lumped-preconditioned mass matrix on the
@@ -42,15 +46,11 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .spectral import NotSPDError
+from .spectral import NotSPDError, spd_factor
 
 
 class RichardsonDivergenceError(RuntimeError):
     pass
-
-
-def _sym(X):
-    return 0.5 * (X + X.T)
 
 
 class Coupling:
@@ -60,8 +60,9 @@ class Coupling:
     ``M`` is Q^T M Q as one block-diagonal CSR matrix, ``m`` the diagonal
     Q^T diag(M) Q, and ``sizes`` the block sizes, in the order of the
     blocks of B.  For Q = I these are M and diag(M) themselves, as one
-    block.  The lumped diagonal d (Q^T D Q) is passed to the builders that
-    use it; it must not change while the Coupling is in use.
+    block.  The lumped diagonal d (Q^T D Q) and the factors of B are passed
+    to the builders that use them; they must not change while the Coupling
+    is in use.
     """
 
     def __init__(self, M, m: np.ndarray, sizes):
@@ -69,7 +70,7 @@ class Coupling:
         self.m = np.asarray(m, dtype=float)
         self.sizes = tuple(sizes)
         self._cuts = np.cumsum((0,) + self.sizes)
-        self._chain = None          # (d, omega, k, unsymmetrized R^(k), D^{-1})
+        self._chain = None          # (L_B, d, omega, j, [Y_j per block])
 
     @classmethod
     def dense(cls, M):
@@ -100,51 +101,63 @@ class Coupling:
         the RCM order; raises NotSPDError if M is not SPD."""
         return [_banded_cholesky(Mk, pk) for Mk, pk in zip(self.blocks(self.M), self.order[1])]
 
-    def richardson(self, d: np.ndarray, k: int, omega: float):
-        """R^(k) for the lumped diagonal d, as one block-diagonal sparse
-        matrix.  The contraction check runs once per (d, omega), and the
-        chain continues from the last step taken, so R^(2), R^(4) and
-        R^(6) cost six steps in all."""
+    def richardson(self, LB: tuple, d: np.ndarray, k: int, omega: float) -> list:
+        """Y_k = R^(k) L_Bk on each block, for the lumped diagonal d, by
+        Y_{j+1} = Y_j + omega D^{-1} (L_B - M Y_j) from Y_0 = 0.  The
+        contraction check runs once per (L_B, d, omega), and the chain
+        continues from the last step taken, so k = 2, 4 and 6 cost six
+        steps in all."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        chain = self._chain
-        if chain is None or chain[0] is not d or chain[1] != omega or chain[2] > k:
-            d = np.asarray(d, dtype=float)
-            if np.any(d <= 0):
+        chain, x = self._chain, np.asarray(d, dtype=float)
+        if (chain is None or chain[0] is not LB or chain[1] is not d or chain[2] != omega
+                or chain[3] > k):
+            if np.any(x <= 0):
                 raise ValueError("lumped diagonal must be positive")
-            _check_contraction(self.M, d, omega, self.order[0])
-            Dinv = sparse.diags(1.0 / d, format="csr")
-            chain = (d, omega, 1, omega * Dinv, Dinv)
-        d, _, j, R, Dinv = chain
-        eye = sparse.identity(self.M.shape[0], format="csr")
+            _check_contraction(self.M, x, omega, self.order[0])
+            chain = (LB, d, omega, 0, [np.zeros_like(L) for L in LB])
+        j, Y = chain[3], chain[4]
+        Ms, rs = self.blocks(self.M), self.blocks(omega / x)
         for _ in range(k - j):
-            R = R + omega * (Dinv @ (eye - self.M @ R))
-        self._chain = (d, omega, k, R, Dinv)
-        return _sym(R)
+            Y = [_richardson_step(Yb, L, Mb, rb) for Yb, L, Mb, rb in zip(Y, LB, Ms, rs)]
+        self._chain = (LB, d, omega, k, Y)
+        return Y
+
+
+def _richardson_step(Y, L, Ms, r):
+    """Y + r (L - Ms Y) for r the diagonal omega D^{-1}, in one new array
+    (the caller may hold Y)."""
+    T = Ms @ Y
+    np.subtract(L, T, out=T)
+    T *= r[:, None]
+    T += Y
+    return T
 
 
 def _as_blocks(B, M=None):
-    """(blocks of B, the Coupling, whether B came as blocks): a dense B and
-    M are one block."""
+    """(the factors L_Bk of the blocks of B, the Coupling, whether B came as
+    blocks): a tuple holds the factors, a dense B is one block and is
+    factored here, with M dense."""
     if isinstance(B, tuple):
         return B, M, True
     if M is not None and not isinstance(M, Coupling):
         M = Coupling.dense(M)
-    return (B,), M, False
+    return (spd_factor(np.asarray(B, dtype=float)),), M, False
 
 
-def _scaled(B, x: np.ndarray, what: str):
-    """Each block B_k / (x_k x_k^T), for x positive and cut like B."""
+def _scaled(Ls, x: np.ndarray, what: str) -> tuple:
+    """Each F_k = (L_Bk / x_k)^T, for x positive and cut like the factors."""
+    x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError(f"{what} must be positive")
-    Bs, _, as_blocks = _as_blocks(B)
-    cuts = np.cumsum([Bk.shape[0] for Bk in Bs])[:-1]
-    G = tuple(Bk / np.outer(xk, xk) for Bk, xk in zip(Bs, np.split(x, cuts)))
-    return G if as_blocks else G[0]
+    cuts = np.cumsum([L.shape[0] for L in Ls])[:-1]
+    return tuple((L / xk[:, None]).T for L, xk in zip(Ls, np.split(x, cuts)))
 
 
 def lumped_precond(B, d: np.ndarray):
-    return _scaled(B, np.asarray(d, dtype=float), "lumped diagonal")
+    Ls, _, as_blocks = _as_blocks(B)
+    F = _scaled(Ls, d, "lumped diagonal")
+    return F if as_blocks else F[0]
 
 
 def _banded_cholesky(Ms, perm) -> np.ndarray:
@@ -162,23 +175,19 @@ def _banded_cholesky(Ms, perm) -> np.ndarray:
 
 
 def mass_precond(B, M):
-    Bs, C, as_blocks = _as_blocks(B, M)
-    G = []
-    for Bk, ab, perm in zip(Bs, C.factors, C.order[1]):
-        c = (ab, True)
-
-        def solve(X):                              # M_k^{-1} X
-            Y = np.empty_like(X)
-            Y[perm] = scipy.linalg.cho_solve_banded(c, X[perm])
-            return Y
-
-        G.append(_sym(solve(solve(Bk).T).T))       # (M_k^{-1} B_k) M_k^{-1}
-    return tuple(G) if as_blocks else G[0]
+    Ls, C, as_blocks = _as_blocks(B, M)
+    F = []
+    for L, ab, perm in zip(Ls, C.factors, C.order[1]):
+        Ft = np.empty_like(L)                      # M_k^{-1} L_Bk
+        Ft[perm] = scipy.linalg.cho_solve_banded((ab, True), L[perm])
+        F.append(Ft.T)
+    return tuple(F) if as_blocks else F[0]
 
 
 def jacobi_precond(B, M):
-    _, C, _ = _as_blocks(B, M)
-    return _scaled(B, C.m, "mass diagonal")
+    Ls, C, as_blocks = _as_blocks(B, M)
+    F = _scaled(Ls, C.m, "mass diagonal")
+    return F if as_blocks else F[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,7 @@ def reference_mass_and_lumped(d: int, ell: int):
         raise ValueError(
             f"lumped reference weights are not positive for d={d}, degree={ell}"
         )
-    return _sym(M), D
+    return 0.5 * (M + M.T), D
 
 
 def richardson_weight(d: int, ell: int):
@@ -258,12 +267,13 @@ def _check_contraction(Ms, d: np.ndarray, omega: float, perm):
 
 def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np.ndarray:
     """R^(k) from k damped Richardson iterations for M^{-1} preconditioned
-    by the diagonal d, starting from R^(0) = 0; a dense array."""
-    return Coupling.dense(M).richardson(d, k, omega).toarray()
+    by the diagonal d, starting from R^(0) = 0: the chain of the builders
+    applied to I, symmetrized; a dense array."""
+    R = Coupling.dense(M).richardson((np.eye(M.shape[0]),), d, k, omega)[0]
+    return 0.5 * (R + R.T)
 
 
 def richardson_precond(B, M, d: np.ndarray, k: int, omega: float):
-    Bs, C, as_blocks = _as_blocks(B, M)
-    G = tuple(_sym(Rk @ (Rk @ Bk).T)               # (R B R)^T, as R = R^T
-              for Rk, Bk in zip(C.blocks(C.richardson(d, k, omega)), Bs))
-    return G if as_blocks else G[0]
+    Ls, C, as_blocks = _as_blocks(B, M)
+    F = tuple(Y.T for Y in C.richardson(Ls, d, k, omega))
+    return F if as_blocks else F[0]

@@ -10,7 +10,8 @@ along coordinate directions, each integrated by a 1-D rule for p + q log x.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,12 +52,24 @@ class PairRule:
     offsets: np.ndarray | None = None
 
 
+def _read_only(rule):
+    """The rule with its arrays made read-only, as it is shared by every
+    caller of the cache."""
+    for f in fields(rule):
+        a = getattr(rule, f.name)
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadRule:
-    """Gauss-Legendre rule with ``n`` points on [0, 1], exact up to degree 2n-1."""
+    """Gauss-Legendre rule with ``n`` points on [0, 1], exact up to degree
+    2n-1; built once per process, with read-only arrays."""
     if not 1 <= n <= 64:
         raise ValueError(f"gauss_rule: n must be in [1, 64], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, degree=2 * n - 1)
+    return _read_only(QuadRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, degree=2 * n - 1))
 
 
 def log_rule(n: int) -> QuadRule:
@@ -79,6 +92,7 @@ def _tensor(a, b):
             np.repeat(a.weights, b.nodes.size) * np.tile(b.weights, a.nodes.size))
 
 
+@lru_cache(maxsize=None)
 def pair_rule(relation: str, base_n: int) -> PairRule:
     """Quadrature rule on [0,1]^2 for a pair of panels in the given relation.
 
@@ -92,27 +106,28 @@ def pair_rule(relation: str, base_n: int) -> PairRule:
                       v, so the log rule runs along s (or u) and Gauss
                       along v.
     The log rule has ``base_n + LOG_EXTRA_POINTS`` points; Gauss has ``base_n``.
+    Each rule is built once per process, with read-only arrays.
     """
     if base_n < 4:
         raise ValueError(f"pair_rule: base_n must be >= 4, got {base_n}")
     g = gauss_rule(base_n)
     if relation == "separated":
-        return PairRule("separated", *_tensor(g, g))
+        return _read_only(PairRule("separated", *_tensor(g, g)))
     lg = log_rule(base_n + LOG_EXTRA_POINTS)
 
     if relation == "identical":
         # lower triangle {0 <= u <= t}: u = t(1 - v), Jacobian t
         t, v, w = _tensor(lg, lg)
         u, d, w = t * (1.0 - v), t * v, w * t
-        return PairRule("identical", np.concatenate([t, u]), np.concatenate([u, t]),
-                        np.concatenate([w, w]), np.concatenate([d, -d]))
+        return _read_only(PairRule("identical", np.concatenate([t, u]), np.concatenate([u, t]),
+                                   np.concatenate([w, w]), np.concatenate([d, -d])))
 
     if relation == "adjacent":
         # {u <= s}: u = s v, Jacobian s; {s <= u}: s = u v, Jacobian u
         r, v, w = _tensor(lg, g)
         s = np.concatenate([r, r * v])
         u = np.concatenate([r * v, r])
-        return PairRule("adjacent", 1.0 - s, u, np.concatenate([w * r, w * r]), s)
+        return _read_only(PairRule("adjacent", 1.0 - s, u, np.concatenate([w * r, w * r]), s))
 
     raise ValueError(f"pair_rule: unknown relation {relation!r}")
 

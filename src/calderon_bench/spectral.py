@@ -1,10 +1,15 @@
 """Spectral condition numbers of preconditioned systems.
 
-For SPD G and A the product GA is similar to the symmetric matrix L^T G L
-with A = L L^T, so kappa_S(GA) = rho(GA) rho((GA)^{-1}) equals the extreme
-eigenvalue ratio of that symmetric pencil; no nonsymmetric eigensolver is
-needed.  L^T G L is formed by LAPACK's reduction of the symmetric-definite
-pencil (dsygst) and its spectrum by the dense symmetric eigensolver.
+Every preconditioner is given by a factor F with G = F^T F: the builders of
+:mod:`precond` apply their coupling X once to the lower Cholesky factor of
+B, F^T = X L_B, so G = X B X without forming G.  For SPD A = L L^T the
+product GA is similar to the symmetric matrix L^T G L = Y^T Y with Y = F L,
+so kappa_S(GA) = rho(GA) rho((GA)^{-1}) equals the extreme eigenvalue ratio
+of Y^T Y; no nonsymmetric eigensolver is needed.  Y is formed by one
+triangular product (BLAS dtrmm) and Y^T Y by one rank-k update (dsyrk);
+LAPACK's dsytrd reduces it to a tridiagonal matrix, and two bisections
+(dstebz) take its smallest and its largest eigenvalue alone (Golub and Van
+Loan, Matrix Computations, 4th ed., sections 8.4 and 8.7).
 
 The whole level is taken by blocks.  The shipped curves (square, circle,
 ellipse) are mirror symmetric about two axes, and so is the corner-graded
@@ -22,12 +27,12 @@ characters halve the blocks (+, +) and (-, -), and the blocks (-, +) and
 ``character_bases``).  That is four blocks of about N/8 and one of N/4,
 which span 3N/4 rows.  ``block_factor`` holds the blocks Q_k and the
 Cholesky factor of each Q_k^T A Q_k; ``BlockFactor.project`` gives B_k
-once per level, ``project_sparse`` and ``project_diagonal`` give M, D and
-diag(M) in the same basis, and the builders of ``precond`` form each G_k
-on its block.  ``kappa`` takes the extreme eigenvalues over the blocks:
-four eigen-solves of about N/4 in place of one of N, or on D4 four of
-N/8 and one of N/4.  A G given as one dense matrix is projected onto the
-blocks by the same helper.
+once per level from the rows of B at the orbits' least dofs,
+``project_sparse`` and ``project_diagonal`` give M, D and diag(M) in the
+same basis, and the builders of ``precond`` form each F_k on its block
+from the factor of B_k.  ``kappa`` takes the extreme eigenvalues over the
+blocks: four eigen-solves of about N/4 in place of one of N, or on D4 four
+of N/8 and one of N/4.  A dense F is cut into the blocks F Q_k.
 
 The guard: A and B are assembled by orbits of panel pairs under the
 mirrors (see :mod:`boundary_operators`), so they commute with them by
@@ -47,11 +52,12 @@ spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg.lapack import dsygst
+from scipy.linalg.blas import dsyrk, dtrmm
+from scipy.linalg.lapack import dstebz, dsytrd, dsytrd_lwork
 
 from .fespace import group_elements
 
@@ -97,7 +103,8 @@ class BlockFactor:
                 np.repeat(np.arange(len(self.blocks)), self.sizes))
 
     def project(self, X: np.ndarray) -> tuple:
-        """Q_k^T X Q_k of a dense symmetric X, block by block."""
+        """Q_k^T X Q_k of a dense X that commutes with the group, block by
+        block (see :func:`_project`)."""
         return tuple(_project(X, Qt) for Qt, _ in self.blocks)
 
     def project_sparse(self, S):
@@ -180,8 +187,19 @@ def _orbit_bases(images, characters):
 
 
 def _project(X: np.ndarray, Qt) -> np.ndarray:
-    """Q_k^T X Q_k for symmetric X, by two sparse-times-dense products."""
-    return Qt @ (Qt @ X).T
+    """Q_k^T X Q_k for a dense X that commutes with the group of the block,
+    from the rows of X at the orbits' least dofs.
+
+    Row r of Q_k^T holds chi(g)/sqrt|O_r| at dof g(i_r) of the orbit O_r
+    of its least dof i_r, and every column q of Q_k has q[g(j)] =
+    chi(g) q[j].  As X[g(i), g(j)] = X[i, j], row g(i) of X Q_k is chi(g)
+    times row i, so row r of Q_k^T X Q_k is sqrt|O_r| X[i_r] Q_k: one
+    product of an n_k x N slab in place of two through N x N.  It agrees
+    with Q_k^T (Q_k^T X)^T to the rounding of X's commutation with the
+    group, and for Q = I it is X itself."""
+    slab = X[np.minimum.reduceat(Qt.indices, Qt.indptr[:-1])]
+    slab *= np.sqrt(np.diff(Qt.indptr))[:, None]
+    return (Qt @ np.ascontiguousarray(slab.T)).T
 
 
 def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
@@ -202,37 +220,59 @@ def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
     return BlockFactor(tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases), residual)
 
 
-def _extreme_eigenvalues(G: np.ndarray, L: np.ndarray):
-    """Smallest and largest eigenvalue of L^T G L."""
-    # LAPACK's reduction of the pencil (itype 2): the lower triangle of
-    # L^T G L from the lower triangles of G and L, in one call
-    C, info = dsygst(np.array(G, dtype=float, order="F"), np.asfortranarray(L, dtype=float),
-                     itype=2, lower=1, overwrite_a=1)
+@lru_cache(maxsize=None)
+def _sytrd_lwork(n: int) -> int:
+    """Workspace of the blocked dsytrd for order n (the wrapper's default
+    of n takes the unblocked code)."""
+    work, info = dsytrd_lwork(n, lower=1)
     if info:
-        raise np.linalg.LinAlgError(f"dsygst failed with info = {info}")
-    lam = np.linalg.eigvalsh(C, UPLO="L")
-    return lam[0], lam[-1]
+        raise np.linalg.LinAlgError(f"dsytrd_lwork failed with info = {info}")
+    return int(work)
 
 
-def kappa(G, A: np.ndarray, factor: BlockFactor | None = None) -> float:
-    """Spectral condition number kappa_S(G A) for SPD G and A.
+def _extreme_eigenvalues(F: np.ndarray, L: np.ndarray):
+    """Smallest and largest eigenvalue of Y^T Y with Y = F L, for L lower
+    triangular: Y by dtrmm, the lower triangle of Y^T Y by dsyrk, its
+    tridiagonal form by dsytrd and the two ends of its spectrum by
+    bisection (dstebz, to LAPACK's default tolerance ulp * |T|)."""
+    Y = dtrmm(1.0, L, F, side=1, lower=1)
+    C = dsyrk(1.0, Y, trans=1, lower=1)
+    n = C.shape[0]
+    _, d, e, _, info = dsytrd(C, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsytrd failed with info = {info}")
+    ends = []
+    for i in (1, n):                    # range "I": the i-th smallest alone
+        m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
+        if info or m != 1:
+            raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+        ends.append(w[0])
+    return ends[0], ends[1]
+
+
+def kappa(F, A: np.ndarray, factor: BlockFactor | None = None) -> float:
+    """Spectral condition number kappa_S(G A) for G = F^T F and SPD A.
 
     ``factor`` is a :class:`BlockFactor` of A from :func:`block_factor`;
     pass it to share one factorization of A across several
-    preconditioners, or omit it to factor A here as one block.  G is
-    either the tuple of its blocks Q_k^T G Q_k, in the factor's order, or
-    one dense matrix, which is projected here.  Over blocks, kappa is the
-    largest block eigenvalue over the smallest.
+    preconditioners, or omit it to factor A here as one block.  F is
+    either the tuple of its blocks F_k, with Q_k^T G Q_k = F_k^T F_k, in
+    the factor's order (the builders of :mod:`precond` return these), or
+    one dense F, which is cut here into the blocks F Q_k; a bare SPD G
+    enters as ``spd_factor(G).T``.  Over blocks, kappa is the largest
+    block eigenvalue over the smallest.  Raises NotSPDError when the
+    smallest is not above the rounding of the largest, as for a singular
+    F.
     """
     if factor is None:
         factor = block_factor(A)
-    blocks = G if isinstance(G, tuple) else factor.project(G)
+    blocks = F if isinstance(F, tuple) else tuple((Qt @ F.T).T for Qt, _ in factor.blocks)
     if len(blocks) != len(factor.blocks):
-        raise ValueError(f"G has {len(blocks)} blocks, the factor of A {len(factor.blocks)}")
+        raise ValueError(f"F has {len(blocks)} blocks, the factor of A {len(factor.blocks)}")
     lo, hi = np.inf, -np.inf
-    for Gk, (_, L) in zip(blocks, factor.blocks):
-        b_lo, b_hi = _extreme_eigenvalues(Gk, L)
+    for Fk, (_, L) in zip(blocks, factor.blocks):
+        b_lo, b_hi = _extreme_eigenvalues(Fk, L)
         lo, hi = min(lo, b_lo), max(hi, b_hi)
-    if lo <= 0:
+    if not lo > max(factor.sizes) * np.finfo(float).eps * hi:
         raise NotSPDError("preconditioned pencil is not positive definite")
     return hi / lo

@@ -70,7 +70,7 @@ def corner_gram(kind, k, ell, inner="exact"):
 def corner_level(kind, k, ell, inner="exact"):
     """The run path's level record on corner level k."""
     lev = build_level(corner_space(kind, k, ell), inner, QUAD_N, ALPHA)
-    _read_only(lev.A, lev.B, lev.D, lev.d, *lev.B_blocks)
+    _read_only(lev.A, lev.B, lev.D, lev.d, *lev.B_factors)
     return lev
 
 

@@ -58,6 +58,12 @@ def test_tracer_spans_every_target():
                      "precond.richardson2", "precond.richardson4", "precond.richardson6",
                      "spectral.kappa"}
     assert tracer.level == LEVELS
+    # the rules are cached in quadrature, behind the names the tracer
+    # swaps, so every level still shows its two pair rules and its two
+    # Gauss rules
+    for name in ("quadrature.pair_rule", "quadrature.gauss_rule"):
+        assert [sum(s.name == name and s.level == k for s in tracer.spans)
+                for k in range(1, LEVELS + 1)] == [2] * LEVELS, name
 
     metrics = tracer.metrics()
     with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json")) as fh:

@@ -288,6 +288,21 @@ def test_run_kappa_matches_dense_path(monkeypatch, geometry, degree, inner):
             assert row.kappas[name] == pytest.approx(ref, rel=1e-10), (row.level, name)
 
 
+def test_each_level_factors_a_and_b_blocks_once(monkeypatch):
+    # the Cholesky factors of A's and B's blocks are the SPD checks, and
+    # B's are kept for the builders: no builder and no kappa factors again
+    seen = _spy_levels(monkeypatch)
+    calls, real = [], np.linalg.cholesky
+
+    def counted(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2, preconds=ALL_SIX))
+    assert calls == [(n, n) for lev in seen for n in 2 * lev.factor.sizes]
+
+
 @pytest.mark.parametrize("which", ["D", "M"])
 def test_broken_mirror_runs_as_one_block(monkeypatch, which):
     # D (or M, which the guard reads sparse) moved off its mirror images by
@@ -447,6 +462,23 @@ def test_quad_n_rejected_up_front(tmp_path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("levels", 1.5), ("levels", 2.0), ("levels", True),
+                                          ("quad_n", 12.5), ("quad_n", 12.0), ("quad_n", True),
+                                          ("levels", "2")])
+def test_non_integer_counts_rejected_up_front(monkeypatch, field, value):
+    # the CLI parses both as int, the Python API does not: a float, a bool
+    # or a string fails when the config is built, not in range() or at
+    # level 1
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_experiment(ExperimentConfig(**{"levels": 1, field: value}))
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = ExperimentConfig(levels=np.int64(1), quad_n=np.int32(8), preconds=("lumped",))
+    assert run_experiment(cfg)[0].kappas["lumped"] >= 1.0
+
+
 @pytest.mark.parametrize("quad_n", [4, 56])
 def test_quad_n_at_the_ends_of_its_range_runs(quad_n):
     rows = run_experiment(ExperimentConfig(levels=1, quad_n=quad_n, preconds=("lumped",)))
@@ -457,6 +489,8 @@ def test_quad_n_at_the_ends_of_its_range_runs(quad_n):
     ("scale", ["--scale", "nan"]),
     ("ellipse_ratio", ["--geometry", "ellipse", "--ellipse-ratio", "nan"]),
     ("ellipse_ratio", ["--geometry", "ellipse", "--ellipse-ratio", "inf"]),
+    ("ellipse_ratio", ["--geometry", "square", "--ellipse-ratio", "nan"]),
+    ("ellipse_ratio", ["--geometry", "circle", "--ellipse-ratio", "-1"]),
 ])
 def test_non_finite_geometry_rejected_before_level_one(monkeypatch, tmp_path, field, flags):
     # they pass the sign and diameter checks; make_geometry must refuse them

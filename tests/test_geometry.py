@@ -87,12 +87,17 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         make_geometry("ellipse", 0.5, ellipse_ratio=0.0)
     # nan passes the sign and diameter checks, and an infinite ratio gives
-    # b = 0: each died only in assembly
+    # b = 0: each died only in assembly.  The square and the circle do not
+    # use the ratio, but a bad one is still a bad configuration
     nan, inf = float("nan"), float("inf")
     for kind, scale, ratio, field in (("square", nan, 2.0, "scale"), ("circle", nan, 2.0, "scale"),
                                       ("square", inf, 2.0, "scale"),
                                       ("ellipse", 0.5, nan, "ellipse_ratio"),
-                                      ("ellipse", 0.5, inf, "ellipse_ratio")):
+                                      ("ellipse", 0.5, inf, "ellipse_ratio"),
+                                      ("square", 0.5, nan, "ellipse_ratio"),
+                                      ("square", 0.5, -2.0, "ellipse_ratio"),
+                                      ("circle", 0.5, inf, "ellipse_ratio"),
+                                      ("circle", 0.5, 0.0, "ellipse_ratio")):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make_geometry(kind, scale, ratio)
 
@@ -107,13 +112,16 @@ def test_corner_aliases_name_the_same_point():
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 0.3, 0.7])
 def test_circle_is_the_ellipse_of_ratio_one(scale):
-    """The circle is built as the ellipse of axis ratio 1, whatever
-    ellipse_ratio is passed; it keeps kind "circle", one angle chart of
-    radius scale/2 about the origin, the four anchors at multiples of pi/2
-    and diameter = scale, exactly."""
+    """The circle is built as the ellipse of axis ratio 1, whatever valid
+    ellipse_ratio is passed (an invalid one is rejected, as for every
+    kind); it keeps kind "circle", one angle chart of radius scale/2 about
+    the origin, the four anchors at multiples of pi/2 and diameter =
+    scale, exactly."""
     ref = EllipticChart(0.0, 2.0 * np.pi, scale / 2.0, scale / 2.0)
     anchors = (((0, 0.0), (0, 2.0 * np.pi)),) + tuple(((0, k * np.pi / 2.0),) for k in (1, 2, 3))
-    for ratio in (2.0, 0.5, -1.0):
+    with pytest.raises(ValueError, match="ellipse_ratio"):
+        make_geometry("circle", scale, -1.0)
+    for ratio in (2.0, 0.5):
         g = make_geometry("circle", scale, ratio)
         assert (g.kind, g.scale, g.diameter, g.mirror_centre) == ("circle", scale, scale, (0.0, 0.0))
         (c,) = g.charts

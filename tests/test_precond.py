@@ -8,7 +8,7 @@ from calderon_bench.precond import (Coupling, RichardsonDivergenceError,
                                     richardson_precond, richardson_weight)
 from calderon_bench.spectral import NotSPDError, kappa
 
-from helpers import corner_gram, corner_operators
+from helpers import corner_gram, corner_level, corner_operators
 
 rng = np.random.RandomState(99)
 
@@ -18,11 +18,18 @@ def _random_spd(n):
     return Q @ np.diag(rng.uniform(0.5, 4.0, n)) @ Q.T
 
 
+def _gram(F):
+    """The preconditioner G = F^T F of a builder's factor F."""
+    return F.T @ F
+
+
 def test_lumped_precond_examples():
     d = np.array([2.0, 3.0, 5.0])
-    G = lumped_precond(np.diag(d) @ np.diag(d), d)
+    F = lumped_precond(np.diag(d) @ np.diag(d), d)
+    G = F.T @ F
     assert np.allclose(G, np.eye(3))
-    G2 = lumped_precond(np.eye(3), 2.0 * np.ones(3))
+    F2 = lumped_precond(np.eye(3), 2.0 * np.ones(3))
+    G2 = F2.T @ F2
     assert np.allclose(G2, np.eye(3) / 4)
     with pytest.raises(ValueError):
         lumped_precond(np.eye(2), np.array([1.0, 0.0]))
@@ -30,11 +37,11 @@ def test_lumped_precond_examples():
 
 def test_mass_precond_examples():
     M = _random_spd(5)
-    assert np.allclose(mass_precond(M, M), np.linalg.inv(M), atol=1e-10)
+    assert np.allclose(_gram(mass_precond(M, M)), np.linalg.inv(M), atol=1e-10)
     B = _random_spd(5)
-    assert np.allclose(mass_precond(B, np.eye(5)), B)
+    assert np.allclose(_gram(mass_precond(B, np.eye(5))), B)
     # residual identity G M B^{-1} M = I
-    G = mass_precond(B, M)
+    G = _gram(mass_precond(B, M))
     resid = G @ M @ np.linalg.solve(B, M) - np.eye(5)
     assert np.abs(resid).max() < 1e-10
 
@@ -42,7 +49,7 @@ def test_mass_precond_examples():
 def test_jacobi_equals_mass_for_diagonal():
     M = np.diag([1.0, 4.0, 9.0])
     B = _random_spd(3)
-    assert np.allclose(jacobi_precond(B, M), mass_precond(B, M),
+    assert np.allclose(_gram(jacobi_precond(B, M)), _gram(mass_precond(B, M)),
                        atol=1e-12)
 
 
@@ -118,13 +125,48 @@ def test_richardson_chain_continues_and_restarts():
     M, D = corner_gram("square", 2, 3)
     _, _, om = richardson_weight(1, 3)
     C = Coupling.dense(M)
+    eye = (np.eye(M.shape[0]),)
+
+    def chain(d, k, omega):                        # R^(k) from C's chain on I
+        (R,) = C.richardson(eye, d, k, omega)
+        return 0.5 * (R + R.T)
+
     for k in (2, 4, 6, 1, 3):
-        assert np.array_equal(C.richardson(D, k, om).toarray(),
+        assert np.array_equal(chain(D, k, om),
                               richardson_inverse(M, D, k, om)), k
-    assert np.array_equal(C.richardson(D, 4, 0.9 * om).toarray(),
+    assert np.array_equal(chain(D, 4, 0.9 * om),
                           richardson_inverse(M, D, 4, 0.9 * om))
     D2 = 1.1 * D
-    assert np.array_equal(C.richardson(D2, 5, om).toarray(), richardson_inverse(M, D2, 5, om))
+    assert np.array_equal(chain(D2, 5, om), richardson_inverse(M, D2, 5, om))
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_richardson_chain_on_the_factor_of_b(ell):
+    # Y_k = R^(k) L_B by the recurrence on L_B is R^(k) applied to L_B
+    _, B = corner_operators("square", 3, ell)
+    M, D = corner_gram("square", 3, ell)
+    _, _, om = richardson_weight(1, ell)
+    LB = (np.linalg.cholesky(B),)
+    C = Coupling.dense(M)
+    for k in (1, 2, 4, 6):
+        (Y,) = C.richardson(LB, D, k, om)
+        ref = richardson_inverse(M, D, k, om) @ LB[0]
+        assert np.abs(Y - ref).max() <= 1e-13 * np.abs(ref).max(), k
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_richardson_chain_continued_equals_fresh(kind, ell, inner):
+    # on the run path's blocks, k = 4 continued from k = 2 is, to the bit,
+    # k = 4 from a fresh chain
+    lev = corner_level(kind, 3, ell, inner)
+    _, _, om = richardson_weight(1, ell)
+    C = lev.coupling
+    fresh = Coupling(C.M, C.m, C.sizes)
+    richardson_precond(lev.B_factors, C, lev.d, 2, om)
+    continued = richardson_precond(lev.B_factors, C, lev.d, 4, om)
+    for a, b in zip(continued, richardson_precond(lev.B_factors, fresh, lev.d, 4, om)):
+        assert np.array_equal(a, b)
 
 
 def test_richardson_divergence_guard():
@@ -165,7 +207,7 @@ def test_mass_precond_matches_dense_cholesky(ell):
     _, B = corner_operators("square", 3, ell)
     M, _ = corner_gram("square", 3, ell)
     ref = _mass_precond_dense(B, M)
-    assert np.abs(mass_precond(B, M) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(_gram(mass_precond(B, M)) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_mass_precond_rejects_indefinite_mass():
@@ -194,10 +236,11 @@ def test_richardson_precond_first_step_is_scaled_lumped():
     A, B = corner_operators("square", 1, 1)
     M, D = corner_gram("square", 1, 1)
     _, _, om = richardson_weight(1, 1)
-    G1 = richardson_precond(B, M, D, 1, om)
-    GD = lumped_precond(B, D)
+    F1 = richardson_precond(B, M, D, 1, om)
+    FD = lumped_precond(B, D)
+    G1, GD = _gram(F1), _gram(FD)
     assert np.allclose(G1, om * om * GD, rtol=1e-12)
-    assert kappa(G1, A) == pytest.approx(kappa(GD, A), rel=1e-8)
+    assert kappa(F1, A) == pytest.approx(kappa(FD, A), rel=1e-8)
 
 
 def test_richardson_precond_converges_to_mass():
@@ -223,8 +266,9 @@ def test_precond_matrices_symmetric_spd():
     A, B = corner_operators("square", 1, 3)
     M, D = corner_gram("square", 1, 3)
     _, _, om = richardson_weight(1, 3)
-    for G in (lumped_precond(B, D), mass_precond(B, M), jacobi_precond(B, M),
+    for F in (lumped_precond(B, D), mass_precond(B, M), jacobi_precond(B, M),
               richardson_precond(B, M, D, 4, om)):
+        G = _gram(F)
         assert isinstance(G, np.ndarray) and G.shape == B.shape
         assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
         np.linalg.cholesky(G)
@@ -233,5 +277,6 @@ def test_precond_matrices_symmetric_spd():
 def test_kappa_scalar_invariance_with_precond():
     A, B = corner_operators("square", 1, 1)
     _, D = corner_gram("square", 1, 1)
-    G = lumped_precond(B, D)
-    assert kappa(10.0 * G, A) == pytest.approx(kappa(G, A), rel=1e-10)
+    F = lumped_precond(B, D)
+    # 10 G = (sqrt(10) F)^T (sqrt(10) F)
+    assert kappa(np.sqrt(10.0) * F, A) == pytest.approx(kappa(F, A), rel=1e-10)

@@ -41,6 +41,21 @@ def test_gauss_rule_rejects_out_of_range():
         gauss_rule(65)
 
 
+def test_rules_built_once_and_read_only():
+    # a second call returns the cached rule itself, so no caller may write
+    # into its arrays
+    assert gauss_rule(12) is gauss_rule(12)
+    for relation in ("separated", "identical", "adjacent"):
+        assert pair_rule(relation, 12) is pair_rule(relation, 12)
+    rules = [gauss_rule(7)] + [pair_rule(r, 8) for r in ("separated", "identical", "adjacent")]
+    arrays = [rules[0].nodes, rules[0].weights]
+    arrays += [a for r in rules[1:] for a in (r.tnodes, r.unodes, r.weights, r.offsets)
+               if a is not None]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_pair_rule_separated_is_tensor_gauss():
     r = pair_rule("separated", 8)
     assert r.weights.size == 64

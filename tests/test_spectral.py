@@ -41,22 +41,23 @@ def test_spd_factor_rejects_indefinite():
 
 def test_kappa_known_spectra():
     # against the identity, kappa is the extreme eigenvalue ratio of G
-    assert kappa(np.diag([3.0, 1.0, 2.0]), np.eye(3)) == pytest.approx(3.0, rel=1e-14)
-    assert kappa(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2)) == pytest.approx(3.0, rel=1e-14)
+    assert kappa(_factor(np.diag([3.0, 1.0, 2.0])), np.eye(3)) == pytest.approx(3.0, rel=1e-14)
+    assert kappa(_factor(np.array([[2.0, 1.0], [1.0, 2.0]])), np.eye(2)) == pytest.approx(
+        3.0, rel=1e-14)
 
 
 def test_kappa_vs_characteristic_polynomial():
     # quartic-root oracle: char poly by Faddeev-LeVerrier trace recursion
     S = _random_spd(4)
     roots = np.sort(np.roots(faddeev_leverrier(S)).real)
-    assert kappa(S, np.eye(4)) == pytest.approx(roots[-1] / roots[0], rel=1e-10)
+    assert kappa(_factor(S), np.eye(4)) == pytest.approx(roots[-1] / roots[0], rel=1e-10)
 
 
 def test_kappa_inverse_is_one():
     Q, _ = np.linalg.qr(rng.randn(5, 5))
     A = Q @ np.diag([1.0, 2.0, 4.0, 7.0, 11.0]) @ Q.T
     A = 0.5 * (A + A.T)
-    assert kappa(np.linalg.inv(A), A) == pytest.approx(1.0, rel=1e-10)
+    assert kappa(_factor(np.linalg.inv(A)), A) == pytest.approx(1.0, rel=1e-10)
 
 
 def _random_spd(n):
@@ -65,9 +66,20 @@ def _random_spd(n):
     return 0.5 * (A + A.T)
 
 
+def _factor(G):
+    """A bare SPD G as kappa's factor F, G = F^T F."""
+    return spd_factor(G).T
+
+
+def _two_sided(X, Qt):
+    """Q_k^T X Q_k by two sparse products, for any X: the reference for the
+    dense G, which commutes with the mirrors only to D's mirror residual."""
+    return Qt @ (Qt @ X).T
+
+
 def test_kappa_left_right_coincide():
     G, A = _random_spd(7), _random_spd(7)
-    assert kappa(G, A) == pytest.approx(kappa(A, G), rel=1e-8)
+    assert kappa(_factor(G), A) == pytest.approx(kappa(_factor(A), G), rel=1e-8)
 
 
 def test_kappa_matches_cubic_characteristic_oracle():
@@ -75,7 +87,7 @@ def test_kappa_matches_cubic_characteristic_oracle():
     A = np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.0], [0.1, 0.0, 0.5]])
     lam = np.sort(np.roots(faddeev_leverrier(G @ A)).real)
     brute = (lam.max() / lam.min())            # rho(X) rho(X^{-1}) for positive spectrum
-    assert kappa(G, A) == pytest.approx(brute, rel=1e-8)
+    assert kappa(_factor(G), A) == pytest.approx(brute, rel=1e-8)
 
 
 def test_kappa_matches_nonsymmetric_definition_small():
@@ -84,14 +96,14 @@ def test_kappa_matches_nonsymmetric_definition_small():
         lam = np.linalg.eigvals(G @ A)
         assert np.abs(lam.imag).max() < 1e-10 * np.abs(lam.real).max()
         brute = np.abs(lam.real).max() / np.abs(lam.real).min()
-        assert kappa(G, A) == pytest.approx(brute, rel=1e-8)
+        assert kappa(_factor(G), A) == pytest.approx(brute, rel=1e-8)
 
 
 def test_kappa_scalar_invariance():
     G, A = _random_spd(6), _random_spd(6)
-    k = kappa(G, A)
-    assert kappa(10.0 * G, A) == pytest.approx(k, rel=1e-10)
-    assert kappa(G, 10.0 * A) == pytest.approx(k, rel=1e-10)
+    k = kappa(_factor(G), A)
+    assert kappa(_factor(10.0 * G), A) == pytest.approx(k, rel=1e-10)
+    assert kappa(_factor(G), 10.0 * A) == pytest.approx(k, rel=1e-10)
 
 
 def test_kappa_with_shared_factor_matches_own_factor():
@@ -100,21 +112,25 @@ def test_kappa_with_shared_factor_matches_own_factor():
     for Gi in (G, 3.0 * G, np.linalg.inv(A)):
         C = L.T @ Gi @ L                        # reference: two dense GEMMs
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
-        assert kappa(Gi, A, F) == kappa(Gi, A)
-        assert kappa(Gi, A, F) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+        Fi = _factor(Gi)
+        assert kappa(Fi, A, F) == kappa(Fi, A)
+        assert kappa(Fi, A, F) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
 
 
 def test_kappa_rejects_indefinite():
+    # G = F^T F is semidefinite for every F; a singular F makes it singular
     A = _random_spd(4)
-    G = np.diag([1.0, -1.0, 1.0, 1.0])
+    F = np.diag([1.0, 0.0, 1.0, 1.0])
     with pytest.raises(NotSPDError):
-        kappa(G, A)
+        kappa(F, A)
 
 
 # ---------------------------------------------------------------------------
 # kappa by the blocks of the curve's mirrors
 
 def _preconds(B, M, D, ell):
+    """The six preconditioners of dense B, M and D, each as its dense
+    factor F, G = F^T F."""
     omega = richardson_weight(1, ell)[2]
     out = {"lumped": lumped_precond(B, D), "mass": mass_precond(B, M),
            "jacobi": jacobi_precond(B, M)}
@@ -132,26 +148,85 @@ def test_block_kappa_matches_dense(kind, ell, inner):
         assert F.sizes == BLOCK_SIZES[kind, ell][k - 1], (k, F.sizes)
         assert sum(F.sizes) == (3 * n // 4 if kind == "square" else n), k
         dense = block_factor(A)
-        for name, G in _preconds(B, lev.M, lev.D, ell).items():
-            assert kappa(G, A, F) == pytest.approx(kappa(G, A, dense), rel=1e-10), (k, name)
+        for name, Fd in _preconds(B, lev.M, lev.D, ell).items():
+            assert kappa(Fd, A, F) == pytest.approx(kappa(Fd, A, dense), rel=1e-10), (k, name)
 
 
 @pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
                                             ("ellipse", 1, "mesh-averaged")])
 def test_block_builds_match_projected_dense(kind, ell, inner):
-    # each G_k built on its block from B_k, M-hat and d-hat is Q_k^T G Q_k
-    # of the G built at full size
+    # each G_k = F_k^T F_k built on its block from the factor of B_k,
+    # M-hat and d-hat is Q_k^T G Q_k of the G built at full size
     omega = richardson_weight(1, ell)[2]
     for k in range(1, 5):
         lev = corner_level(kind, k, ell, inner)
         F, C = lev.factor, lev.coupling
-        sizes = tuple(b.shape[0] for b in lev.B_blocks)
+        sizes = tuple(b.shape[0] for b in lev.B_factors)
         assert F.sizes == C.sizes == sizes == BLOCK_SIZES[kind, ell][k - 1]
-        for name, G in _preconds(lev.B, lev.M, lev.D, ell).items():
-            blocks = _build_precond(name, lev.B_blocks, C, lev.d, omega)
+        for name, Fd in _preconds(lev.B, lev.M, lev.D, ell).items():
+            blocks = _build_precond(name, lev.B_factors, C, lev.d, omega)
             assert isinstance(blocks, tuple) and len(blocks) == len(F.sizes), (k, name)
-            for Gk, ref in zip(blocks, F.project(G)):
+            for Fk, (Qt, _) in zip(blocks, F.blocks):
+                Gk, ref = Fk.T @ Fk, _two_sided(Fd.T @ Fd, Qt)
                 assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), (k, name)
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_factor_kappa_matches_dense_eigvalsh(kind, ell, inner):
+    # the run path (block factors, trmm, syrk, dsytrd and two bisections)
+    # against the full spectrum of L^T (F^T F) L from one dense factor of A
+    # and the dense F, for the six preconditioners of the benchmark
+    omega = richardson_weight(1, ell)[2]
+    for k in range(1, 5):
+        lev = corner_level(kind, k, ell, inner)
+        L = np.linalg.cholesky(lev.A)
+        for name, Fd in _preconds(lev.B, lev.M, lev.D, ell).items():
+            C = L.T @ (Fd.T @ Fd) @ L
+            lam = np.linalg.eigvalsh(0.5 * (C + C.T))
+            run = kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
+                        lev.A, lev.factor)
+            assert run == pytest.approx(lam[-1] / lam[0], rel=1e-10), (k, name)
+
+
+def test_kappa_takes_no_full_spectrum(monkeypatch):
+    # only the two ends of each block's spectrum are computed
+    lev = corner_level("square", 2, 3)
+    F = lumped_precond(lev.B_factors, lev.d)
+    expected = kappa(F, lev.A, lev.factor)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full eigen-solve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert kappa(F, lev.A, lev.factor) == expected
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_gathered_projection_matches_two_products(kind, ell, inner):
+    # sqrt|orbit| X[reps] Q_k against Q_k^T (Q_k^T X)^T for A and B, which
+    # orbit assembly makes commute with the mirrors: D4 on the square, the
+    # axis mirrors on the ellipse
+    for k in (2, 4):
+        lev = corner_level(kind, k, ell, inner)
+        assert len(lev.factor.sizes) == (5 if kind == "square" else 4)
+        for X in (lev.A, lev.B):
+            for got, (Qt, _) in zip(lev.factor.project(X), lev.factor.blocks):
+                assert np.abs(got - _two_sided(X, Qt)).max() <= 1e-14 * np.abs(X).max(), k
+
+
+def test_gathered_projection_exact_on_one_block():
+    g = make_geometry("ellipse", 0.5, 2.0)
+    s = build_space(refine(corner_schedule(g, 1), {1}), 1)
+    A, B = assemble_operator_pair(s)
+    F = block_factor(A)
+    assert F.sizes == (s.ndof,)
+    for X in (A, B):
+        (got,) = F.project(X)
+        assert np.array_equal(got, X)
+        assert np.array_equal(_project(X, F.blocks[0][0]), _two_sided(X, F.blocks[0][0]))
 
 
 # blocks taken: the axis mirrors' four, or D4's five where a panel of the
@@ -169,11 +244,12 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     assert len(F.sizes) == STRADDLE_BLOCKS[kind, n_panels]
     assert np.abs(C.M.diagonal() - C.m).max() > 0.1 * C.m.max()
     omega = richardson_weight(1, 3)[2]
-    for name, G in _preconds(lev.B, lev.M, lev.D, 3).items():
-        blocks = _build_precond(name, lev.B_blocks, C, lev.d, omega)
-        for Gk, ref in zip(blocks, F.project(G)):
+    for name, Fd in _preconds(lev.B, lev.M, lev.D, 3).items():
+        blocks = _build_precond(name, lev.B_factors, C, lev.d, omega)
+        for Fk, (Qt, _) in zip(blocks, F.blocks):
+            Gk, ref = Fk.T @ Fk, _two_sided(Fd.T @ Fd, Qt)
             assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), name
-        assert kappa(blocks, lev.A, F) == pytest.approx(kappa(G, lev.A), rel=1e-10), name
+        assert kappa(blocks, lev.A, F) == pytest.approx(kappa(Fd, lev.A), rel=1e-10), name
 
 
 def test_projected_coupling_is_block_diagonal():
@@ -303,12 +379,13 @@ def test_d4_partner_blocks_are_isospectral():
     partner = character_bases(perms[:2], s.ndof)[2]
     assert kept.shape == partner.shape == (120, s.ndof)
     assert abs(kept @ partner.T).max() <= 1e-15
-    for name, X in [("A", A), ("B", B), *_preconds(B, M, D, 3).items()]:
-        lam, mu = (np.linalg.eigvalsh(_project(X, Qt)) for Qt in (kept, partner))
+    Fs = _preconds(B, M, D, 3)
+    for name, X in [("A", A), ("B", B), *((n, Fd.T @ Fd) for n, Fd in Fs.items())]:
+        lam, mu = (np.linalg.eigvalsh(_two_sided(X, Qt)) for Qt in (kept, partner))
         assert np.abs(lam - mu).max() <= 1e-12 * np.abs(mu).max(), name
-    L = [spd_factor(_project(A, Qt)) for Qt in (kept, partner)]
-    for name, G in _preconds(B, M, D, 3).items():
-        ext, ext_partner = (np.array(_extreme_eigenvalues(_project(G, Qt), Lk))
+    L = [spd_factor(_two_sided(A, Qt)) for Qt in (kept, partner)]
+    for name, Fd in Fs.items():
+        ext, ext_partner = (np.array(_extreme_eigenvalues((Qt @ Fd.T).T, Lk))
                             for Qt, Lk in zip((kept, partner), L))
         assert np.abs(ext / ext_partner - 1).max() <= 1e-12, name
 
@@ -346,8 +423,8 @@ def test_guard_refuses_a_broken_mirror():
     Bp[j, i] = Bp[i, j]
     F = block_factor(A, lev.perms, (Bp, M, D))
     assert F.sizes == (lev.space.ndof,) and F.residual > TAU
-    for name, G in _preconds(Bp, M, D, 1).items():
-        assert kappa(G, A, F) == kappa(G, A), name
+    for name, Fd in _preconds(Bp, M, D, 1).items():
+        assert kappa(Fd, A, F) == kappa(Fd, A), name
 
 
 def test_mesh_without_mirror_takes_single_block():
@@ -359,5 +436,5 @@ def test_mesh_without_mirror_takes_single_block():
     A, B = assemble_operator_pair(s)
     F = block_factor(A, mirror_permutations(s), (B,))
     assert F.sizes == (s.ndof,) and F.residual == 0.0
-    G = lumped_precond(B, lumped_matrix(s))
-    assert kappa(G, A, F) == kappa(G, A)
+    Fd = lumped_precond(B, lumped_matrix(s))
+    assert kappa(Fd, A, F) == kappa(Fd, A)
