@@ -23,23 +23,24 @@ Panel pairs fall in three classes, each with its own rule:
 Close and admissible pairs go through one per-pair routine, which differs
 only in its rule.
 
-Only one pair per orbit is evaluated.  The mesh's mirrors
-(``fespace.mirror_permutations``: the two axis mirrors, or D4 with the
-diagonal one) map panel pairs onto panel pairs, and A[g i, g j] = A[i, j]
-for every element g of their group.  So the identical pairs take one panel
-per panel orbit, the adjacent pairs one edge per edge orbit, and the
-separated pairs one pair per pair orbit; a pair orbit is admissible only
-if every pair in it is.  Each block is copied to its images through the
-group's dof maps, and an image that several elements give (an object a
-mirror fixes) takes the mean of their copies.  The representative of an
-orbit is chosen by geometry, the least (chart, t0), so that a relabelling
-of the panels selects the same blocks: the quadrature is not exactly
-mirror-invariant (on the 8-panel cubic ellipse an identical-pair block
-and its mirror image differ by up to 7.8e-8 of the block).  That
-is about 4 times fewer kernel sums on the ellipse, 8 on the square; A and
-B commute with every mirror to rounding, and differ from a sweep over all
-pairs by up to the mirror residual that sweep leaves in B.  Without
-mirrors the group is trivial, and every pair is its own orbit.
+Only one pair per orbit is evaluated.  The mesh's mirrors (the two axis
+mirrors, or D4 with the diagonal one) map panel pairs onto panel pairs,
+and A[g i, g j] = A[i, j] for every element g of their group, whose panel
+maps, orientations and dof maps come from the space's record
+(``FeSpace.mirrors``).  So the identical pairs take one panel per panel
+orbit, the adjacent pairs one edge per edge orbit, and the separated
+pairs one pair per pair orbit; a pair orbit is admissible only if every
+pair in it is.  Each block is copied to its images through the dof maps,
+and an image that several elements give (an object a mirror fixes) takes
+the mean of their copies.  The representative of an orbit is chosen by
+geometry, the least (chart, t0), so that a relabelling of the panels
+selects the same blocks: the quadrature is not exactly mirror-invariant
+(on the 8-panel cubic ellipse an identical-pair block and its mirror
+image differ by up to 7.8e-8 of the block).  That is about 4 times fewer
+kernel sums on the ellipse, 8 on the square; A and B commute with every
+mirror to rounding, and differ from a sweep over all pairs by up to the
+mirror residual that sweep leaves in B.  Without mirrors the group is
+trivial, and every pair is its own orbit.
 
 Then one triangle: the kernel is symmetric, so every class is summed on
 one triangle of panel pairs into Z, and each matrix is Z + Z^T, symmetric
@@ -58,9 +59,8 @@ from itertools import chain
 
 import numpy as np
 
-from .fespace import (FeSpace, group_elements, mirror_permutations, reference_basis,
-                      reference_basis_deriv)
-from .gram import lumped_matrix
+from .fespace import FeSpace, MirrorGroup, reference_basis, reference_basis_deriv
+from .gram import lumped_matrix, panel_products
 from .mesh import Mesh, panel_chords, panel_samples, panel_speeds
 from .quadrature import gauss_rule, pair_rule
 
@@ -137,23 +137,6 @@ def _panel_rank(mesh):
     return rank
 
 
-def _mirror_group(s: FeSpace, perms):
-    """The dof maps (|G|, N) and the panel maps (|G|, P) of every element of
-    the group generated by the mirrors ``perms`` of
-    ``mirror_permutations(s)``; row 0 is the identity, and without mirrors
-    it is the only row.
-
-    Vertex dof i starts panel i.  An element that keeps the orientation
-    maps panel i onto the panel that starts at the image of vertex i; one
-    that reverses it, onto the panel that starts at the image of vertex
-    i + 1.
-    """
-    P = s.mesh.n_panels
-    dofs = group_elements(perms, s.ndof)
-    start, end = dofs[:, :P], np.roll(dofs[:, :P], -1, axis=1)
-    return dofs, np.where(end == (start + 1) % P, start, end)
-
-
 def _orbits(keys):
     """Representatives of the orbits of some objects under a group, and the
     order of each one's stabilizer.
@@ -216,21 +199,27 @@ def _pair_blocks(s: FeSpace, rule, p, q, stab):
                                       w_der[a].transpose(0, 2, 1) @ K @ w_der[b]))
 
 
-def _separated_orbits(mesh, panels):
-    """One pair per orbit of the separated panel pairs (neither identical
-    nor adjacent) under the group with the panel maps ``panels`` (|G|, P).
+def _far_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
+    """Gauss log-kernel blocks of one panel pair per orbit of the separated
+    pairs (neither identical nor adjacent) under the mirror group ``group``
+    (the trivial group by default), for ``_scatter`` to copy to the orbit's
+    other pairs.
 
     The representative is the pair of least panel ranks (``_panel_rank``),
-    given as (higher rank, lower rank); with the trivial group on a mesh
-    in chart order that is every pair p > q, in row order.  Returns the
-    pairs' panels p and q (R,), whether each orbit is admissible, which
-    it is only if all its pairs are, and the order of each stabilizer.
+    given as (higher rank, lower rank); with the trivial group on a mesh in
+    chart order that is every pair p > q, in row order.  Separated pairs
+    fall in two classes (see ``_admissible_pairs``): the admissible orbits,
+    those whose pairs are all admissible, take a tensor Gauss rule of
+    ceil(quad_n / 2) points per panel, the few close orbits next to the
+    near field the full quad_n-point rule.  Yields the blocks of
+    ``_pair_blocks``, the admissible orbits first.
     """
-    P = mesh.n_panels
+    P = s.mesh.n_panels
+    panels = (group or MirrorGroup.trivial(s.ndof, P)).panels
     p, q = np.nonzero(np.tri(P, k=-2, dtype=bool))
     keep = p - q < P - 1                              # (P-1, 0) are adjacent
     p, q = p[keep], q[keep]
-    rank = _panel_rank(mesh)
+    rank = _panel_rank(s.mesh)
 
     def keys():
         for g in rank[panels]:
@@ -239,38 +228,19 @@ def _separated_orbits(mesh, panels):
 
     reps, stab = _orbits(keys())
     p, q = p[reps], q[reps]
-    far = _admissible_pairs(mesh)[panels[:, p], panels[:, q]].all(axis=0)
+    far = _admissible_pairs(s.mesh)[panels[:, p], panels[:, q]].all(axis=0)
     swap = rank[p] < rank[q]
-    return np.where(swap, q, p), np.where(swap, p, q), far, stab
-
-
-def _far_field(s: FeSpace, quad_n: int, panels=None):
-    """Gauss log-kernel blocks of the panel pairs that are neither identical
-    nor adjacent, one pair per orbit of the mirror group with the panel
-    maps ``panels`` (from ``_mirror_group``; the trivial group by default,
-    and then every pair p > q), for ``_scatter`` to copy to the orbit's
-    other pairs (see ``_separated_orbits``).
-
-    Separated pairs fall in two classes (see ``_admissible_pairs``):
-    admissible pairs take a tensor Gauss rule of ceil(quad_n / 2) points
-    per panel, the few close pairs next to the near field the full
-    quad_n-point rule.  Yields the blocks of ``_pair_blocks``, the
-    admissible orbits first.
-    """
-    if panels is None:
-        panels = np.arange(s.mesh.n_panels)[None]
-    p, q, far, stab = _separated_orbits(s.mesh, panels)
+    p, q = np.where(swap, q, p), np.where(swap, p, q)
     for rule, c in ((gauss_rule(_coarse_n(quad_n)), far), (gauss_rule(quad_n), ~far)):
         yield from _pair_blocks(s, rule, p[c], q[c], stab[c])
 
 
-def _near_field(s: FeSpace, quad_n: int, panels=None):
+def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     """Identical and adjacent panel-pair blocks on one triangle of the
     symmetric kernel, one panel and one edge per orbit of the mirror group
-    with the panel maps ``panels`` (from ``_mirror_group``; the trivial
-    group by default), for ``_scatter`` to copy to the orbit's other
-    panels and edges.  Each block is scaled by one over its stabilizer's
-    order (see ``_mean_over_stabilizer``).
+    ``group`` (the trivial group by default), for ``_scatter`` to copy to
+    the orbit's other panels and edges.  Each block is scaled by one over
+    its stabilizer's order (see ``_mean_over_stabilizer``).
 
     Returns the row and column dof ids (K, l+1) and the blocks (K, l+1,
     l+1) of the basis pairing and of the derivative pairing: first the
@@ -292,15 +262,14 @@ def _near_field(s: FeSpace, quad_n: int, panels=None):
     come from one ``panel_speeds`` call.
     """
     m, ell, P = s.mesh, s.degree, s.mesh.n_panels
-    if panels is None:
-        panels = np.arange(P)[None]
+    group = group or MirrorGroup.trivial(s.ndof, P)
+    panels = group.panels
     nxt = np.roll(np.arange(P), -1)
     rank = _panel_rank(m)
     ids, id_stab = _orbits(rank[panels])
     # an element that reverses the orientation maps the edge (p, p+1) onto
     # the edge that starts at the image of p + 1
-    keeps = (panels[:, 1] == nxt[panels[:, 0]])[:, None]
-    eds, ed_stab = _orbits(rank[np.where(keeps, panels, panels[:, nxt])])
+    eds, ed_stab = _orbits(rank[np.where(group.reverses[:, None], panels[:, nxt], panels)])
     sub = np.unique(np.concatenate([ids, eds, nxt[eds]]))
     m = Mesh(m.geometry, *(x[sub] for x in (m.chart, m.t0, m.t1, m.length, m.qlength)))
     li, le, ln = (np.searchsorted(sub, x) for x in (ids, eds, nxt[eds]))
@@ -327,9 +296,9 @@ def _near_field(s: FeSpace, quad_n: int, panels=None):
             (r_ad.tnodes, r_ad.unodes, r_ad.weights, c_ad, sp[2], sp[3], le, ln)):
         wk = w * _log_kernel_r2(chord[..., 0] ** 2 + chord[..., 1] ** 2)    # (R, n)
         wv = wk * sp_t[p] * sp_u[q] * (dt[p] * dt[q])[:, None]
-        blocks.append(((reference_basis(ell, t) * wv[:, None, :]) @ reference_basis(ell, u).T,
-                       (reference_basis_deriv(ell, t) * wk[:, None, :])
-                       @ reference_basis_deriv(ell, u).T))
+        blocks.append((panel_products(wv, reference_basis(ell, t), reference_basis(ell, u)),
+                       panel_products(wk, reference_basis_deriv(ell, t),
+                                      reference_basis_deriv(ell, u))))
     (id_val, id_der), (ad_val, ad_der) = blocks
     return (np.concatenate([s.conn[ids], s.conn[eds]]),
             np.concatenate([s.conn[ids], s.conn[nxt[eds]]]),
@@ -393,9 +362,9 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
     if s.mesh.n_panels < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
-    dofs, panels = _mirror_group(s, mirror_permutations(s))
-    Z_val, Z_der = _scatter(dofs, chain([_near_field(s, quad_n, panels)],
-                                        _far_field(s, quad_n, panels)))
+    group = s.mirrors
+    Z_val, Z_der = _scatter(group.dofs, chain([_near_field(s, quad_n, group)],
+                                              _far_field(s, quad_n, group)))
     A = _fold(Z_val, "single layer")
     B = _fold(Z_der, "stabilized hypersingular", alpha, lumped_matrix(s, "exact", n_quad=quad_n))
     return A, B

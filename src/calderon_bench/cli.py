@@ -22,7 +22,7 @@ from . import boundary_operators as bops
 from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
-from .fespace import FeSpace, build_space, mirror_permutations, reference_basis
+from .fespace import FeSpace, build_space, reference_basis
 from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
@@ -60,6 +60,13 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject bad values before any work starts."""
         object.__setattr__(self, "preconds", _parse_precond_names(self.preconds))
+        for key in ("degree", "levels", "quad_n", "scale", "ellipse_ratio", "alpha",
+                    "omega_override"):
+            value, count = getattr(self, key), key in ("degree", "levels", "quad_n")
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if count else numbers.Real):
+                raise ValueError(f"{key} must be {'an integer' if count else 'a number'}, "
+                                 f"got {value!r}")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
         if self.degree not in DEGREES:
@@ -69,10 +76,6 @@ class ExperimentConfig:
                              f"got {self.inner_product!r}")
         if self.refine not in REFINES:
             raise ValueError(f"refine must be one of {REFINES}, got {self.refine!r}")
-        for key in ("levels", "quad_n"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.fmt not in FORMATS:
@@ -130,20 +133,19 @@ def _build_precond(name, B, M, D, omega):
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """One level of the table: the space, A and B, M (CSR) and D, the
-    mirror permutations of the dofs, and the same level in the symmetry
-    basis: A's factor by the blocks of the mirrors (one block unless M and
-    D commute with them; five on D4, four on the axis mirrors alone), the
-    lower Cholesky factors of the blocks of B, M as a Coupling and D's
-    diagonal.  Every preconditioner of the level is built on the last
-    three, as a factor F with G = F^T F."""
+    """One level of the table: the space (with its mirror group), A and B,
+    M (CSR) and D, and the same level in the symmetry basis: A's factor by
+    the blocks of the mirrors (one block unless M and D commute with them;
+    five on D4, four on the axis mirrors alone), the lower Cholesky factors
+    of the blocks of B, M as a Coupling and D's diagonal.  Every
+    preconditioner of the level is built on the last three, as a factor F
+    with G = F^T F."""
 
     space: FeSpace
     A: np.ndarray
     B: np.ndarray
     M: sparse.csr_matrix
     D: np.ndarray
-    perms: tuple
     factor: BlockFactor
     B_factors: tuple
     coupling: Coupling
@@ -158,9 +160,8 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
     M = sparse.csr_matrix(mass_matrix(s, inner_product, n_quad=quad_n))
     D = lumped_matrix(s, inner_product, n_quad=quad_n)
     A, B = bops.assemble_operator_pair(s, quad_n, alpha)
-    perms = mirror_permutations(s)
     try:
-        F = block_factor(A, perms, (M, D))
+        F = block_factor(A, s.mirrors, (M, D))
     except NotSPDError:
         raise bops.CoercivityError("single layer: a symmetry block is not positive definite "
                                    "(geometry guard diameter <= 1)") from None
@@ -170,7 +171,7 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
         raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
                                  "positive definite") from None
     C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()), F.sizes)
-    return Level(s, A, B, M, D, perms, F, LB, C, F.project_diagonal(D))
+    return Level(s, A, B, M, D, F, LB, C, F.project_diagonal(D))
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):
@@ -268,34 +269,25 @@ def read_config(path) -> dict:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(read_config(args.config))
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = read_config(args.config) if args.config else {}
+    values.update({key: getattr(args, key) for key in _FIELD_TYPES
+                   if getattr(args, key, None) is not None})
     return ExperimentConfig(**values)
+
+
+# one flag per config field, named after it unless listed here
+_FLAGS = {"preconds": "--precond", "fmt": "--format"}
+_CHOICES = {"geometry": GEOMETRIES, "degree": DEGREES, "refine": REFINES,
+            "inner_product": KINDS, "fmt": FORMATS}
 
 
 def _add_run_flags(p):
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--geometry", choices=GEOMETRIES, default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--ellipse-ratio", dest="ellipse_ratio", type=float, default=None)
-    p.add_argument("--degree", type=int, choices=DEGREES, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--refine", choices=REFINES, default=None)
-    p.add_argument("--precond", dest="preconds", default=None,
-                   help="comma list: lumped,mass,richardson:2,jacobi")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--quad-n", dest="quad_n", type=int, default=None)
-    p.add_argument("--inner-product", dest="inner_product",
-                   choices=KINDS, default=None)
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--dump-matrices", dest="dump_matrices", default=None)
-    p.add_argument("--omega-override", dest="omega_override", type=float, default=None)
+    for key, kind in _FIELD_TYPES.items():
+        p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key, type=kind,
+                       choices=_CHOICES.get(key), default=None,
+                       help="comma list: lumped,mass,richardson:2,jacobi"
+                       if key == "preconds" else None)
 
 
 def cmd_run(args):

@@ -2,15 +2,15 @@
 
 Degree-l Lagrange elements with equispaced nodes per panel; vertex nodes are
 shared between neighbouring panels, so on a closed curve the space has
-l * n_panels degrees of freedom.  ``mirror_permutations`` gives the dof
-maps of the curve's mirrors (two axis mirrors, and the diagonal one on the
-square and the circle) when the mesh has them.
+l * n_panels degrees of freedom.  ``FeSpace.mirrors`` is the space's mirror
+group (:class:`MirrorGroup`), searched once and expanded once: the one
+source of the dof and panel maps for assembly and the symmetry basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,15 @@ class FeSpace:
     @property
     def ndof(self):
         return self.node_param.size
+
+    @cached_property
+    def mirrors(self) -> MirrorGroup:
+        """The mirror group from one search and one expansion, on first use;
+        each generator maps dofs and panels as one map of range(N + P)."""
+        gens, N = mirror_permutations(self), self.ndof
+        maps = group_elements([np.concatenate([p, N + j]) for p, j in gens],
+                              N + self.mesh.n_panels)
+        return MirrorGroup(tuple(p for p, _ in gens), maps[:, :N], maps[:, N:] - N)
 
     def node_point(self, nu):
         g = self.mesh.geometry
@@ -114,18 +123,19 @@ _MIRRORS = (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1
 
 
 def mirror_permutations(s: FeSpace):
-    """Dof permutations of the curve's mirrors about the geometry's mirror
-    centre c: (p_x, p_y, p_d) for x -> 2 c_x - x, y -> 2 c_y - y and the
-    diagonal mirror (x, y) -> (c_x + y - c_y, c_y + x - c_x) when the mesh
-    has all three (the square and the circle), (p_x, p_y) when it has only
-    the axis mirrors (the ellipse), or () otherwise.
+    """The curve's mirrors about the geometry's mirror centre c, each as its
+    dof map p (N,) and its panel map j (P,): those of x -> 2 c_x - x,
+    y -> 2 c_y - y and the diagonal mirror (x, y) -> (c_x + y - c_y,
+    c_y + x - c_x) when the mesh has all three (the square and the circle),
+    the first two when it has only the axis mirrors (the ellipse), or ()
+    otherwise.
 
-    A mirror reverses the cyclic panel order, panel i -> (c - i) mod P, and
-    the local node order inside a panel, so p[conn[i, a]] = conn[c - i, l - a].
-    The offset c comes from the image of panel 0's start point; the map is
-    accepted only if every panel's mirrored end points match its image
-    panel's end points to MIRROR_MATCH times its length.  Node positions
-    are not searched: the mesh structure fixes the map.
+    A mirror reverses the cyclic panel order, panel i -> j[i] = (c - i) mod
+    P, and the local node order inside a panel, so p[conn[i, a]] =
+    conn[j[i], l - a].  The offset c comes from the image of panel 0's start
+    point; the map is accepted only if every panel's mirrored end points
+    match its image panel's end points to MIRROR_MATCH times its length.
+    Node positions are not searched: the mesh structure fixes the map.
     """
     m = s.mesh
     ends = panel_samples(m, [0.0, 1.0])[0]               # (P, 2, 2): start, end
@@ -140,17 +150,50 @@ def mirror_permutations(s: FeSpace):
             return tuple(out) if k == 2 else ()
         p = np.empty(s.ndof, dtype=int)
         p[s.conn] = s.conn[j, ::-1]
-        out.append(p)
+        out.append((p, j))
     return tuple(out)
 
 
 def group_elements(perms, n: int) -> np.ndarray:
     """The maps (2^k, n) of the products of the k involutions ``perms`` of
     range(n): row e is the product of the generators by the bits of e (1
-    the first, 2 the second, 4 the third), so row 0 is the identity.  For
-    the mirrors of ``mirror_permutations`` these are the elements of the
-    Klein group {1, p_x, p_y, p_x p_y}, or of D4 with p_d."""
+    the first, 2 the second, 4 the third), so row 0 is the identity."""
     elems = [np.arange(n)]
     for p in perms:
         elems += [p[e] for e in elems]
     return np.stack(elems)
+
+
+@dataclass(frozen=True, eq=False)
+class MirrorGroup:
+    """The mirror group of a space: the Klein group {1, p_x, p_y, p_x p_y}
+    of the two axis mirrors, D4 with the diagonal mirror p_d, or {1}.
+    ``perms`` holds the generators' dof maps, ``dofs`` (|G|, N) and
+    ``panels`` (|G|, P) the dof and panel maps of every element; element e
+    is the product of the generators by the bits of e, 1 p_x, 2 p_y and
+    4 p_d, so row 0 is the identity."""
+
+    perms: tuple
+    dofs: np.ndarray
+    panels: np.ndarray
+
+    def __post_init__(self):
+        for a in (*self.perms, self.dofs, self.panels):
+            a.flags.writeable = False
+
+    @classmethod
+    def trivial(cls, n_dofs: int, n_panels: int) -> MirrorGroup:
+        """The group {1} of a space with n_dofs dofs and n_panels panels."""
+        return cls((), np.arange(n_dofs)[None], np.arange(n_panels)[None])
+
+    def character(self, k: int) -> np.ndarray:
+        """chi_k(e) = (-1)^(number of generators in both k and e), by
+        element: a 1-D character of the Klein group, or of D4 for k = 0, 3, 4, 7."""
+        return np.array([(-1.0) ** bin(e & k).count("1") for e in range(len(self.dofs))])
+
+    @property
+    def reverses(self) -> np.ndarray:
+        """Whether each element, a product of mirrors, reverses the cyclic
+        panel order: an odd number of them does."""
+        return self.character(-1) < 0
+

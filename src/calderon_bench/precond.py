@@ -114,7 +114,7 @@ class Coupling:
                 or chain[3] > k):
             if np.any(x <= 0):
                 raise ValueError("lumped diagonal must be positive")
-            _check_contraction(self.M, x, omega, self.order[0])
+            _check_contraction(self, x, omega)
             chain = (LB, d, omega, 0, [np.zeros_like(L) for L in LB])
         j, Y = chain[3], chain[4]
         Ms, rs = self.blocks(self.M), self.blocks(omega / x)
@@ -249,20 +249,23 @@ def richardson_weight(d: int, ell: int):
 # Richardson approximate inverse
 
 
-def _check_contraction(Ms, d: np.ndarray, omega: float, perm):
+def _check_contraction(C: Coupling, d: np.ndarray, omega: float):
     """Raise unless |1 - omega*lambda| < 1 for every eigenvalue lambda of
-    D^{-1} M.  With D > 0 that holds exactly when omega > 0, M is SPD and
-    (2/omega) D - M is SPD; both are tested by a banded Cholesky
-    factorization in the RCM order ``perm`` of M, which costs linear work."""
+    D^{-1} M, for M the coupling ``C``.  With D > 0 that holds exactly when
+    omega > 0, M is SPD (its block factors, ``Coupling.factors``, exist)
+    and (2/omega) D - M is SPD (one banded Cholesky factorization in the
+    RCM order of M); both cost linear work."""
     if not omega > 0:
         raise RichardsonDivergenceError(f"omega={omega} must be positive")
-    for S, what in ((Ms, "M"), (sparse.diags(2.0 / omega * d) - Ms, "(2/omega) D - M")):
-        try:
-            _banded_cholesky(S, perm)
-        except NotSPDError:
-            raise RichardsonDivergenceError(
-                f"omega={omega} violates |1 - omega*lambda| < 1 on this mesh: "
-                f"{what} is not positive definite") from None
+    what = "M"
+    try:
+        C.factors                                   # raises unless M is SPD
+        what = "(2/omega) D - M"
+        _banded_cholesky(sparse.diags(2.0 / omega * d) - C.M, C.order[0])
+    except NotSPDError:
+        raise RichardsonDivergenceError(
+            f"omega={omega} violates |1 - omega*lambda| < 1 on this mesh: "
+            f"{what} is not positive definite") from None
 
 
 def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np.ndarray:

@@ -12,41 +12,37 @@ LAPACK's dsytrd reduces it to a tridiagonal matrix, and two bisections
 Loan, Matrix Computations, 4th ed., sections 8.4 and 8.7).
 
 The whole level is taken by blocks.  The shipped curves (square, circle,
-ellipse) are mirror symmetric about two axes, and so is the corner-graded
-mesh.  The mirrors permute the dofs by involutions p_x and p_y, and A, B,
-M and D are invariant under both, so they commute with the Klein
-four-group {1, p_x, p_y, p_x p_y}.  So does every preconditioner, which is
-X B X with X one of D^{-1}, M^{-1}, diag(M)^{-1} or a polynomial in
-D^{-1} M.  In the sparse orthogonal basis Q of the group's four characters
-(the orbits {i, p_x(i), p_y(i), p_x p_y(i)} with signs (+-1, +-1), at most
-4 nonzeros per column) all of them are block diagonal, and
-Q_k^T G Q_k = X_k B_k X_k.  The square and the circle, and their meshes,
-also have the diagonal mirror p_d, and the group is D4: its four 1-D
-characters halve the blocks (+, +) and (-, -), and the blocks (-, +) and
-(+, -) have the same spectrum, so only (-, +) is kept (see
-``character_bases``).  That is four blocks of about N/8 and one of N/4,
-which span 3N/4 rows.  ``block_factor`` holds the blocks Q_k and the
-Cholesky factor of each Q_k^T A Q_k; ``BlockFactor.project`` gives B_k
-once per level from the rows of B at the orbits' least dofs,
-``project_sparse`` and ``project_diagonal`` give M, D and diag(M) in the
-same basis, and the builders of ``precond`` form each F_k on its block
-from the factor of B_k.  ``kappa`` takes the extreme eigenvalues over the
-blocks: four eigen-solves of about N/4 in place of one of N, or on D4 four
-of N/8 and one of N/4.  A dense F is cut into the blocks F Q_k.
+ellipse) and their corner-graded meshes are mirror symmetric, and A, B, M
+and D commute with the mirrors' dof maps.  So does every preconditioner,
+which is X B X with X one of D^{-1}, M^{-1}, diag(M)^{-1} or a polynomial
+in D^{-1} M.  In the sparse orthogonal basis Q of the group's characters
+(``character_bases``) all of them are block diagonal, and Q_k^T G Q_k =
+X_k B_k X_k: four blocks of about N/4 under the two axis mirrors (the
+ellipse), and under D4 (the square and the circle, which also have the
+diagonal mirror) four of about N/8 and one of N/4, which span 3N/4 rows.
+The group is the space's record, ``FeSpace.mirrors``: the one source of
+the dof maps and of the element encoding behind the characters.
+``block_factor`` holds the blocks Q_k and the Cholesky factor of each
+Q_k^T A Q_k; ``BlockFactor.project`` gives B_k once per level from the
+rows of B at the orbits' least dofs, ``project_sparse`` and
+``project_diagonal`` give M, D and diag(M) in the same basis, and the
+builders of ``precond`` form each F_k on its block from the factor of
+B_k.  ``kappa`` takes the extreme eigenvalues over the blocks.  A dense F
+is cut into the blocks F Q_k.
 
 The guard: A and B are assembled by orbits of panel pairs under the
 mirrors (see :mod:`boundary_operators`), so they commute with them by
 construction.  M and D are built without the maps, so the guard reads
-them: the blocks are used only if both commute with every mirror offered
-to TAU, measured as max|X[p][:, p] - X| / max|X| (about 1e-14).
-Otherwise, and on a curve or mesh without the mirrors, the factor is one
-block: the character basis of the trivial group, Q = I as a sparse
-identity, through which the same code runs once on the full matrices.
-Products with it only multiply by 1 and add 0, so they are exact.  The
-Cholesky factors of the blocks are the check that A is SPD, with the
-backward error of one dense factor (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 10); the D4 partner has the kept block's
-spectrum.
+them: the blocks are used only if both commute with every generator of
+the record to TAU, measured as max|X[p][:, p] - X| / max|X| (about
+1e-14).  Otherwise, and on a curve or mesh without the mirrors, the factor
+is one block: the character basis of the trivial record, Q = I as a
+sparse identity, through which the same code runs once on the full
+matrices.  Products with it only multiply by 1 and add 0, so they are
+exact.  The Cholesky factors of the blocks are the check that A is SPD,
+with the backward error of one dense factor (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 10); the D4 partner has the kept
+block's spectrum.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import scipy.sparse as sparse
 from scipy.linalg.blas import dsyrk, dtrmm
 from scipy.linalg.lapack import dstebz, dsytrd, dsytrd_lwork
 
-from .fespace import group_elements
+from .fespace import MirrorGroup
 
 # largest relative mirror residual of M and D for which kappa is taken by
 # symmetry blocks
@@ -81,12 +77,10 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BlockFactor:
     """A by blocks for :func:`kappa`: one (Q_k^T, L_k) per block, with Q_k^T
-    a sparse row basis (the identity for one block) and L_k the lower
-    Cholesky factor of Q_k^T A Q_k.  On D4 the rows of all blocks span
-    3N/4, as one block of each iso-spectral pair is left out, so Q^T X Q
-    has every eigenvalue of X but not X's size.  ``residual`` is the
-    largest mirror residual the guard measured on ``commuting`` (0 when
-    nothing was offered)."""
+    a sparse row basis (the identity for one block; on D4 the rows span
+    3N/4, see ``character_bases``) and L_k the lower Cholesky factor of
+    Q_k^T A Q_k.  ``residual`` is the largest mirror residual the guard
+    measured on ``commuting`` (0 when nothing was offered)."""
 
     blocks: tuple
     residual: float
@@ -134,14 +128,14 @@ def mirror_residual(X, p: np.ndarray) -> float:
     return float(abs(X[p][:, p] - X).max() / abs(X).max())
 
 
-def character_bases(perms, n: int):
+def character_bases(group: MirrorGroup):
     """Sparse orthonormal row bases Q_k^T (CSR, n_k x n) of the symmetry
-    blocks of the group generated by the dof involutions ``perms``.
+    blocks of the mirror group ``group``.
 
-    Up to two commuting involutions (such as none, for the trivial group,
-    or the Klein group {1, p_x, p_y, p_x p_y} of the two axis mirrors) give
-    one block per character, and together their rows form an orthogonal
-    n x n matrix.
+    Up to two commuting generators (none, for the trivial group, or the
+    Klein group {1, p_x, p_y, p_x p_y} of the two axis mirrors) give one
+    block per character, and together their rows form an orthogonal n x n
+    matrix.
 
     Three, (p_x, p_y, p_d) with p_d p_x p_d = p_y, generate D4, the group
     of the square.  Its four 1-D characters, those with chi(p_x) =
@@ -157,33 +151,28 @@ def character_bases(perms, n: int):
     stabilizer is not in the kernel of chi give the zero vector and no
     row.  The 2-D block is built the same way over the Klein group.
     """
-    images = group_elements(perms, n)                   # (|G|, n): g(i)
-    if len(perms) < 3:
-        return _orbit_bases(images, range(len(images)))
-    # element e is a product of generators by the bits of e: 1 p_x, 2 p_y,
-    # 4 p_d; the characters 0, 3, 4, 7 have chi(p_x) = chi(p_y)
-    return _orbit_bases(images, (0, 3, 4, 7)) + _orbit_bases(images[:4], (1,))
+    g, chi = group.dofs, group.character                # g[e, i]: the image of dof i
+    if len(group.perms) < 3:
+        blocks = [(g, chi(k)) for k in range(len(g))]
+    else:   # D4's characters with chi(p_x) = chi(p_y), then the Klein group's (-, +)
+        blocks = [(g, chi(k)) for k in (0, 3, 4, 7)] + [(g[:4], chi(1)[:4])]
+    return [_orbit_basis(images, c) for images, c in blocks]
 
 
-def _orbit_bases(images, characters):
-    """The row bases of ``character_bases`` for the group whose element e
-    maps dof i to images[e, i], one per character k, with
-    chi_k(e) = (-1)^(number of generators in both k and e)."""
-    size, n = images.shape
+def _orbit_basis(images, chi):
+    """The row basis of ``character_bases`` for the character with values
+    chi (|G|,) of the group whose element e maps dof i to images[e, i]."""
+    n = images.shape[1]
     reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
     rows = images[:, reps]                              # (|G|, R)
-    out = []
-    for k in characters:
-        chi = np.array([(-1.0) ** bin(e & k).count("1") for e in range(size)])
-        Qt = sparse.csr_matrix(
-            (np.broadcast_to(chi[:, None], rows.shape).ravel(),
-             (np.broadcast_to(np.arange(reps.size), rows.shape).ravel(), rows.ravel())),
-            shape=(reps.size, n))                       # duplicates are summed
-        Qt.eliminate_zeros()
-        norm = np.sqrt(np.asarray(Qt.multiply(Qt).sum(axis=1)).ravel())
-        keep = norm > 0
-        out.append(sparse.diags(1.0 / norm[keep]) @ Qt[keep])
-    return out
+    Qt = sparse.csr_matrix(
+        (np.broadcast_to(chi[:, None], rows.shape).ravel(),
+         (np.broadcast_to(np.arange(reps.size), rows.shape).ravel(), rows.ravel())),
+        shape=(reps.size, n))                           # duplicates are summed
+    Qt.eliminate_zeros()
+    norm = np.sqrt(np.asarray(Qt.multiply(Qt).sum(axis=1)).ravel())
+    keep = norm > 0
+    return sparse.diags(1.0 / norm[keep]) @ Qt[keep]
 
 
 def _project(X: np.ndarray, Qt) -> np.ndarray:
@@ -202,21 +191,24 @@ def _project(X: np.ndarray, Qt) -> np.ndarray:
     return (Qt @ np.ascontiguousarray(slab.T)).T
 
 
-def block_factor(A: np.ndarray, perms=(), commuting=()) -> BlockFactor:
+def block_factor(A: np.ndarray, group: MirrorGroup | None = None,
+                 commuting=()) -> BlockFactor:
     """Factor of A for :func:`kappa` by the blocks of ``character_bases``
-    for the dof involutions ``perms`` (the mirrors of
-    ``fespace.mirror_permutations``: the Klein group of the two axis
-    mirrors, or D4 with the diagonal one), with which A commutes.
+    for the mirror group ``group`` (a space's ``FeSpace.mirrors``: the
+    Klein group of the two axis mirrors, or D4 with the diagonal one), with
+    which A commutes.
 
     The blocks are used only if every matrix or diagonal in ``commuting``
     (M and D on the run path) has a mirror residual of at most TAU under
-    each permutation; otherwise, and without permutations, the factor is
-    one block with Q = I, the basis of the trivial group.  Raises
-    NotSPDError if a block of A is not SPD.
+    each generator; otherwise, and without a group, the factor is one block
+    with Q = I, the basis of the trivial group.  Raises NotSPDError if a
+    block of A is not SPD.
     """
-    residual = max((mirror_residual(X, p) for X in commuting for p in perms),
-                   default=0.0)
-    bases = character_bases(perms if residual <= TAU else (), A.shape[0])
+    residual = max((mirror_residual(X, p) for X in commuting for p in group.perms),
+                   default=0.0) if group else 0.0
+    if group is None or residual > TAU:
+        group = MirrorGroup.trivial(A.shape[0], 0)      # the basis reads no panel map
+    bases = character_bases(group)
     return BlockFactor(tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases), residual)
 
 

@@ -55,9 +55,11 @@ def _read_only(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=None)
 def corner_operators(kind, k, ell):
-    return _read_only(*assemble_operator_pair(corner_space(kind, k, ell), QUAD_N, ALPHA))
+    """A and B of the cached level record, so that a corner level is
+    assembled once per session."""
+    lev = corner_level(kind, k, ell)
+    return lev.A, lev.B
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,12 @@ import pytest
 import scipy.sparse as sparse
 
 from calderon_bench import boundary_operators as bops
-from calderon_bench import cli
+from calderon_bench import cli, fespace
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
                                                _admissible_pairs, _far_field, _log_kernel_r2,
-                                               _mirror_group, _near_field, _scatter,
+                                               _near_field, _scatter,
                                                assemble_operator_pair, write_dense_matrix)
-from calderon_bench.fespace import (build_space, mirror_permutations, reference_basis,
-                                    reference_basis_deriv)
+from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import AffineChart, make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import (Mesh, corner_schedule, initial_mesh, panel_chords,
@@ -389,9 +388,9 @@ def test_fold_in_place_is_z_plus_z_transpose(k, ell):
     square at degree 3 has N = 144 at level 1 and 1248 at level 5, so the
     last tile is partial in both."""
     s = corner_space("square", k, ell)
-    dofs, panels = _mirror_group(s, mirror_permutations(s))
-    Z_val, Z_der = _scatter(dofs, [_near_field(s, QUAD_N, panels),
-                                   *_far_field(s, QUAD_N, panels)])
+    group = s.mirrors
+    Z_val, Z_der = _scatter(group.dofs, [_near_field(s, QUAD_N, group),
+                                         *_far_field(s, QUAD_N, group)])
     m = lumped_matrix(s, "exact", n_quad=QUAD_N)
     B_ref = Z_der + Z_der.T
     B_ref += 0.05 * np.outer(m, m)
@@ -507,8 +506,10 @@ def test_near_field_matches_full_sample_sweep(kind, ell):
 # its images, against the sweep over every pair (the trivial group)
 
 
-def _trivial_group(monkeypatch):
-    monkeypatch.setattr(bops, "mirror_permutations", lambda s: ())
+def _trivial_group(monkeypatch, kind, k, ell):
+    """A fresh space of corner level k whose mirror search finds nothing."""
+    monkeypatch.setattr(fespace, "mirror_permutations", lambda s: ())
+    return build_space(corner_space(kind, k, ell).mesh, ell)
 
 
 @pytest.mark.parametrize("kind, k, ell", [("square", 5, 3), ("square", 6, 3),
@@ -519,8 +520,7 @@ def test_orbit_sweep_matches_full_sweep(kind, k, ell, monkeypatch):
     its mirror residual (measured: 3.3e-14 of max|A|; 2.0e-10, 7.4e-9 and
     7.1e-9 of max|B|)."""
     A, B = corner_operators(kind, k, ell)
-    _trivial_group(monkeypatch)
-    A0, B0 = assemble_operator_pair(corner_space(kind, k, ell), QUAD_N, 0.05)
+    A0, B0 = assemble_operator_pair(_trivial_group(monkeypatch, kind, k, ell), QUAD_N, 0.05)
     assert np.abs(A - A0).max() <= 1e-13 * np.abs(A0).max()
     assert np.abs(B - B0).max() <= 2e-8 * np.abs(B0).max()
 
@@ -532,7 +532,7 @@ def test_orbit_sweep_commutes_with_every_mirror(kind, ell, levels):
     takes the mean over its stabilizer, so A and B commute with each mirror
     to rounding (the full sweep leaves up to 7.4e-9 in B)."""
     for k in levels:
-        perms = mirror_permutations(corner_space(kind, k, ell))
+        perms = corner_space(kind, k, ell).mirrors.perms
         assert len(perms) == (3 if kind == "square" else 2), k
         for X in corner_operators(kind, k, ell):
             for p in perms:
@@ -547,7 +547,7 @@ def _pair_orbits(s):
     P = s.mesh.n_panels
     panel_of = {frozenset(row.tolist()): i for i, row in enumerate(s.conn)}
     maps = [[panel_of[frozenset(p[row].tolist())] for row in s.conn]
-            for p in mirror_permutations(s)]
+            for p in s.mirrors.perms]
     seen, orbits = set(), []
     for p in range(P):
         for q in range(p - 1):
@@ -597,7 +597,7 @@ def test_far_field_evaluates_each_orbit_once(kind, ell, ratio, monkeypatch):
         orbits = _pair_orbits(s)
         admissible = sum(all(far[tuple(pair)] for pair in orbit) for orbit in orbits)
         calls.clear()
-        for _ in _far_field(s, QUAD_N, bops._mirror_group(s, mirror_permutations(s))[1]):
+        for _ in _far_field(s, QUAD_N, s.mirrors):
             pass
         assert sum(calls) == n_c ** 2 * admissible + QUAD_N ** 2 * (len(orbits) - admissible)
         orbit_calls = sum(calls)
@@ -609,11 +609,17 @@ def test_far_field_evaluates_each_orbit_once(kind, ell, ratio, monkeypatch):
 
 def test_mirror_group_maps_panels_onto_their_images():
     """Each element's panel map sends a panel's dofs onto the dofs its dof
-    map gives, on the square (D4, 8 elements) and the ellipse (4)."""
+    map gives, on the square (D4, 8 elements) and the ellipse (4), and an
+    element reverses the cyclic panel order exactly when it is a product
+    of an odd number of mirrors."""
     for kind, size in (("square", 8), ("ellipse", 4)):
         s = corner_space(kind, 2, 3)
-        dofs, panels = bops._mirror_group(s, mirror_permutations(s))
+        group = s.mirrors
+        dofs, panels = group.dofs, group.panels
         assert dofs.shape == (size, s.ndof) and panels.shape == (size, s.mesh.n_panels)
         assert np.array_equal(dofs[0], np.arange(s.ndof))
         for d, j in zip(dofs, panels):
             assert np.array_equal(np.sort(d[s.conn], axis=1), np.sort(s.conn[j], axis=1))
+        nxt = np.roll(np.arange(s.mesh.n_panels), -1)
+        assert np.array_equal(group.reverses, panels[:, 1] != nxt[panels[:, 0]])
+        assert group.reverses.sum() == size // 2

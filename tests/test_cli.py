@@ -9,7 +9,6 @@ import calderon_bench
 from calderon_bench import cli, precond
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
-from calderon_bench.fespace import mirror_permutations
 from calderon_bench.mesh import corner_schedule, refine
 from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
 from calderon_bench.spectral import TAU, kappa, mirror_residual
@@ -339,7 +338,7 @@ def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
     real = cli.mass_matrix
 
     def broken(s, *args, **kw):
-        px, py, pd = mirror_permutations(s)
+        px, py, pd = s.mirrors.perms
         M = real(s, *args, **kw).copy()
         top = np.abs(M).max()
         for i, j in {(g[3], g[5]) for g in (np.arange(s.ndof), px, py, px[py])}:
@@ -355,7 +354,7 @@ def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
     omega = richardson_weight(1, 3)[2]
     for row, lev in zip(rows, seen, strict=True):
         F = lev.factor
-        assert len(lev.perms) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
+        assert len(lev.space.mirrors.perms) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
         for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
             assert row.kappas[name] == ref, name
 
@@ -368,7 +367,7 @@ def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
     rows = run_experiment(ExperimentConfig(geometry="ellipse", degree=1, levels=1,
                                            preconds=ALL_SIX))
     lev, = seen
-    assert lev.perms == () and lev.factor.sizes == (rows[0].dofs,)
+    assert lev.space.mirrors.perms == () and lev.factor.sizes == (rows[0].dofs,)
     for name, ref in _dense_kappas(lev, ALL_SIX, richardson_weight(1, 1)[2]).items():
         assert rows[0].kappas[name] == ref, name
 
@@ -376,7 +375,8 @@ def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
 def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
     # every builder receives B as the five blocks of D4 and returns five;
     # the sparse coupling work runs once per level: one RCM order, one
-    # contraction check, and banded factors for it (2) and for M's blocks (5)
+    # contraction check, and banded factors of M's blocks (5), which the
+    # check reads for M, and of (2/omega) D - M for the check (1)
     received, calls = [], {"rcm": 0, "check": 0, "banded": 0}
     for name in ("lumped_precond", "mass_precond", "jacobi_precond", "richardson_precond"):
         def spy(B, *args, _real=getattr(cli, name)):
@@ -400,7 +400,7 @@ def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
         assert sum(n_k) == 3 * n // 4
         assert isinstance(G, tuple) and [g.shape for g in G] == [b.shape for b in B]
         assert max(b.shape[0] for b in B) < n
-    assert calls == {"rcm": levels, "check": levels, "banded": levels * (2 + 5)}
+    assert calls == {"rcm": levels, "check": levels, "banded": levels * (1 + 5)}
 
 
 def test_bad_omega_raises_through_the_blocks():
@@ -472,6 +472,39 @@ def test_non_integer_counts_rejected_up_front(monkeypatch, field, value):
     monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         run_experiment(ExperimentConfig(**{"levels": 1, field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", True), ("scale", True), ("ellipse_ratio", True), ("alpha", True),
+    ("omega_override", True), ("degree", 3.0), ("scale", "0.5")])
+def test_bool_and_non_numbers_rejected_up_front(monkeypatch, field, value):
+    # True passes the range checks of all five (True in DEGREES, and True
+    # is finite and positive); ellipse_ratio=True would make the ellipse a
+    # circle.  degree=3.0 and scale="0.5" used to fail later, with a
+    # TypeError
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    with pytest.raises(ValueError, match=f"{field} must be (an integer|a number), got"):
+        run_experiment(ExperimentConfig(**{"geometry": "ellipse", "levels": 1, field: value}))
+
+
+def test_one_mirror_search_and_expansion_per_level(monkeypatch):
+    # the space carries its mirror group, so assembly and the symmetry
+    # basis share one search and one expansion of the maps per level; every
+    # module that could hold the two functions is spied
+    from calderon_bench import boundary_operators, fespace, spectral
+    calls = {"mirror_permutations": 0, "group_elements": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(fespace, name)):
+            calls[_name] += 1
+            return _real(*args)
+        for mod in (fespace, boundary_operators, cli, spectral):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    levels = 3
+    rows = run_experiment(ExperimentConfig(geometry="square", degree=1, levels=levels,
+                                           preconds=("lumped",)))
+    assert len(rows) == levels
+    assert calls == {"mirror_permutations": levels, "group_elements": levels}
 
 
 def test_numpy_integer_counts_accepted():

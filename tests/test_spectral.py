@@ -4,7 +4,7 @@ import scipy.sparse
 
 from calderon_bench.boundary_operators import assemble_operator_pair
 from calderon_bench.cli import _build_precond, build_level
-from calderon_bench.fespace import build_space, mirror_permutations
+from calderon_bench.fespace import MirrorGroup, build_space, mirror_permutations
 from calderon_bench.geometry import make_geometry
 from calderon_bench.gram import lumped_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
@@ -144,7 +144,7 @@ def test_block_kappa_matches_dense(kind, ell, inner):
     for k in range(1, 5):
         lev = corner_level(kind, k, ell, inner)
         A, B, n = lev.A, lev.B, lev.space.ndof
-        F = block_factor(A, lev.perms, (B, lev.M, lev.D))
+        F = block_factor(A, lev.space.mirrors, (B, lev.M, lev.D))
         assert F.sizes == BLOCK_SIZES[kind, ell][k - 1], (k, F.sizes)
         assert sum(F.sizes) == (3 * n // 4 if kind == "square" else n), k
         dense = block_factor(A)
@@ -270,12 +270,18 @@ def test_projected_coupling_is_block_diagonal():
         assert np.abs(X - np.diag(xh)).max() <= 1e-15 * x.max()
 
 
+def _klein(group):
+    """The Klein group of the two axis mirrors: the first four elements of
+    D4, whose encoding gives p_d the bit 4."""
+    return MirrorGroup(group.perms[:2], group.dofs[:4], group.panels[:4])
+
+
 def test_character_bases_orthogonal_partition():
     # the Klein group of the two axis mirrors, which the ellipse takes; on
     # the square they are the first two of its three mirrors
     s = corner_space("square", 2, 3)
-    perms = mirror_permutations(s)[:2]
-    bases = character_bases(perms, s.ndof)
+    perms = s.mirrors.perms[:2]
+    bases = character_bases(_klein(s.mirrors))
     Q = scipy.sparse.vstack(bases).toarray()         # rows: the whole basis
     assert Q.shape == (s.ndof, s.ndof)
     assert np.abs(Q @ Q.T - np.eye(s.ndof)).max() <= 1e-14
@@ -296,9 +302,9 @@ def test_character_bases_orthogonal_partition():
     # the sizes of the level-5 degree-3 square, under the axis mirrors and
     # under D4
     s5 = corner_space("square", 5, 3)
-    p5 = mirror_permutations(s5)
-    assert [b.shape[0] for b in character_bases(p5[:2], s5.ndof)] == [313, 312, 312, 311]
-    assert [b.shape[0] for b in character_bases(p5, s5.ndof)] == [157, 156, 156, 155, 312]
+    g5 = s5.mirrors
+    assert [b.shape[0] for b in character_bases(_klein(g5))] == [313, 312, 312, 311]
+    assert [b.shape[0] for b in character_bases(g5)] == [157, 156, 156, 155, 312]
 
 
 def _orbit(perms, i):
@@ -317,7 +323,7 @@ def test_mirror_permutations_on_d4_curves(kind):
     # p_x into p_y; each maps every node onto its mirror image
     for k, ell in ((1, 1), (2, 3), (3, 3)):
         s = corner_space(kind, k, ell)
-        perms = mirror_permutations(s)
+        perms = s.mirrors.perms
         assert len(perms) == 3, k
         px, py, pd = perms
         for p in perms:
@@ -341,8 +347,8 @@ def test_mirror_permutations_on_the_ellipse():
 
 def test_d4_bases_orthonormal_on_orbits():
     s = corner_space("square", 2, 3)
-    perms = mirror_permutations(s)
-    bases = character_bases(perms, s.ndof)
+    perms = s.mirrors.perms
+    bases = character_bases(s.mirrors)
     assert [b.shape[0] for b in bases] == [37, 36, 36, 35, 72]
     Q = scipy.sparse.vstack(bases).toarray()
     assert Q.shape == (3 * s.ndof // 4, s.ndof)
@@ -356,7 +362,7 @@ def test_d4_bases_orthonormal_on_orbits():
         assert support <= _orbit(group, min(support)), r
     # with the left-out partner, the axis mirrors' (+, -) block, the rows
     # make an orthogonal n x n matrix
-    partner = character_bases(perms[:2], s.ndof)[2]
+    partner = character_bases(_klein(s.mirrors))[2]
     Qf = np.vstack([Q, partner.toarray()])
     assert np.abs(Qf.T @ Qf - np.eye(s.ndof)).max() <= 1e-14
     # the five blocks decouple a D4-invariant matrix
@@ -374,9 +380,8 @@ def test_d4_partner_blocks_are_isospectral():
     # drop it
     lev = corner_level("square", 3, 3)
     s, A, B, M, D = lev.space, lev.A, lev.B, lev.M, lev.D
-    perms = lev.perms
-    kept = character_bases(perms, s.ndof)[4]
-    partner = character_bases(perms[:2], s.ndof)[2]
+    kept = character_bases(s.mirrors)[4]
+    partner = character_bases(_klein(s.mirrors))[2]
     assert kept.shape == partner.shape == (120, s.ndof)
     assert abs(kept @ partner.T).max() <= 1e-15
     Fs = _preconds(B, M, D, 3)
@@ -397,13 +402,13 @@ def test_mirror_residual_reads_half_the_rows():
     lev = corner_level("square", 3, 3)
     A, B, D = lev.A, lev.B, lev.D
     X = rng.randn(*A.shape)
-    for p in lev.perms:
+    for p in lev.space.mirrors.perms:
         for Y in (A, B, X):
             assert mirror_residual(Y, p) == np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
         assert mirror_residual(D, p) == np.abs(D[p] - D).max() / D.max()
     # a unit entry in any row, those on a mirror's axis included, is seen
     n = 96
-    for p in mirror_permutations(corner_space("square", 2, 1)):
+    for p in corner_space("square", 2, 1).mirrors.perms:
         assert np.any(p == np.arange(n))
         j = np.flatnonzero(p != np.arange(n))[0]
         for i in range(n):
@@ -421,7 +426,7 @@ def test_guard_refuses_a_broken_mirror():
     i, j = 3, 5
     Bp[i, j] += 1e-6 * np.abs(B).max()
     Bp[j, i] = Bp[i, j]
-    F = block_factor(A, lev.perms, (Bp, M, D))
+    F = block_factor(A, lev.space.mirrors, (Bp, M, D))
     assert F.sizes == (lev.space.ndof,) and F.residual > TAU
     for name, Fd in _preconds(Bp, M, D, 1).items():
         assert kappa(Fd, A, F) == kappa(Fd, A), name
@@ -434,7 +439,7 @@ def test_mesh_without_mirror_takes_single_block():
     s = build_space(refine(corner_schedule(g, 1), {1}), 1)
     assert mirror_permutations(s) == ()
     A, B = assemble_operator_pair(s)
-    F = block_factor(A, mirror_permutations(s), (B,))
+    F = block_factor(A, s.mirrors, (B,))
     assert F.sizes == (s.ndof,) and F.residual == 0.0
     Fd = lumped_precond(B, lumped_matrix(s))
     assert kappa(Fd, A, F) == kappa(Fd, A)
