@@ -23,7 +23,8 @@ from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
 from .fespace import FeSpace, build_space, reference_basis
-from .mesh import corner_schedule, dump_mesh, initial_mesh, is_conforming, neighbor_ratios
+from .mesh import (corner_schedule, deepest_level, dump_mesh, initial_mesh, is_conforming,
+                   neighbor_ratios)
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
@@ -89,6 +90,17 @@ class ExperimentConfig:
         if not (math.isfinite(self.omega_override) and self.omega_override >= 0):
             raise ValueError("omega_override must be finite and >= 0 (0 = reference "
                              f"weight), got {self.omega_override!r}")
+        deepest = deepest_level(make_geometry(self.geometry, self.scale, self.ellipse_ratio),
+                                self.levels, self.rounds_per_level)
+        if deepest < self.levels:
+            raise ValueError(f"levels must be at most {deepest} on the {self.geometry} with "
+                             f"{self.refine} refinement, got {self.levels}: level {deepest + 1} "
+                             "would bisect a panel at an anchor below float resolution")
+
+    @property
+    def rounds_per_level(self) -> int:
+        """Rounds of corner bisections per level in ``corner_schedule``."""
+        return 4 if self.refine == "corner" else 0
 
 
 @dataclass(frozen=True)
@@ -154,10 +166,14 @@ class Level:
 
 def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Level:
     """Gram matrices, assembly, the guard and the projections of one level.
-    M and D come first and M is kept sparse, so its dense form lives only
-    for the conversion.  The Cholesky factors of the blocks check that A
-    and B are SPD: CoercivityError on A, AssemblyError on B."""
-    M = sparse.csr_matrix(mass_matrix(s, inner_product, n_quad=quad_n))
+
+    ``mass_matrix`` returns M dense, because the benchmark's independent
+    preconditioners read it dense.  Here it lives only until its one pass
+    to CSR (``_dense_to_csr``), before A and B are assembled.  The guard and
+    the projections read M as CSR, and M's blocks go to the Coupling as a
+    list, once.  The Cholesky factors of the blocks check that A and B are
+    SPD: CoercivityError on A, AssemblyError on B."""
+    M = _dense_to_csr(mass_matrix(s, inner_product, n_quad=quad_n))
     D = lumped_matrix(s, inner_product, n_quad=quad_n)
     A, B = bops.assemble_operator_pair(s, quad_n, alpha)
     try:
@@ -170,14 +186,21 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
     except NotSPDError:
         raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
                                  "positive definite") from None
-    C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()), F.sizes)
+    C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()))
     return Level(s, A, B, M, D, F, LB, C, F.project_diagonal(D))
 
 
+def _dense_to_csr(X: np.ndarray) -> sparse.csr_matrix:
+    """The CSR form of a dense square X from one pass over its nonzeros,
+    which come in row-major order, so every row is sorted."""
+    n = X.shape[0]
+    at = np.flatnonzero(X != 0)
+    return sparse.csr_matrix((X.ravel()[at], at % n, np.searchsorted(at, n * np.arange(n + 1))),
+                             shape=X.shape)
+
+
 def level_mesh(cfg: ExperimentConfig, g, k):
-    if cfg.refine == "corner":
-        return corner_schedule(g, k)
-    return corner_schedule(g, k, rounds_per_level=0)
+    return corner_schedule(g, k, cfg.rounds_per_level)
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -186,11 +186,16 @@ def _kmesh_close(m: Mesh) -> Mesh:
     raise RuntimeError("K-mesh closure did not terminate")
 
 
+def _chart_edges(g: Geometry, per_chart: int) -> np.ndarray:
+    """The end parameters (n_charts, per_chart + 1) of the initial panels."""
+    return np.array([np.linspace(c.t0, c.t1, per_chart + 1) for c in g.charts])
+
+
 def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     """Split every chart into equal parameter sub-intervals."""
     if per_chart < 1:
         raise ValueError("initial_mesh: per_chart must be >= 1")
-    edges = np.array([np.linspace(c.t0, c.t1, per_chart + 1) for c in g.charts])
+    edges = _chart_edges(g, per_chart)
     q = np.array([(c.t1 - c.t0) / per_chart * s for c, s in zip(g.charts, g.chart_scales)])
     chart = np.repeat(np.arange(g.n_charts), per_chart)
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
@@ -234,12 +239,44 @@ def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
     gives the uniform family."""
     if k < 1:
         raise ValueError("corner_schedule: k must be >= 1")
-    m = initial_mesh(g, 2 if g.kind == "square" else 8)
+    m = initial_mesh(g, _initial_per_chart(g))
     for _ in range(k):
         m = uniform_refine(m)
     for _ in range(rounds_per_level * k):
         m = refine(m, corner_panels(m))
     return m
+
+
+def _initial_per_chart(g: Geometry) -> int:
+    return 2 if g.kind == "square" else 8
+
+
+def deepest_level(g: Geometry, levels: int, rounds_per_level: int = 4) -> int:
+    """The deepest level, at most ``levels``, that ``corner_schedule(g, k,
+    rounds_per_level)`` can build, found without building a mesh.
+
+    A level bisects each initial panel at an anchor point (1 +
+    rounds_per_level) * k times toward the anchor, uniform rounds and
+    corner rounds alike, and these are the smallest panels.  So the float
+    midpoint chain of each such panel is replayed as ``_bisect`` computes
+    it, until its midpoint is no longer a float strictly inside it."""
+    edges, per_step = _chart_edges(g, _initial_per_chart(g)), 1 + rounds_per_level
+    steps = per_step * levels
+    for corner in g.corners:
+        for chart, tc in corner:
+            e = edges[chart]
+            i = int(np.argmin(np.abs(e - tc)))
+            for j in (i - 1, i):                   # the panels ending and starting at it
+                if not 0 <= j < len(e) - 1:
+                    continue
+                span, far = [float(e[j]), float(e[j + 1])], int(j == i)
+                for done in range(steps):
+                    mid = 0.5 * (span[0] + span[1])
+                    if not span[0] < mid < span[1]:
+                        steps = done
+                        break
+                    span[far] = mid
+    return steps // per_step
 
 
 def neighbor_ratios(m: Mesh, normalized: bool = False):

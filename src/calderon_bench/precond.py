@@ -13,7 +13,7 @@ kappa_S(G A) from F without forming G.  Each builder works block by
 block.  Every coupling X commutes with the curve's mirrors, so in the
 symmetry basis of ``spectral.BlockFactor`` F_k^T = X_k L_Bk with L_Bk the
 factor of B_k.  B is passed as the tuple of the factors L_Bk, M as a
-:class:`Coupling` (M block diagonal and sparse in that basis, diag(M)
+:class:`Coupling` (the sparse blocks of M in that basis, and diag(M)
 diagonal), and D as its diagonal in that basis.  A dense B and M are one
 block with Q = I: B is factored on entry, and F is dense.
 
@@ -23,11 +23,12 @@ common panel, so in reverse Cuthill-McKee order of its graph its band is
 of the curve without the wrap-around: a quarter under the two axis
 mirrors, and an eighth for a 1-D block of D4 on the square).  A
 :class:`Coupling` does the sparse work once for every builder of its
-level: one RCM order, one banded factor of M per block, one Richardson
-contraction check and one Richardson chain Y_j = R^(j) L_B, which
-passes each k on its way to the largest asked for.  Each F_k then costs
-one banded solve, one diagonal scaling or the chain's steps, each a
-sparse-times-dense product with M_k.
+level, on each block of M as it was projected: one RCM order, one band
+storage and one banded factor per block, one Richardson contraction check
+and one Richardson chain Y_j = R^(j) L_B, which passes each k on its way
+to the largest asked for.  Each F_k then costs one banded solve, one
+diagonal scaling or the chain's steps, each a sparse-times-dense product
+with M_k.
 
 The damping weight omega = 2 / (lambda- + lambda+) comes from the extremal
 generalized eigenvalues of the lumped-preconditioned mass matrix on the
@@ -57,49 +58,47 @@ class Coupling:
     """The coupling matrices of one level in the symmetry basis, and the
     sparse work the builders share.
 
-    ``M`` is Q^T M Q as one block-diagonal CSR matrix, ``m`` the diagonal
-    Q^T diag(M) Q, and ``sizes`` the block sizes, in the order of the
-    blocks of B.  For Q = I these are M and diag(M) themselves, as one
-    block.  The lumped diagonal d (Q^T D Q) and the factors of B are passed
-    to the builders that use them; they must not change while the Coupling
-    is in use.
+    ``blocks`` holds the blocks Q_k^T M Q_k (CSR) from the start, in the
+    order of the blocks of B, ``m`` the diagonal Q^T diag(M) Q with the
+    blocks concatenated, and ``sizes`` the block sizes.  No block-diagonal
+    matrix is formed, so nothing is cut out of one again.  For Q = I they
+    are M and diag(M) themselves, as one block.  The lumped diagonal d
+    (Q^T D Q) and the factors of B are passed to the builders that use
+    them; they must not change while the Coupling is in use.
     """
 
-    def __init__(self, M, m: np.ndarray, sizes):
-        self.M = sparse.csr_matrix(M)
+    def __init__(self, blocks, m: np.ndarray):
+        self.blocks = tuple(blocks)
         self.m = np.asarray(m, dtype=float)
-        self.sizes = tuple(sizes)
-        self._cuts = np.cumsum((0,) + self.sizes)
+        self.sizes = tuple(Mk.shape[0] for Mk in self.blocks)
+        self._cuts = np.cumsum((0,) + self.sizes)[1:-1]
         self._chain = None          # (L_B, d, omega, j, [Y_j per block])
 
     @classmethod
     def dense(cls, M):
         """One block with Q = I."""
         M = sparse.csr_matrix(M)
-        return cls(M, M.diagonal(), M.shape[:1])
+        return cls((M,), M.diagonal())
 
-    def blocks(self, X):
-        """The diagonal blocks of a block-diagonal sparse matrix, or the
-        pieces of a vector."""
-        cuts = zip(self._cuts[:-1], self._cuts[1:])
-        if sparse.issparse(X):
-            return [X[a:b, a:b] for a, b in cuts]
-        return [X[a:b] for a, b in cuts]
+    def pieces(self, x: np.ndarray) -> list:
+        """A vector cut like the blocks."""
+        return np.split(x, self._cuts)
 
     @cached_property
     def order(self):
-        """The RCM order of M, and each block's share of it.  M has no
-        entry between blocks, so the order keeps the rows of each connected
-        component together, and each share keeps its band."""
-        perm = reverse_cuthill_mckee(self.M, symmetric_mode=True)
-        block = np.searchsorted(self._cuts, perm, side="right") - 1
-        return perm, [perm[block == b] - a for b, a in enumerate(self._cuts[:-1])]
+        """The RCM order of each block of M, which keeps its band."""
+        return [reverse_cuthill_mckee(Mk, symmetric_mode=True) for Mk in self.blocks]
+
+    @cached_property
+    def bands(self):
+        """Each block of M in its RCM order, in LAPACK's lower band storage."""
+        return [_lower_band(Mk, pk) for Mk, pk in zip(self.blocks, self.order)]
 
     @cached_property
     def factors(self):
-        """Lower banded Cholesky factor of each block of M in its share of
-        the RCM order; raises NotSPDError if M is not SPD."""
-        return [_banded_cholesky(Mk, pk) for Mk, pk in zip(self.blocks(self.M), self.order[1])]
+        """Lower banded Cholesky factor of each block of M in its RCM order;
+        raises NotSPDError if M is not SPD."""
+        return [_banded_cholesky(ab) for ab in self.bands]
 
     def richardson(self, LB: tuple, d: np.ndarray, k: int, omega: float) -> list:
         """Y_k = R^(k) L_Bk on each block, for the lumped diagonal d, by
@@ -117,9 +116,9 @@ class Coupling:
             _check_contraction(self, x, omega)
             chain = (LB, d, omega, 0, [np.zeros_like(L) for L in LB])
         j, Y = chain[3], chain[4]
-        Ms, rs = self.blocks(self.M), self.blocks(omega / x)
+        rs = self.pieces(omega / x)
         for _ in range(k - j):
-            Y = [_richardson_step(Yb, L, Mb, rb) for Yb, L, Mb, rb in zip(Y, LB, Ms, rs)]
+            Y = [_richardson_step(Yb, L, Mb, rb) for Yb, L, Mb, rb in zip(Y, LB, self.blocks, rs)]
         self._chain = (LB, d, omega, k, Y)
         return Y
 
@@ -160,14 +159,23 @@ def lumped_precond(B, d: np.ndarray):
     return F if as_blocks else F[0]
 
 
-def _banded_cholesky(Ms, perm) -> np.ndarray:
-    """Lower banded Cholesky factor of Ms[perm][:, perm], in LAPACK's
-    lower band storage; raises NotSPDError if Ms is not SPD."""
-    C = Ms[perm][:, perm].tocoo()
-    off = C.row - C.col
+def _lower_band(Ms, perm) -> np.ndarray:
+    """Ms[perm][:, perm] of a symmetric CSR matrix Ms in LAPACK's lower
+    band storage, by relabelling its entries."""
+    n = Ms.shape[0]
+    at = np.empty_like(perm)
+    at[perm] = np.arange(n)
+    row, col = at[np.repeat(np.arange(n), np.diff(Ms.indptr))], at[Ms.indices]
+    off = row - col
     low = off >= 0
-    ab = np.zeros((off[low].max() + 1, Ms.shape[0]))
-    ab[off[low], C.col[low]] = C.data[low]
+    ab = np.zeros((off[low].max() + 1, n))
+    ab[off[low], col[low]] = Ms.data[low]
+    return ab
+
+
+def _banded_cholesky(ab) -> np.ndarray:
+    """Lower banded Cholesky factor of the matrix in lower band storage ab;
+    raises NotSPDError if it is not SPD."""
     try:
         return scipy.linalg.cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError:
@@ -177,7 +185,7 @@ def _banded_cholesky(Ms, perm) -> np.ndarray:
 def mass_precond(B, M):
     Ls, C, as_blocks = _as_blocks(B, M)
     F = []
-    for L, ab, perm in zip(Ls, C.factors, C.order[1]):
+    for L, ab, perm in zip(Ls, C.factors, C.order):
         Ft = np.empty_like(L)                      # M_k^{-1} L_Bk
         Ft[perm] = scipy.linalg.cho_solve_banded((ab, True), L[perm])
         F.append(Ft.T)
@@ -253,15 +261,18 @@ def _check_contraction(C: Coupling, d: np.ndarray, omega: float):
     """Raise unless |1 - omega*lambda| < 1 for every eigenvalue lambda of
     D^{-1} M, for M the coupling ``C``.  With D > 0 that holds exactly when
     omega > 0, M is SPD (its block factors, ``Coupling.factors``, exist)
-    and (2/omega) D - M is SPD (one banded Cholesky factorization in the
-    RCM order of M); both cost linear work."""
+    and (2/omega) D - M is SPD: one banded Cholesky factorization per block,
+    on the band of M_k in its own RCM order.  Both cost linear work."""
     if not omega > 0:
         raise RichardsonDivergenceError(f"omega={omega} must be positive")
     what = "M"
     try:
         C.factors                                   # raises unless M is SPD
         what = "(2/omega) D - M"
-        _banded_cholesky(sparse.diags(2.0 / omega * d) - C.M, C.order[0])
+        for ab, perm, dk in zip(C.bands, C.order, C.pieces(d)):
+            S = -ab
+            S[0] += 2.0 / omega * dk[perm]
+            _banded_cholesky(S)
     except NotSPDError:
         raise RichardsonDivergenceError(
             f"omega={omega} violates |1 - omega*lambda| < 1 on this mesh: "

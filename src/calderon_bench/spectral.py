@@ -21,22 +21,28 @@ X_k B_k X_k: four blocks of about N/4 under the two axis mirrors (the
 ellipse), and under D4 (the square and the circle, which also have the
 diagonal mirror) four of about N/8 and one of N/4, which span 3N/4 rows.
 The group is the space's record, ``FeSpace.mirrors``: the one source of
-the dof maps and of the element encoding behind the characters.
+the dof maps and of the element encoding behind the characters.  The
+bases are the closed-form character projectors of Allgower, Boehmer,
+Georg and Miranda ("Exploiting symmetry in boundary element methods",
+SIAM J. Numer. Anal. 29, 1992): a row per orbit, chi(g)/sqrt|O| at each
+image g(r) of the orbit's least dof r.  So each Q_k^T is written as one
+CSR matrix from index arithmetic on the group's dof maps, its rows sorted.
 ``block_factor`` holds the blocks Q_k and the Cholesky factor of each
 Q_k^T A Q_k; ``BlockFactor.project`` gives B_k once per level from the
-rows of B at the orbits' least dofs, ``project_sparse`` and
-``project_diagonal`` give M, D and diag(M) in the same basis, and the
-builders of ``precond`` form each F_k on its block from the factor of
-B_k.  ``kappa`` takes the extreme eigenvalues over the blocks.  A dense F
-is cut into the blocks F Q_k.
+rows of B at the orbits' least dofs, gathered once for all blocks,
+``project_sparse`` gives M's blocks as a list and ``project_diagonal`` D
+and diag(M) in the same basis, and the builders of ``precond`` form each
+F_k on its block from the factor of B_k.  ``kappa`` takes the extreme
+eigenvalues over the blocks.  A dense F is cut into the blocks F Q_k.
 
 The guard: A and B are assembled by orbits of panel pairs under the
 mirrors (see :mod:`boundary_operators`), so they commute with them by
 construction.  M and D are built without the maps, so the guard reads
 them: the blocks are used only if both commute with every generator of
 the record to TAU, measured as max|X[p][:, p] - X| / max|X| (about
-1e-14).  Otherwise, and on a curve or mesh without the mirrors, the factor
-is one block: the character basis of the trivial record, Q = I as a
+1e-14) by comparing each stored entry with the entry at its image.
+Otherwise, and on a curve or mesh without the mirrors, the factor is one
+block: the character basis of the trivial record, Q = I as a
 sparse identity, through which the same code runs once on the full
 matrices.  Products with it only multiply by 1 and add 0, so they are
 exact.  The Cholesky factors of the blocks are the check that A is SPD,
@@ -48,7 +54,7 @@ block's spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -89,43 +95,54 @@ class BlockFactor:
     def sizes(self):
         return tuple(L.shape[0] for _, L in self.blocks)
 
-    @cached_property
-    def _basis(self):
-        """The whole basis Q^T (CSR, rows block by block) and the block of
-        each row."""
-        return (sparse.vstack([Qt for Qt, _ in self.blocks], format="csr"),
-                np.repeat(np.arange(len(self.blocks)), self.sizes))
-
     def project(self, X: np.ndarray) -> tuple:
         """Q_k^T X Q_k of a dense X that commutes with the group, block by
         block (see :func:`_project`)."""
-        return tuple(_project(X, Qt) for Qt, _ in self.blocks)
+        return _project(X, [Qt for Qt, _ in self.blocks])
 
-    def project_sparse(self, S):
-        """Q^T S Q of a sparse symmetric S that commutes with the group, as
-        one block-diagonal CSR matrix: the rounding left between blocks is
-        dropped."""
-        Qt, block = self._basis
-        P = (Qt @ sparse.csr_matrix(S) @ Qt.T).tocoo()
-        keep = (block[P.row] == block[P.col]) & (P.data != 0)
-        return sparse.csr_matrix((P.data[keep], (P.row[keep], P.col[keep])), shape=P.shape)
+    def project_sparse(self, S) -> list:
+        """The blocks Q_k^T S Q_k (CSR, sorted rows) of a sparse symmetric S
+        that commutes with the group; no entry between blocks is formed."""
+        S = sparse.csr_matrix(S)
+        out = []
+        for Qt, _ in self.blocks:
+            P = Qt @ S @ Qt.T
+            P.sort_indices()
+            out.append(P)
+        return out
 
     def project_diagonal(self, d: np.ndarray) -> np.ndarray:
         """The diagonal of Q^T diag(d) Q, blocks concatenated; for d
         constant on the orbits that is the whole of it."""
-        Qt = self._basis[0]
-        return Qt.multiply(Qt) @ np.asarray(d, dtype=float)
+        d = np.asarray(d, dtype=float)
+        return np.concatenate([np.add.reduceat(Qt.data * Qt.data * d[Qt.indices], Qt.indptr[:-1])
+                               for Qt, _ in self.blocks])
 
 
-def mirror_residual(X, p: np.ndarray) -> float:
-    """max|X[p][:, p] - X| / max|X| for a matrix, read as CSR,
-    max|X[p] - X| / max|X| for a diagonal given by its entries."""
+def mirror_residual(X, *perms) -> float:
+    """The largest over the maps ``perms`` of max|X[p][:, p] - X| / max|X|
+    for a matrix, read as CSR, or of max|X[p] - X| / max|X| for a diagonal
+    given by its entries; 0 without a map.
+
+    A matrix is compared entry by entry: the entry at (a, b) with the one at
+    its image (p(a), p(b)), found by binary search among the sorted keys
+    row * n + column; an entry whose image is not stored counts whole."""
     if np.ndim(X) == 1:
         X = np.asarray(X)
-        Y = X.take(p) - X
-        return float(max(Y.max(), -Y.min()) / max(X.max(), -X.min()))
-    X = sparse.csr_matrix(X)
-    return float(abs(X[p][:, p] - X).max() / abs(X).max())
+        top = max(X.max(), -X.min())
+        return max((float(np.abs(X.take(p) - X).max() / top) for p in perms), default=0.0)
+    X = sparse.csr_matrix(X, copy=True)
+    X.sum_duplicates()                                  # sorted keys, each once
+    n, top = X.shape[0], np.abs(X.data).max()
+    row = np.repeat(np.arange(n), np.diff(X.indptr))
+    key = row * n + X.indices
+    out = 0.0
+    for p in perms:
+        image = p[row] * n + p[X.indices]
+        at = np.minimum(np.searchsorted(key, image), key.size - 1)
+        Y = np.where(key[at] == image, X.data - X.data[at], X.data)
+        out = max(out, float(np.abs(Y).max() / top))
+    return out
 
 
 def character_bases(group: MirrorGroup):
@@ -149,46 +166,76 @@ def character_bases(group: MirrorGroup):
     A 1-D block holds, for every orbit, the vector sum over the group of
     chi(g) e_{g(r)} (r the orbit's least dof), normalized; orbits whose
     stabilizer is not in the kernel of chi give the zero vector and no
-    row.  The 2-D block is built the same way over the Klein group.
+    row.  The 2-D block is built the same way over the Klein group.  In
+    closed form a kept row holds chi(g)/sqrt|O_r| at each distinct image
+    g(r), and ``_orbit_bases`` writes exactly that: the rows in the order of
+    their least dofs, the dofs of each row in ascending order, and no sparse
+    algebra.
     """
     g, chi = group.dofs, group.character                # g[e, i]: the image of dof i
     if len(group.perms) < 3:
-        blocks = [(g, chi(k)) for k in range(len(g))]
-    else:   # D4's characters with chi(p_x) = chi(p_y), then the Klein group's (-, +)
-        blocks = [(g, chi(k)) for k in (0, 3, 4, 7)] + [(g[:4], chi(1)[:4])]
-    return [_orbit_basis(images, c) for images, c in blocks]
+        return _orbit_bases(g, [chi(k) for k in range(len(g))])
+    # D4's characters with chi(p_x) = chi(p_y), then the Klein group's (-, +)
+    return _orbit_bases(g, [chi(k) for k in (0, 3, 4, 7)]) + _orbit_bases(g[:4], [chi(1)[:4]])
 
 
-def _orbit_basis(images, chi):
-    """The row basis of ``character_bases`` for the character with values
-    chi (|G|,) of the group whose element e maps dof i to images[e, i]."""
+def _orbit_bases(images, chis) -> list:
+    """The row bases of ``character_bases`` for the characters ``chis``,
+    each of values (|G|,), of the group whose element e maps dof i to
+    images[e, i]: one CSR matrix per character, from its arrays.
+
+    Row r belongs to the orbit O_r of its least dof i_r, kept only if
+    chi(g) = 1 on the stabilizer {g : g(i_r) = i_r}; it holds chi(g)/sqrt|O_r|
+    at each distinct image g(i_r), in ascending order.  That is the
+    normalized sum over the group of chi(g) e_{g(i_r)}: each image is hit by
+    a coset of the stabilizer, on which chi is constant exactly when the
+    stabilizer lies in its kernel, and the sum vanishes otherwise.  The
+    orbits are sorted once for all the characters."""
     n = images.shape[1]
     reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    rows = images[:, reps]                              # (|G|, R)
-    Qt = sparse.csr_matrix(
-        (np.broadcast_to(chi[:, None], rows.shape).ravel(),
-         (np.broadcast_to(np.arange(reps.size), rows.shape).ravel(), rows.ravel())),
-        shape=(reps.size, n))                           # duplicates are summed
-    Qt.eliminate_zeros()
-    norm = np.sqrt(np.asarray(Qt.multiply(Qt).sum(axis=1)).ravel())
-    keep = norm > 0
-    return sparse.diags(1.0 / norm[keep]) @ Qt[keep]
+    orbits = images[:, reps].T                          # (R, |G|): the images of each rep
+    order = np.argsort(orbits, axis=1, kind="stable")
+    cols = np.take_along_axis(orbits, order, axis=1)
+    first = np.ones(cols.shape, dtype=bool)             # the first hit of each image
+    first[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    fixed = orbits == reps[:, None]                     # the stabilizer of each rep
+    out = []
+    for chi in chis:
+        keep = ~np.any(fixed & (chi < 0), axis=1)       # stabilizer in ker chi
+        hit = first[keep]
+        size = hit.sum(axis=1)                          # |O_r|
+        data = chi[order[keep]][hit] * np.repeat(1.0 / np.sqrt(size), size)
+        out.append(sparse.csr_matrix((data, cols[keep][hit], np.concatenate([[0], np.cumsum(size)])),
+                                     shape=(size.size, n)))
+    return out
 
 
-def _project(X: np.ndarray, Qt) -> np.ndarray:
-    """Q_k^T X Q_k for a dense X that commutes with the group of the block,
-    from the rows of X at the orbits' least dofs.
+def _project(X: np.ndarray, bases) -> tuple:
+    """Q_k^T X Q_k for each row basis Q_k^T of ``bases`` and a dense X that
+    commutes with the group of the blocks, from the rows of X at the orbits'
+    least dofs.
 
     Row r of Q_k^T holds chi(g)/sqrt|O_r| at dof g(i_r) of the orbit O_r
-    of its least dof i_r, and every column q of Q_k has q[g(j)] =
-    chi(g) q[j].  As X[g(i), g(j)] = X[i, j], row g(i) of X Q_k is chi(g)
-    times row i, so row r of Q_k^T X Q_k is sqrt|O_r| X[i_r] Q_k: one
-    product of an n_k x N slab in place of two through N x N.  It agrees
-    with Q_k^T (Q_k^T X)^T to the rounding of X's commutation with the
-    group, and for Q = I it is X itself."""
-    slab = X[np.minimum.reduceat(Qt.indices, Qt.indptr[:-1])]
-    slab *= np.sqrt(np.diff(Qt.indptr))[:, None]
-    return (Qt @ np.ascontiguousarray(slab.T)).T
+    of its least dof i_r, its first entry, and every column q of Q_k has
+    q[g(j)] = chi(g) q[j].  As X[g(i), g(j)] = X[i, j], row g(i) of X Q_k
+    is chi(g) times row i, so row r of Q_k^T X Q_k is sqrt|O_r| X[i_r] Q_k:
+    one product with an N x R slab in place of two through N x N.  The rows
+    at the least dofs of all blocks are gathered once: D4's four 1-D blocks
+    and its 2-D block read subsets of one set.  It agrees with Q_k^T
+    (Q_k^T X)^T to the rounding of X's commutation with the group, and for
+    Q = I it is X itself."""
+    leads = [Qt.indices[Qt.indptr[:-1]] for Qt in bases]
+    reps = np.unique(np.concatenate(leads))
+    slab = np.ascontiguousarray(X[reps].T)              # (N, R)
+    out = []
+    for Qt, lead in zip(bases, leads):
+        P = Qt @ slab                                   # column r: Q_k^T X[i_r]
+        if lead.size < reps.size:
+            P = P[:, np.searchsorted(reps, lead)]
+        P = P.T
+        P *= np.sqrt(np.diff(Qt.indptr))[:, None]
+        out.append(P)
+    return tuple(out)
 
 
 def block_factor(A: np.ndarray, group: MirrorGroup | None = None,
@@ -204,12 +251,13 @@ def block_factor(A: np.ndarray, group: MirrorGroup | None = None,
     with Q = I, the basis of the trivial group.  Raises NotSPDError if a
     block of A is not SPD.
     """
-    residual = max((mirror_residual(X, p) for X in commuting for p in group.perms),
+    residual = max((mirror_residual(X, *group.perms) for X in commuting),
                    default=0.0) if group else 0.0
     if group is None or residual > TAU:
         group = MirrorGroup.trivial(A.shape[0], 0)      # the basis reads no panel map
     bases = character_bases(group)
-    return BlockFactor(tuple((Qt, spd_factor(_project(A, Qt))) for Qt in bases), residual)
+    return BlockFactor(tuple((Qt, spd_factor(Ak)) for Qt, Ak in zip(bases, _project(A, bases))),
+                       residual)
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,18 @@
 """Shared cached builders for the heavy benchmark artifacts.
 
-Everything is memoized so the expensive assemblies (corner families up to
-level 6, the 128-panel circle) are computed once per pytest session and
-shared between the module tests and the acceptance suite.  The returned
-matrices are read-only, as the meshes and spaces are, so a test that writes
-into a shared one fails at the write.
+Meshes and spaces are memoized for the whole pytest session, and so are the
+level records and Gram pairs of spaces with at most LARGE dofs.  Those of
+larger spaces (levels 5 and 6 of the cubic family: 12 to 36 MB per N x N
+array) are kept for the RECENT most recently used keys only.  Tests use
+them in runs, so this rebuilds none of them in a tier-1 session, while
+holding every level for the session made the test process peak above 1 GB.
+A key spells out the default inner product, so that one level is not built
+twice under two spellings.  The returned matrices are read-only, as the
+meshes and spaces are, so a test that writes into a shared one fails at the
+write.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from calderon_bench.mesh import corner_schedule, initial_mesh
 
 ALPHA = 0.05
 QUAD_N = 12
+LARGE = 1000
+RECENT = 2
 
 
 # block sizes of the mirror blocks on corner levels 1-4: D4's four 1-D
@@ -56,20 +63,31 @@ def _read_only(*arrays):
 
 
 def corner_operators(kind, k, ell):
-    """A and B of the cached level record, so that a corner level is
-    assembled once per session."""
+    """A and B of the cached level record, so that the operators and the
+    level come from one assembly."""
     lev = corner_level(kind, k, ell)
     return lev.A, lev.B
 
 
-@lru_cache(maxsize=None)
-def corner_gram(kind, k, ell, inner="exact"):
+def _by_size(build):
+    """``build(kind, k, ell, inner)`` cached for the session on spaces of at
+    most LARGE dofs, and for the RECENT most recent keys on larger ones."""
+    small, large = lru_cache(maxsize=None)(build), lru_cache(maxsize=RECENT)(build)
+
+    @wraps(build)
+    def cached(kind, k, ell, inner="exact"):
+        return (small if corner_space(kind, k, ell).ndof <= LARGE else large)(kind, k, ell, inner)
+    return cached
+
+
+@_by_size
+def corner_gram(kind, k, ell, inner):
     s = corner_space(kind, k, ell)
     return _read_only(mass_matrix(s, inner, n_quad=QUAD_N), lumped_matrix(s, inner, n_quad=QUAD_N))
 
 
-@lru_cache(maxsize=None)
-def corner_level(kind, k, ell, inner="exact"):
+@_by_size
+def corner_level(kind, k, ell, inner):
     """The run path's level record on corner level k."""
     lev = build_level(corner_space(kind, k, ell), inner, QUAD_N, ALPHA)
     _read_only(lev.A, lev.B, lev.D, lev.d, *lev.B_factors)

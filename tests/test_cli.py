@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse._index import IndexMixin
 
 import calderon_bench
-from calderon_bench import cli, precond
+from calderon_bench import cli, precond, spectral
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
 from calderon_bench.mesh import corner_schedule, refine
@@ -374,9 +376,10 @@ def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
 
 def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
     # every builder receives B as the five blocks of D4 and returns five;
-    # the sparse coupling work runs once per level: one RCM order, one
-    # contraction check, and banded factors of M's blocks (5), which the
-    # check reads for M, and of (2/omega) D - M for the check (1)
+    # the sparse coupling work runs once per level: an RCM order of each of
+    # M's blocks (5), one contraction check, and banded factors of M's
+    # blocks (5), which the check reads for M, and of (2/omega) D - M on
+    # each block (5) for the check
     received, calls = [], {"rcm": 0, "check": 0, "banded": 0}
     for name in ("lumped_precond", "mass_precond", "jacobi_precond", "richardson_precond"):
         def spy(B, *args, _real=getattr(cli, name)):
@@ -400,7 +403,49 @@ def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
         assert sum(n_k) == 3 * n // 4
         assert isinstance(G, tuple) and [g.shape for g in G] == [b.shape for b in B]
         assert max(b.shape[0] for b in B) < n
-    assert calls == {"rcm": levels, "check": levels, "banded": levels * (1 + 5)}
+    assert calls == {"rcm": levels * 5, "check": levels, "banded": levels * (5 + 5)}
+
+
+def test_level_setup_cuts_m_once_and_builds_each_basis_block_once(monkeypatch):
+    # per level, the character bases make one sparse matrix per block (CSR
+    # from its arrays), M's blocks are formed once by project_sparse and
+    # held by the Coupling as they came, and no sparse matrix is sliced or
+    # indexed afterwards: the guard, the band storage, the contraction
+    # check and the Richardson chain read arrays
+    made, cuts, bases, projected = [], [], [], []
+    real_init, real_getitem = scipy.sparse._base._spbase.__init__, IndexMixin.__getitem__
+
+    def init(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    def getitem(self, key):
+        cuts.append(key)
+        return real_getitem(self, key)
+
+    def counted_bases(group, _real=spectral.character_bases):
+        start = len(made)
+        out = _real(group)
+        bases.append((out, made[start:]))
+        return out
+
+    def counted_projection(self, S, _real=spectral.BlockFactor.project_sparse):
+        projected.append(_real(self, S))
+        return projected[-1]
+
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", init)
+    monkeypatch.setattr(IndexMixin, "__getitem__", getitem)
+    monkeypatch.setattr(spectral, "character_bases", counted_bases)
+    monkeypatch.setattr(spectral.BlockFactor, "project_sparse", counted_projection)
+    seen = _spy_levels(monkeypatch)
+    levels = 3
+    run_experiment(ExperimentConfig(geometry="square", degree=3, levels=levels, preconds=ALL_SIX))
+    assert len(seen) == len(bases) == len(projected) == levels
+    for lev, (Qs, kinds), blocks in zip(seen, bases, projected):
+        assert kinds == ["csr_matrix"] * len(Qs) == ["csr_matrix"] * len(lev.factor.sizes)
+        assert len(blocks) == len(lev.factor.sizes)
+        assert all(a is b for a, b in zip(lev.coupling.blocks, blocks, strict=True))
+    assert cuts == []
 
 
 def test_bad_omega_raises_through_the_blocks():
@@ -460,6 +505,30 @@ def test_quad_n_rejected_up_front(tmp_path, value):
     with pytest.raises(ValueError, match="quad_n"):
         main(["run", "--config", str(path), "--output", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry, refine, deepest", [
+    ("square", "corner", 9), ("circle", "corner", 10), ("ellipse", "corner", 10),
+    ("square", "uniform", 49)])
+def test_levels_deeper_than_the_schedule_rejected_up_front(monkeypatch, tmp_path, geometry,
+                                                            refine, deepest):
+    # one level deeper would bisect a panel at an anchor below float
+    # resolution, after every lower level had run (level 9 of the cubic
+    # square holds dense 13k x 13k matrices); it fails when the config is
+    # built, from a flag or a config file, and names the deepest level
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    out = tmp_path / "t.csv"
+    for levels in (deepest + 1, 60):
+        match = rf"levels must be at most {deepest} on the {geometry} with {refine} .*got {levels}"
+        with pytest.raises(ValueError, match=match):
+            main(["run", "--geometry", geometry, "--refine", refine, "--levels", str(levels),
+                  "--output", str(out)])
+        path = tmp_path / "levels.cfg"
+        path.write_text(f"geometry = {geometry}\nrefine = {refine}\nlevels = {levels}\n")
+        with pytest.raises(ValueError, match=match):
+            main(["run", "--config", str(path), "--output", str(out)])
+    assert not out.exists()
+    assert ExperimentConfig(geometry=geometry, refine=refine, levels=deepest).levels == deepest
 
 
 @pytest.mark.parametrize("field, value", [("levels", 1.5), ("levels", 2.0), ("levels", True),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calderon_bench.geometry import arc_length, make_geometry, total_length
-from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, dump_mesh,
+from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, deepest_level, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
@@ -175,6 +175,30 @@ def test_bisection_below_float_resolution_raises(kind, rounds):
     assert np.all(m.t1 > m.t0)
     with pytest.raises(ValueError, match=r"chart \d+.*midpoint"):
         refine(m, corner_panels(m))
+
+
+# the deepest level of the schedule with 4 and 6 corner rounds per level,
+# and with none (uniform): 49 bisections of an anchor panel fit on the
+# square and 50 on the ellipse and the circle, as above
+DEEPEST = {("square", 4): 9, ("circle", 4): 10, ("ellipse", 4): 10,
+           ("square", 6): 7, ("circle", 6): 7, ("ellipse", 6): 7,
+           ("square", 0): 49, ("circle", 0): 50, ("ellipse", 0): 50}
+
+
+@pytest.mark.parametrize("kind, rounds", list(DEEPEST))
+def test_deepest_level_is_the_last_the_schedule_builds(kind, rounds):
+    """The replayed midpoint chain of the anchor panels gives the deepest
+    level, capped at the level asked for; corner_schedule builds that level
+    and raises one level deeper (a uniform level 50 is too large to build)."""
+    g = geom(kind)
+    deepest = deepest_level(g, 1000, rounds)
+    assert deepest == DEEPEST[kind, rounds]
+    assert deepest_level(g, deepest, rounds) == deepest
+    assert deepest_level(g, 3, rounds) == 3
+    if rounds:
+        assert is_conforming(corner_schedule(g, deepest, rounds))
+        with pytest.raises(ValueError, match="midpoint"):
+            corner_schedule(g, deepest + 1, rounds)
 
 
 @pytest.mark.parametrize("name", ["chart", "t0", "t1", "length", "qlength"])

@@ -162,7 +162,7 @@ def test_richardson_chain_continued_equals_fresh(kind, ell, inner):
     lev = corner_level(kind, 3, ell, inner)
     _, _, om = richardson_weight(1, ell)
     C = lev.coupling
-    fresh = Coupling(C.M, C.m, C.sizes)
+    fresh = Coupling(C.blocks, C.m)
     richardson_precond(lev.B_factors, C, lev.d, 2, om)
     continued = richardson_precond(lev.B_factors, C, lev.d, 4, om)
     for a, b in zip(continued, richardson_precond(lev.B_factors, fresh, lev.d, 4, om)):

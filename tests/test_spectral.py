@@ -226,7 +226,8 @@ def test_gathered_projection_exact_on_one_block():
     for X in (A, B):
         (got,) = F.project(X)
         assert np.array_equal(got, X)
-        assert np.array_equal(_project(X, F.blocks[0][0]), _two_sided(X, F.blocks[0][0]))
+        (Qt, _), = F.blocks
+        assert np.array_equal(_project(X, [Qt])[0], _two_sided(X, Qt))
 
 
 # blocks taken: the axis mirrors' four, or D4's five where a panel of the
@@ -242,7 +243,8 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     lev = build_level(build_space(initial_mesh(make_geometry(kind, 0.5, 2.0), n_panels), 3))
     F, C = lev.factor, lev.coupling
     assert len(F.sizes) == STRADDLE_BLOCKS[kind, n_panels]
-    assert np.abs(C.M.diagonal() - C.m).max() > 0.1 * C.m.max()
+    Mh = scipy.sparse.block_diag(C.blocks)
+    assert np.abs(Mh.diagonal() - C.m).max() > 0.1 * C.m.max()
     omega = richardson_weight(1, 3)[2]
     for name, Fd in _preconds(lev.B, lev.M, lev.D, 3).items():
         blocks = _build_precond(name, lev.B_factors, C, lev.d, omega)
@@ -260,7 +262,7 @@ def test_projected_coupling_is_block_diagonal():
     Qt = scipy.sparse.vstack([b for b, _ in F.blocks]).toarray()
     cuts = np.cumsum((0,) + F.sizes)
     full = Qt @ M @ Qt.T
-    Mh = C.M.toarray()
+    Mh = scipy.sparse.block_diag(C.blocks).toarray()
     for a, b in zip(cuts[:-1], cuts[1:]):
         assert np.abs(Mh[a:b, a:b] - full[a:b, a:b]).max() <= 1e-15 * np.abs(M).max()
         full[a:b, a:b] = Mh[a:b, a:b] = 0.0
@@ -305,6 +307,50 @@ def test_character_bases_orthogonal_partition():
     g5 = s5.mirrors
     assert [b.shape[0] for b in character_bases(_klein(g5))] == [313, 312, 312, 311]
     assert [b.shape[0] for b in character_bases(g5)] == [157, 156, 156, 155, 312]
+
+
+def _bases_by_definition(group):
+    """The dense row bases of ``character_bases`` from the definition: for
+    each orbit's least dof r, sum_g chi(g) e_{g(r)} over the group (the
+    Klein group for D4's 2-D block), normalized, zero rows dropped."""
+    g, chi = group.dofs, group.character
+    if len(group.perms) < 3:
+        blocks = [(g, chi(k)) for k in range(len(g))]
+    else:
+        blocks = [(g, chi(k)) for k in (0, 3, 4, 7)] + [(g[:4], chi(1)[:4])]
+    out = []
+    for images, c in blocks:
+        rows = []
+        for r in range(images.shape[1]):
+            if images[:, r].min() < r:
+                continue                                # not the orbit's least dof
+            v = np.zeros(images.shape[1])
+            np.add.at(v, images[:, r], c)
+            if v.any():
+                rows.append(v / np.sqrt(v @ v))
+        out.append(np.array(rows))
+    return out
+
+
+@pytest.mark.parametrize("kind,group", [("square", "trivial"), ("ellipse", "klein"),
+                                        ("square", "d4"), ("circle", "d4")])
+def test_character_bases_match_the_definition(kind, group):
+    # each block is the definition's matrix to the bit, with every row's
+    # dofs in ascending order, and its rows are orthonormal
+    for k in range(1, 5):
+        s = corner_space(kind, k, 3)
+        G = MirrorGroup.trivial(s.ndof, s.mesh.n_panels) if group == "trivial" else s.mirrors
+        assert len(G.perms) == {"trivial": 0, "klein": 2, "d4": 3}[group]
+        bases = character_bases(G)
+        for Qt, ref in zip(bases, _bases_by_definition(G), strict=True):
+            assert isinstance(Qt, scipy.sparse.csr_matrix) and Qt.shape == ref.shape, k
+            assert np.array_equal(Qt.toarray(), ref), k
+            assert all(np.all(np.diff(Qt.indices[a:b]) > 0)
+                       for a, b in zip(Qt.indptr[:-1], Qt.indptr[1:])), k
+            assert np.abs((Qt @ Qt.T).toarray() - np.eye(Qt.shape[0])).max() <= 1e-15, k
+        Q = scipy.sparse.vstack(bases).toarray()
+        assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-15, k
+        assert Q.shape[0] == (3 * s.ndof // 4 if group == "d4" else s.ndof), k
 
 
 def _orbit(perms, i):
