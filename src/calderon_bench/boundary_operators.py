@@ -51,10 +51,24 @@ mind).  Z + Z^T (and B's rank-one term) is formed in Z's own buffer, one
 pair of transposed tiles at a time, so a level holds two N x N arrays,
 Z_val and Z_der, which become A and B.  Each entry is the same sum of the
 same terms as in Z + Z^T, so the result is the same to the bit.
+
+Working memory: besides Z_val and Z_der, assembly holds O(P) arrays and
+one chunk.  The separated pair orbits are found one row block of panels
+at a time, admissibility is decided per pair (``_admissible``) and ANDed
+over each orbit's images, and the admissible orbits are evaluated as
+they are found, so no P x P array and no array over all P^2/2 pairs is
+made.  Both the far and the near field evaluate the kernel in chunks of
+_CHUNK = 73,728 entries: 2048 admissible pairs or 512 close pairs at the
+default quad_n = 12, or 184 identical or 153 adjacent near-field
+representatives.  A chunk's working arrays are a few of _CHUNK floats
+(0.6 MB each), so the two N x N buffers set the peak: a level-5 assembly
+peaks at 5.3 MiB on the linear ellipse (2.6 MiB of A and B) and at
+27.0 MiB on the cubic square (23.8 MiB of A and B).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -76,7 +90,9 @@ class CoercivityError(AssemblyError):
 
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
-_PAIR_BLOCK = 2048  # panel pairs per far-field block
+# kernel entries per chunk of the far and the near field (see the module
+# docstring): 2048 admissible pairs of 6 x 6 points at quad_n = 12
+_CHUNK = 2048 * 36
 _TILE = 128  # rows and columns of one tile of the in-place Z + Z^T
 # a separated panel pair is admissible, and takes the coarse rule of
 # _coarse_n(quad_n) points per panel, when its gap is at least _ETA times
@@ -91,7 +107,10 @@ def _coarse_n(quad_n: int) -> int:
 
 
 def _log_kernel_r2(r2):
-    return _KERNEL_HALF * np.log(r2)
+    """-log(r)/(2 pi) from r^2, written over ``r2``."""
+    np.log(r2, out=r2)
+    r2 *= _KERNEL_HALF
+    return r2
 
 
 def _basis_weights(s: FeSpace, rule, speed, dts):
@@ -110,23 +129,31 @@ def _basis_weights(s: FeSpace, rule, speed, dts):
     return w_val, w_der
 
 
-def _admissible_pairs(mesh):
-    """(P, P) mask of the panel pairs far enough apart for the coarse rule.
+def _admissible(mesh, p, q):
+    """Whether each panel pair (p, q), for panel ids p and q of one shape,
+    is far enough apart for the coarse rule.
 
     With h a panel's arc length and c the midpoint of its end points, the
-    pair (p, q) is admissible when gap = |c_p - c_q| - (h_p + h_q)/2 is at
-    least _ETA max(h_p, h_q).  Identical and adjacent pairs have gap <= 0
-    (a chord is no longer than its arc), so they are never admissible.
-    The distance is relative, not a count of panels between the two: next
-    to a corner the sizes halve panel by panel, so no index distance keeps
-    gap/h away from 0.
+    pair is admissible when gap = |c_p - c_q| - (h_p + h_q)/2 is at least
+    _ETA max(h_p, h_q); the test is symmetric in p and q to the bit.
+    Identical and adjacent pairs have gap <= 0 (a chord is no longer than
+    its arc), so they are never admissible.  The distance is relative, not
+    a count of panels between the two: next to a corner the sizes halve
+    panel by panel, so no index distance keeps gap/h away from 0.
     """
+    c, h = _centres(mesh), mesh.length
+    gap = np.hypot(c[p, 0] - c[q, 0], c[p, 1] - c[q, 1]) - 0.5 * (h[p] + h[q])
+    return gap >= _ETA * np.maximum(h[p], h[q])
+
+
+@lru_cache(maxsize=1)
+def _centres(mesh):
+    """The midpoints (P, 2) of the panels' end points, kept for the last
+    mesh only: ``_admissible`` reads them once per row block of a search."""
     ends, _, _ = panel_samples(mesh, [0.0, 1.0])
     c = 0.5 * (ends[:, 0] + ends[:, 1])
-    h = mesh.length
-    gap = np.hypot(np.subtract.outer(c[:, 0], c[:, 0]), np.subtract.outer(c[:, 1], c[:, 1]))
-    gap -= 0.5 * np.add.outer(h, h)
-    return gap >= _ETA * np.maximum.outer(h, h)
+    c.flags.writeable = False
+    return c
 
 
 def _panel_rank(mesh):
@@ -146,16 +173,22 @@ def _orbits(keys):
     same object.  Labels come from geometry, and the representative of an
     orbit is its member of least label.  The labels are read one element
     at a time, so only O(M) is held.  Returns the representatives' ids
-    (R,) and the number of elements (R,) that map each onto itself.
+    (R,) and the number of elements (R,), as int8, that map each onto
+    itself.
     """
     keys = iter(keys)
     own = next(keys)
-    least, stab = own.copy(), np.ones(own.size, dtype=np.int64)
+    least, stab = own.copy(), np.ones(own.size, dtype=np.int8)
     for key in keys:
         np.minimum(least, key, out=least)
         stab += key == own
     reps = np.flatnonzero(own == least)
     return reps, stab[reps]
+
+
+def _pair_key(a, b, n):
+    """One label of each unordered pair {a, b} of labels below n."""
+    return np.maximum(a, b) * n + np.minimum(a, b)
 
 
 def _mean_over_stabilizer(stab, *blocks):
@@ -173,66 +206,102 @@ def _mean_over_stabilizer(stab, *blocks):
     return blocks
 
 
-def _pair_blocks(s: FeSpace, rule, p, q, stab):
-    """Tensor Gauss blocks of the panel pairs (p[i], q[i]), _PAIR_BLOCK
-    pairs at a time, each scaled by one over its stabilizer's order
-    ``stab[i]`` (see ``_mean_over_stabilizer``).
+def _rechunk(pieces, size):
+    """The rows of a stream of array tuples ``pieces`` regrouped into tuples
+    of ``size`` rows, in order; the last one may be shorter."""
+    rest = None
+    for piece in pieces:
+        joined = piece if rest is None else tuple(map(np.concatenate, zip(rest, piece)))
+        full = joined[0].size - joined[0].size % size
+        for i in range(0, full, size):
+            yield tuple(x[i:i + size] for x in joined)
+        rest = tuple(x[full:] for x in joined)
+    if rest is not None and rest[0].size:
+        yield rest
+
+
+def _pair_blocks(s: FeSpace, rule, pairs):
+    """Tensor Gauss blocks of the panel pairs (p, q) that ``pairs`` yields
+    as arrays (p, q, stab), in chunks of _CHUNK kernel entries, each block
+    scaled by one over its stabilizer's order ``stab`` (see
+    ``_mean_over_stabilizer``).
 
     Yields the row and column dof ids (C, l+1) and the blocks (C, l+1,
     l+1) of the basis pairing and of the derivative pairing, each the
-    pair's sample weights around its (n, n) log-kernel matrix.
+    pair's sample weights around its (n, n) log-kernel matrix.  r^2 and
+    the kernel are formed in one buffer of the chunk.
     """
     pts, speed, dts = panel_samples(s.mesh, rule.nodes)
     w_val, w_der = _basis_weights(s, rule, speed, dts)
     x, y = pts[..., 0], pts[..., 1]
-    for i in range(0, p.size, _PAIR_BLOCK):
-        a, b = p[i:i + _PAIR_BLOCK], q[i:i + _PAIR_BLOCK]
-        dx = x[a][:, :, None] - x[b][:, None, :]
+    for a, b, stab in _rechunk(pairs, max(1, _CHUNK // rule.nodes.size ** 2)):
+        r2 = x[a][:, :, None] - x[b][:, None, :]        # dx, then r^2, then the kernel
         dy = y[a][:, :, None] - y[b][:, None, :]
-        r2 = dx * dx + dy * dy
+        r2 *= r2
+        dy *= dy
+        r2 += dy
+        del dy
         if r2.min() <= 0.0:
             raise AssemblyError("far-field quadrature points of distinct panels coincide")
         K = _log_kernel_r2(r2)
         yield (s.conn[a], s.conn[b],
-               *_mean_over_stabilizer(stab[i:i + _PAIR_BLOCK],
-                                      w_val[a].transpose(0, 2, 1) @ K @ w_val[b],
+               *_mean_over_stabilizer(stab, w_val[a].transpose(0, 2, 1) @ K @ w_val[b],
                                       w_der[a].transpose(0, 2, 1) @ K @ w_der[b]))
+
+
+def _separated_orbits(s: FeSpace, panels):
+    """The orbits of the separated panel pairs (neither identical nor
+    adjacent) under the group of the panel maps ``panels`` (|G|, P), found
+    one row block of p at a time.
+
+    Yields, per block, each orbit's representative as int32 (p, q), the
+    order of its stabilizer and whether the orbit is admissible, that is,
+    whether ``_admissible`` holds for each of its pairs.  The
+    representative is the pair of least panel ranks (``_panel_rank``),
+    given as (higher rank, lower rank); with the trivial group on a mesh
+    in chart order that is every pair p > q, in row order.  A block spans
+    about _CHUNK / 8 pairs, so that its int64 labels weigh about one
+    chunk of kernel entries.
+    """
+    P = s.mesh.n_panels
+    rank = _panel_rank(s.mesh)
+    images = rank[panels]
+    rows = max(1, _CHUNK // (8 * P))
+    for i in range(2, P, rows):
+        p, q = np.nonzero(np.tri(min(rows, P - i), P, k=i - 2, dtype=bool))
+        p += i
+        keep = p - q < P - 1                              # (P-1, 0) are adjacent
+        p, q = p[keep], q[keep]
+        reps, stab = _orbits(_pair_key(g[p], g[q], P) for g in images)
+        p, q = p[reps], q[reps]
+        far = _admissible(s.mesh, panels[:, p], panels[:, q]).all(axis=0)
+        swap = rank[p] < rank[q]
+        yield (np.where(swap, q, p).astype(np.int32), np.where(swap, p, q).astype(np.int32),
+               stab, far)
 
 
 def _far_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     """Gauss log-kernel blocks of one panel pair per orbit of the separated
-    pairs (neither identical nor adjacent) under the mirror group ``group``
-    (the trivial group by default), for ``_scatter`` to copy to the orbit's
-    other pairs.
+    pairs under the mirror group ``group`` (the trivial group by default),
+    for ``_scatter`` to copy to the orbit's other pairs.
 
-    The representative is the pair of least panel ranks (``_panel_rank``),
-    given as (higher rank, lower rank); with the trivial group on a mesh in
-    chart order that is every pair p > q, in row order.  Separated pairs
-    fall in two classes (see ``_admissible_pairs``): the admissible orbits,
-    those whose pairs are all admissible, take a tensor Gauss rule of
-    ceil(quad_n / 2) points per panel, the few close orbits next to the
-    near field the full quad_n-point rule.  Yields the blocks of
-    ``_pair_blocks``, the admissible orbits first.
+    The orbits come from ``_separated_orbits``.  The admissible ones take
+    a tensor Gauss rule of ceil(quad_n / 2) points per panel, and are
+    evaluated as the search finds them; the few close orbits next to the
+    near field are held until the search ends and take the full
+    quad_n-point rule.  Yields the blocks of ``_pair_blocks``, the
+    admissible orbits first.
     """
-    P = s.mesh.n_panels
-    panels = (group or MirrorGroup.trivial(s.ndof, P)).panels
-    p, q = np.nonzero(np.tri(P, k=-2, dtype=bool))
-    keep = p - q < P - 1                              # (P-1, 0) are adjacent
-    p, q = p[keep], q[keep]
-    rank = _panel_rank(s.mesh)
+    panels = (group or MirrorGroup.trivial(s.ndof, s.mesh.n_panels)).panels
+    close = []
 
-    def keys():
-        for g in rank[panels]:
-            a, b = g[p], g[q]
-            yield np.maximum(a, b) * P + np.minimum(a, b)
+    def admissible():
+        for p, q, stab, far in _separated_orbits(s, panels):
+            close.append((p[~far], q[~far], stab[~far]))
+            yield p[far], q[far], stab[far]
 
-    reps, stab = _orbits(keys())
-    p, q = p[reps], q[reps]
-    far = _admissible_pairs(s.mesh)[panels[:, p], panels[:, q]].all(axis=0)
-    swap = rank[p] < rank[q]
-    p, q = np.where(swap, q, p), np.where(swap, p, q)
-    for rule, c in ((gauss_rule(_coarse_n(quad_n)), far), (gauss_rule(quad_n), ~far)):
-        yield from _pair_blocks(s, rule, p[c], q[c], stab[c])
+    yield from _pair_blocks(s, gauss_rule(_coarse_n(quad_n)), admissible())
+    yield from _pair_blocks(s, gauss_rule(quad_n), close)
 
 
 def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
@@ -242,24 +311,24 @@ def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     the orbit's other panels and edges.  Each block is scaled by one over
     its stabilizer's order (see ``_mean_over_stabilizer``).
 
-    Returns the row and column dof ids (K, l+1) and the blocks (K, l+1,
+    Returns the row and column dof ids (R, l+1) and the blocks (R, l+1,
     l+1) of the basis pairing and of the derivative pairing: first the
     identical pairs (p, p), each block one mirror half X of the pair block
     X + X^T, then the adjacent pairs (p, p+1).  With the trivial group
     these are all P of each, in panel order.  The representative of an
     orbit is its panel of least rank (``_panel_rank``), or its edge
-    (p, p+1) of least rank of p; both are evaluated on the sub-mesh of
-    the representatives and their next neighbours.  Distances come from
-    chords in panel-relative coordinates: chi(u + dt (t - u)) - chi(u)
-    inside a panel, and the chords from the shared vertex chi(t1_p) =
-    chi(t0_q) for adjacent panels.
+    (p, p+1) of least rank of p.  Distances come from chords in
+    panel-relative coordinates: chi(u + dt (t - u)) - chi(u) inside a
+    panel, and the chords from the shared vertex chi(t1_p) = chi(t0_q)
+    for adjacent panels.
 
-    Each chart quantity is evaluated once per distinct reference node.
-    The identical rule is two mirror halves, (t, u, w, d) and (u, t, w,
-    -d), with one |chord|; only the first is evaluated.  The adjacent
-    rule's offsets and u nodes share one node set, on which both vertex
-    chord families are evaluated and gathered.  The speeds of both rules
-    come from one ``panel_speeds`` call.
+    The representatives are evaluated in chunks of _CHUNK kernel entries,
+    each on the sub-meshes of its panels p and q.  Each chart quantity is
+    evaluated once per distinct reference node, found once per call.  The
+    identical rule is two mirror halves, (t, u, w, d) and (u, t, w, -d),
+    with one |chord|; only the first is evaluated.  The adjacent rule's
+    offsets and u nodes share one node set, on which both vertex chord
+    families are evaluated and gathered.
     """
     m, ell, P = s.mesh, s.degree, s.mesh.n_panels
     group = group or MirrorGroup.trivial(s.ndof, P)
@@ -270,41 +339,53 @@ def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     # an element that reverses the orientation maps the edge (p, p+1) onto
     # the edge that starts at the image of p + 1
     eds, ed_stab = _orbits(rank[np.where(group.reverses[:, None], panels[:, nxt], panels)])
-    sub = np.unique(np.concatenate([ids, eds, nxt[eds]]))
-    m = Mesh(m.geometry, *(x[sub] for x in (m.chart, m.t0, m.t1, m.length, m.qlength)))
-    li, le, ln = (np.searchsorted(sub, x) for x in (ids, eds, nxt[eds]))
 
     r_id = pair_rule("identical", quad_n)
     r_ad = pair_rule("adjacent", quad_n)
     half, n_ad = r_id.weights.size // 2, r_ad.weights.size
-    t_id, u_id = r_id.tnodes[:half], r_id.unodes[:half]
-
-    # speeds at the t and u nodes of the identical half and of the adjacent rule
-    nodes, at_node = np.unique(np.concatenate([t_id, u_id, r_ad.tnodes, r_ad.unodes]),
-                               return_inverse=True)
-    speed, dt = panel_speeds(m, nodes)
-    sp = np.split(speed[:, at_node], np.cumsum([half, half, n_ad]), axis=1)
-    # the adjacent chords chi(t1 - dt s) - chi(t0' + dt' u) from the vertex
+    t_id, u_id, d_id = r_id.tnodes[:half], r_id.unodes[:half], r_id.offsets[:half]
     steps, at_step = np.unique(np.concatenate([r_ad.offsets, r_ad.unodes]), return_inverse=True)
-    c_ad = (panel_chords(m, 1.0, -steps)[le[:, None], at_step[:n_ad]]
-            - panel_chords(m, 0.0, steps)[ln[:, None], at_step[n_ad:]])
-    c_id = panel_chords(m, u_id, r_id.offsets[:half])[li]
 
-    blocks = []
-    for t, u, w, chord, sp_t, sp_u, p, q in (
-            (t_id, u_id, r_id.weights[:half], c_id, sp[0], sp[1], li, li),
-            (r_ad.tnodes, r_ad.unodes, r_ad.weights, c_ad, sp[2], sp[3], le, ln)):
-        wk = w * _log_kernel_r2(chord[..., 0] ** 2 + chord[..., 1] ** 2)    # (R, n)
-        wv = wk * sp_t[p] * sp_u[q] * (dt[p] * dt[q])[:, None]
-        blocks.append((panel_products(wv, reference_basis(ell, t), reference_basis(ell, u)),
-                       panel_products(wk, reference_basis_deriv(ell, t),
-                                      reference_basis_deriv(ell, u))))
-    (id_val, id_der), (ad_val, ad_der) = blocks
+    def id_chords(mp, mq):
+        return panel_chords(mp, u_id, d_id)
+
+    def ad_chords(mp, mq):
+        # chi(t1 - dt s) - chi(t0' + dt' u) from the shared vertex
+        c = panel_chords(mp, 1.0, -steps)[:, at_step[:n_ad]]
+        c -= panel_chords(mq, 0.0, steps)[:, at_step[n_ad:]]
+        return c
+
+    def sub(rows):
+        return Mesh(m.geometry, *(x[rows] for x in (m.chart, m.t0, m.t1, m.length, m.qlength)))
+
+    R = ids.size + eds.size
+    val, der = np.empty((R, ell + 1, ell + 1)), np.empty((R, ell + 1, ell + 1))
+    start = 0
+    for t, u, w, chords, ps, qs in ((t_id, u_id, r_id.weights[:half], id_chords, ids, ids),
+                                    (r_ad.tnodes, r_ad.unodes, r_ad.weights, ad_chords,
+                                     eds, nxt[eds])):
+        (tn, at_t), (un, at_u) = (np.unique(x, return_inverse=True) for x in (t, u))
+        Vt, Vu = reference_basis(ell, t), reference_basis(ell, u)
+        Dt, Du = reference_basis_deriv(ell, t), reference_basis_deriv(ell, u)
+        size = max(1, _CHUNK // w.size)
+        for i in range(0, ps.size, size):
+            mp, mq = sub(ps[i:i + size]), sub(qs[i:i + size])
+            chord = chords(mp, mq)
+            wk = _log_kernel_r2(chord[..., 0] ** 2 + chord[..., 1] ** 2)    # (C, n)
+            del chord
+            wk *= w
+            (sp_t, dt_p), (sp_u, dt_q) = panel_speeds(mp, tn), panel_speeds(mq, un)
+            wv = wk * sp_t[:, at_t]
+            wv *= sp_u[:, at_u]
+            wv *= (dt_p * dt_q)[:, None]
+            rows = slice(start + i, start + i + wv.shape[0])
+            val[rows] = panel_products(wv, Vt, Vu)
+            del wv
+            der[rows] = panel_products(wk, Dt, Du)
+        start += ps.size
     return (np.concatenate([s.conn[ids], s.conn[eds]]),
             np.concatenate([s.conn[ids], s.conn[nxt[eds]]]),
-            *_mean_over_stabilizer(np.concatenate([id_stab, ed_stab]),
-                                   np.concatenate([id_val, ad_val]),
-                                   np.concatenate([id_der, ad_der])))
+            *_mean_over_stabilizer(np.concatenate([id_stab, ed_stab]), val, der))
 
 
 def _scatter(dofs, blocks):

@@ -153,12 +153,19 @@ def _arc_lengths(g: Geometry, chart, t0, t1):
                            for c, a, b in chart_runs(chart)])
 
 
+def _midpoint(t0, t1):
+    """The float midpoint of [t0, t1] at which a panel is bisected, and
+    whether it lies strictly inside; for arrays or floats."""
+    mid = 0.5 * (t0 + t1)
+    return mid, (t0 < mid) & (mid < t1)
+
+
 def _bisect(m: Mesh, split) -> Mesh:
     """The mesh with every panel where the mask ``split`` holds replaced by
     its two halves; each half gets exactly half of its parent's normalized
     size.  A panel whose float midpoint is not strictly inside it raises."""
-    mid = 0.5 * (m.t0[split] + m.t1[split])
-    flat = np.flatnonzero(split)[(mid <= m.t0[split]) | (m.t1[split] <= mid)]
+    mid, inside = _midpoint(m.t0[split], m.t1[split])
+    flat = np.flatnonzero(split)[~inside]
     if flat.size:
         i = flat[0]
         raise ValueError(f"cannot bisect the panel [{float(m.t0[i])!r}, {float(m.t1[i])!r}] of "
@@ -258,8 +265,9 @@ def deepest_level(g: Geometry, levels: int, rounds_per_level: int = 4) -> int:
     A level bisects each initial panel at an anchor point (1 +
     rounds_per_level) * k times toward the anchor, uniform rounds and
     corner rounds alike, and these are the smallest panels.  So the float
-    midpoint chain of each such panel is replayed as ``_bisect`` computes
-    it, until its midpoint is no longer a float strictly inside it."""
+    midpoint chain of each such panel is replayed through ``_bisect``'s
+    ``_midpoint``, until its midpoint is no longer a float strictly inside
+    it."""
     edges, per_step = _chart_edges(g, _initial_per_chart(g)), 1 + rounds_per_level
     steps = per_step * levels
     for corner in g.corners:
@@ -271,8 +279,8 @@ def deepest_level(g: Geometry, levels: int, rounds_per_level: int = 4) -> int:
                     continue
                 span, far = [float(e[j]), float(e[j + 1])], int(j == i)
                 for done in range(steps):
-                    mid = 0.5 * (span[0] + span[1])
-                    if not span[0] < mid < span[1]:
+                    mid, inside = _midpoint(*span)
+                    if not inside:
                         steps = done
                         break
                     span[far] = mid

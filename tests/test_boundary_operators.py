@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 from calderon_bench import boundary_operators as bops
 from calderon_bench import cli, fespace
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
-                                               _admissible_pairs, _far_field, _log_kernel_r2,
+                                               _admissible, _far_field, _log_kernel_r2,
                                                _near_field, _scatter,
                                                assemble_operator_pair, write_dense_matrix)
 from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
@@ -303,6 +303,11 @@ def _full_order_far_field(s, quad_n):
     return A_val, A_der, np.asarray(S_val.sum(axis=0)).ravel()
 
 
+def _admissible_mask(mesh):
+    """(P, P) mask of ``_admissible`` over every ordered panel pair."""
+    return _admissible(mesh, *np.indices((mesh.n_panels,) * 2))
+
+
 FAR_CASES = {
     "square-6-p3": lambda: corner_space("square", 6, 3),
     "ellipse-6-p1": lambda: corner_space("ellipse", 6, 1),
@@ -354,7 +359,7 @@ def test_far_field_evaluates_each_separated_pair_once(case, monkeypatch):
     monkeypatch.setattr(bops, "_log_kernel_r2", counted)
     s = FAR_CASES[case]()
     P = s.mesh.n_panels
-    admissible = int(_admissible_pairs(s.mesh).sum()) // 2
+    admissible = int(_admissible_mask(s.mesh).sum()) // 2
     close = P * (P - 1) // 2 - P - admissible        # P adjacent pairs on the ring
     for _ in _far_field(s, QUAD_N):
         pass
@@ -363,22 +368,30 @@ def test_far_field_evaluates_each_separated_pair_once(case, monkeypatch):
 
 
 def test_assembly_allocation_peak():
-    """The far field holds one block of pairs at a time: the allocation peak
-    of a level-5 ellipse assembly (degree 1, N = 416) stays below 43 MiB
-    (measured: 9.3 MiB; a column-chunked far field with two buffers of
-    6P x 1020 floats read 65.3 MiB).  A and B are formed in the two scatter
-    buffers, so the level-5 cubic square (N = 1248, 11.9 MiB per N x N
-    array) stays below 45 MiB (measured: 30.6 MiB; with A = Z + Z^T and
-    B = Z_der + Z_der^T as new arrays it read 59.7 MiB)."""
-    for kind, ell, bound in (("ellipse", 1, 43), ("square", 3, 45)):
-        s = corner_space(kind, 5, ell)
+    """Besides A and B, formed in the two scatter buffers, assembly holds
+    O(P) arrays and one chunk of kernel entries: the orbits of separated
+    pairs are found by row blocks with admissibility per pair, and both
+    fields are evaluated in chunks.  Measured peaks, against those of an
+    orbit search over all P^2/2 pairs with a P x P admissibility mask and
+    a near field over all its representatives at once, which set the
+    peak before:
+    - level-5 linear ellipse (N = 416, 2.6 MiB of A and B): 5.3 MiB,
+      against 9.3 MiB;
+    - level-5 cubic square (N = 1248, 23.8 MiB of A and B): 27.0 MiB,
+      against 30.5 MiB (with A and B as new arrays beside the buffers it
+      read 59.7 MiB);
+    - level-6 linear ellipse (N = 704, the trivial group, so every pair
+      is its own orbit; 7.6 MiB of A and B): 10.8 MiB, against 36.7 MiB."""
+    for kind, k, ell, bound in (("ellipse", 5, 1, 6), ("square", 5, 3, 29),
+                                ("ellipse", 6, 1, 20)):
+        s = corner_space(kind, k, ell)
         tracemalloc.start()
         try:
             assemble_operator_pair(s, QUAD_N, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * 2 ** 20, (kind, peak / 2 ** 20)
+        assert peak <= bound * 2 ** 20, (kind, k, peak / 2 ** 20)
 
 
 @pytest.mark.parametrize("k, ell", [(1, 3), (5, 3)])
@@ -428,7 +441,7 @@ def test_close_pairs_never_admissible(case):
     h = np.array([p.length for p in mesh.panels])
     c = ends.mean(axis=1)
     gap = np.linalg.norm(c[:, None] - c[None], axis=-1) - (h[:, None] + h[None]) / 2
-    far = _admissible_pairs(mesh)
+    far = _admissible_mask(mesh)
     assert np.array_equal(far, far.T)
     assert not far[gap < 2.0 * np.maximum.outer(h, h)].any()
     ring = np.arange(P)
@@ -441,8 +454,7 @@ def test_close_pass_is_the_full_order_rule(monkeypatch):
     """With no pair admissible, every separated pair takes the close pass,
     which must then reproduce the full-order sweep up to summation order."""
     s = corner_space("square", 2, 3)
-    monkeypatch.setattr(bops, "_admissible_pairs",
-                        lambda mesh: np.zeros((mesh.n_panels,) * 2, dtype=bool))
+    monkeypatch.setattr(bops, "_admissible", lambda mesh, p, q: np.zeros(np.shape(p), dtype=bool))
     A_val, A_der = _far_sum(s)
     R_val, R_der, m_ref = _full_order_far_field(s, QUAD_N)
     for got, ref in ((A_val, R_val), (A_der, R_der)):
@@ -567,10 +579,12 @@ def _pair_orbits(s):
     return orbits
 
 
-def _one_admissible_pair_made_close(mesh):
-    far = _admissible_pairs(mesh)
-    p, q = np.argwhere(np.tril(far, -1))[0]
-    far[p, q] = far[q, p] = False
+def _one_admissible_pair_made_close(mesh, p, q):
+    """``_admissible`` with the first admissible pair a > b in row order,
+    and its transpose, made close."""
+    far = _admissible(mesh, p, q)
+    a, b = np.argwhere(np.tril(_admissible_mask(mesh), -1))[0]
+    far[((p == a) & (q == b)) | ((p == b) & (q == a))] = False
     return far
 
 
@@ -589,11 +603,11 @@ def test_far_field_evaluates_each_orbit_once(kind, ell, ratio, monkeypatch):
         return _log_kernel_r2(r2)
 
     monkeypatch.setattr(bops, "_log_kernel_r2", counted)
-    monkeypatch.setattr(bops, "_admissible_pairs", _one_admissible_pair_made_close)
+    monkeypatch.setattr(bops, "_admissible", _one_admissible_pair_made_close)
     n_c = -(-QUAD_N // 2)
     for k in (2, 3):
         s = corner_space(kind, k, ell)
-        far = _one_admissible_pair_made_close(s.mesh)
+        far = _one_admissible_pair_made_close(s.mesh, *np.indices((s.mesh.n_panels,) * 2))
         orbits = _pair_orbits(s)
         admissible = sum(all(far[tuple(pair)] for pair in orbit) for orbit in orbits)
         calls.clear()

@@ -37,21 +37,27 @@ def test_run_single_level_lumped():
 
 
 def test_run_allocation_peak():
-    """One level is alive at a time, M is sparse from the start, and A and B
-    are folded in their scatter buffers: the allocation peak of the
-    benchmark's square-p3-corner table (five levels, N = 1248 at the last)
-    stays below 50 MiB (measured: 33.1 MiB, at the level-5 blocks; with
-    the previous level alive through assembly, a dense M and A, B formed
-    as new arrays it read 75.0 MiB, at assembly)."""
-    cfg = ExperimentConfig(geometry="square", degree=3, levels=5, inner_product="exact",
-                           preconds=ALL_SIX)
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 50 * 2 ** 20, peak / 2 ** 20
+    """One level is alive at a time, M is sparse from the start, A and B
+    are folded in their scatter buffers, and assembly holds only O(P)
+    arrays and one chunk besides them.  The allocation peaks of the
+    benchmark's tables (five levels) stay below these bounds:
+    - square-p3-corner (N = 1248 at the last level): 50 MiB (measured:
+      33.1 MiB, at the level-5 blocks; with the previous level alive
+      through assembly, a dense M and A, B formed as new arrays it read
+      75.0 MiB, at assembly);
+    - ellipse-p1-averaged (N = 416): 6.5 MiB (measured: 5.4 MiB, at the
+      level-5 assembly; with an orbit search over all P^2/2 panel pairs
+      and a P x P admissibility mask it read 9.4 MiB)."""
+    for fields, bound in ((dict(geometry="square", degree=3, inner_product="exact"), 50),
+                          (dict(geometry="ellipse", degree=1, inner_product="mesh-averaged"), 6.5)):
+        cfg = ExperimentConfig(levels=5, preconds=ALL_SIX, **fields)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20, (fields, peak / 2 ** 20)
 
 
 def test_rows_are_ordered_and_finite(tiny_rows):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from calderon_bench.boundary_operators import _admissible_pairs, _coarse_n, _near_field
+from calderon_bench.boundary_operators import _admissible, _coarse_n, _near_field
 from calderon_bench.fespace import reference_basis_deriv
 from calderon_bench.geometry import make_geometry
 from calderon_bench.mesh import initial_mesh, panel_samples, refine
@@ -346,7 +346,7 @@ def _separated_oracle(s, p):
 def _far_field_pair(s, p, q, quad_n=12):
     """The far field's tensor-Gauss value of the pair, from its samples, at
     the order the program's pair classification gives it."""
-    g = gauss_rule(_coarse_n(quad_n) if _admissible_pairs(s.mesh)[p, q] else quad_n)
+    g = gauss_rule(_coarse_n(quad_n) if _admissible(s.mesh, p, q) else quad_n)
     pts, speed, dt = panel_samples(s.mesh, g.nodes)
     r2 = ((pts[p][:, None, :] - pts[q][None, :, :]) ** 2).sum(-1)
     wa, wb = g.weights * speed[p] * dt[p], g.weights * speed[q] * dt[q]
@@ -388,6 +388,6 @@ def test_level6_corner_pairs_within_budget(kind, ell):
         }
         for name, (got, ref) in checks.items():
             assert abs(got / ref - 1) <= NEAR_BUDGET, (kind, t, name, got, ref)
-        assert not _admissible_pairs(s.mesh)[b, (c + 1) % P], (kind, t)
+        assert not _admissible(s.mesh, b, (c + 1) % P), (kind, t)
         got, ref = _far_field_pair(s, b, (c + 1) % P), _separated_oracle(s, b)
         assert abs(got / ref - 1) <= SEPARATED_BUDGET, (kind, t, got, ref)
