@@ -30,46 +30,57 @@ maps, orientations and dof maps come from the space's record
 (``FeSpace.mirrors``).  So the identical pairs take one panel per panel
 orbit, the adjacent pairs one edge per edge orbit, and the separated
 pairs one pair per pair orbit; a pair orbit is admissible only if every
-pair in it is.  Each block is copied to its images through the dof maps,
-and an image that several elements give (an object a mirror fixes) takes
-the mean of their copies.  The representative of an orbit is chosen by
+pair in it is.  A block whose object an element fixes is scaled by one
+over the order of its stabilizer, so that the sum of its images is the
+mean of its copies.  The representative of an orbit is chosen by
 geometry, the least (chart, t0), so that a relabelling of the panels
 selects the same blocks: the quadrature is not exactly mirror-invariant
 (on the 8-panel cubic ellipse an identical-pair block and its mirror
 image differ by up to 7.8e-8 of the block).  That is about 4 times fewer
-kernel sums on the ellipse, 8 on the square; A and B commute with every
-mirror to rounding, and differ from a sweep over all pairs by up to the
-mirror residual that sweep leaves in B.  Without mirrors the group is
-trivial, and every pair is its own orbit.
+kernel sums on the ellipse, 8 on the square; A and B differ from a sweep
+over all pairs by up to the mirror residual that sweep leaves in B.
+Without mirrors the group is trivial, and every pair is its own orbit.
 
 Then one triangle: the kernel is symmetric, so every class is summed on
-one triangle of panel pairs into Z, and each matrix is Z + Z^T, symmetric
-to the bit: the identical pair contributes one mirror half X of its rule,
-the adjacent pair (p, p+1) and the separated pairs p > q their blocks
-once (an image may land in the other triangle, which Z + Z^T does not
-mind).  Z + Z^T (and B's rank-one term) is formed in Z's own buffer, one
-pair of transposed tiles at a time, so a level holds two N x N arrays,
-Z_val and Z_der, which become A and B.  Each entry is the same sum of the
-same terms as in Z + Z^T, so the result is the same to the bit.
+one triangle of panel pairs into Z, and each matrix is Z + Z^T: the
+identical pair contributes one mirror half X of its rule, the adjacent
+pair (p, p+1) and the separated pairs p > q their blocks once (an image
+may land in the other triangle, which Z + Z^T does not mind).
 
-Working memory: besides Z_val and Z_der, assembly holds O(P) arrays and
-one chunk.  The separated pair orbits are found one row block of panels
-at a time, admissibility is decided per pair (``_admissible``) and ANDed
+Each block is written once.  Z is the sum of every block at each of its
+images under the group, so it commutes with the group, and its row i is
+the row of i's dof-orbit representative (the least dof of the orbit)
+with columns permuted by an element that maps i back to it.  So each
+entry of a block is added once, at the row of its representative, in
+the N x N buffer that becomes its matrix (Allgower, Boehmer, Georg and
+Miranda, "Exploiting symmetry in boundary element methods", SIAM J.
+Numer. Anal. 29, 1992: a fundamental part, and the rest by the group).
+Z + Z^T (and B's rank-one term) is formed on the representatives' rows
+alone, and every other row is copied from them through the dof maps.
+A and B are then symmetric, and commute with every mirror, to the bit.
+With the trivial group every row is a representative, and this is the
+plain one-triangle sum and Z + Z^T.
+
+Working memory: besides A and B, assembly holds O(P) arrays and one
+chunk.  The separated pair orbits are found one row block of panels at
+a time, admissibility is decided per pair (``_admissible``) and ANDed
 over each orbit's images, and the admissible orbits are evaluated as
 they are found, so no P x P array and no array over all P^2/2 pairs is
 made.  Both the far and the near field evaluate the kernel in chunks of
 _CHUNK = 73,728 entries: 2048 admissible pairs or 512 close pairs at the
 default quad_n = 12, or 184 identical or 153 adjacent near-field
 representatives.  A chunk's working arrays are a few of _CHUNK floats
-(0.6 MB each), so the two N x N buffers set the peak: a level-5 assembly
-peaks at 5.3 MiB on the linear ellipse (2.6 MiB of A and B) and at
-27.0 MiB on the cubic square (23.8 MiB of A and B).
+(0.6 MB each); Z + Z^T and the copies work in place, in row blocks of a
+quarter chunk.  So A and B set the peak: a level-5 assembly peaks at
+5.3 MiB on the linear ellipse (2.6 MiB of A and B) and at 27.0 MiB on
+the cubic square (23.8 MiB of A and B).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +104,6 @@ _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)
 # kernel entries per chunk of the far and the near field (see the module
 # docstring): 2048 admissible pairs of 6 x 6 points at quad_n = 12
 _CHUNK = 2048 * 36
-_TILE = 128  # rows and columns of one tile of the in-place Z + Z^T
 # a separated panel pair is admissible, and takes the coarse rule of
 # _coarse_n(quad_n) points per panel, when its gap is at least _ETA times
 # its larger panel.  Measured on the level-5 square, degree 3, against the
@@ -195,11 +205,11 @@ def _mean_over_stabilizer(stab, *blocks):
     """Divide each block in place by ``stab`` (R,), the number of group
     elements that map its object onto itself (a power of 2, so exact).
 
-    ``_scatter`` adds a block at its images under every element, so an
-    object fixed by k elements gets k copies, each permuted by one of them.
-    Scaled, their sum is the mean of the block over its stabilizer, which
-    the quadrature keeps only to its own accuracy; the sum of all images
-    then commutes with the group to rounding."""
+    A and B hold each block at its images under every element (see
+    ``_write``), so an object fixed by k elements gets k copies, each
+    permuted by one of them.  Scaled, their sum is the mean of the block
+    over its stabilizer, which the quadrature keeps only to its own
+    accuracy."""
     fixed = np.flatnonzero(stab > 1)
     for b in blocks:
         b[fixed] /= stab[fixed, None, None]
@@ -283,7 +293,7 @@ def _separated_orbits(s: FeSpace, panels):
 def _far_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     """Gauss log-kernel blocks of one panel pair per orbit of the separated
     pairs under the mirror group ``group`` (the trivial group by default),
-    for ``_scatter`` to copy to the orbit's other pairs.
+    for ``_write`` to copy to the orbit's other pairs.
 
     The orbits come from ``_separated_orbits``.  The admissible ones take
     a tensor Gauss rule of ceil(quad_n / 2) points per panel, and are
@@ -307,7 +317,7 @@ def _far_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
 def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     """Identical and adjacent panel-pair blocks on one triangle of the
     symmetric kernel, one panel and one edge per orbit of the mirror group
-    ``group`` (the trivial group by default), for ``_scatter`` to copy to
+    ``group`` (the trivial group by default), for ``_write`` to copy to
     the orbit's other panels and edges.  Each block is scaled by one over
     its stabilizer's order (see ``_mean_over_stabilizer``).
 
@@ -388,43 +398,123 @@ def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
             *_mean_over_stabilizer(np.concatenate([id_stab, ed_stab]), val, der))
 
 
-def _scatter(dofs, blocks):
-    """The sums Z_val and Z_der (N, N) of the blocks (rows, cols, val, der)
-    at their rows and columns mapped by each of the group's dof maps
-    ``dofs`` (|G|, N): every block at every one of its images.  The last
-    block is released on return; ``_fold`` then turns the two buffers into
-    A and B in place."""
+class _DofOrbits(NamedTuple):
+    """The orbits of the dofs under a mirror group, from its dof maps
+    ``dofs`` (|G|, N): the representatives ``reps`` (R,), each orbit's least
+    dof; for every dof i its representative ``rep[i]`` and an element
+    ``elem[i]`` that maps rep[i] to i; ``inv`` (|G|, N), the inverse of
+    every element's map; and for every dof an element other than the
+    identity that fixes it, or the identity (``fix``).  A point of a
+    curve other than the mirror centre lies on at most one mirror, so no
+    dof is fixed by more than one element besides the identity."""
+
+    dofs: np.ndarray
+    reps: np.ndarray
+    rep: np.ndarray
+    elem: np.ndarray
+    inv: np.ndarray
+    fix: np.ndarray
+
+
+def _dof_orbits(dofs) -> _DofOrbits:
+    """The orbit tables of the dof maps ``dofs`` (|G|, N), row 0 the
+    identity."""
     N = dofs.shape[1]
-    Z_val, Z_der = np.zeros(N * N), np.zeros(N * N)
+    rep = dofs.min(axis=0).astype(np.int32)
+    inv = np.empty(dofs.shape, dtype=np.int32)
+    np.put_along_axis(inv, dofs, np.arange(N, dtype=np.int32)[None], axis=1)
+    fixed = dofs == np.arange(N)
+    fixed[0] = False
+    return _DofOrbits(dofs, np.flatnonzero(rep == np.arange(N)), rep,
+                      np.argmax(dofs[:, rep] == np.arange(N), axis=0).astype(np.int8), inv,
+                      fixed.argmax(axis=0).astype(np.int8))
+
+
+def _write(o: _DofOrbits, blocks, alpha, m):
+    """A = Z_val + Z_val^T and B = Z_der + Z_der^T + alpha m~ m~^T, for Z the
+    sums of the blocks (rows, cols, val, der) at their images under every
+    element of the group, with m~ = m at each dof's representative.
+
+    Z commutes with the group, so its row i is row rep[i] with columns
+    permuted by e_i^-1, e_i = elem[i].  So an entry (i, j) of a block is
+    added once, at (rep[i], e_i^-1(j)), in the N x N buffer that becomes
+    its matrix.  A representative r fixed by a mirror h also takes the
+    entries that the images under h put in its row: its row plus the row
+    permuted by h, which is h-invariant to the bit.  ``_pair`` forms Z +
+    Z^T on the rows of the representatives, and every other row is copied
+    from them, row g(r) from row r with columns permuted by g^-1, one row
+    block at a time."""
+    N = o.rep.size
+    A, B = np.zeros((N, N)), np.zeros((N, N))
+    a, b = A.reshape(-1), B.reshape(-1)
     for rows, cols, val, der in blocks:
-        for d in dofs:
-            idx = (d[rows][:, :, None] * N + d[cols][:, None, :]).ravel()  # 1-D: the fast path
-            np.add.at(Z_val, idx, val.ravel())
-            np.add.at(Z_der, idx, der.ravel())
-    return Z_val.reshape(N, N), Z_der.reshape(N, N)
+        idx = o.inv[o.elem[rows][:, :, None], cols[:, None, :]]
+        idx += o.rep[rows][:, :, None] * N
+        np.add.at(a, idx.ravel(), val.ravel())
+        np.add.at(b, idx.ravel(), der.ravel())
+    fixed = o.reps[o.fix[o.reps] > 0]
+    h = o.dofs[o.fix[fixed]]                            # (F, N): the mirror of each
+    for X in (A, B):
+        X[fixed] += X[fixed[:, None], h]
+    _pair(o, (A, "single layer", 0.0, None), (B, "stabilized hypersingular", alpha, m[o.rep]))
+    i, j = np.nonzero(h < np.arange(N))                 # the columns _pair leaves out
+    step = _rows_per_block(N)
+    for X in (A, B):
+        X[fixed[i], j] = X[fixed[i], h[i, j]]
+        for k in range(0, o.reps.size, step):
+            r = o.reps[k:k + step]
+            T = X[r]
+            for g, ginv in zip(o.dofs[1:], o.inv[1:]):
+                X[g[r]] = T[:, ginv]
+    return A, B
 
 
-def _fold(Z, what, alpha=0.0, m=None):
-    """Z + Z^T, plus alpha m m^T if ``m`` is given, written into Z itself.
+def _rows_per_block(N):
+    """Rows of an N-column block of about _CHUNK / 4 entries."""
+    return max(1, _CHUNK // (4 * N))
 
-    One pass over the tile pairs (I, J) with I <= J: S = Z[I, J] + Z[J, I]^T
-    (+ alpha outer(m[I], m[J])) goes to Z[I, J] and S^T to Z[J, I], so the
-    entries (i, j) and (j, i) are the same sum, as in Z + Z^T.  A tile with
-    a non-finite entry raises AssemblyError naming ``what``.
-    """
-    N = Z.shape[0]
-    for i in range(0, N, _TILE):
-        I = slice(i, i + _TILE)
-        for j in range(i, N, _TILE):
-            J = slice(j, j + _TILE)
-            S = Z[I, J] + Z[J, I].T
+
+def _pair(o: _DofOrbits, *targets):
+    """Z + Z^T (+ alpha outer(m, m)) on the rows of the representatives,
+    in place, for each (Z, what, alpha, m) of ``targets``; a non-finite
+    entry raises AssemblyError naming ``what``.
+
+    Entry (r, c) of Z^T is Z[c, r] = Z[rep[c], e_c^-1(r)], its partner.  A
+    row r fixed by a mirror h holds equal entries at c and h(c), so only
+    the canonical column of each such pair, the lesser, is formed here,
+    and a partner is taken at the canonical column of its row.  Between
+    canonical entries the partner map is then an involution, so each pair
+    is summed once, by the one of its entries with the lesser flat index,
+    and written at both, as by the tile pairs of a plain Z + Z^T: with
+    the trivial group this pairs the upper triangle with the lower.  The
+    partner index is built once per row block for all targets."""
+    N = o.rep.size
+    col = np.arange(N)
+    inv, at = o.inv.reshape(-1), o.elem.astype(np.intp) * N   # flat e_c^-1 of column c
+    row_at = o.rep.astype(np.intp) * N
+    cf = np.flatnonzero(o.fix[o.rep])                  # columns of orbits a mirror fixes
+    hf = o.dofs[o.fix[o.rep[cf]]]
+    flat = [X.reshape(-1) for X, _, _, _ in targets]
+    step = _rows_per_block(N)
+    for k in range(0, o.reps.size, step):
+        r = o.reps[k:k + step]
+        pc = inv[at + r[:, None]]
+        p = pc[:, cf]
+        pc[:, cf] = np.minimum(p, hf[np.arange(cf.size), p])
+        here, there = r[:, None] * N + col, row_at + pc
+        keep = here <= there
+        for f in np.flatnonzero(o.fix[r]):
+            keep[f] &= col <= o.dofs[o.fix[r[f]]]
+        here, there = here[keep], there[keep]
+        for z, (_, what, alpha, m) in zip(flat, targets):
+            S = z[here]
+            S += z[there]
             if m is not None:
-                S += alpha * np.outer(m[I], m[J])
+                S += alpha * (m[r][:, None] * m)[keep]
             if not np.isfinite(S).all():
                 raise AssemblyError(f"{what}: non-finite entries")
-            Z[I, J] = S
-            Z[J, I] = S.T
-    return Z
+            z[here] = S
+            z[there] = S
 
 
 def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
@@ -444,11 +534,9 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     if s.mesh.n_panels < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
     group = s.mirrors
-    Z_val, Z_der = _scatter(group.dofs, chain([_near_field(s, quad_n, group)],
-                                              _far_field(s, quad_n, group)))
-    A = _fold(Z_val, "single layer")
-    B = _fold(Z_der, "stabilized hypersingular", alpha, lumped_matrix(s, "exact", n_quad=quad_n))
-    return A, B
+    return _write(_dof_orbits(group.dofs), chain([_near_field(s, quad_n, group)],
+                                                 _far_field(s, quad_n, group)),
+                  alpha, lumped_matrix(s, "exact", n_quad=quad_n))
 
 
 def write_dense_matrix(Mt: np.ndarray, path):

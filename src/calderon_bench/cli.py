@@ -429,6 +429,20 @@ def _verify_checks():
         detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 
+    def assembly_symmetry():
+        # every row of A and B is a copy of a representative's row under the
+        # mirror group, so both are symmetric and commute with each mirror
+        # to the bit
+        ok = True
+        for g, ell, n_gens in ((gs, 3, 3), (ge, 1, 2)):
+            s = build_space(corner_schedule(g, 2), ell)
+            perms = s.mirrors.perms
+            ok &= len(perms) == n_gens
+            for X in bops.assemble_operator_pair(s):
+                ok &= np.array_equal(X, X.T)
+                ok &= all(np.array_equal(X[np.ix_(p, p)], X) for p in perms)
+        return bool(ok)
+
     def duals_quick():
         ok, detail = True, []
         for ell in (1, 3):
@@ -450,6 +464,8 @@ def _verify_checks():
         ("richardson reference weights", richardson_weights),
         ("richardson contraction, level-3 square", richardson_contraction),
         ("kappa coincidence and scaling", kappa_identities),
+        ("assembly symmetry and mirror invariance, level-2 square and ellipse",
+         assembly_symmetry),
         ("kappa by mirror blocks, level-3 square and ellipse", mirror_blocks),
         ("dual basis biorthogonality, degrees 1 and 3, level-1 square", duals_quick),
     ]

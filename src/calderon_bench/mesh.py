@@ -12,7 +12,9 @@ Refinement bisects panels at the parameter midpoint, all marked panels as
 one array operation, and raises where that midpoint is not a float strictly
 inside the panel; a uniform K-mesh property (neighbouring sizes within a
 factor 2) is enforced by recursive closure bisections after every local
-refinement.
+refinement.  The rounds read only the charts, the parameters and the
+normalized sizes, so a new panel's arc length is computed once, when the
+mesh is returned (``_measure``).
 
 The closure compares speed-normalized sizes: an initial panel gets its
 chart's parameter length over the panel count times the chart's average
@@ -163,7 +165,8 @@ def _midpoint(t0, t1):
 def _bisect(m: Mesh, split) -> Mesh:
     """The mesh with every panel where the mask ``split`` holds replaced by
     its two halves; each half gets exactly half of its parent's normalized
-    size.  A panel whose float midpoint is not strictly inside it raises."""
+    size, and NaN for its arc length, which ``_measure`` fills in.  A panel
+    whose float midpoint is not strictly inside it raises."""
     mid, inside = _midpoint(m.t0[split], m.t1[split])
     flat = np.flatnonzero(split)[~inside]
     if flat.size:
@@ -177,8 +180,20 @@ def _bisect(m: Mesh, split) -> Mesh:
     t1[left] = t0[left + 1] = mid
     halves = np.flatnonzero(np.repeat(split, reps))   # both halves, in mesh order
     q[halves] *= 0.5
-    length[halves] = _arc_lengths(m.geometry, chart[halves], t0[halves], t1[halves])
+    length[halves] = np.nan
     return Mesh(m.geometry, chart, t0, t1, length, q)
+
+
+def _measure(m: Mesh) -> Mesh:
+    """The mesh with the arc length of every panel whose length is NaN.
+    ``_arc_lengths`` does not depend on the batch, so a panel measured
+    after many bisections gets the length it would have got when made."""
+    todo = np.flatnonzero(np.isnan(m.length))
+    if not todo.size:
+        return m
+    length = m.length.copy()
+    length[todo] = _arc_lengths(m.geometry, m.chart[todo], m.t0[todo], m.t1[todo])
+    return Mesh(m.geometry, m.chart, m.t0, m.t1, length, m.qlength)
 
 
 def _kmesh_close(m: Mesh) -> Mesh:
@@ -206,12 +221,17 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     q = np.array([(c.t1 - c.t0) / per_chart * s for c, s in zip(g.charts, g.chart_scales)])
     chart = np.repeat(np.arange(g.n_charts), per_chart)
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    return _kmesh_close(Mesh(g, chart, t0, t1, _arc_lengths(g, chart, t0, t1),
-                             np.repeat(q, per_chart)))
+    return _measure(_kmesh_close(Mesh(g, chart, t0, t1, _arc_lengths(g, chart, t0, t1),
+                                      np.repeat(q, per_chart))))
 
 
 def refine(m: Mesh, marked) -> Mesh:
     """Bisect the marked panels (by id) and restore the K-mesh property."""
+    return _measure(_refine(m, marked))
+
+
+def _refine(m: Mesh, marked) -> Mesh:
+    """``refine`` without measuring the new panels (see ``_measure``)."""
     marked = set(marked)
     if not marked:
         raise ValueError("refine: marked set is empty")
@@ -248,10 +268,10 @@ def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
         raise ValueError("corner_schedule: k must be >= 1")
     m = initial_mesh(g, _initial_per_chart(g))
     for _ in range(k):
-        m = uniform_refine(m)
+        m = _refine(m, range(m.n_panels))
     for _ in range(rounds_per_level * k):
-        m = refine(m, corner_panels(m))
-    return m
+        m = _refine(m, corner_panels(m))
+    return _measure(m)
 
 
 def _initial_per_chart(g: Geometry) -> int:

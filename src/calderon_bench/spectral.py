@@ -102,14 +102,22 @@ class BlockFactor:
 
     def project_sparse(self, S) -> list:
         """The blocks Q_k^T S Q_k (CSR, sorted rows) of a sparse symmetric S
-        that commutes with the group; no entry between blocks is formed."""
-        S = sparse.csr_matrix(S)
-        out = []
-        for Qt, _ in self.blocks:
-            P = Qt @ S @ Qt.T
-            P.sort_indices()
-            out.append(P)
-        return out
+        that commutes with the group, from one product with the stacked
+        basis Q^T: its diagonal blocks are the same sums of the same terms
+        as the products block by block.  The blocks are cut from its arrays,
+        and the entries between blocks are dropped."""
+        Q = sparse.vstack([Qt for Qt, _ in self.blocks], format="csr")
+        P = (Q @ sparse.csr_matrix(S) @ Q.T).tocsr()
+        P.sort_indices()
+        block = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        row = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        keep = block[row] == block[P.indices]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=P.shape[0]))])
+        cols, data = P.indices[keep], P.data[keep]
+        ends = np.cumsum(self.sizes)
+        return [sparse.csr_matrix((data[ptr[a]:ptr[b]], cols[ptr[a]:ptr[b]] - a,
+                                   ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
+                for a, b in zip(ends - self.sizes, ends)]
 
     def project_diagonal(self, d: np.ndarray) -> np.ndarray:
         """The diagonal of Q^T diag(d) Q, blocks concatenated; for d

@@ -10,7 +10,7 @@ from calderon_bench import boundary_operators as bops
 from calderon_bench import cli, fespace
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
                                                _admissible, _far_field, _log_kernel_r2,
-                                               _near_field, _scatter,
+                                               _near_field,
                                                assemble_operator_pair, write_dense_matrix)
 from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import AffineChart, make_geometry
@@ -368,10 +368,10 @@ def test_far_field_evaluates_each_separated_pair_once(case, monkeypatch):
 
 
 def test_assembly_allocation_peak():
-    """Besides A and B, formed in the two scatter buffers, assembly holds
-    O(P) arrays and one chunk of kernel entries: the orbits of separated
-    pairs are found by row blocks with admissibility per pair, and both
-    fields are evaluated in chunks.  Measured peaks, against those of an
+    """Besides A and B, accumulated and written in their own buffers,
+    assembly holds O(P) arrays and one chunk of kernel entries: the orbits
+    of separated pairs are found by row blocks with admissibility per
+    pair, and both fields are evaluated in chunks.  Measured peaks, against those of an
     orbit search over all P^2/2 pairs with a P x P admissibility mask and
     a near field over all its representatives at once, which set the
     peak before:
@@ -381,9 +381,11 @@ def test_assembly_allocation_peak():
       against 30.5 MiB (with A and B as new arrays beside the buffers it
       read 59.7 MiB);
     - level-6 linear ellipse (N = 704, the trivial group, so every pair
-      is its own orbit; 7.6 MiB of A and B): 10.8 MiB, against 36.7 MiB."""
+      is its own orbit; 7.6 MiB of A and B): 10.8 MiB, against 36.7 MiB.
+    Z + Z^T and the copies by the group work in place, in row blocks, so
+    they add no N x N array."""
     for kind, k, ell, bound in (("ellipse", 5, 1, 6), ("square", 5, 3, 29),
-                                ("ellipse", 6, 1, 20)):
+                                ("ellipse", 6, 1, 12)):
         s = corner_space(kind, k, ell)
         tracemalloc.start()
         try:
@@ -394,23 +396,32 @@ def test_assembly_allocation_peak():
         assert peak <= bound * 2 ** 20, (kind, k, peak / 2 ** 20)
 
 
-@pytest.mark.parametrize("k, ell", [(1, 3), (5, 3)])
-def test_fold_in_place_is_z_plus_z_transpose(k, ell):
-    """A and B, folded in the scatter buffers tile by tile, are to the bit
-    Z_val + Z_val^T and Z_der + Z_der^T + alpha m m^T formed whole.  The
-    square at degree 3 has N = 144 at level 1 and 1248 at level 5, so the
-    last tile is partial in both."""
-    s = corner_space("square", k, ell)
-    group = s.mirrors
-    Z_val, Z_der = _scatter(group.dofs, [_near_field(s, QUAD_N, group),
-                                         *_far_field(s, QUAD_N, group)])
+def _sum_over_all_images(s):
+    """A and B from every orbit block of ``_near_field`` and ``_far_field``
+    added at each of its |G| images into one triangle Z, then Z_val +
+    Z_val^T and Z_der + Z_der^T + alpha m m^T: the write that assembly
+    does once per block, done the long way."""
+    group, N = s.mirrors, s.ndof
+    Z_val, Z_der = np.zeros((N, N)), np.zeros((N, N))
+    for rows, cols, val, der in [_near_field(s, QUAD_N, group), *_far_field(s, QUAD_N, group)]:
+        for d in group.dofs:
+            idx = (d[rows][:, :, None], d[cols][:, None, :])
+            np.add.at(Z_val, idx, val)
+            np.add.at(Z_der, idx, der)
     m = lumped_matrix(s, "exact", n_quad=QUAD_N)
-    B_ref = Z_der + Z_der.T
-    B_ref += 0.05 * np.outer(m, m)
-    A, B = corner_operators("square", k, ell)
-    assert A.shape[0] % bops._TILE
-    assert np.array_equal(A, Z_val + Z_val.T)
-    assert np.array_equal(B, B_ref)
+    return Z_val + Z_val.T, Z_der + Z_der.T + 0.05 * np.outer(m, m)
+
+
+@pytest.mark.parametrize("kind, k, ell", [("square", 1, 3), ("square", 5, 3), ("ellipse", 5, 1)])
+def test_write_at_representatives_is_the_sum_over_all_images(kind, k, ell):
+    """Each block added once at the rows of its dof-orbit representatives,
+    Z + Z^T formed on those rows and the other rows copied by the group
+    give the sum over every image of every block, up to the order of the
+    sums (measured: 6.3e-17 of max|A| and 2.8e-16 of max|B| at level 5 of
+    the cubic square; 9.7e-16 of max|B| on the linear ellipse)."""
+    s = corner_space(kind, k, ell)
+    for X, ref in zip(corner_operators(kind, k, ell), _sum_over_all_images(s)):
+        assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max(), (kind, k)
 
 
 OPERATORS = {
@@ -540,16 +551,16 @@ def test_orbit_sweep_matches_full_sweep(kind, k, ell, monkeypatch):
 @pytest.mark.parametrize("kind, ell, levels", [("square", 3, range(1, 7)),
                                                ("ellipse", 1, range(1, 6))])
 def test_orbit_sweep_commutes_with_every_mirror(kind, ell, levels):
-    """Every block is copied to all its images, and one fixed by a mirror
-    takes the mean over its stabilizer, so A and B commute with each mirror
-    to rounding (the full sweep leaves up to 7.4e-9 in B)."""
+    """Every row of A and B is a copy of a representative's row under the
+    group, and a representative fixed by a mirror is made invariant under
+    it to the bit, so A and B commute with each mirror exactly (the full
+    sweep leaves up to 7.4e-9 in B)."""
     for k in levels:
         perms = corner_space(kind, k, ell).mirrors.perms
         assert len(perms) == (3 if kind == "square" else 2), k
         for X in corner_operators(kind, k, ell):
             for p in perms:
-                # spectral.mirror_residual's measure, by a dense gather
-                assert np.abs(X[np.ix_(p, p)] - X).max() <= 1e-14 * np.abs(X).max(), k
+                assert np.array_equal(X[np.ix_(p, p)], X), k
 
 
 def _pair_orbits(s):

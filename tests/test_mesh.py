@@ -272,13 +272,31 @@ def test_panel_chords_keep_relative_accuracy(kind):
 
 @pytest.mark.parametrize("kind", ["square", "ellipse"])
 def test_bisection_lengths_match_arc_length(kind):
-    # the children of one bisection sweep get their lengths from one
-    # batched call per chart
+    # the new panels of a schedule get their lengths from one batched
+    # call per chart run
     g = make_geometry(kind, 0.5, 2.0)
     m = corner_schedule(g, 6)
     got = np.array([p.length for p in m.panels])
     ref = np.array([arc_length(g.charts[p.chart], p.t0, p.t1) for p in m.panels])
     assert np.abs(got / ref - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
+def test_corner_schedule_is_the_chain_of_refinements(kind):
+    """corner_schedule measures its panels once, after the last round; the
+    explicit chain initial_mesh -> uniform_refine x k -> refine(corner
+    panels) x 4k measures the new panels after every step.  Arc lengths do
+    not depend on the batch, so all five arrays agree to the bit."""
+    g = geom(kind)
+    m = initial_mesh(g, 2 if kind == "square" else 8)
+    for k in range(1, 7):
+        m = uniform_refine(m)
+        chain = m
+        for _ in range(4 * k):
+            chain = refine(chain, corner_panels(chain))
+        got = corner_schedule(g, k)
+        for a in ("chart", "t0", "t1", "length", "qlength"):
+            assert np.array_equal(getattr(got, a), getattr(chain, a)), (k, a)
 
 
 @pytest.mark.parametrize("kind", ["circle", "ellipse"])
