@@ -96,8 +96,7 @@ class AssemblyError(RuntimeError):
 
 class CoercivityError(AssemblyError):
     """A symmetry block of the single layer matrix failed its Cholesky
-    factor in ``cli.build_level``; the geometry guard (diameter <= 1)
-    was violated or defeated."""
+    factor in ``cli.build_level``."""
 
 
 _KERNEL_HALF = -1.0 / (4.0 * np.pi)  # -log(r)/(2 pi) written as this * log(r^2)

@@ -19,16 +19,16 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import boundary_operators as bops
-from . import duals as duals_mod
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
-from .fespace import FeSpace, build_space, reference_basis
+from .fespace import MIRROR_NAMES, FeSpace, build_space, reference_basis
 from .mesh import (corner_schedule, deepest_level, dump_mesh, initial_mesh, is_conforming,
                    neighbor_ratios)
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import BlockFactor, NotSPDError, block_factor, kappa, spd_factor
+from .spectral import (TAU, BlockFactor, MirrorError, NotSPDError, block_factor, kappa,
+                       mirror_residual, spd_factor)
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -147,9 +147,9 @@ def _build_precond(name, B, M, D, omega):
 class Level:
     """One level of the table: the space (with its mirror group), A and B,
     M (CSR) and D, and the same level in the symmetry basis: A's factor by
-    the blocks of the mirrors (one block unless M and D commute with them;
-    five on D4, four on the axis mirrors alone), the lower Cholesky factors
-    of the blocks of B, M as a Coupling and D's diagonal.  Every
+    the blocks of the space's mirror group (five on D4, four on the axis
+    mirrors alone, one without mirrors), the lower Cholesky factors of the
+    blocks of B, M as a Coupling and D's diagonal.  Every
     preconditioner of the level is built on the last three, as a factor F
     with G = F^T F."""
 
@@ -165,27 +165,32 @@ class Level:
 
 
 def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Level:
-    """Gram matrices, assembly, the guard and the projections of one level.
+    """Gram matrices, the guard, assembly and the projections of one level.
 
     ``mass_matrix`` returns M dense, because the benchmark's independent
     preconditioners read it dense.  Here it lives only until its one pass
-    to CSR (``_dense_to_csr``), before A and B are assembled.  The guard and
-    the projections read M as CSR, and M's blocks go to the Coupling as a
-    list, once.  The Cholesky factors of the blocks check that A and B are
-    SPD: CoercivityError on A, AssemblyError on B."""
+    to CSR (``_dense_to_csr``).  Before assembly, M (CSR) and D must commute
+    with each generator of ``s.mirrors`` to TAU, or MirrorError names the
+    matrix, the mirror and the residual; A's factor takes the group's
+    blocks as given.  M's blocks go to the Coupling as a list, once.  The
+    Cholesky factors of the blocks check that A and B are SPD:
+    CoercivityError on A, AssemblyError on B, naming the block's order."""
     M = _dense_to_csr(mass_matrix(s, inner_product, n_quad=quad_n))
     D = lumped_matrix(s, inner_product, n_quad=quad_n)
+    for mirror, p in zip(MIRROR_NAMES, s.mirrors.perms):
+        for name, X in (("M", M), ("D", D)):
+            if (residual := mirror_residual(X, p)) > TAU:
+                raise MirrorError(f"{name} does not commute with the {mirror} mirror: relative "
+                                  f"residual {residual:.1e} > {TAU:g}")
     A, B = bops.assemble_operator_pair(s, quad_n, alpha)
     try:
-        F = block_factor(A, s.mirrors, (M, D))
-    except NotSPDError:
-        raise bops.CoercivityError("single layer: a symmetry block is not positive definite "
-                                   "(geometry guard diameter <= 1)") from None
+        F = block_factor(A, s.mirrors)
+    except NotSPDError as exc:
+        raise bops.CoercivityError(f"single layer A, a symmetry block: {exc}") from None
     try:
         LB = tuple(spd_factor(Bk) for Bk in F.project(B))
-    except NotSPDError:
-        raise bops.AssemblyError("stabilized hypersingular: a symmetry block is not "
-                                 "positive definite") from None
+    except NotSPDError as exc:
+        raise bops.AssemblyError(f"stabilized hypersingular B, a symmetry block: {exc}") from None
     C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()))
     return Level(s, A, B, M, D, F, LB, C, F.project_diagonal(D))
 
@@ -411,7 +416,7 @@ def _verify_checks():
         # kappa of the run path, F built on the mirror blocks (five of D4
         # on the square, four of the axis mirrors on the ellipse), against
         # a dense F and one dense factor of A, for the six preconditioners
-        # of the benchmark
+        # of the benchmark; and the guard's margin: M's and D's residual
         detail, worst, ok = [], 0.0, True
         names = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
         for g, ell, inner in ((gs, 3, "exact"), (ge, 1, "mesh-averaged")):
@@ -425,7 +430,9 @@ def _verify_checks():
                 worst = max(worst, abs(k_run / k_dense - 1))
             sizes = lev.factor.sizes
             ok &= len(sizes) == (5 if g.kind == "square" else 4)
-            detail.append(f"{g.kind} blocks {'/'.join(map(str, sizes))}")
+            residual = max(mirror_residual(X, *lev.space.mirrors.perms) for X in (lev.M, lev.D))
+            detail.append(f"{g.kind} blocks {'/'.join(map(str, sizes))}, "
+                          f"M and D mirror residual {residual:.1e}")
         detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 
@@ -444,6 +451,7 @@ def _verify_checks():
         return bool(ok)
 
     def duals_quick():
+        from . import duals as duals_mod       # only verify reads the duals
         ok, detail = True, []
         for ell in (1, 3):
             s = build_space(corner_schedule(gs, 1), ell)

@@ -112,14 +112,16 @@ def eval_basis(s: FeSpace, panel: int, x):
 # this fraction of the panel's length; near a corner an absolute tolerance
 # would exceed a whole panel.  Assembly copies every entry to its mirror
 # images, so a match gap becomes an error of A and B that no check sees:
-# the guard of ``spectral.block_factor`` reads only M and D (measured gaps:
+# the guard in ``cli.build_level`` reads only M and D (measured gaps:
 # 0 on the square, at most 3.0e-8 on the ellipse and the circle through
 # level 5, 1.1e-6 on the level-6 ellipse)
 MIRROR_MATCH = 1e-7
 
 # the mirrors x, y and the diagonal about the mirror centre, acting on the
-# offset from it (as a row vector)
+# offset from it (as a row vector), and their names, in the order of the
+# generators of every MirrorGroup
 _MIRRORS = (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+MIRROR_NAMES = ("x", "y", "diagonal")
 
 
 def mirror_permutations(s: FeSpace):

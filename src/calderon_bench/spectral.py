@@ -35,20 +35,21 @@ and diag(M) in the same basis, and the builders of ``precond`` form each
 F_k on its block from the factor of B_k.  ``kappa`` takes the extreme
 eigenvalues over the blocks.  A dense F is cut into the blocks F Q_k.
 
-The guard: A and B are assembled by orbits of panel pairs under the
-mirrors (see :mod:`boundary_operators`), so they commute with them by
-construction.  M and D are built without the maps, so the guard reads
-them: the blocks are used only if both commute with every generator of
-the record to TAU, measured as max|X[p][:, p] - X| / max|X| (about
-1e-14) by comparing each stored entry with the entry at its image.
-Otherwise, and on a curve or mesh without the mirrors, the factor is one
-block: the character basis of the trivial record, Q = I as a
-sparse identity, through which the same code runs once on the full
-matrices.  Products with it only multiply by 1 and add 0, so they are
-exact.  The Cholesky factors of the blocks are the check that A is SPD,
-with the backward error of one dense factor (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 10); the D4 partner has the kept
-block's spectrum.
+The group is decided once per level, by the space, and checked once:
+A and B are assembled by orbits of panel pairs under the mirrors (see
+:mod:`boundary_operators`), so they commute with them by construction;
+M and D are built without the maps, and ``cli.build_level`` reads them
+before assembly: each must commute with every generator of the group to
+TAU, measured as max|X[p][:, p] - X| / max|X| (about 1e-14) by comparing
+each stored entry with the entry at its image, or the level fails with a
+MirrorError that names the mirror.  On a curve or mesh without the
+mirrors the group is the trivial one, whose basis is Q = I as a sparse
+identity, through which the same code runs once on the full matrices.
+Products with it only multiply by 1 and add 0, so they are exact.  The
+Cholesky factors of the blocks are the check that A is SPD, with the
+backward error of one dense factor (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 10); the D4 partner has the kept block's
+spectrum.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from scipy.linalg.lapack import dstebz, dsytrd, dsytrd_lwork
 
 from .fespace import MirrorGroup
 
-# largest relative mirror residual of M and D for which kappa is taken by
-# symmetry blocks
+# largest relative mirror residual of M and D that ``cli.build_level``
+# accepts under a generator of the space's mirror group
 TAU = 1e-7
 
 
@@ -72,12 +73,16 @@ class NotSPDError(np.linalg.LinAlgError):
     pass
 
 
+class MirrorError(RuntimeError):
+    """M or D does not commute with a mirror of the space to TAU."""
+
+
 def spd_factor(S: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = S; raises NotSPDError otherwise."""
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        raise NotSPDError("matrix is not symmetric positive definite") from None
+        raise NotSPDError(f"matrix of order {len(S)} is not symmetric positive definite") from None
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,9 @@ class BlockFactor:
     """A by blocks for :func:`kappa`: one (Q_k^T, L_k) per block, with Q_k^T
     a sparse row basis (the identity for one block; on D4 the rows span
     3N/4, see ``character_bases``) and L_k the lower Cholesky factor of
-    Q_k^T A Q_k.  ``residual`` is the largest mirror residual the guard
-    measured on ``commuting`` (0 when nothing was offered)."""
+    Q_k^T A Q_k."""
 
     blocks: tuple
-    residual: float
 
     @property
     def sizes(self):
@@ -102,22 +105,13 @@ class BlockFactor:
 
     def project_sparse(self, S) -> list:
         """The blocks Q_k^T S Q_k (CSR, sorted rows) of a sparse symmetric S
-        that commutes with the group, from one product with the stacked
-        basis Q^T: its diagonal blocks are the same sums of the same terms
-        as the products block by block.  The blocks are cut from its arrays,
-        and the entries between blocks are dropped."""
-        Q = sparse.vstack([Qt for Qt, _ in self.blocks], format="csr")
-        P = (Q @ sparse.csr_matrix(S) @ Q.T).tocsr()
-        P.sort_indices()
-        block = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        row = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-        keep = block[row] == block[P.indices]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=P.shape[0]))])
-        cols, data = P.indices[keep], P.data[keep]
-        ends = np.cumsum(self.sizes)
-        return [sparse.csr_matrix((data[ptr[a]:ptr[b]], cols[ptr[a]:ptr[b]] - a,
-                                   ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
-                for a, b in zip(ends - self.sizes, ends)]
+        that commutes with the group, one product per block."""
+        S, out = sparse.csr_matrix(S), []
+        for Qt, _ in self.blocks:
+            P = Qt @ S @ Qt.T
+            P.sort_indices()
+            out.append(P)
+        return out
 
     def project_diagonal(self, d: np.ndarray) -> np.ndarray:
         """The diagonal of Q^T diag(d) Q, blocks concatenated; for d
@@ -246,26 +240,17 @@ def _project(X: np.ndarray, bases) -> tuple:
     return tuple(out)
 
 
-def block_factor(A: np.ndarray, group: MirrorGroup | None = None,
-                 commuting=()) -> BlockFactor:
+def block_factor(A: np.ndarray, group: MirrorGroup | None = None) -> BlockFactor:
     """Factor of A for :func:`kappa` by the blocks of ``character_bases``
     for the mirror group ``group`` (a space's ``FeSpace.mirrors``: the
-    Klein group of the two axis mirrors, or D4 with the diagonal one), with
-    which A commutes.
-
-    The blocks are used only if every matrix or diagonal in ``commuting``
-    (M and D on the run path) has a mirror residual of at most TAU under
-    each generator; otherwise, and without a group, the factor is one block
-    with Q = I, the basis of the trivial group.  Raises NotSPDError if a
-    block of A is not SPD.
+    Klein group of the two axis mirrors, D4 with the diagonal one, or the
+    trivial group), with which A commutes; without a group, one block with
+    Q = I.  The group's blocks are taken as given: ``cli.build_level``
+    checks M and D against its generators before assembly.  Raises
+    NotSPDError if a block of A is not SPD.
     """
-    residual = max((mirror_residual(X, *group.perms) for X in commuting),
-                   default=0.0) if group else 0.0
-    if group is None or residual > TAU:
-        group = MirrorGroup.trivial(A.shape[0], 0)      # the basis reads no panel map
-    bases = character_bases(group)
-    return BlockFactor(tuple((Qt, spd_factor(Ak)) for Qt, Ak in zip(bases, _project(A, bases))),
-                       residual)
+    bases = character_bases(MirrorGroup.trivial(A.shape[0], 0) if group is None else group)
+    return BlockFactor(tuple((Qt, spd_factor(Ak)) for Qt, Ak in zip(bases, _project(A, bases))))
 
 
 @lru_cache(maxsize=None)

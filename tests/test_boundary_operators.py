@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -165,7 +166,8 @@ def test_spd_guard_raises(monkeypatch):
     # an indefinite A or B from assembly is refused on the run path by the
     # Cholesky factors of its symmetry blocks: on the square's D4 blocks,
     # and on the ellipse with one panel refined on one side, which has no
-    # mirrors, so that its one block is the dense factor
+    # mirrors, so that its one block is the dense factor; the error names
+    # the operator and the order of the block
     real = bops.assemble_operator_pair
 
     def one_side(cfg, g, k):
@@ -184,6 +186,9 @@ def test_spd_guard_raises(monkeypatch):
                 with pytest.raises(RuntimeError) as info:
                     cli.run_experiment(cli.ExperimentConfig(geometry=geometry, levels=1))
             assert type(info.value.__cause__) is cause, (geometry, which)
+            operator = ("single layer A", "stabilized hypersingular B")[which]
+            assert re.fullmatch(f"level 1: {operator}, a symmetry block: matrix of order "
+                                r"\d+ is not symmetric positive definite", str(info.value))
     # a non-finite entry of A or B is refused by assembly itself
     s = corner_space("square", 1, 1)
     with monkeypatch.context() as mp:

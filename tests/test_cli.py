@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,12 +12,13 @@ import scipy.sparse
 from scipy.sparse._index import IndexMixin
 
 import calderon_bench
-from calderon_bench import cli, precond, spectral
+from calderon_bench import boundary_operators as bops
+from calderon_bench import cli, fespace, precond, spectral
 from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
 from calderon_bench.mesh import corner_schedule, refine
 from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
-from calderon_bench.spectral import TAU, kappa, mirror_residual
+from calderon_bench.spectral import TAU, MirrorError, kappa, mirror_residual
 
 from helpers import BLOCK_SIZES
 
@@ -25,6 +30,16 @@ def tiny_rows():
     cfg = ExperimentConfig(geometry="square", degree=1, levels=2,
                            preconds=("lumped", "mass"))
     return cfg, run_experiment(cfg)
+
+
+def test_import_leaves_the_duals_unloaded():
+    # only ``verify`` reads the dual basis, so importing the package does
+    # not load its module
+    code = "import sys, calderon_bench; print('calderon_bench.duals' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
 
 
 def test_run_single_level_lumped():
@@ -183,9 +198,12 @@ def test_error_annotates_level():
 def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     # the level-3 blocks: D4's five on the square, the axis mirrors' four
-    # on the ellipse
+    # on the ellipse; and the guard's residual of M and D on each, far below
+    # TAU (measured: 4.7e-16 and 6.9e-15)
     out = capsys.readouterr().out
-    assert "square blocks 61/60/60/59/120, ellipse blocks 41/40/40/39" in out
+    found = re.search(r"square blocks 61/60/60/59/120, M and D mirror residual (\S+), "
+                      r"ellipse blocks 41/40/40/39, M and D mirror residual (\S+),", out)
+    assert found and max(map(float, found.groups())) < 1e-13, out
 
 
 def test_config_rejects_misspelled_refine(tmp_path):
@@ -310,12 +328,25 @@ def test_each_level_factors_a_and_b_blocks_once(monkeypatch):
     assert calls == [(n, n) for lev in seen for n in 2 * lev.factor.sizes]
 
 
+def _run_refused(monkeypatch, cfg):
+    """The error of ``run_experiment(cfg)`` on a level whose M or D the
+    mirror guard refuses, with assembly counted: it must not run."""
+    assembled, real = [], bops.assemble_operator_pair
+    monkeypatch.setattr(bops, "assemble_operator_pair",
+                        lambda *args: assembled.append(args) or real(*args))
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(cfg)
+    assert assembled == []
+    assert type(info.value.__cause__) is MirrorError
+    return str(info.value)
+
+
 @pytest.mark.parametrize("which", ["D", "M"])
-def test_broken_mirror_runs_as_one_block(monkeypatch, which):
+def test_broken_mirror_fails_before_assembly(monkeypatch, which):
     # D (or M, which the guard reads sparse) moved off its mirror images by
-    # 1e-6 max|X| at one entry (M: one symmetric entry pair): every level
-    # falls back to one block, which runs the dense arithmetic and gives
-    # the dense kappa
+    # 1e-6 max|X| at one entry (M: one symmetric entry pair): the first
+    # level fails before assembly, naming the matrix, the mirror and the
+    # residual
     def broken(X):
         X = X.copy()
         if X.ndim == 1:
@@ -328,21 +359,16 @@ def test_broken_mirror_runs_as_one_block(monkeypatch, which):
     name = "lumped_matrix" if which == "D" else "mass_matrix"
     real = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda *args, **kw: broken(real(*args, **kw)))
-    seen = _spy_levels(monkeypatch)
-    rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
-                                           preconds=ALL_SIX))
-    omega = richardson_weight(1, 3)[2]
-    for row, lev in zip(rows, seen, strict=True):
-        assert lev.factor.sizes == (row.dofs,) and lev.factor.residual > 1e-7
-        for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
-            assert row.kappas[name] == ref, name
+    message = _run_refused(monkeypatch, ExperimentConfig(geometry="square", degree=3, levels=2,
+                                                         preconds=ALL_SIX))
+    assert message == (f"level 1: {which} does not commute with the x mirror: relative "
+                       f"residual 1.0e-06 > 1e-07"), message
 
 
-def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
+def test_broken_diagonal_mirror_fails_before_assembly(monkeypatch):
     # M moved by 1e-6 max|M| at one entry pair and at all its images under
-    # the axis mirrors, but not under the diagonal one: the guard refuses
-    # D4 and takes one block, not the axis mirrors' four, and gives the
-    # dense kappa
+    # the axis mirrors, but not under the diagonal one: the error names the
+    # diagonal mirror, not the axis mirrors that M commutes with
     real = cli.mass_matrix
 
     def broken(s, *args, **kw):
@@ -356,15 +382,30 @@ def test_broken_diagonal_mirror_runs_as_one_block(monkeypatch):
         return M
 
     monkeypatch.setattr(cli, "mass_matrix", broken)
-    seen = _spy_levels(monkeypatch)
-    rows = run_experiment(ExperimentConfig(geometry="square", degree=3, levels=2,
-                                           preconds=ALL_SIX))
-    omega = richardson_weight(1, 3)[2]
-    for row, lev in zip(rows, seen, strict=True):
-        F = lev.factor
-        assert len(lev.space.mirrors.perms) == 3 and F.sizes == (row.dofs,) and F.residual > TAU
-        for name, ref in _dense_kappas(lev, ALL_SIX, omega).items():
-            assert row.kappas[name] == ref, name
+    message = _run_refused(monkeypatch, ExperimentConfig(geometry="square", degree=3, levels=2,
+                                                         preconds=ALL_SIX))
+    assert message.startswith("level 1: M does not commute with the diagonal mirror: "
+                              "relative residual 1.0e-06"), message
+
+
+def test_wrong_dof_map_fails_before_assembly(monkeypatch):
+    # p_x of the level-1 cubic square with the interior dofs of panel 0 and
+    # its image sent across unreversed: a fault of the maps, not of M or D.
+    # Assembly would copy A's and B's entries by the wrong map, so the
+    # guard stops the level first, and no CoercivityError follows
+    real = fespace.mirror_permutations
+
+    def unreversed(s):
+        (px, jx), *rest = real(s)
+        px, (i, j) = px.copy(), (0, jx[0])
+        px[s.conn[i, 1:-1]], px[s.conn[j, 1:-1]] = s.conn[j, 1:-1], s.conn[i, 1:-1]
+        return ((px, jx), *rest)
+
+    monkeypatch.setattr(fespace, "mirror_permutations", unreversed)
+    message = _run_refused(monkeypatch, ExperimentConfig(geometry="square", degree=3, levels=1,
+                                                         preconds=ALL_SIX))
+    assert message.startswith("level 1: M does not commute with the x mirror: "
+                              "relative residual "), message
 
 
 def test_mesh_without_mirror_runs_as_one_block(monkeypatch):
