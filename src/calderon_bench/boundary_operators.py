@@ -50,7 +50,9 @@ may land in the other triangle, which Z + Z^T does not mind).
 Each block is written once.  Z is the sum of every block at each of its
 images under the group, so it commutes with the group, and its row i is
 the row of i's dof-orbit representative (the least dof of the orbit)
-with columns permuted by an element that maps i back to it.  So each
+with columns permuted by an element that maps i back to it; the orbits,
+representatives and elements are the group's record
+(``MirrorGroup.orbits``), which the symmetry basis reads too.  So each
 entry of a block is added once, at the row of its representative, in
 the N x N buffer that becomes its matrix (Allgower, Boehmer, Georg and
 Miranda, "Exploiting symmetry in boundary element methods", SIAM J.
@@ -80,7 +82,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -397,42 +398,11 @@ def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
             *_mean_over_stabilizer(np.concatenate([id_stab, ed_stab]), val, der))
 
 
-class _DofOrbits(NamedTuple):
-    """The orbits of the dofs under a mirror group, from its dof maps
-    ``dofs`` (|G|, N): the representatives ``reps`` (R,), each orbit's least
-    dof; for every dof i its representative ``rep[i]`` and an element
-    ``elem[i]`` that maps rep[i] to i; ``inv`` (|G|, N), the inverse of
-    every element's map; and for every dof an element other than the
-    identity that fixes it, or the identity (``fix``).  A point of a
-    curve other than the mirror centre lies on at most one mirror, so no
-    dof is fixed by more than one element besides the identity."""
-
-    dofs: np.ndarray
-    reps: np.ndarray
-    rep: np.ndarray
-    elem: np.ndarray
-    inv: np.ndarray
-    fix: np.ndarray
-
-
-def _dof_orbits(dofs) -> _DofOrbits:
-    """The orbit tables of the dof maps ``dofs`` (|G|, N), row 0 the
-    identity."""
-    N = dofs.shape[1]
-    rep = dofs.min(axis=0).astype(np.int32)
-    inv = np.empty(dofs.shape, dtype=np.int32)
-    np.put_along_axis(inv, dofs, np.arange(N, dtype=np.int32)[None], axis=1)
-    fixed = dofs == np.arange(N)
-    fixed[0] = False
-    return _DofOrbits(dofs, np.flatnonzero(rep == np.arange(N)), rep,
-                      np.argmax(dofs[:, rep] == np.arange(N), axis=0).astype(np.int8), inv,
-                      fixed.argmax(axis=0).astype(np.int8))
-
-
-def _write(o: _DofOrbits, blocks, alpha, m):
+def _write(group: MirrorGroup, blocks, alpha, m):
     """A = Z_val + Z_val^T and B = Z_der + Z_der^T + alpha m~ m~^T, for Z the
     sums of the blocks (rows, cols, val, der) at their images under every
-    element of the group, with m~ = m at each dof's representative.
+    element of the mirror group ``group``, with m~ = m at each dof's
+    representative; the orbits are the group's record, ``group.orbits``.
 
     Z commutes with the group, so its row i is row rep[i] with columns
     permuted by e_i^-1, e_i = elem[i].  So an entry (i, j) of a block is
@@ -443,7 +413,7 @@ def _write(o: _DofOrbits, blocks, alpha, m):
     Z^T on the rows of the representatives, and every other row is copied
     from them, row g(r) from row r with columns permuted by g^-1, one row
     block at a time."""
-    N = o.rep.size
+    o, N = group.orbits, group.dofs.shape[1]
     A, B = np.zeros((N, N)), np.zeros((N, N))
     a, b = A.reshape(-1), B.reshape(-1)
     for rows, cols, val, der in blocks:
@@ -452,10 +422,11 @@ def _write(o: _DofOrbits, blocks, alpha, m):
         np.add.at(a, idx.ravel(), val.ravel())
         np.add.at(b, idx.ravel(), der.ravel())
     fixed = o.reps[o.fix[o.reps] > 0]
-    h = o.dofs[o.fix[fixed]]                            # (F, N): the mirror of each
+    h = group.dofs[o.fix[fixed]]                        # (F, N): the mirror of each
     for X in (A, B):
         X[fixed] += X[fixed[:, None], h]
-    _pair(o, (A, "single layer", 0.0, None), (B, "stabilized hypersingular", alpha, m[o.rep]))
+    _pair(group, (A, "single layer", 0.0, None),
+          (B, "stabilized hypersingular", alpha, m[o.rep]))
     i, j = np.nonzero(h < np.arange(N))                 # the columns _pair leaves out
     step = _rows_per_block(N)
     for X in (A, B):
@@ -463,7 +434,7 @@ def _write(o: _DofOrbits, blocks, alpha, m):
         for k in range(0, o.reps.size, step):
             r = o.reps[k:k + step]
             T = X[r]
-            for g, ginv in zip(o.dofs[1:], o.inv[1:]):
+            for g, ginv in zip(group.dofs[1:], o.inv[1:]):
                 X[g[r]] = T[:, ginv]
     return A, B
 
@@ -473,7 +444,7 @@ def _rows_per_block(N):
     return max(1, _CHUNK // (4 * N))
 
 
-def _pair(o: _DofOrbits, *targets):
+def _pair(group: MirrorGroup, *targets):
     """Z + Z^T (+ alpha outer(m, m)) on the rows of the representatives,
     in place, for each (Z, what, alpha, m) of ``targets``; a non-finite
     entry raises AssemblyError naming ``what``.
@@ -487,12 +458,12 @@ def _pair(o: _DofOrbits, *targets):
     and written at both, as by the tile pairs of a plain Z + Z^T: with
     the trivial group this pairs the upper triangle with the lower.  The
     partner index is built once per row block for all targets."""
-    N = o.rep.size
+    o, N = group.orbits, group.dofs.shape[1]
     col = np.arange(N)
     inv, at = o.inv.reshape(-1), o.elem.astype(np.intp) * N   # flat e_c^-1 of column c
     row_at = o.rep.astype(np.intp) * N
     cf = np.flatnonzero(o.fix[o.rep])                  # columns of orbits a mirror fixes
-    hf = o.dofs[o.fix[o.rep[cf]]]
+    hf = group.dofs[o.fix[o.rep[cf]]]
     flat = [X.reshape(-1) for X, _, _, _ in targets]
     step = _rows_per_block(N)
     for k in range(0, o.reps.size, step):
@@ -503,7 +474,7 @@ def _pair(o: _DofOrbits, *targets):
         here, there = r[:, None] * N + col, row_at + pc
         keep = here <= there
         for f in np.flatnonzero(o.fix[r]):
-            keep[f] &= col <= o.dofs[o.fix[r[f]]]
+            keep[f] &= col <= group.dofs[o.fix[r[f]]]
         here, there = here[keep], there[keep]
         for z, (_, what, alpha, m) in zip(flat, targets):
             S = z[here]
@@ -533,8 +504,7 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     if s.mesh.n_panels < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
     group = s.mirrors
-    return _write(_dof_orbits(group.dofs), chain([_near_field(s, quad_n, group)],
-                                                 _far_field(s, quad_n, group)),
+    return _write(group, chain([_near_field(s, quad_n, group)], _far_field(s, quad_n, group)),
                   alpha, lumped_matrix(s, "exact", n_quad=quad_n))
 
 

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +36,14 @@ GEOMETRIES = ("square", "circle", "ellipse")
 DEGREES = (1, 3)
 REFINES = ("corner", "uniform")
 FORMATS = ("csv", "md")
+# the allowed values of a config field, for the config and for argparse
+_CHOICES = {"geometry": GEOMETRIES, "degree": DEGREES, "refine": REFINES,
+            "inner_product": KINDS, "fmt": FORMATS}
+# the type that a numeric or a path field must have, as named in its error
+_TYPES = {**dict.fromkeys(("degree", "levels", "quad_n"), (numbers.Integral, "an integer")),
+          **dict.fromkeys(("scale", "ellipse_ratio", "alpha", "omega_override"),
+                          (numbers.Real, "a number")),
+          **dict.fromkeys(("output", "dump_matrices"), (str, "a string"))}
 
 
 @dataclass(frozen=True)
@@ -61,26 +70,15 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject bad values before any work starts."""
         object.__setattr__(self, "preconds", _parse_precond_names(self.preconds))
-        for key in ("degree", "levels", "quad_n", "scale", "ellipse_ratio", "alpha",
-                    "omega_override"):
-            value, count = getattr(self, key), key in ("degree", "levels", "quad_n")
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if count else numbers.Real):
-                raise ValueError(f"{key} must be {'an integer' if count else 'a number'}, "
-                                 f"got {value!r}")
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        if self.degree not in DEGREES:
-            raise ValueError(f"degree must be one of {DEGREES}, got {self.degree!r}")
-        if self.inner_product not in KINDS:
-            raise ValueError(f"inner_product must be one of {KINDS}, "
-                             f"got {self.inner_product!r}")
-        if self.refine not in REFINES:
-            raise ValueError(f"refine must be one of {REFINES}, got {self.refine!r}")
+        for key, (kind, what) in _TYPES.items():
+            if isinstance(value := getattr(self, key), bool) or not isinstance(value, kind):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+        for key, allowed in _CHOICES.items():
+            if (value := getattr(self, key)) not in allowed:
+                raise ValueError(f"{'format' if key == 'fmt' else key} must be one of "
+                                 f"{allowed}, got {value!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and > 0 (B~ alone is only semi-coercive), "
                              f"got {self.alpha!r}")
@@ -118,6 +116,8 @@ def _parse_precond_names(spec):
     has one spelling."""
     if isinstance(spec, str):
         spec = spec.split(",")
+    if not isinstance(spec, Sequence) or not all(isinstance(x, str) for x in spec):
+        raise ValueError(f"preconds must be a string or a sequence of strings, got {spec!r}")
     names = tuple(x.strip() for x in spec if x.strip())
     if not names:
         raise ValueError("the preconditioner list is empty")
@@ -170,16 +170,17 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
     ``mass_matrix`` returns M dense, because the benchmark's independent
     preconditioners read it dense.  Here it lives only until its one pass
     to CSR (``_dense_to_csr``).  Before assembly, M (CSR) and D must commute
-    with each generator of ``s.mirrors`` to TAU, or MirrorError names the
-    matrix, the mirror and the residual; A's factor takes the group's
-    blocks as given.  M's blocks go to the Coupling as a list, once.  The
-    Cholesky factors of the blocks check that A and B are SPD:
-    CoercivityError on A, AssemblyError on B, naming the block's order."""
+    with each generator of ``s.mirrors`` to TAU, M under every mirror
+    first, or MirrorError names the matrix, the mirror and the residual;
+    A's factor takes the group's blocks as given.  M's blocks go to the
+    Coupling as a list, once.  The Cholesky factors of the blocks check
+    that A and B are SPD: CoercivityError on A, AssemblyError on B, naming
+    the block's order."""
     M = _dense_to_csr(mass_matrix(s, inner_product, n_quad=quad_n))
     D = lumped_matrix(s, inner_product, n_quad=quad_n)
-    for mirror, p in zip(MIRROR_NAMES, s.mirrors.perms):
-        for name, X in (("M", M), ("D", D)):
-            if (residual := mirror_residual(X, p)) > TAU:
+    for name, X in (("M", M), ("D", D)):
+        for mirror, residual in zip(MIRROR_NAMES, mirror_residual(X, s.mirrors.perms)):
+            if residual > TAU:
                 raise MirrorError(f"{name} does not commute with the {mirror} mirror: relative "
                                   f"residual {residual:.1e} > {TAU:g}")
     A, B = bops.assemble_operator_pair(s, quad_n, alpha)
@@ -305,8 +306,6 @@ def config_from_args(args) -> ExperimentConfig:
 
 # one flag per config field, named after it unless listed here
 _FLAGS = {"preconds": "--precond", "fmt": "--format"}
-_CHOICES = {"geometry": GEOMETRIES, "degree": DEGREES, "refine": REFINES,
-            "inner_product": KINDS, "fmt": FORMATS}
 
 
 def _add_run_flags(p):
@@ -430,7 +429,8 @@ def _verify_checks():
                 worst = max(worst, abs(k_run / k_dense - 1))
             sizes = lev.factor.sizes
             ok &= len(sizes) == (5 if g.kind == "square" else 4)
-            residual = max(mirror_residual(X, *lev.space.mirrors.perms) for X in (lev.M, lev.D))
+            perms = lev.space.mirrors.perms
+            residual = max(mirror_residual(lev.M, perms) + mirror_residual(lev.D, perms))
             detail.append(f"{g.kind} blocks {'/'.join(map(str, sizes))}, "
                           f"M and D mirror residual {residual:.1e}")
         detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")

@@ -4,13 +4,15 @@ Degree-l Lagrange elements with equispaced nodes per panel; vertex nodes are
 shared between neighbouring panels, so on a closed curve the space has
 l * n_panels degrees of freedom.  ``FeSpace.mirrors`` is the space's mirror
 group (:class:`MirrorGroup`), searched once and expanded once: the one
-source of the dof and panel maps for assembly and the symmetry basis.
+source of the dof and panel maps, and of the dof orbits
+(``MirrorGroup.orbits``), for assembly and the symmetry basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +70,7 @@ class FeSpace:
         gens, N = mirror_permutations(self), self.ndof
         maps = group_elements([np.concatenate([p, N + j]) for p, j in gens],
                               N + self.mesh.n_panels)
-        return MirrorGroup(tuple(p for p, _ in gens), maps[:, :N], maps[:, N:] - N)
+        return MirrorGroup(maps[:, :N], maps[:, N:] - N)
 
     def node_point(self, nu):
         g = self.mesh.geometry
@@ -93,19 +95,6 @@ def build_space(m: Mesh, degree: int) -> FeSpace:
     node_chart = np.concatenate([m.chart, np.repeat(m.chart, degree - 1)])
     node_param = np.concatenate([m.t0, (m.t0[:, None] + x * (m.t1 - m.t0)[:, None]).ravel()])
     return FeSpace(m, degree, conn, node_chart, node_param)
-
-
-def eval_basis(s: FeSpace, panel: int, x):
-    """Basis data on one panel at local coordinates x in [0, 1].
-
-    Returns (node ids, values, derivative values w.r.t. x); exactly
-    degree+1 entries, values summing to 1 and derivatives summing to 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-14) or np.any(x > 1 + 1e-14):
-        raise ValueError("local coordinate outside [0, 1]")
-    ids = s.conn[panel]
-    return ids, reference_basis(s.degree, x), reference_basis_deriv(s.degree, x)
 
 
 # a mirrored panel's end points must land on its image panel's end points to
@@ -166,27 +155,64 @@ def group_elements(perms, n: int) -> np.ndarray:
     return np.stack(elems)
 
 
+class DofOrbits(NamedTuple):
+    """The orbits of the dofs under a mirror group: the representatives
+    ``reps`` (R,), each orbit's least dof; for every dof i its
+    representative ``rep[i]`` and the first element ``elem[i]`` (in the
+    group's order) that maps rep[i] to i; ``inv`` (|G|, N), the inverse of
+    every element's dof map; and for every dof an element other than the
+    identity that fixes it, or the identity (``fix``).  A point of a
+    curve other than the mirror centre lies on at most one mirror, so no
+    dof is fixed by more than one element besides the identity."""
+
+    reps: np.ndarray
+    rep: np.ndarray
+    elem: np.ndarray
+    inv: np.ndarray
+    fix: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class MirrorGroup:
     """The mirror group of a space: the Klein group {1, p_x, p_y, p_x p_y}
     of the two axis mirrors, D4 with the diagonal mirror p_d, or {1}.
-    ``perms`` holds the generators' dof maps, ``dofs`` (|G|, N) and
-    ``panels`` (|G|, P) the dof and panel maps of every element; element e
-    is the product of the generators by the bits of e, 1 p_x, 2 p_y and
-    4 p_d, so row 0 is the identity."""
+    ``dofs`` (|G|, N) and ``panels`` (|G|, P) hold the dof and panel maps
+    of every element; element e is the product of the generators by the
+    bits of e, 1 p_x, 2 p_y and 4 p_d, so row 0 is the identity."""
 
-    perms: tuple
     dofs: np.ndarray
     panels: np.ndarray
 
     def __post_init__(self):
-        for a in (*self.perms, self.dofs, self.panels):
+        for a in (self.dofs, self.panels):
             a.flags.writeable = False
 
     @classmethod
     def trivial(cls, n_dofs: int, n_panels: int) -> MirrorGroup:
         """The group {1} of a space with n_dofs dofs and n_panels panels."""
-        return cls((), np.arange(n_dofs)[None], np.arange(n_panels)[None])
+        return cls(np.arange(n_dofs)[None], np.arange(n_panels)[None])
+
+    @property
+    def perms(self) -> tuple:
+        """The generators' dof maps, rows 1, 2 and 4 of ``dofs``."""
+        return tuple(self.dofs[1 << k] for k in range(len(self.dofs).bit_length() - 1))
+
+    @cached_property
+    def orbits(self) -> DofOrbits:
+        """The dof orbits, derived once from ``dofs``: the one record of
+        them for assembly's write and for the character bases."""
+        dofs, N = self.dofs, self.dofs.shape[1]
+        rep = dofs.min(axis=0).astype(np.int32)
+        inv = np.empty(dofs.shape, dtype=np.int32)
+        np.put_along_axis(inv, dofs, np.arange(N, dtype=np.int32)[None], axis=1)
+        fixed = dofs == np.arange(N)
+        fixed[0] = False
+        o = DofOrbits(np.flatnonzero(rep == np.arange(N)), rep,
+                      np.argmax(dofs[:, rep] == np.arange(N), axis=0).astype(np.int8), inv,
+                      fixed.argmax(axis=0).astype(np.int8))
+        for a in o:
+            a.flags.writeable = False
+        return o
 
     def character(self, k: int) -> np.ndarray:
         """chi_k(e) = (-1)^(number of generators in both k and e), by
@@ -198,4 +224,3 @@ class MirrorGroup:
         """Whether each element, a product of mirrors, reverses the cyclic
         panel order: an odd number of them does."""
         return self.character(-1) < 0
-

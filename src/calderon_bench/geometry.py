@@ -199,12 +199,6 @@ def _check_param(chart, t):
     return t
 
 
-def chart_eval(g: Geometry, chart: int, t):
-    """Point on the curve for a parameter in the chart's closed interval."""
-    c = g.charts[chart]
-    return c.point(_check_param(c, t))
-
-
 def chart_speed(g: Geometry, chart: int, t):
     """|chi'(t)|, the d=1 Jacobian; constant on affine charts."""
     c = g.charts[chart]

@@ -279,14 +279,6 @@ def _check_contraction(C: Coupling, d: np.ndarray, omega: float):
             f"{what} is not positive definite") from None
 
 
-def richardson_inverse(M: np.ndarray, d: np.ndarray, k: int, omega: float) -> np.ndarray:
-    """R^(k) from k damped Richardson iterations for M^{-1} preconditioned
-    by the diagonal d, starting from R^(0) = 0: the chain of the builders
-    applied to I, symmetrized; a dense array."""
-    R = Coupling.dense(M).richardson((np.eye(M.shape[0]),), d, k, omega)[0]
-    return 0.5 * (R + R.T)
-
-
 def richardson_precond(B, M, d: np.ndarray, k: int, omega: float):
     Ls, C, as_blocks = _as_blocks(B, M)
     F = tuple(Y.T for Y in C.richardson(Ls, d, k, omega))

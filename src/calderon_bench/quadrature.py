@@ -1,4 +1,4 @@
-"""Gauss rules, singular panel-pair rules, and an adaptive integration oracle.
+"""Gauss rules, singular panel-pair rules, and a 1-D adaptive integration oracle.
 
 All rules live on the unit interval / unit square; callers map them into
 panel parameter intervals.  The pair rules handle kernels with a logarithmic
@@ -35,21 +35,19 @@ class QuadRule:
 
 @dataclass(frozen=True)
 class PairRule:
-    """Rule on the parameter product square [0,1]^2 for a panel pair.
+    """Rule on the parameter product square [0,1]^2 for a pair of touching
+    panels, identical or adjacent (see :func:`pair_rule`).
 
-    ``relation`` is one of ``separated``, ``adjacent``, ``identical``.
-    For ``adjacent`` the singular corner is canonically (t, u) = (1, 0),
+    For an adjacent pair the singular corner is canonically (t, u) = (1, 0),
     i.e. the end of the first panel touches the start of the second.
     ``offsets`` holds the singular distance variable without cancellation:
-    t - u for ``identical`` and 1 - t for ``adjacent`` (None for
-    ``separated``).
+    t - u for an identical pair and 1 - t for an adjacent one.
     """
 
-    relation: str
     tnodes: np.ndarray
     unodes: np.ndarray
     weights: np.ndarray
-    offsets: np.ndarray | None = None
+    offsets: np.ndarray
 
 
 def _read_only(rule):
@@ -95,8 +93,8 @@ def _tensor(a, b):
 @lru_cache(maxsize=None)
 def pair_rule(relation: str, base_n: int) -> PairRule:
     """Quadrature rule on [0,1]^2 for a pair of panels in the given relation.
+    Separated pairs take tensor Gauss rules from :func:`gauss_rule`.
 
-    ``separated``  -> plain tensor Gauss.
     ``identical``  -> Duffy split u = t(1 - v) of the lower triangle and its
                       mirror: log|t - u| = log t + log v, the log rule in
                       both t and v.
@@ -110,34 +108,37 @@ def pair_rule(relation: str, base_n: int) -> PairRule:
     """
     if base_n < 4:
         raise ValueError(f"pair_rule: base_n must be >= 4, got {base_n}")
-    g = gauss_rule(base_n)
-    if relation == "separated":
-        return _read_only(PairRule("separated", *_tensor(g, g)))
     lg = log_rule(base_n + LOG_EXTRA_POINTS)
 
     if relation == "identical":
         # lower triangle {0 <= u <= t}: u = t(1 - v), Jacobian t
         t, v, w = _tensor(lg, lg)
         u, d, w = t * (1.0 - v), t * v, w * t
-        return _read_only(PairRule("identical", np.concatenate([t, u]), np.concatenate([u, t]),
+        return _read_only(PairRule(np.concatenate([t, u]), np.concatenate([u, t]),
                                    np.concatenate([w, w]), np.concatenate([d, -d])))
 
     if relation == "adjacent":
         # {u <= s}: u = s v, Jacobian s; {s <= u}: s = u v, Jacobian u
-        r, v, w = _tensor(lg, g)
+        r, v, w = _tensor(lg, gauss_rule(base_n))
         s = np.concatenate([r, r * v])
         u = np.concatenate([r * v, r])
-        return _read_only(PairRule("adjacent", 1.0 - s, u, np.concatenate([w * r, w * r]), s))
+        return _read_only(PairRule(1.0 - s, u, np.concatenate([w * r, w * r]), s))
 
     raise ValueError(f"pair_rule: unknown relation {relation!r}")
 
 
 # ---------------------------------------------------------------------------
-# adaptive oracle: greedy bisection of the sub-box with the largest embedded
+# adaptive oracle: greedy bisection of the interval with the largest embedded
 # error estimate until the accumulated estimate meets the relative tolerance
 
 
-def _adaptive_1d(f, a, b, tol, max_intervals):
+def adaptive_integrate(f, box, tol=1e-10, max_pieces=40000):
+    """Adaptive integration oracle over an interval ``box = (a, b)``; ``f``
+    maps a node array to values.  Bisects the piece with the largest
+    embedded-rule (7- against 15-point Gauss) error estimate until the
+    accumulated estimate drops below tol times the integral; suitable for
+    endpoint (integrable) singularities."""
+    a, b = box
     g7 = gauss_rule(7)
     g15 = gauss_rule(15)
 
@@ -150,7 +151,7 @@ def _adaptive_1d(f, a, b, tol, max_intervals):
     val, err = piece(a, b)
     heap = [(-err, 0, a, b, val)]
     total, total_err, counter = val, err, 0
-    while total_err > tol * max(abs(total), 1e-300) and len(heap) < max_intervals:
+    while total_err > tol * max(abs(total), 1e-300) and len(heap) < max_pieces:
         neg_err, _, a0, b0, v0 = heapq.heappop(heap)
         if -neg_err <= 0:
             break
@@ -163,54 +164,3 @@ def _adaptive_1d(f, a, b, tol, max_intervals):
         heapq.heappush(heap, (-el, 2 * counter, a0, m, vl))
         heapq.heappush(heap, (-er, 2 * counter + 1, m, b0, vr))
     return total
-
-
-def _adaptive_2d(f, box, tol, max_boxes):
-    (ax, bx), (ay, by) = box
-    g6 = gauss_rule(6)
-    g12 = gauss_rule(12)
-
-    def tensor(a0, b0, a1, b1, g):
-        x = a0 + (b0 - a0) * g.nodes
-        y = a1 + (b1 - a1) * g.nodes
-        vals = f(np.repeat(x, y.size), np.tile(y, x.size))
-        w = np.repeat(g.weights, y.size) * np.tile(g.weights, x.size)
-        return (b0 - a0) * (b1 - a1) * np.dot(w, vals)
-
-    def piece(a0, b0, a1, b1):
-        fine = tensor(a0, b0, a1, b1, g12)
-        return fine, abs(fine - tensor(a0, b0, a1, b1, g6))
-
-    val, err = piece(ax, bx, ay, by)
-    heap = [(-err, 0, ax, bx, ay, by, val)]
-    total, total_err, counter = val, err, 0
-    while total_err > tol * max(abs(total), 1e-300) and len(heap) < max_boxes:
-        neg_err, _, a0, b0, a1, b1, v0 = heapq.heappop(heap)
-        if -neg_err <= 0:
-            break
-        mx, my = 0.5 * (a0 + b0), 0.5 * (a1 + b1)
-        children = ((a0, mx, a1, my), (mx, b0, a1, my), (a0, mx, my, b1), (mx, b0, my, b1))
-        total -= v0
-        total_err += neg_err
-        for quad in children:
-            v, e = piece(*quad)
-            total += v
-            total_err += e
-            counter += 1
-            heapq.heappush(heap, (-e, counter) + quad + (v,))
-    return total
-
-
-def adaptive_integrate(f, box, tol=1e-10, max_pieces=40000):
-    """Adaptive integration oracle over an interval or a 2-D box.
-
-    ``box`` is either ``(a, b)`` with scalar bounds (1-D; ``f`` maps a node
-    array to values) or ``((ax, bx), (ay, by))`` (2-D; ``f(x, y)`` maps node
-    arrays to values).  Bisects the piece with the largest embedded-rule
-    error estimate until the accumulated estimate drops below tol times the
-    integral; suitable for corner/endpoint (integrable) singularities.
-    """
-    box = tuple(box)
-    if np.isscalar(box[0]):
-        return _adaptive_1d(f, box[0], box[1], tol, max_pieces)
-    return _adaptive_2d(f, box, tol, max_pieces)

@@ -26,7 +26,8 @@ bases are the closed-form character projectors of Allgower, Boehmer,
 Georg and Miranda ("Exploiting symmetry in boundary element methods",
 SIAM J. Numer. Anal. 29, 1992): a row per orbit, chi(g)/sqrt|O| at each
 image g(r) of the orbit's least dof r.  So each Q_k^T is written as one
-CSR matrix from index arithmetic on the group's dof maps, its rows sorted.
+CSR matrix from the group's record of its dof orbits (``MirrorGroup.orbits``,
+which assembly reads too), its rows sorted.
 ``block_factor`` holds the blocks Q_k and the Cholesky factor of each
 Q_k^T A Q_k; ``BlockFactor.project`` gives B_k once per level from the
 rows of B at the orbits' least dofs, gathered once for all blocks,
@@ -121,10 +122,10 @@ class BlockFactor:
                                for Qt, _ in self.blocks])
 
 
-def mirror_residual(X, *perms) -> float:
-    """The largest over the maps ``perms`` of max|X[p][:, p] - X| / max|X|
-    for a matrix, read as CSR, or of max|X[p] - X| / max|X| for a diagonal
-    given by its entries; 0 without a map.
+def mirror_residual(X, perms) -> tuple:
+    """max|X[p][:, p] - X| / max|X| for each map p of ``perms``, for a
+    matrix, read as CSR once for all of them, or max|X[p] - X| / max|X|
+    for a diagonal given by its entries.
 
     A matrix is compared entry by entry: the entry at (a, b) with the one at
     its image (p(a), p(b)), found by binary search among the sorted keys
@@ -132,19 +133,19 @@ def mirror_residual(X, *perms) -> float:
     if np.ndim(X) == 1:
         X = np.asarray(X)
         top = max(X.max(), -X.min())
-        return max((float(np.abs(X.take(p) - X).max() / top) for p in perms), default=0.0)
+        return tuple(float(np.abs(X.take(p) - X).max() / top) for p in perms)
     X = sparse.csr_matrix(X, copy=True)
     X.sum_duplicates()                                  # sorted keys, each once
     n, top = X.shape[0], np.abs(X.data).max()
     row = np.repeat(np.arange(n), np.diff(X.indptr))
     key = row * n + X.indices
-    out = 0.0
+    out = []
     for p in perms:
         image = p[row] * n + p[X.indices]
         at = np.minimum(np.searchsorted(key, image), key.size - 1)
         Y = np.where(key[at] == image, X.data - X.data[at], X.data)
-        out = max(out, float(np.abs(Y).max() / top))
-    return out
+        out.append(float(np.abs(Y).max() / top))
+    return tuple(out)
 
 
 def character_bases(group: MirrorGroup):
@@ -168,46 +169,44 @@ def character_bases(group: MirrorGroup):
     A 1-D block holds, for every orbit, the vector sum over the group of
     chi(g) e_{g(r)} (r the orbit's least dof), normalized; orbits whose
     stabilizer is not in the kernel of chi give the zero vector and no
-    row.  The 2-D block is built the same way over the Klein group.  In
-    closed form a kept row holds chi(g)/sqrt|O_r| at each distinct image
-    g(r), and ``_orbit_bases`` writes exactly that: the rows in the order of
-    their least dofs, the dofs of each row in ascending order, and no sparse
-    algebra.
+    row.  The 2-D block is built the same way over the Klein subgroup,
+    the first four elements.  In closed form a kept row holds
+    chi(g)/sqrt|O_r| at each distinct image g(r), and ``_orbit_bases``
+    writes exactly that from the group's dof orbits (``group.orbits``):
+    the rows in the order of their least dofs, the dofs of each row in
+    ascending order, and no sparse algebra.
     """
-    g, chi = group.dofs, group.character                # g[e, i]: the image of dof i
-    if len(group.perms) < 3:
-        return _orbit_bases(g, [chi(k) for k in range(len(g))])
+    chi = group.character
+    if len(group.dofs) < 8:
+        return _orbit_bases(group, [chi(k) for k in range(len(group.dofs))])
     # D4's characters with chi(p_x) = chi(p_y), then the Klein group's (-, +)
-    return _orbit_bases(g, [chi(k) for k in (0, 3, 4, 7)]) + _orbit_bases(g[:4], [chi(1)[:4]])
+    klein = MirrorGroup(group.dofs[:4], group.panels[:4])
+    return _orbit_bases(group, [chi(k) for k in (0, 3, 4, 7)]) + _orbit_bases(klein, [chi(1)[:4]])
 
 
-def _orbit_bases(images, chis) -> list:
-    """The row bases of ``character_bases`` for the characters ``chis``,
-    each of values (|G|,), of the group whose element e maps dof i to
-    images[e, i]: one CSR matrix per character, from its arrays.
+def _orbit_bases(group: MirrorGroup, chis) -> list:
+    """The row bases of ``character_bases`` for the characters ``chis`` of
+    ``group``, each of values (|G|,): one CSR matrix per character, from
+    the arrays of the group's dof orbits.
 
     Row r belongs to the orbit O_r of its least dof i_r, kept only if
-    chi(g) = 1 on the stabilizer {g : g(i_r) = i_r}; it holds chi(g)/sqrt|O_r|
-    at each distinct image g(i_r), in ascending order.  That is the
-    normalized sum over the group of chi(g) e_{g(i_r)}: each image is hit by
-    a coset of the stabilizer, on which chi is constant exactly when the
-    stabilizer lies in its kernel, and the sum vanishes otherwise.  The
-    orbits are sorted once for all the characters."""
-    n = images.shape[1]
-    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    orbits = images[:, reps].T                          # (R, |G|): the images of each rep
-    order = np.argsort(orbits, axis=1, kind="stable")
-    cols = np.take_along_axis(orbits, order, axis=1)
-    first = np.ones(cols.shape, dtype=bool)             # the first hit of each image
-    first[:, 1:] = cols[:, 1:] != cols[:, :-1]
-    fixed = orbits == reps[:, None]                     # the stabilizer of each rep
+    chi(fix[i_r]) > 0, the stabilizer lying in the kernel of chi; it
+    holds chi(elem[i])/sqrt|O_r| at each dof i of the orbit, in ascending
+    order.  That is the normalized sum over the group of chi(g) e_{g(i_r)}:
+    each dof i is hit by the coset elem[i] of the stabilizer, on which chi
+    is constant exactly when the stabilizer lies in its kernel, and the
+    sum vanishes otherwise.  One stable sort of ``rep`` lists the dofs
+    orbit by orbit, for all the characters."""
+    o, n = group.orbits, group.dofs.shape[1]
+    cols = np.argsort(o.rep, kind="stable")             # each orbit's dofs, ascending
+    sizes = np.bincount(o.rep)[o.reps]                  # |O_r|
     out = []
     for chi in chis:
-        keep = ~np.any(fixed & (chi < 0), axis=1)       # stabilizer in ker chi
-        hit = first[keep]
-        size = hit.sum(axis=1)                          # |O_r|
-        data = chi[order[keep]][hit] * np.repeat(1.0 / np.sqrt(size), size)
-        out.append(sparse.csr_matrix((data, cols[keep][hit], np.concatenate([[0], np.cumsum(size)])),
+        keep = chi[o.fix[o.reps]] > 0                   # stabilizer in ker chi
+        size = sizes[keep]
+        c = cols[np.repeat(keep, sizes)]
+        data = chi[o.elem[c]] * np.repeat(1.0 / np.sqrt(size), size)
+        out.append(sparse.csr_matrix((data, c, np.concatenate([[0], np.cumsum(size)])),
                                      shape=(size.size, n)))
     return out
 

@@ -10,8 +10,12 @@ A key spells out the default inner product, so that one level is not built
 twice under two spellings.  The returned matrices are read-only, as the
 meshes and spaces are, so a test that writes into a shared one fails at the
 write.
+
+Also the reference implementations that only tests call: the dense
+Richardson inverse and the 2-D adaptive integration oracle.
 """
 
+import heapq
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -22,6 +26,8 @@ from calderon_bench.fespace import build_space
 from calderon_bench.geometry import make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh
+from calderon_bench.precond import Coupling
+from calderon_bench.quadrature import gauss_rule
 
 ALPHA = 0.05
 QUAD_N = 12
@@ -118,3 +124,52 @@ def faddeev_leverrier(A):
         c = -np.trace(A @ Mk) / k
         coeffs.append(c)
     return np.array(coeffs)
+
+
+def richardson_inverse(M, d, k, omega):
+    """R^(k) from k damped Richardson iterations for M^{-1} preconditioned
+    by the diagonal d, starting from R^(0) = 0: the chain of the builders
+    applied to I, symmetrized; a dense array."""
+    R = Coupling.dense(M).richardson((np.eye(M.shape[0]),), d, k, omega)[0]
+    return 0.5 * (R + R.T)
+
+
+def adaptive_integrate_2d(f, box, tol=1e-10, max_boxes=40000):
+    """Adaptive integration oracle over a box ((ax, bx), (ay, by)), with
+    ``f(x, y)`` mapping node arrays to values: quadrisects the box with the
+    largest error estimate (6- against 12-point tensor Gauss) until the
+    accumulated estimate drops below tol times the integral; suitable for
+    corner (integrable) singularities."""
+    (ax, bx), (ay, by) = box
+    g6 = gauss_rule(6)
+    g12 = gauss_rule(12)
+
+    def tensor(a0, b0, a1, b1, g):
+        x = a0 + (b0 - a0) * g.nodes
+        y = a1 + (b1 - a1) * g.nodes
+        vals = f(np.repeat(x, y.size), np.tile(y, x.size))
+        w = np.repeat(g.weights, y.size) * np.tile(g.weights, x.size)
+        return (b0 - a0) * (b1 - a1) * np.dot(w, vals)
+
+    def piece(a0, b0, a1, b1):
+        fine = tensor(a0, b0, a1, b1, g12)
+        return fine, abs(fine - tensor(a0, b0, a1, b1, g6))
+
+    val, err = piece(ax, bx, ay, by)
+    heap = [(-err, 0, ax, bx, ay, by, val)]
+    total, total_err, counter = val, err, 0
+    while total_err > tol * max(abs(total), 1e-300) and len(heap) < max_boxes:
+        neg_err, _, a0, b0, a1, b1, v0 = heapq.heappop(heap)
+        if -neg_err <= 0:
+            break
+        mx, my = 0.5 * (a0 + b0), 0.5 * (a1 + b1)
+        children = ((a0, mx, a1, my), (mx, b0, a1, my), (a0, mx, my, b1), (mx, b0, my, b1))
+        total -= v0
+        total_err += neg_err
+        for quad in children:
+            v, e = piece(*quad)
+            total += v
+            total_err += e
+            counter += 1
+            heapq.heappush(heap, (-e, counter) + quad + (v,))
+    return total

@@ -34,13 +34,12 @@ from calderon_bench.duals import (build_bubbles, build_dual_basis, eval_dual_sum
 from calderon_bench.fespace import reference_basis
 from calderon_bench.gram import lumped_matrix, mass_matrix, scaled_basis
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
-                                    richardson_inverse, richardson_precond,
-                                    richardson_weight)
-from calderon_bench.quadrature import adaptive_integrate
+                                    richardson_precond, richardson_weight)
 from calderon_bench.spectral import kappa, spd_factor
 
-from helpers import (circle_uniform_operators, circle_uniform_space, corner_gram,
-                     corner_mesh, corner_operators, corner_space)
+from helpers import (adaptive_integrate_2d, circle_uniform_operators, circle_uniform_space,
+                     corner_gram, corner_mesh, corner_operators, corner_space,
+                     richardson_inverse)
 
 LEVELS = range(1, 7)
 
@@ -230,7 +229,7 @@ def test_criterion_07_operator_assembly_oracle():
                     return (-np.log(r) / (2 * np.pi) * va * vb
                             * radius * radius * dta * dtb)
 
-                ref += adaptive_integrate(f, ((0, 1), (0, 1)), tol=1e-12)
+                ref += adaptive_integrate_2d(f, ((0, 1), (0, 1)), tol=1e-12)
         worst_e = max(worst_e, abs(A[nu, mu] / ref - 1))
     ok = worst_a <= 0.02 and worst_b <= 0.05 and worst_e <= 1e-8
     _report(7, "assembly vs circle symbols and oracle", ok,

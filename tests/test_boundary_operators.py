@@ -19,11 +19,11 @@ from calderon_bench.gram import lumped_matrix, mass_matrix
 from calderon_bench.mesh import (Mesh, corner_schedule, initial_mesh, panel_chords,
                                  panel_samples, refine)
 from calderon_bench.precond import lumped_precond
-from calderon_bench.quadrature import adaptive_integrate, gauss_rule, pair_rule
+from calderon_bench.quadrature import gauss_rule, pair_rule
 from calderon_bench.spectral import kappa
 
-from helpers import (QUAD_N, circle_uniform_operators, circle_uniform_space,
-                     corner_operators, corner_space, geom)
+from helpers import (QUAD_N, adaptive_integrate_2d, circle_uniform_operators,
+                     circle_uniform_space, corner_operators, corner_space, geom)
 
 RADIUS = 0.25
 
@@ -115,7 +115,7 @@ def test_far_field_entry_matches_adaptive_oracle():
             )
             return -np.log(r) / (2 * np.pi) * va * vb * sp * dta * dtb
 
-        ref = adaptive_integrate(f, ((0, 1), (0, 1)), tol=1e-12)
+        ref = adaptive_integrate_2d(f, ((0, 1), (0, 1)), tol=1e-12)
         assert A[nu, mu] == pytest.approx(ref, rel=1e-8)
 
 

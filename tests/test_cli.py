@@ -378,7 +378,8 @@ def test_broken_diagonal_mirror_fails_before_assembly(monkeypatch):
         for i, j in {(g[3], g[5]) for g in (np.arange(s.ndof), px, py, px[py])}:
             M[i, j] += 1e-6 * top
             M[j, i] = M[i, j]
-        assert max(mirror_residual(M, p) for p in (px, py)) <= TAU < mirror_residual(M, pd)
+        rx, ry, rd = mirror_residual(M, (px, py, pd))
+        assert max(rx, ry) <= TAU < rd
         return M
 
     monkeypatch.setattr(cli, "mass_matrix", broken)
@@ -601,6 +602,17 @@ def test_bool_and_non_numbers_rejected_up_front(monkeypatch, field, value):
     monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
     with pytest.raises(ValueError, match=f"{field} must be (an integer|a number), got"):
         run_experiment(ExperimentConfig(**{"geometry": "ellipse", "levels": 1, field: value}))
+
+
+@pytest.mark.parametrize("field, value", [("dump_matrices", 7), ("output", 3), ("preconds", [1]),
+                                          ("preconds", None)])
+def test_bad_string_inputs_rejected_up_front(monkeypatch, field, value):
+    # dump_matrices=7 died in os.makedirs after level 1, output=3 would be
+    # opened as a file descriptor, and preconds=[1] or None died in the
+    # parse with an AttributeError or a TypeError
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    with pytest.raises(ValueError, match=f"{field} must be a string"):
+        run_experiment(ExperimentConfig(**{"levels": 1, field: value}))
 
 
 def test_one_mirror_search_and_expansion_per_level(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ellipe
 
 from calderon_bench.geometry import (CoercivityRiskError, EllipticChart, arc_length,
-                                     arc_lengths, chart_eval, chart_speed, make_geometry,
+                                     arc_lengths, chart_speed, make_geometry,
                                      total_length)
 from calderon_bench.quadrature import gauss_rule
 
@@ -47,8 +47,8 @@ def test_chart_eval_endpoints_glue():
         p = g.n_charts
         for i in range(p):
             j = (i + 1) % p
-            end = chart_eval(g, i, g.charts[i].t1)
-            start = chart_eval(g, j, g.charts[j].t0)
+            end = g.charts[i].point(g.charts[i].t1)
+            start = g.charts[j].point(g.charts[j].t0)
             assert np.allclose(end, start, atol=1e-14)
 
 
@@ -73,8 +73,6 @@ def test_diameter_guard():
 
 def test_parameter_domain_errors():
     g = make_geometry("square", 0.5)
-    with pytest.raises(ValueError):
-        chart_eval(g, 0, g.charts[0].t1 + 0.5)
     with pytest.raises(ValueError):
         chart_speed(g, 2, g.charts[2].t0 - 0.1)
 
@@ -106,7 +104,7 @@ def test_corner_aliases_name_the_same_point():
     for kind in ("square", "circle", "ellipse"):
         g = make_geometry(kind, 0.5)
         for corner in g.corners:
-            pts = np.array([chart_eval(g, ci, t) for ci, t in corner])
+            pts = np.array([g.charts[ci].point(t) for ci, t in corner])
             assert np.allclose(pts, pts[0], atol=1e-12)
 
 

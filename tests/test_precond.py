@@ -4,11 +4,11 @@ import scipy.linalg
 
 from calderon_bench.precond import (Coupling, RichardsonDivergenceError,
                                     jacobi_precond, lumped_precond, mass_precond,
-                                    reference_mass_and_lumped, richardson_inverse,
-                                    richardson_precond, richardson_weight)
+                                    reference_mass_and_lumped, richardson_precond,
+                                    richardson_weight)
 from calderon_bench.spectral import NotSPDError, kappa
 
-from helpers import corner_gram, corner_level, corner_operators
+from helpers import corner_gram, corner_level, corner_operators, richardson_inverse
 
 rng = np.random.RandomState(99)
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -275,7 +277,7 @@ def test_projected_coupling_is_block_diagonal():
 def _klein(group):
     """The Klein group of the two axis mirrors: the first four elements of
     D4, whose encoding gives p_d the bit 4."""
-    return MirrorGroup(group.perms[:2], group.dofs[:4], group.panels[:4])
+    return MirrorGroup(group.dofs[:4], group.panels[:4])
 
 
 def test_character_bases_orthogonal_partition():
@@ -351,6 +353,29 @@ def test_character_bases_match_the_definition(kind, group):
         Q = scipy.sparse.vstack(bases).toarray()
         assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-15, k
         assert Q.shape[0] == (3 * s.ndof // 4 if group == "d4" else s.ndof), k
+
+
+def test_assembly_and_bases_read_one_orbit_record(monkeypatch):
+    # the dof orbits are derived once per group, on first use, whichever of
+    # assembly and the character bases comes first; the bases of D4's 2-D
+    # block derive those of its Klein subgroup
+    derive, calls = MirrorGroup.orbits.func, []
+
+    def counted(group):
+        calls.append(group)
+        return derive(group)
+
+    orbits = functools.cached_property(counted)
+    orbits.__set_name__(MirrorGroup, "orbits")
+    monkeypatch.setattr(MirrorGroup, "orbits", orbits)
+    for first_bases in (True, False):
+        s = build_space(corner_schedule(make_geometry("square", 0.5), 1), 3)
+        steps = [lambda: character_bases(s.mirrors), lambda: assemble_operator_pair(s)]
+        for step in steps if first_bases else steps[::-1]:
+            step()
+            assert [g for g in calls if g is s.mirrors] == [s.mirrors], first_bases
+        assert len(calls) == 2                  # the group and its Klein subgroup
+        calls.clear()
 
 
 def _orbit(perms, i):
@@ -448,10 +473,11 @@ def test_mirror_residual_reads_half_the_rows():
     lev = corner_level("square", 3, 3)
     A, B, D = lev.A, lev.B, lev.D
     X = rng.randn(*A.shape)
-    for p in lev.space.mirrors.perms:
-        for Y in (A, B, X):
-            assert mirror_residual(Y, p) == np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
-        assert mirror_residual(D, p) == np.abs(D[p] - D).max() / D.max()
+    perms = lev.space.mirrors.perms
+    for Y in (A, B, X):
+        assert mirror_residual(Y, perms) == tuple(np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
+                                                  for p in perms)
+    assert mirror_residual(D, perms) == tuple(np.abs(D[p] - D).max() / D.max() for p in perms)
     # a unit entry in any row, those on a mirror's axis included, is seen
     n = 96
     for p in corner_space("square", 2, 1).mirrors.perms:
@@ -460,7 +486,18 @@ def test_mirror_residual_reads_half_the_rows():
         for i in range(n):
             X = np.zeros((n, n))
             X[i, j] = 1.0
-            assert mirror_residual(X, p) == 1.0, i
+            assert mirror_residual(X, [p]) == (1.0,), i
+
+
+def test_mirror_residual_per_map_equals_single_map_calls():
+    # one set-up of the matrix for every map gives, map by map, the bits of
+    # a call with that map alone, on M (CSR) and D of the level-3 cubic square
+    lev = corner_level("square", 3, 3)
+    perms = lev.space.mirrors.perms
+    assert len(perms) == 3
+    for X in (lev.M, lev.D):
+        assert mirror_residual(X, perms) == tuple(mirror_residual(X, [p])[0] for p in perms)
+    assert mirror_residual(lev.M, ()) == ()
 
 
 def test_mesh_without_mirror_takes_single_block():
