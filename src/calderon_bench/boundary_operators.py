@@ -402,7 +402,8 @@ def _write(group: MirrorGroup, blocks, alpha, m):
     """A = Z_val + Z_val^T and B = Z_der + Z_der^T + alpha m~ m~^T, for Z the
     sums of the blocks (rows, cols, val, der) at their images under every
     element of the mirror group ``group``, with m~ = m at each dof's
-    representative; the orbits are the group's record, ``group.orbits``.
+    representative; the orbits are the group's record, ``group.orbits``, and
+    the inverse maps ``group.inverses``.
 
     Z commutes with the group, so its row i is row rep[i] with columns
     permuted by e_i^-1, e_i = elem[i].  So an entry (i, j) of a block is
@@ -413,11 +414,11 @@ def _write(group: MirrorGroup, blocks, alpha, m):
     Z^T on the rows of the representatives, and every other row is copied
     from them, row g(r) from row r with columns permuted by g^-1, one row
     block at a time."""
-    o, N = group.orbits, group.dofs.shape[1]
+    o, inv, N = group.orbits, group.inverses, group.dofs.shape[1]
     A, B = np.zeros((N, N)), np.zeros((N, N))
     a, b = A.reshape(-1), B.reshape(-1)
     for rows, cols, val, der in blocks:
-        idx = o.inv[o.elem[rows][:, :, None], cols[:, None, :]]
+        idx = inv[o.elem[rows][:, :, None], cols[:, None, :]]
         idx += o.rep[rows][:, :, None] * N
         np.add.at(a, idx.ravel(), val.ravel())
         np.add.at(b, idx.ravel(), der.ravel())
@@ -434,7 +435,7 @@ def _write(group: MirrorGroup, blocks, alpha, m):
         for k in range(0, o.reps.size, step):
             r = o.reps[k:k + step]
             T = X[r]
-            for g, ginv in zip(group.dofs[1:], o.inv[1:]):
+            for g, ginv in zip(group.dofs[1:], inv[1:]):
                 X[g[r]] = T[:, ginv]
     return A, B
 
@@ -460,7 +461,7 @@ def _pair(group: MirrorGroup, *targets):
     partner index is built once per row block for all targets."""
     o, N = group.orbits, group.dofs.shape[1]
     col = np.arange(N)
-    inv, at = o.inv.reshape(-1), o.elem.astype(np.intp) * N   # flat e_c^-1 of column c
+    inv, at = group.inverses.reshape(-1), o.elem.astype(np.intp) * N   # flat e_c^-1 of column c
     row_at = o.rep.astype(np.intp) * N
     cf = np.flatnonzero(o.fix[o.rep])                  # columns of orbits a mirror fixes
     hf = group.dofs[o.fix[o.rep[cf]]]

@@ -17,7 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import boundary_operators as bops
 from .geometry import make_geometry, total_length
@@ -28,7 +27,7 @@ from .mesh import (corner_schedule, deepest_level, dump_mesh, initial_mesh, is_c
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import (TAU, BlockFactor, MirrorError, NotSPDError, block_factor, kappa,
+from .spectral import (TAU, BlockFactor, Csr, MirrorError, NotSPDError, block_factor, kappa,
                        mirror_residual, spd_factor)
 
 
@@ -146,17 +145,17 @@ def _build_precond(name, B, M, D, omega):
 @dataclass(frozen=True, eq=False)
 class Level:
     """One level of the table: the space (with its mirror group), A and B,
-    M (CSR) and D, and the same level in the symmetry basis: A's factor by
-    the blocks of the space's mirror group (five on D4, four on the axis
-    mirrors alone, one without mirrors), the lower Cholesky factors of the
-    blocks of B, M as a Coupling and D's diagonal.  Every
-    preconditioner of the level is built on the last three, as a factor F
-    with G = F^T F."""
+    M (a CSR record, ``spectral.Csr``) and D, and the same level in the
+    symmetry basis: A's factor by the blocks of the space's mirror group
+    (five on D4, four on the axis mirrors alone, one without mirrors), the
+    lower Cholesky factors of the blocks of B, M as a Coupling and D's
+    diagonal.  Every preconditioner of the level is built on the last
+    three, as a factor F with G = F^T F."""
 
     space: FeSpace
     A: np.ndarray
     B: np.ndarray
-    M: sparse.csr_matrix
+    M: Csr
     D: np.ndarray
     factor: BlockFactor
     B_factors: tuple
@@ -169,14 +168,14 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
 
     ``mass_matrix`` returns M dense, because the benchmark's independent
     preconditioners read it dense.  Here it lives only until its one pass
-    to CSR (``_dense_to_csr``).  Before assembly, M (CSR) and D must commute
-    with each generator of ``s.mirrors`` to TAU, M under every mirror
-    first, or MirrorError names the matrix, the mirror and the residual;
-    A's factor takes the group's blocks as given.  M's blocks go to the
+    to a CSR record (``Csr.from_dense``).  Before assembly, M and D must
+    commute with each generator of ``s.mirrors`` to TAU, M under every
+    mirror first, or MirrorError names the matrix, the mirror and the
+    residual; A's factor takes the group's blocks as given.  M's blocks go to the
     Coupling as a list, once.  The Cholesky factors of the blocks check
     that A and B are SPD: CoercivityError on A, AssemblyError on B, naming
     the block's order."""
-    M = _dense_to_csr(mass_matrix(s, inner_product, n_quad=quad_n))
+    M = Csr.from_dense(mass_matrix(s, inner_product, n_quad=quad_n))
     D = lumped_matrix(s, inner_product, n_quad=quad_n)
     for name, X in (("M", M), ("D", D)):
         for mirror, residual in zip(MIRROR_NAMES, mirror_residual(X, s.mirrors.perms)):
@@ -194,15 +193,6 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
         raise bops.AssemblyError(f"stabilized hypersingular B, a symmetry block: {exc}") from None
     C = Coupling(F.project_sparse(M), F.project_diagonal(M.diagonal()))
     return Level(s, A, B, M, D, F, LB, C, F.project_diagonal(D))
-
-
-def _dense_to_csr(X: np.ndarray) -> sparse.csr_matrix:
-    """The CSR form of a dense square X from one pass over its nonzeros,
-    which come in row-major order, so every row is sorted."""
-    n = X.shape[0]
-    at = np.flatnonzero(X != 0)
-    return sparse.csr_matrix((X.ravel()[at], at % n, np.searchsorted(at, n * np.arange(n + 1))),
-                             shape=X.shape)
 
 
 def level_mesh(cfg: ExperimentConfig, g, k):

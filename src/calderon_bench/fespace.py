@@ -159,16 +159,15 @@ class DofOrbits(NamedTuple):
     """The orbits of the dofs under a mirror group: the representatives
     ``reps`` (R,), each orbit's least dof; for every dof i its
     representative ``rep[i]`` and the first element ``elem[i]`` (in the
-    group's order) that maps rep[i] to i; ``inv`` (|G|, N), the inverse of
-    every element's dof map; and for every dof an element other than the
-    identity that fixes it, or the identity (``fix``).  A point of a
-    curve other than the mirror centre lies on at most one mirror, so no
-    dof is fixed by more than one element besides the identity."""
+    group's order) that maps rep[i] to i; and for every dof an element
+    other than the identity that fixes it, or the identity (``fix``).  A
+    point of a curve other than the mirror centre lies on at most one
+    mirror, so no dof is fixed by more than one element besides the
+    identity."""
 
     reps: np.ndarray
     rep: np.ndarray
     elem: np.ndarray
-    inv: np.ndarray
     fix: np.ndarray
 
 
@@ -203,16 +202,24 @@ class MirrorGroup:
         them for assembly's write and for the character bases."""
         dofs, N = self.dofs, self.dofs.shape[1]
         rep = dofs.min(axis=0).astype(np.int32)
-        inv = np.empty(dofs.shape, dtype=np.int32)
-        np.put_along_axis(inv, dofs, np.arange(N, dtype=np.int32)[None], axis=1)
         fixed = dofs == np.arange(N)
         fixed[0] = False
         o = DofOrbits(np.flatnonzero(rep == np.arange(N)), rep,
-                      np.argmax(dofs[:, rep] == np.arange(N), axis=0).astype(np.int8), inv,
+                      np.argmax(dofs[:, rep] == np.arange(N), axis=0).astype(np.int8),
                       fixed.argmax(axis=0).astype(np.int8))
         for a in o:
             a.flags.writeable = False
         return o
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """(|G|, N): the inverse of every element's dof map, derived once,
+        for assembly's write (the character bases do not read it)."""
+        inv = np.empty(self.dofs.shape, dtype=np.int32)
+        np.put_along_axis(inv, self.dofs, np.arange(self.dofs.shape[1], dtype=np.int32)[None],
+                          axis=1)
+        inv.flags.writeable = False
+        return inv
 
     def character(self, k: int) -> np.ndarray:
         """chi_k(e) = (-1)^(number of generators in both k and e), by

@@ -13,9 +13,9 @@ kappa_S(G A) from F without forming G.  Each builder works block by
 block.  Every coupling X commutes with the curve's mirrors, so in the
 symmetry basis of ``spectral.BlockFactor`` F_k^T = X_k L_Bk with L_Bk the
 factor of B_k.  B is passed as the tuple of the factors L_Bk, M as a
-:class:`Coupling` (the sparse blocks of M in that basis, and diag(M)
-diagonal), and D as its diagonal in that basis.  A dense B and M are one
-block with Q = I: B is factored on entry, and F is dense.
+:class:`Coupling` (the blocks of M in that basis as CSR records, and
+diag(M) diagonal), and D as its diagonal in that basis.  A dense B and M
+are one block with Q = I: B is factored on entry, and F is dense.
 
 The coupling matrices are sparse and banded: M couples only dofs of a
 common panel, so in reverse Cuthill-McKee order of its graph its band is
@@ -39,15 +39,13 @@ matrices are assembled from element contributions.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .spectral import NotSPDError, spd_factor
+from ._kernels import flapack
+from .spectral import Csr, NotSPDError, spd_factor
 
 
 class RichardsonDivergenceError(RuntimeError):
@@ -58,13 +56,14 @@ class Coupling:
     """The coupling matrices of one level in the symmetry basis, and the
     sparse work the builders share.
 
-    ``blocks`` holds the blocks Q_k^T M Q_k (CSR) from the start, in the
-    order of the blocks of B, ``m`` the diagonal Q^T diag(M) Q with the
-    blocks concatenated, and ``sizes`` the block sizes.  No block-diagonal
-    matrix is formed, so nothing is cut out of one again.  For Q = I they
-    are M and diag(M) themselves, as one block.  The lumped diagonal d
-    (Q^T D Q) and the factors of B are passed to the builders that use
-    them; they must not change while the Coupling is in use.
+    ``blocks`` holds the blocks Q_k^T M Q_k (CSR records, ``spectral.Csr``)
+    from the start, in the order of the blocks of B, ``m`` the diagonal
+    Q^T diag(M) Q with the blocks concatenated, and ``sizes`` the block
+    sizes.  No block-diagonal matrix is formed, so nothing is cut out of
+    one again.  For Q = I they are M and diag(M) themselves, as one block.
+    The lumped diagonal d (Q^T D Q) and the factors of B are passed to the
+    builders that use them; they must not change while the Coupling is in
+    use.
     """
 
     def __init__(self, blocks, m: np.ndarray):
@@ -76,8 +75,8 @@ class Coupling:
 
     @classmethod
     def dense(cls, M):
-        """One block with Q = I."""
-        M = sparse.csr_matrix(M)
+        """One block with Q = I, for M a Csr or dense."""
+        M = M if isinstance(M, Csr) else Csr.from_dense(M)
         return cls((M,), M.diagonal())
 
     def pieces(self, x: np.ndarray) -> list:
@@ -87,7 +86,7 @@ class Coupling:
     @cached_property
     def order(self):
         """The RCM order of each block of M, which keeps its band."""
-        return [reverse_cuthill_mckee(Mk, symmetric_mode=True) for Mk in self.blocks]
+        return [reverse_cuthill_mckee(Mk) for Mk in self.blocks]
 
     @cached_property
     def bands(self):
@@ -159,13 +158,49 @@ def lumped_precond(B, d: np.ndarray):
     return F if as_blocks else F[0]
 
 
-def _lower_band(Ms, perm) -> np.ndarray:
-    """Ms[perm][:, perm] of a symmetric CSR matrix Ms in LAPACK's lower
-    band storage, by relabelling its entries."""
+def reverse_cuthill_mckee(Ms: Csr) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the graph of a structurally
+    symmetric Csr Ms: scipy's ``reverse_cuthill_mckee(Ms,
+    symmetric_mode=True)``, entry for entry.
+
+    As there, a node's degree is its row's stored entries, plus one if the
+    diagonal is stored; each component is searched breadth first from its
+    first node in ``np.argsort`` of the degrees (int32, as the kernel has
+    them); each node, taken in the order reached, appends its neighbours
+    not yet reached, in its row's order, stably sorted by degree; and the
+    order is reversed.  The search is a plain queue: the graphs of M's
+    blocks are bands, whose fronts hold one to four nodes, too few for
+    array operations per front to pay."""
+    n, row = Ms.shape[0], Ms.rows
+    degree = np.diff(Ms.indptr)
+    degree[row[Ms.indices == row]] += 1
+    deg, ptr, ind = degree.tolist(), Ms.indptr.tolist(), Ms.indices.tolist()
+    seen, order = bytearray(n), []
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        order.append(seed)
+        for i in islice(order, len(order) - 1, None):   # the queue: order grows as it is read
+            new = []
+            for j in ind[ptr[i]:ptr[i + 1]]:
+                if not seen[j]:
+                    seen[j] = 1
+                    new.append(j)
+            new.sort(key=deg.__getitem__)
+            order += new
+        if len(order) == n:
+            break
+    return np.array(order[::-1], dtype=np.int32)
+
+
+def _lower_band(Ms: Csr, perm) -> np.ndarray:
+    """Ms[perm][:, perm] of a symmetric Csr Ms in LAPACK's lower band
+    storage, by relabelling its entries."""
     n = Ms.shape[0]
     at = np.empty_like(perm)
     at[perm] = np.arange(n)
-    row, col = at[np.repeat(np.arange(n), np.diff(Ms.indptr))], at[Ms.indices]
+    row, col = at[Ms.rows], at[Ms.indices]
     off = row - col
     low = off >= 0
     ab = np.zeros((off[low].max() + 1, n))
@@ -173,13 +208,33 @@ def _lower_band(Ms, perm) -> np.ndarray:
     return ab
 
 
+def _finite(*arrays):
+    """Raise ValueError, as scipy.linalg's checked routines do, unless
+    every entry is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _banded_cholesky(ab) -> np.ndarray:
-    """Lower banded Cholesky factor of the matrix in lower band storage ab;
-    raises NotSPDError if it is not SPD."""
-    try:
-        return scipy.linalg.cholesky_banded(ab, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("matrix is not symmetric positive definite") from None
+    """Lower banded Cholesky factor of the matrix in lower band storage ab
+    (LAPACK dpbtrf); raises NotSPDError if it is not SPD."""
+    _finite(ab)
+    c, info = flapack.dpbtrf(ab, lower=1)
+    if info > 0:
+        raise NotSPDError("matrix is not symmetric positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return c
+
+
+def _banded_solve(c, b) -> np.ndarray:
+    """The solution of S x = b for the lower banded Cholesky factor c of S
+    (LAPACK dpbtrs)."""
+    _finite(c, b)
+    x, info = flapack.dpbtrs(c, b, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
 
 
 def mass_precond(B, M):
@@ -187,7 +242,7 @@ def mass_precond(B, M):
     F = []
     for L, ab, perm in zip(Ls, C.factors, C.order):
         Ft = np.empty_like(L)                      # M_k^{-1} L_Bk
-        Ft[perm] = scipy.linalg.cho_solve_banded((ab, True), L[perm])
+        Ft[perm] = _banded_solve(ab, L[perm])
         F.append(Ft.T)
     return tuple(F) if as_blocks else F[0]
 
@@ -248,7 +303,9 @@ def richardson_weight(d: int, ell: int):
     """Extremal generalized eigenvalues of (M, D) on the reference simplex
     and the damping weight omega = 2 / (lambda- + lambda+)."""
     M, D = reference_mass_and_lumped(d, ell)
-    lam = scipy.linalg.eigh(M, np.diag(D), eigvals_only=True)
+    lam, _, info = flapack.dsygvd(M, np.diag(D), jobz="N", uplo="L")   # as scipy's eigh
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvd failed with info = {info}")
     lam_minus, lam_plus = lam[0], lam[-1]
     return lam_minus, lam_plus, 2.0 / (lam_minus + lam_plus)
 

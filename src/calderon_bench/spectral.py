@@ -26,8 +26,11 @@ bases are the closed-form character projectors of Allgower, Boehmer,
 Georg and Miranda ("Exploiting symmetry in boundary element methods",
 SIAM J. Numer. Anal. 29, 1992): a row per orbit, chi(g)/sqrt|O| at each
 image g(r) of the orbit's least dof r.  So each Q_k^T is written as one
-CSR matrix from the group's record of its dof orbits (``MirrorGroup.orbits``,
-which assembly reads too), its rows sorted.
+read-only CSR record (:class:`Csr`) from the group's record of its dof
+orbits (``MirrorGroup.orbits``, which assembly reads too), its rows
+sorted.  The records' products run scipy's CSR kernels, and the dense
+algebra LAPACK and BLAS, all three loaded by :mod:`_kernels` without
+scipy's package imports.
 ``block_factor`` holds the blocks Q_k and the Cholesky factor of each
 Q_k^T A Q_k; ``BlockFactor.project`` gives B_k once per level from the
 rows of B at the orbits' least dofs, gathered once for all blocks,
@@ -44,7 +47,7 @@ before assembly: each must commute with every generator of the group to
 TAU, measured as max|X[p][:, p] - X| / max|X| (about 1e-14) by comparing
 each stored entry with the entry at its image, or the level fails with a
 MirrorError that names the mirror.  On a curve or mesh without the
-mirrors the group is the trivial one, whose basis is Q = I as a sparse
+mirrors the group is the trivial one, whose basis is Q = I as a CSR
 identity, through which the same code runs once on the full matrices.
 Products with it only multiply by 1 and add 0, so they are exact.  The
 Cholesky factors of the blocks are the check that A is SPD, with the
@@ -59,10 +62,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg.blas import dsyrk, dtrmm
-from scipy.linalg.lapack import dstebz, dsytrd, dsytrd_lwork
 
+from ._kernels import fblas, flapack, sparsetools
 from .fespace import MirrorGroup
 
 # largest relative mirror residual of M and D that ``cli.build_level``
@@ -86,12 +87,99 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
         raise NotSPDError(f"matrix of order {len(S)} is not symmetric positive definite") from None
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A read-only sparse matrix in compressed sparse rows, laid out as
+    scipy stores one: row i holds ``data[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, each column once, with
+    int32 ``indptr`` and ``indices``; the arrays given are made
+    read-only.  The character bases, M and M's blocks are held this way,
+    every row's columns ascending, and their products go through scipy's
+    CSR kernels (``_kernels.sparsetools``), so that they are the products
+    scipy.sparse forms, to the bit."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", float)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "shape", tuple(int(k) for k in self.shape))
+
+    @classmethod
+    def from_dense(cls, X) -> Csr:
+        """The record of a dense 2-D X from one pass over its nonzeros,
+        which come in row-major order, so every row is sorted."""
+        X = np.asarray(X, dtype=float)
+        n, m = X.shape
+        at = np.flatnonzero(X != 0)
+        return cls(np.searchsorted(at, m * np.arange(n + 1)), at % m, X.ravel()[at], X.shape)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, X) -> np.ndarray:
+        """The dense product with a dense 2-D X, by csr_matvecs."""
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of {X.shape}")
+        out = np.zeros((self.shape[0], X.shape[1]))
+        sparsetools.csr_matvecs(*self.shape, X.shape[1], self.indptr, self.indices, self.data,
+                                X.ravel(), out.ravel())
+        return out
+
+    def transpose(self) -> Csr:
+        """The transpose, by csr_tocsc: its rows sorted."""
+        n, m = self.shape
+        indptr, indices, data = (np.empty(m + 1, np.int32), np.empty_like(self.indices),
+                                 np.empty_like(self.data))
+        sparsetools.csr_tocsc(n, m, self.indptr, self.indices, self.data, indptr, indices, data)
+        return Csr(indptr, indices, data, (m, n))
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, zero where no entry is stored."""
+        row = self.rows
+        on = self.indices == row
+        out = np.zeros(min(self.shape))
+        out[row[on]] = self.data[on]
+        return out
+
+
+def _product(A: Csr, B: Csr, sort: bool) -> Csr:
+    """A B as scipy.sparse forms ``A @ B``, by csr_matmat: exact zeros
+    dropped and each row's columns in the kernel's order, which the next
+    product reads in turn, or ascending if ``sort``, by csr_sort_indices."""
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply a {A.shape} matrix by one of {B.shape}")
+    n, m = A.shape[0], B.shape[1]
+    nnz = sparsetools.csr_matmat_maxnnz(n, m, A.indptr, A.indices, B.indptr, B.indices)
+    indptr, indices, data = np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
+    sparsetools.csr_matmat(n, m, A.indptr, A.indices, A.data, B.indptr, B.indices, B.data,
+                           indptr, indices, data)
+    indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    if sort:
+        sparsetools.csr_sort_indices(n, indptr, indices, data)
+    return Csr(indptr, indices, data, (n, m))
+
+
 @dataclass(frozen=True)
 class BlockFactor:
     """A by blocks for :func:`kappa`: one (Q_k^T, L_k) per block, with Q_k^T
-    a sparse row basis (the identity for one block; on D4 the rows span
-    3N/4, see ``character_bases``) and L_k the lower Cholesky factor of
-    Q_k^T A Q_k."""
+    a row basis as a :class:`Csr` record (the identity for one block; on
+    D4 the rows span 3N/4, see ``character_bases``) and L_k the lower
+    Cholesky factor of Q_k^T A Q_k."""
 
     blocks: tuple
 
@@ -104,15 +192,12 @@ class BlockFactor:
         block (see :func:`_project`)."""
         return _project(X, [Qt for Qt, _ in self.blocks])
 
-    def project_sparse(self, S) -> list:
-        """The blocks Q_k^T S Q_k (CSR, sorted rows) of a sparse symmetric S
-        that commutes with the group, one product per block."""
-        S, out = sparse.csr_matrix(S), []
-        for Qt, _ in self.blocks:
-            P = Qt @ S @ Qt.T
-            P.sort_indices()
-            out.append(P)
-        return out
+    def project_sparse(self, S: Csr) -> list:
+        """The blocks Q_k^T S Q_k, as Csr records with sorted rows, of a
+        symmetric Csr S that commutes with the group, one product per
+        block: (Q_k^T S) Q_k, as scipy.sparse forms ``Qt @ S @ Qt.T``."""
+        return [_product(_product(Qt, S, sort=False), Qt.transpose(), sort=True)
+                for Qt, _ in self.blocks]
 
     def project_diagonal(self, d: np.ndarray) -> np.ndarray:
         """The diagonal of Q^T diag(d) Q, blocks concatenated; for d
@@ -124,8 +209,8 @@ class BlockFactor:
 
 def mirror_residual(X, perms) -> tuple:
     """max|X[p][:, p] - X| / max|X| for each map p of ``perms``, for a
-    matrix, read as CSR once for all of them, or max|X[p] - X| / max|X|
-    for a diagonal given by its entries.
+    matrix, a Csr record or dense (then made a record once for all of
+    them), or max|X[p] - X| / max|X| for a diagonal given by its entries.
 
     A matrix is compared entry by entry: the entry at (a, b) with the one at
     its image (p(a), p(b)), found by binary search among the sorted keys
@@ -134,10 +219,9 @@ def mirror_residual(X, perms) -> tuple:
         X = np.asarray(X)
         top = max(X.max(), -X.min())
         return tuple(float(np.abs(X.take(p) - X).max() / top) for p in perms)
-    X = sparse.csr_matrix(X, copy=True)
-    X.sum_duplicates()                                  # sorted keys, each once
-    n, top = X.shape[0], np.abs(X.data).max()
-    row = np.repeat(np.arange(n), np.diff(X.indptr))
+    if not isinstance(X, Csr):
+        X = Csr.from_dense(X)                           # sorted keys, each once
+    n, top, row = X.shape[0], np.abs(X.data).max(), X.rows
     key = row * n + X.indices
     out = []
     for p in perms:
@@ -149,7 +233,7 @@ def mirror_residual(X, perms) -> tuple:
 
 
 def character_bases(group: MirrorGroup):
-    """Sparse orthonormal row bases Q_k^T (CSR, n_k x n) of the symmetry
+    """Orthonormal row bases Q_k^T (Csr records, n_k x n) of the symmetry
     blocks of the mirror group ``group``.
 
     Up to two commuting generators (none, for the trivial group, or the
@@ -186,7 +270,7 @@ def character_bases(group: MirrorGroup):
 
 def _orbit_bases(group: MirrorGroup, chis) -> list:
     """The row bases of ``character_bases`` for the characters ``chis`` of
-    ``group``, each of values (|G|,): one CSR matrix per character, from
+    ``group``, each of values (|G|,): one Csr record per character, from
     the arrays of the group's dof orbits.
 
     Row r belongs to the orbit O_r of its least dof i_r, kept only if
@@ -206,8 +290,7 @@ def _orbit_bases(group: MirrorGroup, chis) -> list:
         size = sizes[keep]
         c = cols[np.repeat(keep, sizes)]
         data = chi[o.elem[c]] * np.repeat(1.0 / np.sqrt(size), size)
-        out.append(sparse.csr_matrix((data, c, np.concatenate([[0], np.cumsum(size)])),
-                                     shape=(size.size, n)))
+        out.append(Csr(np.concatenate([[0], np.cumsum(size)]), c, data, (size.size, n)))
     return out
 
 
@@ -256,7 +339,7 @@ def block_factor(A: np.ndarray, group: MirrorGroup | None = None) -> BlockFactor
 def _sytrd_lwork(n: int) -> int:
     """Workspace of the blocked dsytrd for order n (the wrapper's default
     of n takes the unblocked code)."""
-    work, info = dsytrd_lwork(n, lower=1)
+    work, info = flapack.dsytrd_lwork(n, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dsytrd_lwork failed with info = {info}")
     return int(work)
@@ -267,15 +350,15 @@ def _extreme_eigenvalues(F: np.ndarray, L: np.ndarray):
     triangular: Y by dtrmm, the lower triangle of Y^T Y by dsyrk, its
     tridiagonal form by dsytrd and the two ends of its spectrum by
     bisection (dstebz, to LAPACK's default tolerance ulp * |T|)."""
-    Y = dtrmm(1.0, L, F, side=1, lower=1)
-    C = dsyrk(1.0, Y, trans=1, lower=1)
+    Y = fblas.dtrmm(1.0, L, F, side=1, lower=1)
+    C = fblas.dsyrk(1.0, Y, trans=1, lower=1)
     n = C.shape[0]
-    _, d, e, _, info = dsytrd(C, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    _, d, e, _, info = flapack.dsytrd(C, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"dsytrd failed with info = {info}")
     ends = []
     for i in (1, n):                    # range "I": the i-th smallest alone
-        m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
+        m, w, _, _, info = flapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
         if info or m != 1:
             raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
         ends.append(w[0])

@@ -12,13 +12,16 @@ meshes and spaces are, so a test that writes into a shared one fails at the
 write.
 
 Also the reference implementations that only tests call: the dense
-Richardson inverse and the 2-D adaptive integration oracle.
+Richardson inverse and the 2-D adaptive integration oracle; and
+``to_scipy``, which hands the program's CSR records to scipy.sparse for
+the tests' sparse algebra (the program itself does not import it).
 """
 
 import heapq
 from functools import lru_cache, wraps
 
 import numpy as np
+import scipy.sparse
 
 from calderon_bench.boundary_operators import assemble_operator_pair
 from calderon_bench.cli import build_level
@@ -109,6 +112,12 @@ def circle_uniform_space(n_panels, ell):
 @lru_cache(maxsize=None)
 def circle_uniform_operators(n_panels, ell):
     return _read_only(*assemble_operator_pair(circle_uniform_space(n_panels, ell), QUAD_N, ALPHA))
+
+
+def to_scipy(X):
+    """A ``spectral.Csr`` record as a scipy.sparse CSR matrix with its own
+    copy of the arrays."""
+    return scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape, copy=True)
 
 
 def faddeev_leverrier(A):

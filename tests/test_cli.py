@@ -8,8 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
-from scipy.sparse._index import IndexMixin
 
 import calderon_bench
 from calderon_bench import boundary_operators as bops
@@ -32,14 +30,34 @@ def tiny_rows():
     return cfg, run_experiment(cfg)
 
 
-def test_import_leaves_the_duals_unloaded():
-    # only ``verify`` reads the dual basis, so importing the package does
-    # not load its module
-    code = "import sys, calderon_bench; print('calderon_bench.duals' in sys.modules)"
+# scipy's extension modules that hold the run path's LAPACK, BLAS and CSR
+# kernels, loaded by file location (``calderon_bench._kernels``)
+KERNEL_MODULES = ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+
+
+def test_run_path_loads_no_scipy_package():
+    # importing the package and running a level-2 table of each benchmark
+    # workload, with its six columns, loads numpy and the three kernel
+    # modules and nothing else of scipy: not its package init, scipy.linalg,
+    # scipy.sparse or scipy._lib; and only ``verify`` reads the dual basis
+    code = f"""
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import calderon_bench
+print(scipy_modules())
+from calderon_bench.cli import ExperimentConfig, emit_table, run_experiment
+for geometry, degree, inner in (("square", 3, "exact"), ("ellipse", 1, "mesh-averaged")):
+    cfg = ExperimentConfig(geometry=geometry, degree=degree, levels=2, inner_product=inner,
+                           preconds={ALL_SIX!r})
+    emit_table(run_experiment(cfg), cfg.fmt, None, cfg)
+print(scipy_modules())
+print("calderon_bench.duals" in sys.modules)
+"""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == f"{KERNEL_MODULES}\n{KERNEL_MODULES}\nFalse\n"
 
 
 def test_run_single_level_lumped():
@@ -455,21 +473,18 @@ def test_no_full_size_preconditioner_on_the_blocks(monkeypatch):
 
 
 def test_level_setup_cuts_m_once_and_builds_each_basis_block_once(monkeypatch):
-    # per level, the character bases make one sparse matrix per block (CSR
-    # from its arrays), M's blocks are formed once by project_sparse and
-    # held by the Coupling as they came, and no sparse matrix is sliced or
-    # indexed afterwards: the guard, the band storage, the contraction
-    # check and the Richardson chain read arrays
-    made, cuts, bases, projected = [], [], [], []
-    real_init, real_getitem = scipy.sparse._base._spbase.__init__, IndexMixin.__getitem__
+    # per level, M is made once as a CSR record, the character bases make
+    # one record per block (from its arrays), M's blocks are formed once by
+    # project_sparse, three records each (Q_k^T, Q_k^T M and the block),
+    # and held by the Coupling as they came; no record is made afterwards,
+    # and a record has no slicing: the guard, the band storage, the
+    # contraction check and the Richardson chain read arrays
+    made, bases, projected = [], [], []
+    real_init = spectral.Csr.__post_init__
 
-    def init(self, *args, **kwargs):
+    def init(self):
         made.append(type(self).__name__)
-        real_init(self, *args, **kwargs)
-
-    def getitem(self, key):
-        cuts.append(key)
-        return real_getitem(self, key)
+        real_init(self)
 
     def counted_bases(group, _real=spectral.character_bases):
         start = len(made)
@@ -478,22 +493,25 @@ def test_level_setup_cuts_m_once_and_builds_each_basis_block_once(monkeypatch):
         return out
 
     def counted_projection(self, S, _real=spectral.BlockFactor.project_sparse):
-        projected.append(_real(self, S))
-        return projected[-1]
+        start = len(made)
+        projected.append((_real(self, S), made[start:]))
+        return projected[-1][0]
 
-    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", init)
-    monkeypatch.setattr(IndexMixin, "__getitem__", getitem)
+    monkeypatch.setattr(spectral.Csr, "__post_init__", init)
     monkeypatch.setattr(spectral, "character_bases", counted_bases)
     monkeypatch.setattr(spectral.BlockFactor, "project_sparse", counted_projection)
     seen = _spy_levels(monkeypatch)
     levels = 3
     run_experiment(ExperimentConfig(geometry="square", degree=3, levels=levels, preconds=ALL_SIX))
     assert len(seen) == len(bases) == len(projected) == levels
-    for lev, (Qs, kinds), blocks in zip(seen, bases, projected):
-        assert kinds == ["csr_matrix"] * len(Qs) == ["csr_matrix"] * len(lev.factor.sizes)
-        assert len(blocks) == len(lev.factor.sizes)
+    for lev, (Qs, kinds), (blocks, formed) in zip(seen, bases, projected):
+        assert kinds == ["Csr"] * len(Qs) == ["Csr"] * len(lev.factor.sizes)
+        assert len(blocks) == len(lev.factor.sizes) and formed == ["Csr"] * 3 * len(blocks)
         assert all(a is b for a, b in zip(lev.coupling.blocks, blocks, strict=True))
-    assert cuts == []
+        assert isinstance(lev.M, spectral.Csr)
+    assert len(made) == levels * (1 + 4 * 5)
+    with pytest.raises(TypeError):
+        seen[0].M[0]
 
 
 def test_bad_omega_raises_through_the_blocks():

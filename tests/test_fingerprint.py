@@ -1,5 +1,5 @@
-"""``tools/fingerprint.py``: its line counts against the files, and its
-kappa against the program's table."""
+"""``tools/fingerprint.py``: its line counts against the files, its kappa
+against the program's table, and its row of loaded scipy modules."""
 
 import subprocess
 import sys
@@ -39,3 +39,6 @@ def test_fingerprint_of_level_one_matches_the_files_and_the_table():
                                                inner_product=inner, preconds=PRECONDS))
         kappas = {f[4]: float.fromhex(f[5]) for f in lines if f[0] == name and f[3] == "kappa"}
         assert kappas == row.kappas, name
+    # the last row: the scipy modules that the run path loaded
+    assert lines[-1] == ["imports", "scipy.linalg._fblas", "scipy.linalg._flapack",
+                         "scipy.sparse._sparsetools"]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 from calderon_bench.precond import (Coupling, RichardsonDivergenceError,
                                     jacobi_precond, lumped_precond, mass_precond,
-                                    reference_mass_and_lumped, richardson_precond,
-                                    richardson_weight)
-from calderon_bench.spectral import NotSPDError, kappa
+                                    reference_mass_and_lumped, reverse_cuthill_mckee,
+                                    richardson_precond, richardson_weight)
+from calderon_bench.spectral import BlockFactor, Csr, NotSPDError, character_bases, kappa
 
-from helpers import corner_gram, corner_level, corner_operators, richardson_inverse
+from helpers import (corner_gram, corner_level, corner_operators, corner_space,
+                     richardson_inverse, to_scipy)
 
 rng = np.random.RandomState(99)
 
@@ -280,3 +283,38 @@ def test_kappa_scalar_invariance_with_precond():
     F = lumped_precond(B, D)
     # 10 G = (sqrt(10) F)^T (sqrt(10) F)
     assert kappa(np.sqrt(10.0) * F, A) == pytest.approx(kappa(F, A), rel=1e-10)
+
+
+def _same_rcm(S: Csr):
+    want = scipy_rcm(to_scipy(S), symmetric_mode=True)
+    got = reverse_cuthill_mckee(S)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
+                                            ("circle", 1, "exact"), ("circle", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged"),
+                                            ("ellipse", 3, "exact")])
+def test_rcm_port_equals_scipy_on_the_blocks_of_m(kind, ell, inner):
+    # the port gives scipy's permutation on every block of M on corner
+    # levels 1-5, seeds, degree ties and all
+    for k in range(1, 6):
+        s = corner_space(kind, k, ell)
+        M, _ = corner_gram(kind, k, ell, inner)
+        bases = character_bases(s.mirrors)
+        blocks = BlockFactor(tuple((Qt, None) for Qt in bases)).project_sparse(Csr.from_dense(M))
+        for b, Mk in enumerate(blocks + [Csr.from_dense(M)]):
+            assert _same_rcm(Mk), (k, b)
+
+
+def test_rcm_port_equals_scipy_on_random_patterns():
+    # symmetric patterns of several components, rows with and without a
+    # stored diagonal, isolated nodes, and degree ties everywhere
+    for trial in range(60):
+        n = rng.randint(1, 60)
+        X = (rng.rand(n, n) < rng.choice([0.03, 0.08, 0.2])) * rng.rand(n, n)
+        X = X + X.T
+        X[np.diag_indices(n)] = rng.rand(n) * (rng.rand(n) < 0.5)
+        cut = rng.randint(0, n + 1)
+        X[:cut, cut:] = X[cut:, :cut] = 0.0              # at least two components
+        assert _same_rcm(Csr.from_dense(X)), trial

@@ -12,11 +12,12 @@ from calderon_bench.gram import lumped_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
-from calderon_bench.spectral import (NotSPDError, _extreme_eigenvalues, _project,
+from calderon_bench.spectral import (Csr, NotSPDError, _extreme_eigenvalues, _project,
                                      block_factor, character_bases, kappa, mirror_residual,
                                      spd_factor)
 
-from helpers import BLOCK_SIZES, corner_gram, corner_level, corner_space, faddeev_leverrier
+from helpers import (BLOCK_SIZES, corner_gram, corner_level, corner_space, faddeev_leverrier,
+                     to_scipy)
 
 rng = np.random.RandomState(314159)
 
@@ -245,7 +246,7 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
     lev = build_level(build_space(initial_mesh(make_geometry(kind, 0.5, 2.0), n_panels), 3))
     F, C = lev.factor, lev.coupling
     assert len(F.sizes) == STRADDLE_BLOCKS[kind, n_panels]
-    Mh = scipy.sparse.block_diag(C.blocks)
+    Mh = scipy.sparse.block_diag([to_scipy(b) for b in C.blocks])
     assert np.abs(Mh.diagonal() - C.m).max() > 0.1 * C.m.max()
     omega = richardson_weight(1, 3)[2]
     for name, Fd in _preconds(lev.B, lev.M, lev.D, 3).items():
@@ -261,10 +262,10 @@ def test_projected_coupling_is_block_diagonal():
     # D and diag(M) are constant on orbits, so their images are diagonal
     lev = corner_level("square", 2, 3)
     F, C, M, D = lev.factor, lev.coupling, lev.M.toarray(), lev.D
-    Qt = scipy.sparse.vstack([b for b, _ in F.blocks]).toarray()
+    Qt = scipy.sparse.vstack([to_scipy(b) for b, _ in F.blocks]).toarray()
     cuts = np.cumsum((0,) + F.sizes)
     full = Qt @ M @ Qt.T
-    Mh = scipy.sparse.block_diag(C.blocks).toarray()
+    Mh = scipy.sparse.block_diag([to_scipy(b) for b in C.blocks]).toarray()
     for a, b in zip(cuts[:-1], cuts[1:]):
         assert np.abs(Mh[a:b, a:b] - full[a:b, a:b]).max() <= 1e-15 * np.abs(M).max()
         full[a:b, a:b] = Mh[a:b, a:b] = 0.0
@@ -286,7 +287,7 @@ def test_character_bases_orthogonal_partition():
     s = corner_space("square", 2, 3)
     perms = s.mirrors.perms[:2]
     bases = character_bases(_klein(s.mirrors))
-    Q = scipy.sparse.vstack(bases).toarray()         # rows: the whole basis
+    Q = scipy.sparse.vstack([to_scipy(b) for b in bases]).toarray()     # rows: the whole basis
     assert Q.shape == (s.ndof, s.ndof)
     assert np.abs(Q @ Q.T - np.eye(s.ndof)).max() <= 1e-14
     assert np.abs(Q.T @ Q - np.eye(s.ndof)).max() <= 1e-14
@@ -345,12 +346,12 @@ def test_character_bases_match_the_definition(kind, group):
         assert len(G.perms) == {"trivial": 0, "klein": 2, "d4": 3}[group]
         bases = character_bases(G)
         for Qt, ref in zip(bases, _bases_by_definition(G), strict=True):
-            assert isinstance(Qt, scipy.sparse.csr_matrix) and Qt.shape == ref.shape, k
+            assert isinstance(Qt, Csr) and Qt.shape == ref.shape, k
             assert np.array_equal(Qt.toarray(), ref), k
             assert all(np.all(np.diff(Qt.indices[a:b]) > 0)
                        for a, b in zip(Qt.indptr[:-1], Qt.indptr[1:])), k
-            assert np.abs((Qt @ Qt.T).toarray() - np.eye(Qt.shape[0])).max() <= 1e-15, k
-        Q = scipy.sparse.vstack(bases).toarray()
+            assert np.abs(Qt @ Qt.toarray().T - np.eye(Qt.shape[0])).max() <= 1e-15, k
+        Q = scipy.sparse.vstack([to_scipy(b) for b in bases]).toarray()
         assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-15, k
         assert Q.shape[0] == (3 * s.ndof // 4 if group == "d4" else s.ndof), k
 
@@ -358,24 +359,28 @@ def test_character_bases_match_the_definition(kind, group):
 def test_assembly_and_bases_read_one_orbit_record(monkeypatch):
     # the dof orbits are derived once per group, on first use, whichever of
     # assembly and the character bases comes first; the bases of D4's 2-D
-    # block derive those of its Klein subgroup
-    derive, calls = MirrorGroup.orbits.func, []
+    # block derive those of its Klein subgroup.  The inverse dof maps are
+    # derived once, by assembly alone: the bases do not read them, so the
+    # Klein subgroup goes without
+    calls = {"orbits": [], "inverses": []}
+    for name, seen in calls.items():
+        def counted(group, _derive=getattr(MirrorGroup, name).func, _seen=seen):
+            _seen.append(group)
+            return _derive(group)
 
-    def counted(group):
-        calls.append(group)
-        return derive(group)
-
-    orbits = functools.cached_property(counted)
-    orbits.__set_name__(MirrorGroup, "orbits")
-    monkeypatch.setattr(MirrorGroup, "orbits", orbits)
+        derived = functools.cached_property(counted)
+        derived.__set_name__(MirrorGroup, name)
+        monkeypatch.setattr(MirrorGroup, name, derived)
     for first_bases in (True, False):
         s = build_space(corner_schedule(make_geometry("square", 0.5), 1), 3)
-        steps = [lambda: character_bases(s.mirrors), lambda: assemble_operator_pair(s)]
-        for step in steps if first_bases else steps[::-1]:
+        bases, assembly = lambda: character_bases(s.mirrors), lambda: assemble_operator_pair(s)
+        for step in (bases, assembly) if first_bases else (assembly, bases):
             step()
-            assert [g for g in calls if g is s.mirrors] == [s.mirrors], first_bases
-        assert len(calls) == 2                  # the group and its Klein subgroup
-        calls.clear()
+            assert [g for g in calls["orbits"] if g is s.mirrors] == [s.mirrors], first_bases
+            assert calls["inverses"] == ([] if step is bases and first_bases else [s.mirrors])
+        assert len(calls["orbits"]) == 2        # the group and its Klein subgroup
+        for seen in calls.values():
+            seen.clear()
 
 
 def _orbit(perms, i):
@@ -421,7 +426,7 @@ def test_d4_bases_orthonormal_on_orbits():
     perms = s.mirrors.perms
     bases = character_bases(s.mirrors)
     assert [b.shape[0] for b in bases] == [37, 36, 36, 35, 72]
-    Q = scipy.sparse.vstack(bases).toarray()
+    Q = scipy.sparse.vstack([to_scipy(b) for b in bases]).toarray()
     assert Q.shape == (3 * s.ndof // 4, s.ndof)
     assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-14
     # a 1-D block's row lives on one orbit of D4, a row of the 2-D block
@@ -454,7 +459,7 @@ def test_d4_partner_blocks_are_isospectral():
     kept = character_bases(s.mirrors)[4]
     partner = character_bases(_klein(s.mirrors))[2]
     assert kept.shape == partner.shape == (120, s.ndof)
-    assert abs(kept @ partner.T).max() <= 1e-15
+    assert np.abs(kept @ partner.toarray().T).max() <= 1e-15
     Fs = _preconds(B, M, D, 3)
     for name, X in [("A", A), ("B", B), *((n, Fd.T @ Fd) for n, Fd in Fs.items())]:
         lam, mu = (np.linalg.eigvalsh(_two_sided(X, Qt)) for Qt in (kept, partner))

@@ -7,8 +7,9 @@ each module and of all of them (code lines leave out blank lines, comments
 and docstrings), then, for levels 1 to K (5 by default) of the benchmark's
 two workloads, a SHA-256 of every matrix a level holds (A, B, M, D, d, the
 block bases and the Cholesky factors of A's and B's blocks, M's blocks) and
-each kappa of the table in ``float.hex``.  Two trees compute the same
-numbers when the outputs agree apart from the ``lines`` rows:
+each kappa of the table in ``float.hex``, and last an ``imports`` row: the
+scipy modules loaded after all of it.  Two trees compute the same numbers
+when the outputs agree apart from the ``lines`` and ``imports`` rows:
 
     diff <(python tools/fingerprint.py OLD) <(python tools/fingerprint.py NEW)
 """
@@ -106,6 +107,7 @@ def main(argv=None):
     for workload in WORKLOADS:
         for line in level_lines(*workload, args.levels):
             print(line)
+    print("imports", *sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     return 0
 
 
