@@ -40,8 +40,7 @@ _CHOICES = {"geometry": GEOMETRIES, "degree": DEGREES, "refine": REFINES,
             "inner_product": KINDS, "fmt": FORMATS}
 # the type that a numeric or a path field must have, as named in its error
 _TYPES = {**dict.fromkeys(("degree", "levels", "quad_n"), (numbers.Integral, "an integer")),
-          **dict.fromkeys(("scale", "ellipse_ratio", "alpha", "omega_override"),
-                          (numbers.Real, "a number")),
+          **dict.fromkeys(("scale", "ellipse_ratio", "alpha"), (numbers.Real, "a number")),
           **dict.fromkeys(("output", "dump_matrices"), (str, "a string"))}
 
 
@@ -60,8 +59,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     output: str = ""
     dump_matrices: str = ""
-    omega_override: float = 0.0       # 0 = use the reference-element weight;
-                                      # omega >= 2/lambda_max is caught per mesh
 
     # the operator order is pinned by the shipped kernel pair
     s_order = 0.5
@@ -84,9 +81,6 @@ class ExperimentConfig:
         if not 4 <= self.quad_n <= 56:
             raise ValueError("quad_n must be in [4, 56] (the pair rules take at least 4 Gauss "
                              f"points, the log rule quad_n + 8 <= 64), got {self.quad_n!r}")
-        if not (math.isfinite(self.omega_override) and self.omega_override >= 0):
-            raise ValueError("omega_override must be finite and >= 0 (0 = reference "
-                             f"weight), got {self.omega_override!r}")
         deepest = deepest_level(make_geometry(self.geometry, self.scale, self.ellipse_ratio),
                                 self.levels, self.rounds_per_level)
         if deepest < self.levels:
@@ -202,7 +196,7 @@ def level_mesh(cfg: ExperimentConfig, g, k):
 def run_experiment(cfg: ExperimentConfig):
     """Evaluate every requested preconditioner on every refinement level."""
     g = make_geometry(cfg.geometry, cfg.scale, cfg.ellipse_ratio)
-    omega = cfg.omega_override or richardson_weight(1, cfg.degree)[2]
+    omega = richardson_weight(1, cfg.degree)[2]
     return [_run_level(cfg, g, k, omega) for k in range(1, cfg.levels + 1)]
 
 
@@ -446,10 +440,11 @@ def _verify_checks():
         for ell in (1, 3):
             s = build_space(corner_schedule(gs, 1), ell)
             d = duals_mod.build_dual_basis(s, duals_mod.build_bubbles(s))
+            hold = duals_mod.holding_space(d)
             ok &= np.abs(d.pairing.toarray() - np.diag(d.lumped)).max() < 1e-10
             ok &= duals_mod.eval_dual_sum(d) < 1e-10
-            detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d):.5f}, "
-                          f"||I|| = {duals_mod.bijection_l2_norm(d):.5f}")
+            detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d, hold):.5f}, "
+                          f"||I|| = {duals_mod.bijection_l2_norm(d, hold):.5f}")
         return bool(ok), "; ".join(detail)
 
     return [
@@ -500,7 +495,3 @@ def main(argv=None):
     p_ver.set_defaults(func=cmd_verify)
     args = parser.parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -52,16 +52,13 @@ class FeSpace:
     mesh: Mesh
     degree: int
     conn: np.ndarray        # (n_panels, degree+1) global node ids, left to right
-    node_chart: np.ndarray  # (ndof,) canonical chart per node
-    node_param: np.ndarray  # (ndof,) canonical parameter per node
 
     def __post_init__(self):
-        for a in (self.conn, self.node_chart, self.node_param):
-            a.flags.writeable = False
+        self.conn.flags.writeable = False
 
     @property
     def ndof(self):
-        return self.node_param.size
+        return self.degree * self.mesh.n_panels
 
     @cached_property
     def mirrors(self) -> MirrorGroup:
@@ -71,10 +68,6 @@ class FeSpace:
         maps = group_elements([np.concatenate([p, N + j]) for p, j in gens],
                               N + self.mesh.n_panels)
         return MirrorGroup(maps[:, :N], maps[:, N:] - N)
-
-    def node_point(self, nu):
-        g = self.mesh.geometry
-        return g.charts[self.node_chart[nu]].point(self.node_param[nu])
 
 
 def build_space(m: Mesh, degree: int) -> FeSpace:
@@ -91,10 +84,7 @@ def build_space(m: Mesh, degree: int) -> FeSpace:
     vertex = np.arange(P)
     interior = P + np.arange(P * (degree - 1)).reshape(P, degree - 1)
     conn = np.column_stack([vertex, interior, np.roll(vertex, -1)])
-    x = np.arange(1, degree) / degree
-    node_chart = np.concatenate([m.chart, np.repeat(m.chart, degree - 1)])
-    node_param = np.concatenate([m.t0, (m.t0[:, None] + x * (m.t1 - m.t0)[:, None]).ravel()])
-    return FeSpace(m, degree, conn, node_chart, node_param)
+    return FeSpace(m, degree, conn)
 
 
 # a mirrored panel's end points must land on its image panel's end points to

@@ -189,27 +189,6 @@ def _equispaced_corners():
     return tuple(out)
 
 
-def _check_param(chart, t):
-    t = np.asarray(t, dtype=float)
-    tol = 1e-12 * (chart.t1 - chart.t0)
-    if np.any(t < chart.t0 - tol) or np.any(t > chart.t1 + tol):
-        raise ValueError(
-            f"parameter outside chart interval [{chart.t0}, {chart.t1}]"
-        )
-    return t
-
-
-def chart_speed(g: Geometry, chart: int, t):
-    """|chi'(t)|, the d=1 Jacobian; constant on affine charts."""
-    c = g.charts[chart]
-    return c.speed(_check_param(c, t))
-
-
 def total_length(g: Geometry, tol: float = 1e-13) -> float:
     """Arc length of the whole curve by adaptive quadrature of the speed."""
-    total = 0.0
-    for i, c in enumerate(g.charts):
-        total += adaptive_integrate(
-            lambda t, i=i: chart_speed(g, i, t), (c.t0, c.t1), tol=tol
-        )
-    return total
+    return sum(adaptive_integrate(c.speed, (c.t0, c.t1), tol=tol) for c in g.charts)

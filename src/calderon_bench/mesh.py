@@ -107,7 +107,7 @@ def panel_samples(m: Mesh, unit_nodes):
     not depend on where the chart's parameter interval sits, only on the
     offset of the panel inside it.
     """
-    start = _per_chart(m, "point", m.t0)[:, None]
+    start = _per_chart(m.geometry, m.chart, lambda c, t: c.point(t), m.t0)[:, None]
     speed, dt = panel_speeds(m, unit_nodes)
     return start + panel_chords(m, 0.0, unit_nodes), speed, dt
 
@@ -117,7 +117,8 @@ def panel_speeds(m: Mesh, unit_nodes):
     reference nodes x, and the parameter lengths t1 - t0 (P,); for the
     integrals that need the measure but no points."""
     dt = m.t1 - m.t0
-    return _per_chart(m, "speed", m.t0[:, None] + dt[:, None] * np.asarray(unit_nodes)), dt
+    return _per_chart(m.geometry, m.chart, lambda c, t: c.speed(t),
+                      m.t0[:, None] + dt[:, None] * np.asarray(unit_nodes)), dt
 
 
 def panel_chords(m: Mesh, anchor, step):
@@ -130,8 +131,9 @@ def panel_chords(m: Mesh, anchor, step):
     to full relative accuracy.
     """
     dt = (m.t1 - m.t0)[:, None]
-    return _per_chart(m, "chord", *np.broadcast_arrays(m.t0[:, None] + dt * np.asarray(anchor),
-                                                       dt * np.asarray(step)))
+    return _per_chart(m.geometry, m.chart, lambda c, t, h: c.chord(t, h),
+                      *np.broadcast_arrays(m.t0[:, None] + dt * np.asarray(anchor),
+                                           dt * np.asarray(step)))
 
 
 def chart_runs(chart):
@@ -141,17 +143,10 @@ def chart_runs(chart):
     return [(int(chart[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _per_chart(m: Mesh, method, *args):
-    """The chart method ``method`` on the panel rows of ``args``, one call
-    per chart run."""
-    return np.concatenate([getattr(m.geometry.charts[c], method)(*(x[a:b] for x in args))
-                           for c, a, b in chart_runs(m.chart)])
-
-
-def _arc_lengths(g: Geometry, chart, t0, t1):
-    """Arc lengths of the intervals [t0[i], t1[i]] of the charts chart[i],
-    in mesh order; one batched ``arc_lengths`` call per chart run."""
-    return np.concatenate([arc_lengths(g.charts[c], t0[a:b], t1[a:b])
+def _per_chart(g: Geometry, chart, f, *args):
+    """f(the chart, rows...) on the rows of ``args`` of every run of the
+    chart ids ``chart``, one call per run, concatenated in order."""
+    return np.concatenate([f(g.charts[c], *(x[a:b] for x in args))
                            for c, a, b in chart_runs(chart)])
 
 
@@ -186,13 +181,13 @@ def _bisect(m: Mesh, split) -> Mesh:
 
 def _measure(m: Mesh) -> Mesh:
     """The mesh with the arc length of every panel whose length is NaN.
-    ``_arc_lengths`` does not depend on the batch, so a panel measured
+    ``arc_lengths`` does not depend on the batch, so a panel measured
     after many bisections gets the length it would have got when made."""
     todo = np.flatnonzero(np.isnan(m.length))
     if not todo.size:
         return m
     length = m.length.copy()
-    length[todo] = _arc_lengths(m.geometry, m.chart[todo], m.t0[todo], m.t1[todo])
+    length[todo] = _per_chart(m.geometry, m.chart[todo], arc_lengths, m.t0[todo], m.t1[todo])
     return Mesh(m.geometry, m.chart, m.t0, m.t1, length, m.qlength)
 
 
@@ -221,7 +216,7 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     q = np.array([(c.t1 - c.t0) / per_chart * s for c, s in zip(g.charts, g.chart_scales)])
     chart = np.repeat(np.arange(g.n_charts), per_chart)
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    return _measure(_kmesh_close(Mesh(g, chart, t0, t1, _arc_lengths(g, chart, t0, t1),
+    return _measure(_kmesh_close(Mesh(g, chart, t0, t1, _per_chart(g, chart, arc_lengths, t0, t1),
                                       np.repeat(q, per_chart))))
 
 

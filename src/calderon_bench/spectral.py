@@ -209,8 +209,8 @@ class BlockFactor:
 
 def mirror_residual(X, perms) -> tuple:
     """max|X[p][:, p] - X| / max|X| for each map p of ``perms``, for a
-    matrix, a Csr record or dense (then made a record once for all of
-    them), or max|X[p] - X| / max|X| for a diagonal given by its entries.
+    matrix given as a Csr record with sorted rows, or max|X[p] - X| /
+    max|X| for a diagonal given by its entries.
 
     A matrix is compared entry by entry: the entry at (a, b) with the one at
     its image (p(a), p(b)), found by binary search among the sorted keys
@@ -219,8 +219,6 @@ def mirror_residual(X, perms) -> tuple:
         X = np.asarray(X)
         top = max(X.max(), -X.min())
         return tuple(float(np.abs(X.take(p) - X).max() / top) for p in perms)
-    if not isinstance(X, Csr):
-        X = Csr.from_dense(X)                           # sorted keys, each once
     n, top, row = X.shape[0], np.abs(X.data).max(), X.rows
     key = row * n + X.indices
     out = []

@@ -12,7 +12,8 @@ meshes and spaces are, so a test that writes into a shared one fails at the
 write.
 
 Also the reference implementations that only tests call: the dense
-Richardson inverse and the 2-D adaptive integration oracle; and
+Richardson inverse and the 2-D adaptive integration oracle; the nodes'
+chart parameters and points, which the program does not store; and
 ``to_scipy``, which hands the program's CSR records to scipy.sparse for
 the tests' sparse algebra (the program itself does not import it).
 """
@@ -112,6 +113,22 @@ def circle_uniform_space(n_panels, ell):
 @lru_cache(maxsize=None)
 def circle_uniform_operators(n_panels, ell):
     return _read_only(*assemble_operator_pair(circle_uniform_space(n_panels, ell), QUAD_N, ALPHA))
+
+
+def node_params(s):
+    """The chart and the chart parameter (ndof,) of every node of a space:
+    vertex node i at the start of panel i, then the interior nodes panel by
+    panel, equispaced in the panel's parameter."""
+    m, x = s.mesh, np.arange(1, s.degree) / s.degree
+    chart = np.concatenate([m.chart, np.repeat(m.chart, s.degree - 1)])
+    param = np.concatenate([m.t0, (m.t0[:, None] + x * (m.t1 - m.t0)[:, None]).ravel()])
+    return chart, param
+
+
+def node_points(s):
+    """The curve point (ndof, 2) of every node of a space."""
+    charts = s.mesh.geometry.charts
+    return np.array([charts[c].point(t) for c, t in zip(*node_params(s))])
 
 
 def to_scipy(X):

@@ -38,7 +38,7 @@ from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond
 from calderon_bench.spectral import kappa, spd_factor
 
 from helpers import (adaptive_integrate_2d, circle_uniform_operators, circle_uniform_space,
-                     corner_gram, corner_mesh, corner_operators, corner_space,
+                     corner_gram, corner_mesh, corner_operators, corner_space, node_params,
                      richardson_inverse)
 
 LEVELS = range(1, 7)
@@ -197,7 +197,7 @@ def test_criterion_07_operator_assembly_oracle():
     A, B = circle_uniform_operators(128, 1)
     M = mass_matrix(s)
     D = lumped_matrix(s)
-    theta = s.node_param
+    theta = node_params(s)[1]
     worst_a = worst_b = 0.0
     for k in (1, 2, 4):
         u = np.cos(k * theta)

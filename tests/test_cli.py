@@ -16,7 +16,7 @@ from calderon_bench.cli import (ExperimentConfig, emit_table, main,
                                 read_config, run_experiment)
 from calderon_bench.mesh import corner_schedule, refine
 from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
-from calderon_bench.spectral import TAU, MirrorError, kappa, mirror_residual
+from calderon_bench.spectral import TAU, Csr, MirrorError, kappa, mirror_residual
 
 from helpers import BLOCK_SIZES
 
@@ -58,6 +58,19 @@ print("calderon_bench.duals" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout == f"{KERNEL_MODULES}\n{KERNEL_MODULES}\nFalse\n"
+
+
+def test_python_m_runs_the_command(tmp_path):
+    # ``python -m calderon_bench`` is the command without an install, and
+    # running it raises no RuntimeWarning (here an error) about the package
+    # importing ``cli`` before it runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "calderon_bench",
+                          "run", "--levels", "1", "--precond", "lumped"], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    header, row = out.stdout.splitlines()
+    assert header == "level,h_min,h_max,dofs,lumped" and row.startswith("1,"), out.stdout
 
 
 def test_run_single_level_lumped():
@@ -205,10 +218,16 @@ def test_dump_matrices_flag(tmp_path):
     assert (out / "level1_M.txt").read_bytes() == (tmp_path / "M.txt").read_bytes()
 
 
-def test_error_annotates_level():
+def _weight_ten(monkeypatch):
+    """The run's Richardson weight set to 10, above 2/lambda_max on every mesh."""
+    real = cli.richardson_weight
+    monkeypatch.setattr(cli, "richardson_weight", lambda *args: (*real(*args)[:2], 10.0))
+
+
+def test_error_annotates_level(monkeypatch):
     # omega >= 2/lambda_max depends on the mesh, so only the level can tell
-    cfg = ExperimentConfig(geometry="square", degree=1, levels=1, omega_override=10.0,
-                           preconds=("richardson:1",))
+    _weight_ten(monkeypatch)
+    cfg = ExperimentConfig(geometry="square", degree=1, levels=1, preconds=("richardson:1",))
     with pytest.raises(RuntimeError, match="level 1: omega=10.0"):
         run_experiment(cfg)
 
@@ -396,7 +415,7 @@ def test_broken_diagonal_mirror_fails_before_assembly(monkeypatch):
         for i, j in {(g[3], g[5]) for g in (np.arange(s.ndof), px, py, px[py])}:
             M[i, j] += 1e-6 * top
             M[j, i] = M[i, j]
-        rx, ry, rd = mirror_residual(M, (px, py, pd))
+        rx, ry, rd = mirror_residual(Csr.from_dense(M), (px, py, pd))
         assert max(rx, ry) <= TAU < rd
         return M
 
@@ -514,11 +533,11 @@ def test_level_setup_cuts_m_once_and_builds_each_basis_block_once(monkeypatch):
         seen[0].M[0]
 
 
-def test_bad_omega_raises_through_the_blocks():
+def test_bad_omega_raises_through_the_blocks(monkeypatch):
     # a weight that breaks the contraction on the mesh is caught by the one
     # check per level, and reported with the level
-    cfg = ExperimentConfig(geometry="square", degree=3, levels=2, omega_override=10.0,
-                           preconds=ALL_SIX)
+    _weight_ten(monkeypatch)
+    cfg = ExperimentConfig(geometry="square", degree=3, levels=2, preconds=ALL_SIX)
     with pytest.raises(RuntimeError, match="level 1: omega=10.0") as info:
         run_experiment(cfg)
     assert isinstance(info.value.__cause__, RichardsonDivergenceError)
@@ -529,19 +548,21 @@ def test_public_names_resolve():
         assert getattr(calderon_bench, name) is not None, name
 
 
-@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
-def test_omega_override_rejected_up_front(tmp_path, value):
-    # a negative or non-finite weight fails when the config is built, from a
-    # flag or a config file, before any level is assembled
+@pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf"])
+def test_omega_override_refused_as_unknown(tmp_path, capsys, value):
+    # the run takes the reference-element weight: a weight given as a flag,
+    # a config key or a keyword is refused as unknown, before any level
     out = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="omega_override"):
+    with pytest.raises(SystemExit):
         main(["run", "--levels", "1", "--omega-override", value, "--output", str(out)])
+    assert "unrecognized arguments: --omega-override" in capsys.readouterr().err
     path = tmp_path / "omega.cfg"
     path.write_text(f"omega_override = {value}\nlevels = 1\n")
-    with pytest.raises(ValueError, match="omega_override"):
+    with pytest.raises(ValueError, match="unknown key 'omega_override'"):
         main(["run", "--config", str(path), "--output", str(out)])
+    with pytest.raises(TypeError, match="omega_override"):
+        ExperimentConfig(omega_override=float(value))
     assert not out.exists()
-    assert ExperimentConfig(omega_override=0.0).omega_override == 0.0
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -611,9 +632,9 @@ def test_non_integer_counts_rejected_up_front(monkeypatch, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("degree", True), ("scale", True), ("ellipse_ratio", True), ("alpha", True),
-    ("omega_override", True), ("degree", 3.0), ("scale", "0.5")])
+    ("degree", 3.0), ("scale", "0.5")])
 def test_bool_and_non_numbers_rejected_up_front(monkeypatch, field, value):
-    # True passes the range checks of all five (True in DEGREES, and True
+    # True passes the range checks of all four (True in DEGREES, and True
     # is finite and positive); ellipse_ratio=True would make the ellipse a
     # circle.  degree=3.0 and scale="0.5" used to fail later, with a
     # TypeError

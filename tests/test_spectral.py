@@ -17,7 +17,7 @@ from calderon_bench.spectral import (Csr, NotSPDError, _extreme_eigenvalues, _pr
                                      spd_factor)
 
 from helpers import (BLOCK_SIZES, corner_gram, corner_level, corner_space, faddeev_leverrier,
-                     to_scipy)
+                     node_points, to_scipy)
 
 rng = np.random.RandomState(314159)
 
@@ -407,11 +407,11 @@ def test_mirror_permutations_on_d4_curves(kind):
             assert np.array_equal(p[p], np.arange(s.ndof))
         assert np.array_equal(pd[px[pd]], py)
         assert not np.array_equal(pd, px) and not np.array_equal(pd, py)
-    c = np.array(s.mesh.geometry.mirror_centre)
+    pts = node_points(s) - np.array(s.mesh.geometry.mirror_centre)
     for i in range(s.ndof):
-        x, y = np.asarray(s.node_point(i)) - c
+        x, y = pts[i]
         for p, image in zip(perms, ((-x, y), (x, -y), (y, x))):
-            assert np.abs(np.asarray(s.node_point(p[i])) - c - image).max() <= 1e-12
+            assert np.abs(pts[p[i]] - image).max() <= 1e-12
 
 
 def test_mirror_permutations_on_the_ellipse():
@@ -472,15 +472,15 @@ def test_d4_partner_blocks_are_isospectral():
 
 
 def test_mirror_residual_reads_half_the_rows():
-    # the residual of a dense matrix, read as CSR, is that of the full
-    # dense difference, to the bit, on the level-3 square's A and B and on
-    # a random matrix that commutes with no mirror
+    # the residual of a dense matrix, made a CSR record, is that of the
+    # full dense difference, to the bit, on the level-3 square's A and B
+    # and on a random matrix that commutes with no mirror
     lev = corner_level("square", 3, 3)
     A, B, D = lev.A, lev.B, lev.D
     X = rng.randn(*A.shape)
     perms = lev.space.mirrors.perms
     for Y in (A, B, X):
-        assert mirror_residual(Y, perms) == tuple(np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
+        assert mirror_residual(Csr.from_dense(Y), perms) == tuple(np.abs(Y[p][:, p] - Y).max() / np.abs(Y).max()
                                                   for p in perms)
     assert mirror_residual(D, perms) == tuple(np.abs(D[p] - D).max() / D.max() for p in perms)
     # a unit entry in any row, those on a mirror's axis included, is seen
@@ -491,7 +491,7 @@ def test_mirror_residual_reads_half_the_rows():
         for i in range(n):
             X = np.zeros((n, n))
             X[i, j] = 1.0
-            assert mirror_residual(X, [p]) == (1.0,), i
+            assert mirror_residual(Csr.from_dense(X), [p]) == (1.0,), i
 
 
 def test_mirror_residual_per_map_equals_single_map_calls():

@@ -5,11 +5,13 @@
 prints, for the package under TREE/src, the total and the code lines of
 each module and of all of them (code lines leave out blank lines, comments
 and docstrings), then, for levels 1 to K (5 by default) of the benchmark's
-two workloads, a SHA-256 of every matrix a level holds (A, B, M, D, d, the
-block bases and the Cholesky factors of A's and B's blocks, M's blocks) and
-each kappa of the table in ``float.hex``, and last an ``imports`` row: the
-scipy modules loaded after all of it.  Two trees compute the same numbers
-when the outputs agree apart from the ``lines`` and ``imports`` rows:
+two workloads (``bench/workloads.py`` of this checkout), a SHA-256 of every
+matrix a level holds (A, B, M, D, d, the block bases and the Cholesky
+factors of A's and B's blocks, M's blocks), taken from the level as the
+run builds it, and each kappa of the table in ``float.hex``, and last an
+``imports`` row: the scipy modules loaded after all of it.  Two trees
+compute the same numbers when the outputs agree apart from the ``lines``
+and ``imports`` rows:
 
     diff <(python tools/fingerprint.py OLD) <(python tools/fingerprint.py NEW)
 """
@@ -26,12 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-# the benchmark's workloads (bench/workloads.py): name, geometry, degree and
-# inner product; scale 0.5, ellipse ratio 2, corner refinement, quad_n 12,
-# alpha 0.05 and its six preconditioners
-WORKLOADS = (("square-p3-corner", "square", 3, "exact"),
-             ("ellipse-p1-averaged", "ellipse", 1, "mesh-averaged"))
-PRECONDS = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import PRECONDS, WORKLOADS  # noqa: E402
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENCODING, tokenize.ENDMARKER}
@@ -67,28 +66,41 @@ def _csr(X):
     return X.indptr, X.indices, X.data
 
 
-def level_lines(name, geometry, degree, inner, levels):
-    """The fingerprint rows of one workload's levels 1 to ``levels``."""
+def _level_rows(lev):
+    """(name, digest) of every matrix of a ``cli.Level``."""
+    items = [("A", lev.A), ("B", lev.B), ("M", *_csr(lev.M)), ("D", lev.D), ("d", lev.d)]
+    for b, (Qt, L) in enumerate(lev.factor.blocks):
+        items += [(f"Q{b}", *_csr(Qt)), (f"LA{b}", L)]
+    items += [(f"LB{b}", L) for b, L in enumerate(lev.B_factors)]
+    items += [(f"M{b}", *_csr(Mk)) for b, Mk in enumerate(lev.coupling.blocks)]
+    items += [("m", lev.coupling.m)]
+    return [(what, _digest(*arrays)) for what, *arrays in items]
+
+
+def level_lines(workload, levels):
+    """The fingerprint rows of one workload's levels 1 to ``levels``: each
+    level is hashed inside ``cli.build_level`` as the run builds it, so
+    every level is built once, and only its rows are kept."""
     from calderon_bench import cli
 
-    cfg = cli.ExperimentConfig(geometry=geometry, scale=0.5, ellipse_ratio=2.0, degree=degree,
-                               levels=levels, refine="corner", preconds=PRECONDS, alpha=0.05,
-                               quad_n=12, inner_product=inner)
-    g = cli.make_geometry(geometry, cfg.scale, cfg.ellipse_ratio)
-    for row in cli.run_experiment(cfg):
-        k = row.level
-        lev = cli.build_level(cli.build_space(cli.level_mesh(cfg, g, k), degree), inner,
-                              cfg.quad_n, cfg.alpha)
-        items = [("A", lev.A), ("B", lev.B), ("M", *_csr(lev.M)), ("D", lev.D), ("d", lev.d)]
-        for b, (Qt, L) in enumerate(lev.factor.blocks):
-            items += [(f"Q{b}", *_csr(Qt)), (f"LA{b}", L)]
-        items += [(f"LB{b}", L) for b, L in enumerate(lev.B_factors)]
-        items += [(f"M{b}", *_csr(Mk)) for b, Mk in enumerate(lev.coupling.blocks)]
-        items += [("m", lev.coupling.m)]
-        for what, *arrays in items:
-            yield f"{name} level {k} {what} {_digest(*arrays)}"
+    cfg = cli.ExperimentConfig(**{**workload.config_fields(), "levels": levels})
+    built, real = [], cli.build_level
+
+    def hashed(*args, **kw):
+        lev = real(*args, **kw)
+        built.append(_level_rows(lev))
+        return lev
+
+    cli.build_level = hashed
+    try:
+        rows = cli.run_experiment(cfg)
+    finally:
+        cli.build_level = real
+    for row, digests in zip(rows, built, strict=True):
+        for what, digest in digests:
+            yield f"{workload.name} level {row.level} {what} {digest}"
         for p in PRECONDS:
-            yield f"{name} level {k} kappa {p} {float(row.kappas[p]).hex()}"
+            yield f"{workload.name} level {row.level} kappa {p} {float(row.kappas[p]).hex()}"
 
 
 def main(argv=None):
@@ -104,8 +116,8 @@ def main(argv=None):
         print(f"lines {path.name} {t} {c}")
     print(f"lines total {total} {code}")
     sys.path.insert(0, str(src))
-    for workload in WORKLOADS:
-        for line in level_lines(*workload, args.levels):
+    for workload in WORKLOADS.values():
+        for line in level_lines(workload, args.levels):
             print(line)
     print("imports", *sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     return 0
