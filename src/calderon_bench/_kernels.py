@@ -1,6 +1,6 @@
 """The compiled routines of the run path, without scipy's package imports.
 
-The program calls five LAPACK routines, two BLAS routines and scipy's CSR
+The program calls six LAPACK routines, two BLAS routines and scipy's CSR
 kernels.  They live in three extension modules of scipy:
 ``scipy.linalg._flapack``, ``scipy.linalg._fblas`` and
 ``scipy.sparse._sparsetools``.  Importing them through ``scipy.linalg`` or

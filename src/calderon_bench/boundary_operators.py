@@ -488,7 +488,7 @@ def _pair(group: MirrorGroup, *targets):
             z[there] = S
 
 
-def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
+def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05, m=None):
     """Galerkin matrices (A, B) of the single layer and the stabilized
     hypersingular operator, from one sweep of kernel evaluations over the
     orbits of panel pairs under the mesh's mirrors.
@@ -497,16 +497,20 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05):
     <= 1).  B = B~ + alpha m m^T: B~ acts on arc-length derivatives through
     the single layer kernel and therefore annihilates constants; the
     rank-one term with m[nu] = <phi_nu, 1>, the exact lumped diagonal,
-    restores definiteness for any alpha > 0.  Non-finite entries raise
-    AssemblyError; ``cli.build_level`` checks that A and B are SPD.
+    restores definiteness for any alpha > 0.  ``m`` is computed here
+    unless given: ``cli.build_level`` passes its D when D is the exact
+    lumped diagonal.  Non-finite entries raise AssemblyError;
+    ``cli.build_level`` checks that A and B are SPD.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (B~ alone is only semi-coercive)")
     if s.mesh.n_panels < 3:
         raise AssemblyError("assembly requires at least 3 panels on the curve")
+    if m is None:
+        m = lumped_matrix(s, "exact", n_quad=quad_n)
     group = s.mirrors
     return _write(group, chain([_near_field(s, quad_n, group)], _far_field(s, quad_n, group)),
-                  alpha, lumped_matrix(s, "exact", n_quad=quad_n))
+                  alpha, m)
 
 
 def write_dense_matrix(Mt: np.ndarray, path):

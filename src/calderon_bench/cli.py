@@ -27,8 +27,8 @@ from .mesh import (corner_schedule, deepest_level, dump_mesh, initial_mesh, is_c
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
-from .spectral import (TAU, BlockFactor, Csr, MirrorError, NotSPDError, block_factor, kappa,
-                       mirror_residual, spd_factor)
+from .spectral import (TAU, BlockFactor, Csr, MirrorError, NotSPDError, block_ends, block_factor,
+                       kappa, mirror_residual, spd_factor)
 
 
 GEOMETRIES = ("square", "circle", "ellipse")
@@ -165,7 +165,8 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
     to a CSR record (``Csr.from_dense``).  Before assembly, M and D must
     commute with each generator of ``s.mirrors`` to TAU, M under every
     mirror first, or MirrorError names the matrix, the mirror and the
-    residual; A's factor takes the group's blocks as given.  M's blocks go to the
+    residual; A's factor takes the group's blocks as given.  With the
+    exact product D is B's m, passed to assembly.  M's blocks go to the
     Coupling as a list, once.  The Cholesky factors of the blocks check
     that A and B are SPD: CoercivityError on A, AssemblyError on B, naming
     the block's order."""
@@ -176,7 +177,7 @@ def build_level(s: FeSpace, inner_product="exact", quad_n=12, alpha=0.05) -> Lev
             if residual > TAU:
                 raise MirrorError(f"{name} does not commute with the {mirror} mirror: relative "
                                   f"residual {residual:.1e} > {TAU:g}")
-    A, B = bops.assemble_operator_pair(s, quad_n, alpha)
+    A, B = bops.assemble_operator_pair(s, quad_n, alpha, D if inner_product == "exact" else None)
     try:
         F = block_factor(A, s.mirrors)
     except NotSPDError as exc:
@@ -399,25 +400,28 @@ def _verify_checks():
         # kappa of the run path, F built on the mirror blocks (five of D4
         # on the square, four of the axis mirrors on the ellipse), against
         # a dense F and one dense factor of A, for the six preconditioners
-        # of the benchmark; and the guard's margin: M's and D's residual
-        detail, worst, ok = [], 0.0, True
+        # of the benchmark; the guard's margin: M's and D's residual; and
+        # how many blocks the run path's kappa tridiagonalized
+        detail, worst, ok, exact, total = [], 0.0, True, 0, 0
         names = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
         for g, ell, inner in ((gs, 3, "exact"), (ge, 1, "mesh-averaged")):
             lev = build_level(build_space(corner_schedule(g, 3), ell), inner)
             omega = richardson_weight(1, ell)[2]
             dense = block_factor(lev.A)
             for name in names:
-                k_run = kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
-                              lev.A, lev.factor)
+                ends = block_ends(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
+                                  lev.factor)
                 k_dense = kappa(_build_precond(name, lev.B, lev.M, lev.D, omega), lev.A, dense)
-                worst = max(worst, abs(k_run / k_dense - 1))
+                worst = max(worst, abs(ends.hi / ends.lo / k_dense - 1))
+                exact, total = exact + ends.tridiagonalized, total + len(lev.factor.blocks)
             sizes = lev.factor.sizes
             ok &= len(sizes) == (5 if g.kind == "square" else 4)
             perms = lev.space.mirrors.perms
             residual = max(mirror_residual(lev.M, perms) + mirror_residual(lev.D, perms))
             detail.append(f"{g.kind} blocks {'/'.join(map(str, sizes))}, "
                           f"M and D mirror residual {residual:.1e}")
-        detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}")
+        detail.append(f"max |kappa_block/kappa_dense - 1| = {worst:.1e}, "
+                      f"tridiagonalized {exact}/{total}")
         return bool(ok and worst <= 1e-10), ", ".join(detail)
 
     def assembly_symmetry():

@@ -171,7 +171,7 @@ def arc_lengths(chart, t0, t1) -> np.ndarray:
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     pieces = np.maximum(1, np.ceil((t1 - t0) / _MAX_PIECE)).astype(int)
     out = np.empty(t0.shape)
-    for k in np.unique(pieces):
+    for k in sorted(set(pieces.tolist())):
         sel = pieces == k
         edges = np.linspace(t0[sel], t1[sel], k + 1, axis=-1)
         a, b = edges[:, :-1], edges[:, 1:]

@@ -6,10 +6,35 @@ B, F^T = X L_B, so G = X B X without forming G.  For SPD A = L L^T the
 product GA is similar to the symmetric matrix L^T G L = Y^T Y with Y = F L,
 so kappa_S(GA) = rho(GA) rho((GA)^{-1}) equals the extreme eigenvalue ratio
 of Y^T Y; no nonsymmetric eigensolver is needed.  Y is formed by one
-triangular product (BLAS dtrmm) and Y^T Y by one rank-k update (dsyrk);
-LAPACK's dsytrd reduces it to a tridiagonal matrix, and two bisections
-(dstebz) take its smallest and its largest eigenvalue alone (Golub and Van
-Loan, Matrix Computations, 4th ed., sections 8.4 and 8.7).
+triangular product (BLAS dtrmm) and C = Y^T Y by one rank-k update
+(dsyrk); LAPACK's dsytrd reduces C to a tridiagonal matrix, and two
+bisections (dstebz) take its smallest and its largest eigenvalue alone
+(Golub and Van Loan, Matrix Computations, 4th ed., sections 8.4 and 8.7).
+
+Over the symmetry blocks below, kappa needs only the smallest and the
+largest of the blocks' ends, and most blocks hold neither.  So only block
+0 is always tridiagonalized.  Every later block C_k, of order n, is first
+tested against the ends [lo, hi] found so far by two Cholesky factors
+(dpotrf) of shifted matrices: (hi - 2m) I - C_k, which exists only if
+lambda_max(C_k) < hi, and C_k - (lo + m) I, which exists only if
+lambda_min(C_k) > lo (Sylvester's law of inertia; Parlett, The Symmetric
+Eigenvalue Problem, ch. 3).  With both factors the block cannot move
+either end, and it is not tridiagonalized; without them it is, as before.
+The margin is m = n^2 eps hi, eps = 2u the machine epsilon.  A factor
+that completes is exact for H + dH, with |dH| <= gamma_{n+1} |R^T| |R|
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm.
+10.3), so ||dH||_2 <= n gamma_{n+1} ||H + dH||_2, about n(n + 1) u hi;
+forming the shifted diagonal adds u hi.  (||H||_2 <= hi for a block that
+passes both.)  The certificate's error is thus at most (n^2 + n + 1) eps
+hi / 2.  The ends that dsytrd and dstebz would compute for C_k lie within
+p(n) eps ||C_k||_2 of its eigenvalues, with p(n) a modestly growing
+function of n (LAPACK Users' Guide, 3rd ed., section 4.7).  What m leaves
+covers p(n) up to (n^2 - n - 1) / 2 at the bottom, and what 2m leaves up
+to (3 n^2 - n - 1) / 2 at the top.  So a certified block's computed ends
+lie in [lo, hi], and kappa is, to the bit, that of tridiagonalizing every
+block.  On the level-5 square and ellipse, dsytrd and dstebz's ends
+differ from eigvalsh's by at most 12 eps lambda_max, where the margin is
+n^2 >= 10^4 of those units.
 
 The whole level is taken by blocks.  The shipped curves (square, circle,
 ellipse) and their corner-graded meshes are mirror symmetric, and A, B, M
@@ -37,7 +62,8 @@ rows of B at the orbits' least dofs, gathered once for all blocks,
 ``project_sparse`` gives M's blocks as a list and ``project_diagonal`` D
 and diag(M) in the same basis, and the builders of ``precond`` form each
 F_k on its block from the factor of B_k.  ``kappa`` takes the extreme
-eigenvalues over the blocks.  A dense F is cut into the blocks F Q_k.
+eigenvalues over the blocks (``block_ends``, with the certificate above).
+A dense F is cut into the blocks F Q_k.
 
 The group is decided once per level, by the space, and checked once:
 A and B are assembled by orbits of panel pairs under the mirrors (see
@@ -60,6 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,7 +334,7 @@ def _project(X: np.ndarray, bases) -> tuple:
     (Q_k^T X)^T to the rounding of X's commutation with the group, and for
     Q = I it is X itself."""
     leads = [Qt.indices[Qt.indptr[:-1]] for Qt in bases]
-    reps = np.unique(np.concatenate(leads))
+    reps = np.flatnonzero(np.bincount(np.concatenate(leads)))
     slab = np.ascontiguousarray(X[reps].T)              # (N, R)
     out = []
     for Qt, lead in zip(bases, leads):
@@ -343,13 +370,18 @@ def _sytrd_lwork(n: int) -> int:
     return int(work)
 
 
-def _extreme_eigenvalues(F: np.ndarray, L: np.ndarray):
-    """Smallest and largest eigenvalue of Y^T Y with Y = F L, for L lower
-    triangular: Y by dtrmm, the lower triangle of Y^T Y by dsyrk, its
-    tridiagonal form by dsytrd and the two ends of its spectrum by
-    bisection (dstebz, to LAPACK's default tolerance ulp * |T|)."""
+def _gram(F: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The lower triangle of C = Y^T Y with Y = F L, for L lower
+    triangular: Y by dtrmm, C by dsyrk, in Fortran order."""
     Y = fblas.dtrmm(1.0, L, F, side=1, lower=1)
-    C = fblas.dsyrk(1.0, Y, trans=1, lower=1)
+    return fblas.dsyrk(1.0, Y, trans=1, lower=1)
+
+
+def _extreme_eigenvalues(C: np.ndarray):
+    """Smallest and largest eigenvalue of the symmetric C given by its lower
+    triangle (from :func:`_gram`, which it overwrites): its tridiagonal form
+    by dsytrd and the two ends of its spectrum by bisection (dstebz, to
+    LAPACK's default tolerance ulp * |T|)."""
     n = C.shape[0]
     _, d, e, _, info = flapack.dsytrd(C, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
     if info:
@@ -363,6 +395,60 @@ def _extreme_eigenvalues(F: np.ndarray, L: np.ndarray):
     return ends[0], ends[1]
 
 
+def _inside(C: np.ndarray, lo: float, hi: float) -> bool:
+    """True if two Cholesky factors (dpotrf) prove that the extremes which
+    :func:`_extreme_eigenvalues` would compute for C (its lower triangle
+    from :func:`_gram`, left as it is) lie in [lo, hi]: the factor of
+    (hi - 2m) I - C, so that lambda_max(C) < hi, and that of
+    C - (lo + m) I, so that lambda_min(C) > lo, with the margin
+    m = n^2 eps hi for C of order n (derived in the module docstring).  A
+    factor that breaks down on a pivot <= 0 returns False at once."""
+    n = C.shape[0]
+    m = n * n * np.finfo(float).eps * hi
+    for sign, shift in ((-1.0, hi - 2 * m), (1.0, lo + m)):
+        H = sign * C                        # a new array, in C's Fortran order
+        H.flat[::n + 1] -= sign * shift
+        _, info = flapack.dpotrf(H, lower=1, clean=0, overwrite_a=1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"dpotrf failed with info = {info}")
+        if info:
+            return False
+    return True
+
+
+class Ends(NamedTuple):
+    """The extreme eigenvalues of G A over the blocks of a factor of A, and
+    how many blocks were tridiagonalized to find them."""
+
+    lo: float
+    hi: float
+    tridiagonalized: int
+
+
+def block_ends(F, factor: BlockFactor) -> Ends:
+    """The smallest and the largest eigenvalue of G A over the blocks of
+    ``factor``, for G = F^T F given as in :func:`kappa`.
+
+    Each block's C_k = Y_k^T Y_k is formed by dtrmm and dsyrk.  Block 0 is
+    tridiagonalized; every later block first goes to :func:`_inside`, two
+    shifted Cholesky factors against the ends [lo, hi] found so far, and
+    only a block that it cannot place inside them is tridiagonalized.  A
+    block that it places there cannot move either end (see the module
+    docstring), so the ends are those of tridiagonalizing every block, to
+    the bit."""
+    blocks = F if isinstance(F, tuple) else tuple((Qt @ F.T).T for Qt, _ in factor.blocks)
+    if len(blocks) != len(factor.blocks):
+        raise ValueError(f"F has {len(blocks)} blocks, the factor of A {len(factor.blocks)}")
+    lo, hi, exact = np.inf, -np.inf, 0
+    for k, (Fk, (_, L)) in enumerate(zip(blocks, factor.blocks)):
+        C = _gram(Fk, L)
+        if k and _inside(C, lo, hi):
+            continue
+        b_lo, b_hi = _extreme_eigenvalues(C)
+        lo, hi, exact = min(lo, b_lo), max(hi, b_hi), exact + 1
+    return Ends(lo, hi, exact)
+
+
 def kappa(F, A: np.ndarray, factor: BlockFactor | None = None) -> float:
     """Spectral condition number kappa_S(G A) for G = F^T F and SPD A.
 
@@ -373,19 +459,15 @@ def kappa(F, A: np.ndarray, factor: BlockFactor | None = None) -> float:
     the factor's order (the builders of :mod:`precond` return these), or
     one dense F, which is cut here into the blocks F Q_k; a bare SPD G
     enters as ``spd_factor(G).T``.  Over blocks, kappa is the largest
-    block eigenvalue over the smallest.  Raises NotSPDError when the
-    smallest is not above the rounding of the largest, as for a singular
-    F.
+    block eigenvalue over the smallest, found by :func:`block_ends`: block
+    0 tridiagonalized, a later block only where two shifted Cholesky
+    factors cannot place it strictly inside the ends already found.
+    Raises NotSPDError when the smallest is not above the rounding of the
+    largest, as for a singular F.
     """
     if factor is None:
         factor = block_factor(A)
-    blocks = F if isinstance(F, tuple) else tuple((Qt @ F.T).T for Qt, _ in factor.blocks)
-    if len(blocks) != len(factor.blocks):
-        raise ValueError(f"F has {len(blocks)} blocks, the factor of A {len(factor.blocks)}")
-    lo, hi = np.inf, -np.inf
-    for Fk, (_, L) in zip(blocks, factor.blocks):
-        b_lo, b_hi = _extreme_eigenvalues(Fk, L)
-        lo, hi = min(lo, b_lo), max(hi, b_hi)
+    lo, hi, _ = block_ends(F, factor)
     if not lo > max(factor.sizes) * np.finfo(float).eps * hi:
         raise NotSPDError("preconditioned pencil is not positive definite")
     return hi / lo

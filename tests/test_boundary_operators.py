@@ -243,6 +243,27 @@ def test_stabilization_moments_match_lumped_diagonal(kind, ell):
     assert np.abs(B1 - B - DD).max() <= 1e-12 * np.abs(DD).max()
 
 
+@pytest.mark.parametrize("inner, computed", [("exact", 1), ("mesh-averaged", 2)])
+def test_level_passes_its_exact_lumped_diagonal_as_m(monkeypatch, inner, computed):
+    """With the exact product ``build_level`` hands its D to assembly as
+    B's m, so a level computes the lumped diagonal once; A and B are those
+    assembled with m computed there, to the bit."""
+    s = corner_space("square", 2, 3)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return lumped_matrix(*args, **kw)
+
+    monkeypatch.setattr(cli, "lumped_matrix", counted)
+    monkeypatch.setattr(bops, "lumped_matrix", counted)
+    lev = cli.build_level(s, inner, QUAD_N, 0.05)
+    assert len(calls) == computed
+    monkeypatch.undo()
+    for X, X0 in zip((lev.A, lev.B), assemble_operator_pair(s, QUAD_N, 0.05)):
+        assert np.array_equal(X, X0)
+
+
 def test_shifted_chart_parameters_give_same_matrices():
     """Moving every chart's parameter interval by +1000 moves no point of
     the curve, so A and B must not change: every distance is taken

@@ -39,7 +39,8 @@ def test_run_path_loads_no_scipy_package():
     # importing the package and running a level-2 table of each benchmark
     # workload, with its six columns, loads numpy and the three kernel
     # modules and nothing else of scipy: not its package init, scipy.linalg,
-    # scipy.sparse or scipy._lib; and only ``verify`` reads the dual basis
+    # scipy.sparse or scipy._lib; only ``verify`` reads the dual basis; and
+    # numpy.ma, which numpy's plain ``unique`` imports, stays unloaded
     code = f"""
 import sys
 def scipy_modules():
@@ -52,12 +53,12 @@ for geometry, degree, inner in (("square", 3, "exact"), ("ellipse", 1, "mesh-ave
                            preconds={ALL_SIX!r})
     emit_table(run_experiment(cfg), cfg.fmt, None, cfg)
 print(scipy_modules())
-print("calderon_bench.duals" in sys.modules)
+print("calderon_bench.duals" in sys.modules, "numpy.ma" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout == f"{KERNEL_MODULES}\n{KERNEL_MODULES}\nFalse\n"
+    assert out.stdout == f"{KERNEL_MODULES}\n{KERNEL_MODULES}\nFalse False\n"
 
 
 def test_python_m_runs_the_command(tmp_path):
@@ -236,11 +237,15 @@ def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     # the level-3 blocks: D4's five on the square, the axis mirrors' four
     # on the ellipse; and the guard's residual of M and D on each, far below
-    # TAU (measured: 4.7e-16 and 6.9e-15)
+    # TAU (measured: 4.7e-16 and 6.9e-15); and of the 6 x (5 + 4) blocks
+    # of the six columns, at least block 0 of each column and at most
+    # half of the rest tridiagonalized for kappa (measured: 23)
     out = capsys.readouterr().out
     found = re.search(r"square blocks 61/60/60/59/120, M and D mirror residual (\S+), "
                       r"ellipse blocks 41/40/40/39, M and D mirror residual (\S+),", out)
     assert found and max(map(float, found.groups())) < 1e-13, out
+    exact = re.search(r"tridiagonalized (\d+)/54$", out, re.M)
+    assert exact and 12 <= int(exact.group(1)) <= 12 + 42 // 2, out
 
 
 def test_config_rejects_misspelled_refine(tmp_path):

@@ -16,7 +16,8 @@ import calderon_bench
 from calderon_bench import _kernels
 from calderon_bench.precond import (_banded_cholesky, _banded_solve, reference_mass_and_lumped,
                                     richardson_weight)
-from calderon_bench.spectral import BlockFactor, Csr, _extreme_eigenvalues, character_bases
+from calderon_bench.spectral import (BlockFactor, Csr, _extreme_eigenvalues, _gram, _inside,
+                                     character_bases)
 
 from helpers import corner_gram, corner_level, corner_space, to_scipy
 
@@ -54,7 +55,7 @@ def test_loader_falls_back_to_the_import_by_name(monkeypatch):
 
 
 def test_lapack_and_blas_calls_equal_scipys_routines():
-    # kappa's dtrmm, dsyrk, dsytrd and dstebz on a level-2 block, the
+    # kappa's dtrmm, dsyrk, dsytrd, dstebz and dpotrf on a level-2 block, the
     # banded dpbtrf and dpbtrs of the mass preconditioner, and dsygvd of the
     # Richardson weight: each equals scipy's public routine to the bit
     lev = corner_level("square", 2, 3)
@@ -65,7 +66,15 @@ def test_lapack_and_blas_calls_equal_scipys_routines():
     _, d, e, _, _ = scipy.linalg.lapack.dsytrd(C, lower=1, lwork=lwork)
     ends = [scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0]
             for i in (1, C.shape[0])]
-    assert _extreme_eigenvalues(F, L) == tuple(ends)
+    assert _extreme_eigenvalues(_gram(F, L)) == tuple(ends)
+    # the certificate's dpotrf: scipy's routine succeeds on C shifted just
+    # inside its ends and fails just outside them, and so does _inside
+    for lo, hi, ok in ((0.99 * ends[0], 1.01 * ends[1], True),
+                       (1.01 * ends[0], 1.01 * ends[1], False),
+                       (0.99 * ends[0], 0.99 * ends[1], False)):
+        infos = [scipy.linalg.lapack.dpotrf(X, lower=1)[1]
+                 for X in (C - 1.001 * lo * np.eye(len(C)), 0.999 * hi * np.eye(len(C)) - C)]
+        assert (max(infos) == 0) == ok == _inside(_gram(F, L), lo, hi)
     coupling = lev.coupling
     for ab, perm, LB in zip(coupling.bands, coupling.order, lev.B_factors):
         c = _banded_cholesky(ab)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from calderon_bench import spectral
 from calderon_bench.boundary_operators import assemble_operator_pair
 from calderon_bench.cli import _build_precond, build_level
 from calderon_bench.fespace import MirrorGroup, build_space, mirror_permutations
@@ -12,9 +13,9 @@ from calderon_bench.gram import lumped_matrix
 from calderon_bench.mesh import corner_schedule, initial_mesh, refine
 from calderon_bench.precond import (jacobi_precond, lumped_precond, mass_precond,
                                     richardson_precond, richardson_weight)
-from calderon_bench.spectral import (Csr, NotSPDError, _extreme_eigenvalues, _project,
-                                     block_factor, character_bases, kappa, mirror_residual,
-                                     spd_factor)
+from calderon_bench.spectral import (BlockFactor, Csr, NotSPDError, _extreme_eigenvalues, _gram,
+                                     _project, block_ends, block_factor, character_bases, kappa,
+                                     mirror_residual, spd_factor)
 
 from helpers import (BLOCK_SIZES, corner_gram, corner_level, corner_space, faddeev_leverrier,
                      node_points, to_scipy)
@@ -126,6 +127,75 @@ def test_kappa_rejects_indefinite():
     F = np.diag([1.0, 0.0, 1.0, 1.0])
     with pytest.raises(NotSPDError):
         kappa(F, A)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: only blocks that two shifted Cholesky factors cannot
+# place strictly inside the ends found so far are tridiagonalized
+
+def _planted(spectra):
+    """Blocks F_k = diag(sqrt(lam_k)) Q_k with Q_k a random orthogonal
+    matrix, and a factor of A with L_k = I, so that C_k = F_k^T F_k has the
+    spectrum lam_k up to rounding."""
+    F = tuple(np.sqrt(lam)[:, None] * np.linalg.qr(rng.randn(len(lam), len(lam)))[0]
+              for lam in map(np.asarray, spectra))
+    return F, BlockFactor(tuple((None, np.eye(Fk.shape[0])) for Fk in F))
+
+
+def _exact_kappa(F, factor):
+    """kappa with every block tridiagonalized."""
+    ends = [_extreme_eigenvalues(_gram(Fk, L)) for Fk, (_, L) in zip(F, factor.blocks)]
+    return max(hi for _, hi in ends) / min(lo for lo, _ in ends)
+
+
+def _tridiagonalized(monkeypatch):
+    """The order of each block that kappa tridiagonalizes, as it goes."""
+    seen, real = [], spectral._extreme_eigenvalues
+    monkeypatch.setattr(spectral, "_extreme_eigenvalues",
+                        lambda C: seen.append(C.shape[0]) or real(C))
+    return seen
+
+
+def test_certificate_tridiagonalizes_only_blocks_that_reach_an_end(monkeypatch):
+    # block 0 always; a later block holding the smallest or the largest
+    # eigenvalue, or within an ulp of an end found so far; never one
+    # strictly inside.  The blocks' orders tell them apart
+    F0, factor0 = _planted([np.linspace(1.0, 10.0, 8)])
+    lo_0, hi_0, _ = block_ends(F0, factor0)
+    cases = [
+        ([np.linspace(2.0, 5.0, 9)], []),                                   # inside
+        ([np.linspace(0.5, 5.0, 9)], [9]),                                  # lambda_min
+        ([np.linspace(2.0, 20.0, 9)], [9]),                                 # lambda_max
+        ([np.linspace(2.0, np.nextafter(hi_0, 0.0), 9)], [9]),              # 1 ulp below hi
+        ([np.linspace(np.nextafter(lo_0, 2.0), 5.0, 9)], [9]),              # 1 ulp above lo
+        ([np.linspace(2.0, 5.0, 9), np.linspace(0.5, 3.0, 10), np.geomspace(3.0, 7.0, 11),
+          np.linspace(4.0, 12.0, 12), np.linspace(0.8, 11.0, 13)], [10, 12]),
+    ]
+    for later, expected in cases:
+        F, factor = _planted(later)
+        F, factor = F0 + F, BlockFactor(factor0.blocks + factor.blocks)
+        seen = _tridiagonalized(monkeypatch)
+        ends = block_ends(F, factor)
+        monkeypatch.undo()
+        assert seen == [8] + expected and ends.tridiagonalized == len(seen)
+        assert kappa(F, None, factor) == _exact_kappa(F, factor) == ends.hi / ends.lo
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_certified_kappa_equals_all_blocks_tridiagonalized(monkeypatch, kind, ell, inner):
+    # the six columns of level 3 to the bit, and the square's 2-D block
+    # (n = 120), which holds no extreme there, never tridiagonalized
+    lev = corner_level(kind, 3, ell, inner)
+    omega = richardson_weight(1, ell)[2]
+    seen = _tridiagonalized(monkeypatch)
+    for name in ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi"):
+        F = _build_precond(name, lev.B_factors, lev.coupling, lev.d, omega)
+        del seen[:]
+        k = kappa(F, lev.A, lev.factor)
+        assert seen[0] == lev.factor.sizes[0] and len(seen) < len(lev.factor.sizes), name
+        assert 120 not in seen, name
+        assert k == _exact_kappa(F, lev.factor), name
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +536,7 @@ def test_d4_partner_blocks_are_isospectral():
         assert np.abs(lam - mu).max() <= 1e-12 * np.abs(mu).max(), name
     L = [spd_factor(_two_sided(A, Qt)) for Qt in (kept, partner)]
     for name, Fd in Fs.items():
-        ext, ext_partner = (np.array(_extreme_eigenvalues((Qt @ Fd.T).T, Lk))
+        ext, ext_partner = (np.array(_extreme_eigenvalues(_gram((Qt @ Fd.T).T, Lk)))
                             for Qt, Lk in zip((kept, partner), L))
         assert np.abs(ext / ext_partner - 1).max() <= 1e-12, name
 
