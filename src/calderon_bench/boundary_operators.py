@@ -216,24 +216,18 @@ def _mean_over_stabilizer(stab, *blocks):
     return blocks
 
 
-def _rechunk(pieces, size):
-    """The rows of a stream of array tuples ``pieces`` regrouped into tuples
-    of ``size`` rows, in order; the last one may be shorter."""
-    rest = None
-    for piece in pieces:
-        joined = piece if rest is None else tuple(map(np.concatenate, zip(rest, piece)))
-        full = joined[0].size - joined[0].size % size
-        for i in range(0, full, size):
-            yield tuple(x[i:i + size] for x in joined)
-        rest = tuple(x[full:] for x in joined)
-    if rest is not None and rest[0].size:
-        yield rest
+def _gauss_samples(s: FeSpace, n: int):
+    """The n-point tensor Gauss rule's data on every panel: the points'
+    coordinates x and y (P, n) and the weights of ``_basis_weights``."""
+    rule = gauss_rule(n)
+    pts, speed, dts = panel_samples(s.mesh, rule.nodes)
+    return (pts[..., 0], pts[..., 1], *_basis_weights(s, rule, speed, dts))
 
 
-def _pair_blocks(s: FeSpace, rule, pairs):
-    """Tensor Gauss blocks of the panel pairs (p, q) that ``pairs`` yields
-    as arrays (p, q, stab), in chunks of _CHUNK kernel entries, each block
-    scaled by one over its stabilizer's order ``stab`` (see
+def _pair_blocks(s: FeSpace, samples, p, q, stab):
+    """Tensor Gauss blocks of the panel pairs (p, q) on the rule of
+    ``samples`` (``_gauss_samples``), in chunks of _CHUNK kernel entries,
+    each block scaled by one over its stabilizer's order ``stab`` (see
     ``_mean_over_stabilizer``).
 
     Yields the row and column dof ids (C, l+1) and the blocks (C, l+1,
@@ -241,10 +235,10 @@ def _pair_blocks(s: FeSpace, rule, pairs):
     pair's sample weights around its (n, n) log-kernel matrix.  r^2 and
     the kernel are formed in one buffer of the chunk.
     """
-    pts, speed, dts = panel_samples(s.mesh, rule.nodes)
-    w_val, w_der = _basis_weights(s, rule, speed, dts)
-    x, y = pts[..., 0], pts[..., 1]
-    for a, b, stab in _rechunk(pairs, max(1, _CHUNK // rule.nodes.size ** 2)):
+    x, y, w_val, w_der = samples
+    size = max(1, _CHUNK // x.shape[1] ** 2)
+    for i in range(0, p.size, size):
+        a, b, st = p[i:i + size], q[i:i + size], stab[i:i + size]
         r2 = x[a][:, :, None] - x[b][:, None, :]        # dx, then r^2, then the kernel
         dy = y[a][:, :, None] - y[b][:, None, :]
         r2 *= r2
@@ -255,7 +249,7 @@ def _pair_blocks(s: FeSpace, rule, pairs):
             raise AssemblyError("far-field quadrature points of distinct panels coincide")
         K = _log_kernel_r2(r2)
         yield (s.conn[a], s.conn[b],
-               *_mean_over_stabilizer(stab, w_val[a].transpose(0, 2, 1) @ K @ w_val[b],
+               *_mean_over_stabilizer(st, w_val[a].transpose(0, 2, 1) @ K @ w_val[b],
                                       w_der[a].transpose(0, 2, 1) @ K @ w_der[b]))
 
 
@@ -270,13 +264,15 @@ def _separated_orbits(s: FeSpace, panels):
     representative is the pair of least panel ranks (``_panel_rank``),
     given as (higher rank, lower rank); with the trivial group on a mesh
     in chart order that is every pair p > q, in row order.  A block spans
-    about _CHUNK / 8 pairs, so that its int64 labels weigh about one
-    chunk of kernel entries.
+    about _CHUNK / 4 pairs, so that its int64 labels weigh a quarter of a
+    chunk of kernel entries.  The representatives and their order do not
+    depend on the block size: a pair's orbit and its least label are the
+    same whichever block finds it.
     """
     P = s.mesh.n_panels
     rank = _panel_rank(s.mesh)
     images = rank[panels]
-    rows = max(1, _CHUNK // (8 * P))
+    rows = max(1, _CHUNK // (4 * P))
     for i in range(2, P, rows):
         p, q = np.nonzero(np.tri(min(rows, P - i), P, k=i - 2, dtype=bool))
         p += i
@@ -303,15 +299,11 @@ def _far_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
     admissible orbits first.
     """
     panels = (group or MirrorGroup.trivial(s.ndof, s.mesh.n_panels)).panels
-    close = []
-
-    def admissible():
-        for p, q, stab, far in _separated_orbits(s, panels):
-            close.append((p[~far], q[~far], stab[~far]))
-            yield p[far], q[far], stab[far]
-
-    yield from _pair_blocks(s, gauss_rule(_coarse_n(quad_n)), admissible())
-    yield from _pair_blocks(s, gauss_rule(quad_n), close)
+    coarse, close = _gauss_samples(s, _coarse_n(quad_n)), []
+    for p, q, stab, far in _separated_orbits(s, panels):
+        close.append((p[~far], q[~far], stab[~far]))
+        yield from _pair_blocks(s, coarse, p[far], q[far], stab[far])
+    yield from _pair_blocks(s, _gauss_samples(s, quad_n), *map(np.concatenate, zip(*close)))
 
 
 def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):

@@ -444,11 +444,11 @@ def _verify_checks():
         for ell in (1, 3):
             s = build_space(corner_schedule(gs, 1), ell)
             d = duals_mod.build_dual_basis(s, duals_mod.build_bubbles(s))
-            hold = duals_mod.holding_space(d)
+            Mt = duals_mod.dual_gram(d)
             ok &= np.abs(d.pairing.toarray() - np.diag(d.lumped)).max() < 1e-10
             ok &= duals_mod.eval_dual_sum(d) < 1e-10
-            detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d, hold):.5f}, "
-                          f"||I|| = {duals_mod.bijection_l2_norm(d, hold):.5f}")
+            detail.append(f"degree {ell}: ||P|| = {duals_mod.fortin_l2_norm(d, Mt):.5f}, "
+                          f"||I|| = {duals_mod.bijection_l2_norm(d, Mt):.5f}")
         return bool(ok), "; ".join(detail)
 
     return [

@@ -13,12 +13,16 @@ write.
 
 Also the reference implementations that only tests call: the dense
 Richardson inverse and the 2-D adaptive integration oracle; the nodes'
-chart parameters and points, which the program does not store; and
+chart parameters and points, which the program does not store;
 ``to_scipy``, which hands the program's CSR records to scipy.sparse for
-the tests' sparse algebra (the program itself does not import it).
+the tests' sparse algebra (the program itself does not import it); and
+the duals' oracles: the holding space, on which the Fortin projector and
+the bijection are explicit matrices and the duals' Gram matrices are
+E^T G E, the plain L2 projector, and the nodal, bubble and dual norms.
 """
 
 import heapq
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -26,10 +30,12 @@ import scipy.sparse
 
 from calderon_bench.boundary_operators import assemble_operator_pair
 from calderon_bench.cli import build_level
-from calderon_bench.fespace import build_space
+from calderon_bench.duals import _QUAD, _arc_measure, _sparse
+from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import make_geometry
-from calderon_bench.gram import lumped_matrix, mass_matrix
-from calderon_bench.mesh import corner_schedule, initial_mesh
+from calderon_bench.gram import lumped_matrix, mass_matrix, panel_products
+from calderon_bench.mesh import (chart_runs, corner_schedule, initial_mesh, panel_samples,
+                                 uniform_refine)
 from calderon_bench.precond import Coupling
 from calderon_bench.quadrature import gauss_rule
 
@@ -199,3 +205,116 @@ def adaptive_integrate_2d(f, box, tol=1e-10, max_boxes=40000):
             counter += 1
             heapq.heappush(heap, (-e, counter) + quad + (v,))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the duals' oracles: S on the once-refined mesh, plus the bubbles
+
+
+@dataclass(frozen=True)
+class HoldingSpace:
+    dim: int
+    gram: scipy.sparse.csr_array       # L2 Gram of the holding basis
+    gram_h1: scipy.sparse.csr_array    # H1-seminorm Gram
+    nodal_rep: scipy.sparse.csr_array  # (dim, N) coordinates of phi_nu
+    dual_rep: scipy.sparse.csr_array   # (dim, N) coordinates of phi~_nu
+    ones_rep: np.ndarray               # coordinates of the constant 1
+
+
+def holding_space(d):
+    """The nodal space on the uniformly refined mesh plus all bubbles of the
+    dual basis ``d``: it holds S, every dual and the ranges of the Fortin
+    projector and of the bijection."""
+    s = d.space
+    ell, q, P, n = s.degree, d.bubbles.degree, s.mesh.n_panels, _QUAD.nodes.size
+    s2 = build_space(uniform_refine(s.mesh), ell)
+    n2, N = s2.ndof, s.ndof
+    dim = n2 + N
+
+    # children 2p and 2p + 1 are the halves of panel p; their fine nodes a < l
+    # (the others start the next child) count every fine node once, and R
+    # holds there the coarse nodal basis of conn[p].  A child's active
+    # functions are its fine nodal basis and the bubbles of conn[p]
+    R = _sparse((n2, N), reference_basis(ell, np.arange(2 * ell) / (2 * ell)).T,
+                s2.conn[:, :ell].reshape(P, 2 * ell, 1), s.conn[:, None, :])
+    xp = 0.5 * (_QUAD.nodes + np.arange(2)[:, None]).ravel()     # both halves of [0, 1]
+    fine = (2 * P, ell + 1, n)
+    vals, ders = (np.swapaxes((d.bubbles.coef @ B).reshape(P, ell + 1, 2, n), 1, 2).reshape(fine)
+                  for B in (reference_basis(q, xp), 0.5 * reference_basis_deriv(q, xp)))
+
+    w_arc, ds_dx = _arc_measure(s2.mesh)
+    U = np.concatenate([np.broadcast_to(reference_basis(ell, _QUAD.nodes), fine), vals], axis=1)
+    dU = np.concatenate([np.broadcast_to(reference_basis_deriv(ell, _QUAD.nodes), fine),
+                         ders], axis=1) / ds_dx[:, None, :]
+    ids = np.hstack([s2.conn, n2 + np.repeat(s.conn, 2, axis=0)])
+    G, G1 = (_sparse((dim, dim), panel_products(w_arc, X, X), ids[:, :, None], ids[:, None, :])
+             for X in (U, dU))
+    return HoldingSpace(dim, G, G1,
+                        nodal_rep=scipy.sparse.vstack([R, scipy.sparse.csr_array((N, N))], "csr"),
+                        dual_rep=scipy.sparse.vstack([R, d.combo], "csr"),
+                        ones_rep=np.concatenate([np.ones(n2), np.zeros(N)]))
+
+
+def holding_dual_gram(hold, h1=False):
+    """E^T G E, the dense N x N Gram matrix of the duals in the L2 product,
+    or with ``h1`` in the H1 seminorm, on the holding space."""
+    E = hold.dual_rep
+    return (E.T @ (hold.gram_h1 if h1 else hold.gram) @ E).toarray()
+
+
+def fortin_matrix(d, hold):
+    """Dense coefficient matrix on the holding space of the biorthogonal
+    Fortin projector P u = sum_nu <u, phi_nu> / <phi~_nu, phi_nu> phi~_nu."""
+    pi = d.pairing.diagonal()
+    return hold.dual_rep @ ((hold.nodal_rep.T @ hold.gram).toarray() / pi[:, None])
+
+
+def bijection_matrix(d, hold):
+    """The bijection phi_nu -> phi~_nu as a dense map from coarse nodal
+    coefficients into the holding space, plus its inverse on the dual span
+    (computed through the biorthogonal pairing)."""
+    def inverse(u_hold):
+        return (hold.nodal_rep.T @ (hold.gram @ u_hold)) / d.pairing.diagonal()
+
+    return hold.dual_rep.toarray(), inverse
+
+
+def l2_project(s, u, n_quad=20):
+    """Coefficients of the L2-orthogonal projection of a callable
+    u(points, chart) -> values onto the space; u gets the (m, 2) quadrature
+    points of one run of panels on one chart per call."""
+    g = gauss_rule(n_quad)
+    pts, speed, dt = panel_samples(s.mesh, g.nodes)
+    u_vals = np.concatenate([u(pts[a:b].reshape(-1, 2), c).reshape(b - a, -1)
+                             for c, a, b in chart_runs(s.mesh.chart)])
+    moments = (g.weights * speed * dt[:, None] * u_vals) @ reference_basis(s.degree, g.nodes).T
+    rhs = np.bincount(s.conn.ravel(), weights=moments.ravel(), minlength=s.ndof)
+    return np.linalg.solve(mass_matrix(s, "exact", n_quad=n_quad), rhs)
+
+
+def _norms(s, coef, degree):
+    """(L2 norm, H1 seminorm) of the functions whose degree-``degree``
+    Lagrange values on panel p are coef[p, a], (P, l+1, degree+1), or
+    coef[a] on every panel; function conn[p, a] owns row a."""
+    w_arc, ds_dx = _arc_measure(s.mesh)
+    vals = coef @ reference_basis(degree, _QUAD.nodes)
+    ders = (coef @ reference_basis_deriv(degree, _QUAD.nodes)) / ds_dx[:, None, :]
+    sq = (np.diagonal(panel_products(w_arc, f, f), axis1=1, axis2=2) for f in (vals, ders))
+    return tuple(np.sqrt(np.bincount(s.conn.ravel(), weights=x.ravel(), minlength=s.ndof))
+                 for x in sq)
+
+
+def nodal_norms(s):
+    """(L2 norm, H1 seminorm) of every nodal basis function."""
+    return _norms(s, np.eye(s.degree + 1), s.degree)
+
+
+def bubble_norms(b):
+    """(L2 norm, H1 seminorm) of every bubble."""
+    return _norms(b.space, b.coef, b.degree)
+
+
+def dual_norms(hold):
+    """(L2 norm, H1 seminorm) of every dual function, on the holding space."""
+    return tuple(np.sqrt(np.maximum(np.diag(holding_dual_gram(hold, h1)), 0.0))
+                 for h1 in (False, True))

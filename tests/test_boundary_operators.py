@@ -574,6 +574,21 @@ def test_orbit_sweep_matches_full_sweep(kind, k, ell, monkeypatch):
     assert np.abs(B - B0).max() <= 2e-8 * np.abs(B0).max()
 
 
+@pytest.mark.parametrize("kind, ell, trivial", [("square", 3, False), ("ellipse", 1, True)])
+def test_operators_do_not_depend_on_the_chunk_size(kind, ell, trivial, monkeypatch):
+    """A and B are the same to the bit with chunks of 36 x 16 kernel
+    entries as with the default: 16 admissible or 4 close pairs per far
+    chunk, one near-field representative per chunk, one row per block
+    of the orbit search, of Z + Z^T and of the copies.  On the level-3
+    cubic square (D4) and, with the trivial group, the level-3 linear
+    ellipse."""
+    s = _trivial_group(monkeypatch, kind, 3, ell) if trivial else corner_space(kind, 3, ell)
+    A0, B0 = assemble_operator_pair(s, QUAD_N, 0.05)
+    monkeypatch.setattr(bops, "_CHUNK", 36 * 16)
+    A, B = assemble_operator_pair(s, QUAD_N, 0.05)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+
 @pytest.mark.parametrize("kind, ell, levels", [("square", 3, range(1, 7)),
                                                ("ellipse", 1, range(1, 6))])
 def test_orbit_sweep_commutes_with_every_mirror(kind, ell, levels):

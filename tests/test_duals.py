@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from calderon_bench.duals import (bijection_l2_norm, bijection_matrix,
-                                  bubble_norms, bubble_phi_products,
-                                  build_bubbles, build_dual_basis, dual_norms,
-                                  eval_dual_sum, fortin_l2_norm, fortin_matrix,
-                                  holding_space, l2_project, nodal_norms)
+from calderon_bench.duals import (bijection_l2_norm, bubble_products, build_bubbles,
+                                  build_dual_basis, dual_gram, eval_dual_sum, fortin_l2_norm)
 from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.gram import mass_matrix
 from calderon_bench.mesh import initial_mesh, panel_speeds
 from calderon_bench.quadrature import adaptive_integrate, gauss_rule
 
-from helpers import corner_mesh, geom, node_points
+from helpers import (bijection_matrix, bubble_norms, corner_mesh, dual_norms, fortin_matrix, geom,
+                     holding_dual_gram, holding_space, l2_project, nodal_norms, node_points)
 
 rng = np.random.RandomState(4)
 
@@ -107,10 +105,11 @@ def test_bubbles_continuous_at_vertices(dual_setup):
 
 def test_bubble_constraints(dual_setup):
     _, _, s, b, _ = dual_setup
-    G = bubble_phi_products(b).toarray()
+    G = bubble_products(b).toarray()
+    phi_l2sq = np.diag(b.mass)
     off = G - np.diag(np.diag(G))
-    assert np.abs(off).max() <= 1e-12 * b.phi_l2sq.max()
-    assert np.abs(np.diag(G) - b.phi_l2sq).max() <= 1e-12 * b.phi_l2sq.max()
+    assert np.abs(off).max() <= 1e-12 * phi_l2sq.max()
+    assert np.abs(np.diag(G) - phi_l2sq).max() <= 1e-12 * phi_l2sq.max()
 
 
 def test_bubbles_carry_the_exact_mass_matrix(dual_setup):
@@ -118,7 +117,6 @@ def test_bubbles_carry_the_exact_mass_matrix(dual_setup):
     _, _, s, b, d = dual_setup
     assert np.array_equal(b.mass, mass_matrix(s, "exact", n_quad=16))
     assert d.bubbles.mass is b.mass
-    assert np.array_equal(b.phi_l2sq, np.diag(b.mass))
 
 
 def test_bubble_supports_inside_nodal_supports(dual_setup):
@@ -168,9 +166,8 @@ def test_dual_support_is_uniformly_local(dual_setup):
 
 def test_dual_norm_ratios_bounded(dual_setup):
     _, _, s, _, d = dual_setup
-    hold = holding_space(d)
     nl2, nh1 = nodal_norms(s)
-    dl2, dh1 = dual_norms(d, hold)
+    dl2, dh1 = dual_norms(holding_space(d))
     assert (dl2 / nl2).max() < 4.0
     assert (dh1 / np.maximum(nh1, 1e-300)).max() < 4.0
 
@@ -178,7 +175,7 @@ def test_dual_norm_ratios_bounded(dual_setup):
 def test_fortin_projector_identities(dual_setup):
     _, _, s, _, d = dual_setup
     hold = holding_space(d)
-    P, _ = fortin_matrix(d, hold)
+    P = fortin_matrix(d, hold)
     scale = np.abs(P).max()
     assert np.abs(P @ P - P).max() <= 1e-10 * scale
     assert np.abs(P @ hold.ones_rep - hold.ones_rep).max() <= 1e-10
@@ -190,7 +187,7 @@ def test_fortin_projector_identities(dual_setup):
 
 def test_fortin_norm_moderate(dual_setup):
     _, _, _, _, d = dual_setup
-    norm = fortin_l2_norm(d)
+    norm = fortin_l2_norm(d, dual_gram(d))
     assert 1.0 - 1e-10 <= norm <= 2.0
 
 
@@ -219,14 +216,14 @@ def test_fortin_norm_matches_the_quotient(dual_setup):
     # quotient of the holding space by the null directions of its Gram
     _, _, _, _, d = dual_setup
     hold = holding_space(d)
-    P, _ = fortin_matrix(d, hold)
-    ref = _quotient_norm(P, hold.gram.toarray())
-    assert abs(fortin_l2_norm(d, hold) / ref - 1.0) <= 1e-12
+    ref = _quotient_norm(fortin_matrix(d, hold), hold.gram.toarray())
+    assert abs(fortin_l2_norm(d, holding_dual_gram(hold)) / ref - 1.0) <= 1e-12
 
 
 def test_bijection_identities(dual_setup):
     _, _, s, _, d = dual_setup
-    fwd, inverse, hold = bijection_matrix(d)
+    hold = holding_space(d)
+    fwd, inverse = bijection_matrix(d, hold)
     ones = np.ones(s.ndof)
     assert np.abs(fwd @ ones - hold.ones_rep).max() <= 1e-10
     c = rng.rand(s.ndof)
@@ -245,13 +242,30 @@ def test_bijection_norm_regression(kind, ell):
     for k in range(1, 7):
         s = build_space(corner_mesh(kind, k), ell)
         d = build_dual_basis(s, build_bubbles(s))
-        hold = holding_space(d)
-        (nl2, nh1), (dl2, dh1) = nodal_norms(s), dual_norms(d, hold)
-        rows.append([fortin_l2_norm(d, hold), bijection_l2_norm(d, hold),
+        Mt = dual_gram(d)
+        (nl2, nh1), (dl2, dh1) = nodal_norms(s), dual_norms(holding_space(d))
+        rows.append([fortin_l2_norm(d, Mt), bijection_l2_norm(d, Mt),
                      (dl2 / nl2).max(), (dh1 / nh1).max()])
     rows = np.array(rows)
     assert np.all(rows[1:] <= 1.1 * rows[0])
     assert rows[:, :2].min() >= 1.0 - 1e-10   # P and I fix the constant function
+
+
+@pytest.mark.parametrize("kind, ell", [("square", 1), ("square", 3),
+                                       ("ellipse", 1), ("ellipse", 3)])
+def test_dual_gram_matches_the_holding_space(kind, ell):
+    """M~ from the pairing and the bubbles' Gram matrix against E^T G E on
+    the holding space, through level 6, and the Fortin and bijection norms
+    of the two through level 5 (a level-6 cubic pair of norms takes
+    about 3 s)."""
+    for k in range(1, 7):
+        s = build_space(corner_mesh(kind, k), ell)
+        d = build_dual_basis(s, build_bubbles(s))
+        Mt, Mh = dual_gram(d), holding_dual_gram(holding_space(d))
+        assert np.abs(Mt - Mh).max() <= 1e-11 * np.abs(Mh).max()
+        if k < 6:
+            for norm in (fortin_l2_norm, bijection_l2_norm):
+                assert abs(norm(d, Mt) - norm(d, Mh)) <= 1e-10
 
 
 def test_l2_project_reproduces_space():
