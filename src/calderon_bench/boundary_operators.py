@@ -80,7 +80,6 @@ the cubic square (23.8 MiB of A and B).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -143,27 +142,17 @@ def _admissible(mesh, p, q):
     """Whether each panel pair (p, q), for panel ids p and q of one shape,
     is far enough apart for the coarse rule.
 
-    With h a panel's arc length and c the midpoint of its end points, the
-    pair is admissible when gap = |c_p - c_q| - (h_p + h_q)/2 is at least
-    _ETA max(h_p, h_q); the test is symmetric in p and q to the bit.
+    With h a panel's arc length and c the midpoint of its ``Mesh.ends``,
+    the pair is admissible when gap = |c_p - c_q| - (h_p + h_q)/2 is at
+    least _ETA max(h_p, h_q); the test is symmetric in p and q to the bit.
     Identical and adjacent pairs have gap <= 0 (a chord is no longer than
     its arc), so they are never admissible.  The distance is relative, not
     a count of panels between the two: next to a corner the sizes halve
     panel by panel, so no index distance keeps gap/h away from 0.
     """
-    c, h = _centres(mesh), mesh.length
+    c, h = 0.5 * (mesh.ends[:, 0] + mesh.ends[:, 1]), mesh.length
     gap = np.hypot(c[p, 0] - c[q, 0], c[p, 1] - c[q, 1]) - 0.5 * (h[p] + h[q])
     return gap >= _ETA * np.maximum(h[p], h[q])
-
-
-@lru_cache(maxsize=1)
-def _centres(mesh):
-    """The midpoints (P, 2) of the panels' end points, kept for the last
-    mesh only: ``_admissible`` reads them once per row block of a search."""
-    ends, _, _ = panel_samples(mesh, [0.0, 1.0])
-    c = 0.5 * (ends[:, 0] + ends[:, 1])
-    c.flags.writeable = False
-    return c
 
 
 def _panel_rank(mesh):

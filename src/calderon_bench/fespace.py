@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Mesh, panel_samples
+from .mesh import Mesh
 
 
 @lru_cache(maxsize=None)
@@ -114,12 +114,11 @@ def mirror_permutations(s: FeSpace):
     A mirror reverses the cyclic panel order, panel i -> j[i] = (c - i) mod
     P, and the local node order inside a panel, so p[conn[i, a]] =
     conn[j[i], l - a].  The offset c comes from the image of panel 0's start
-    point; the map is accepted only if every panel's mirrored end points
+    point; the map is accepted only if every panel's mirrored ``Mesh.ends``
     match its image panel's end points to MIRROR_MATCH times its length.
     Node positions are not searched: the mesh structure fixes the map.
     """
-    m = s.mesh
-    ends = panel_samples(m, [0.0, 1.0])[0]               # (P, 2, 2): start, end
+    m, ends = s.mesh, s.mesh.ends                        # (P, 2, 2): start, end
     centre = np.asarray(m.geometry.mirror_centre, dtype=float)
     P, out = m.n_panels, []
     for k, R in enumerate(_MIRRORS):

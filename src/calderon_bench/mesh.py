@@ -8,11 +8,11 @@ changed under its other holders.  Refinement, closure and every caller
 work on these arrays; ``Mesh.panels`` reads them back as (chart, t0, t1,
 length) records for reports and tests.
 
-Refinement bisects panels at the parameter midpoint, all marked panels as
-one array operation, and raises where that midpoint is not a float strictly
-inside the panel; a uniform K-mesh property (neighbouring sizes within a
-factor 2) is enforced by recursive closure bisections after every local
-refinement.  The rounds read only the charts, the parameters and the
+Refinement bisects the panels of a boolean mask at the parameter midpoint
+as one array operation, and raises where that midpoint is not a float
+strictly inside the panel; a uniform K-mesh property (neighbouring sizes
+within a factor 2) is enforced by recursive closure bisections after every
+local refinement.  The rounds read only the charts, the parameters and the
 normalized sizes, so a new panel's arc length is computed once, when the
 mesh is returned (``_measure``).
 
@@ -40,6 +40,7 @@ panels on one chart as ``chart_runs`` lists them; so do the arc lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,7 @@ class Panel(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Panels in cyclic order, one array entry per panel.  Meshes are cached
-    and shared, so the arrays are made read-only."""
+    and shared, so the arrays, and ``ends``, are made read-only."""
 
     geometry: Geometry
     chart: np.ndarray       # chart id
@@ -85,6 +86,13 @@ class Mesh:
     def panels(self):
         """The panels as (chart, t0, t1, length) records."""
         return tuple(map(Panel, self.chart.tolist(), self.t0, self.t1, self.length))
+
+    @cached_property
+    def ends(self):
+        """The panels' start and end points (P, 2, 2), once per mesh."""
+        ends = panel_samples(self, [0.0, 1.0])[0]
+        ends.flags.writeable = False
+        return ends
 
     @property
     def h_min(self):
@@ -192,11 +200,11 @@ def _measure(m: Mesh) -> Mesh:
 
 
 def _kmesh_close(m: Mesh) -> Mesh:
-    # repeated sweeps: bisect every panel larger than the cap times one of
-    # its two cyclic neighbours until the cap holds everywhere
+    """Bisect, in sweeps until none is left, every panel larger than _RATIO_CAP
+    times a cyclic neighbour; both are read from one padded copy of ``qlength``."""
     for _ in range(10000):
-        q = m.qlength
-        split = q > _RATIO_CAP * np.minimum(np.roll(q, 1), np.roll(q, -1))
+        q = np.concatenate((m.qlength[-1:], m.qlength, m.qlength[:1]))
+        split = q[1:-1] > _RATIO_CAP * np.minimum(q[:-2], q[2:])
         if not split.any():
             return m
         m = _bisect(m, split)
@@ -221,51 +229,43 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
 
 
 def refine(m: Mesh, marked) -> Mesh:
-    """Bisect the marked panels (by id) and restore the K-mesh property."""
-    return _measure(_refine(m, marked))
-
-
-def _refine(m: Mesh, marked) -> Mesh:
-    """``refine`` without measuring the new panels (see ``_measure``)."""
-    marked = set(marked)
-    if not marked:
-        raise ValueError("refine: marked set is empty")
-    if not marked <= set(range(m.n_panels)):
-        raise ValueError("refine: invalid panel ids")
+    """Bisect the marked panels (by id, checked) and restore the K-mesh property."""
+    ids = np.asarray(list(marked))
+    if not ids.size or ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= m.n_panels:
+        raise ValueError(f"refine: need panel ids in range({m.n_panels}), got {ids}")
     split = np.zeros(m.n_panels, dtype=bool)
-    split[list(marked)] = True
-    return _kmesh_close(_bisect(m, split))
+    split[ids] = True
+    return _measure(_kmesh_close(_bisect(m, split)))
 
 
 def uniform_refine(m: Mesh) -> Mesh:
     """Bisect every panel."""
-    return refine(m, range(m.n_panels))
+    return _measure(_kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool))))
 
 
 def corner_panels(m: Mesh):
-    """Ids of the panels whose closure touches a geometry corner point."""
+    """Mask (P,) of the panels whose closure touches a corner: one broadcast test of
+    every (chart, t) alias of every corner, to 1e-12 of the panel's parameter length."""
+    chart, tc = zip(*(alias for corner in m.geometry.corners for alias in corner))
     tol = 1e-12 * (m.t1 - m.t0)
-    hit = np.zeros(m.n_panels, dtype=bool)
-    for corner in m.geometry.corners:
-        for ci, tc in corner:
-            hit |= (m.chart == ci) & (m.t0 - tol <= tc) & (tc <= m.t1 + tol)
-    return np.flatnonzero(hit).tolist()
+    return ((m.chart[:, None] == chart) & ((m.t0 - tol)[:, None] <= tc)
+            & (tc <= (m.t1 + tol)[:, None])).any(axis=1)
 
 
 def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
-    """Benchmark mesh family: k uniform bisections of the initial partition
-    (2 panels per chart on the square, 8 otherwise), then
-    ``rounds_per_level * k`` rounds of bisecting every panel that touches a
-    corner point.  h_max halves per level while h_min shrinks like
+    """Benchmark mesh family: k rounds on the initial partition (2 panels
+    per chart on the square, 8 otherwise) that bisect every panel, then
+    ``rounds_per_level * k`` rounds that bisect the mask ``corner_panels``.
+    h_max halves per level while h_min shrinks like
     2**(-(1+rounds_per_level)*k) up to closure effects; rounds_per_level = 0
     gives the uniform family."""
     if k < 1:
         raise ValueError("corner_schedule: k must be >= 1")
     m = initial_mesh(g, _initial_per_chart(g))
     for _ in range(k):
-        m = _refine(m, range(m.n_panels))
+        m = _kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool)))
     for _ in range(rounds_per_level * k):
-        m = _refine(m, corner_panels(m))
+        m = _kmesh_close(_bisect(m, corner_panels(m)))
     return _measure(m)
 
 

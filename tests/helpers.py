@@ -13,7 +13,8 @@ write.
 
 Also the reference implementations that only tests call: the dense
 Richardson inverse and the 2-D adaptive integration oracle; the nodes'
-chart parameters and points, which the program does not store;
+chart parameters and points, which the program does not store; the
+per-alias corner loop that ``corner_panels`` replaced;
 ``to_scipy``, which hands the program's CSR records to scipy.sparse for
 the tests' sparse algebra (the program itself does not import it); and
 the duals' oracles: the holding space, on which the Fortin projector and
@@ -135,6 +136,17 @@ def node_points(s):
     """The curve point (ndof, 2) of every node of a space."""
     charts = s.mesh.geometry.charts
     return np.array([charts[c].point(t) for c, t in zip(*node_params(s))])
+
+
+def corner_panels_by_alias(m):
+    """The mask of ``mesh.corner_panels`` by one pass per corner alias, as
+    the program computed it before its one broadcast comparison."""
+    tol = 1e-12 * (m.t1 - m.t0)
+    hit = np.zeros(m.n_panels, dtype=bool)
+    for corner in m.geometry.corners:
+        for ci, tc in corner:
+            hit |= (m.chart == ci) & (m.t0 - tol <= tc) & (tc <= m.t1 + tol)
+    return hit
 
 
 def to_scipy(X):

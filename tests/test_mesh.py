@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from calderon_bench import mesh
 from calderon_bench.geometry import arc_length, make_geometry, total_length
 from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, deepest_level, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
 
-from helpers import corner_mesh, geom
+from helpers import corner_mesh, corner_panels_by_alias, geom
 
 RATIO_CAP = 2.0 * (1 + 1e-9)
 
@@ -86,6 +87,15 @@ def test_refine_errors(square):
         refine(m, {99})
     with pytest.raises(ValueError):
         refine(m, {-1})
+
+
+def test_refine_takes_ids_not_a_mask(square):
+    # a boolean mask would otherwise read as the ids 0 and 1
+    m = initial_mesh(square, 2)
+    with pytest.raises(ValueError, match="panel ids"):
+        refine(m, np.ones(m.n_panels, dtype=bool))
+    with pytest.raises(ValueError, match="panel ids"):
+        refine(m, [0.0])
 
 
 def test_refine_is_monotone(ellipse):
@@ -170,11 +180,11 @@ def test_bisection_below_float_resolution_raises(kind, rounds):
     g = geom(kind)
     m = uniform_refine(uniform_refine(initial_mesh(g, 2 if kind == "square" else 8)))
     for _ in range(rounds - 1):
-        m = refine(m, corner_panels(m))
+        m = refine(m, np.flatnonzero(corner_panels(m)))
     assert is_conforming(m)
     assert np.all(m.t1 > m.t0)
     with pytest.raises(ValueError, match=r"chart \d+.*midpoint"):
-        refine(m, corner_panels(m))
+        refine(m, np.flatnonzero(corner_panels(m)))
 
 
 # the deepest level of the schedule with 4 and 6 corner rounds per level,
@@ -210,8 +220,38 @@ def test_mesh_arrays_are_read_only(name):
 
 def test_corner_panels_touch_corners(square):
     m = initial_mesh(square, 2)
-    ids = corner_panels(m)
+    ids = np.flatnonzero(corner_panels(m))
     assert len(ids) == 8              # 4 corners, 2 panels each
+
+
+@pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
+def test_corner_panels_equal_the_per_alias_loop(kind, monkeypatch):
+    """The broadcast mask equals the per-alias loop on every mesh the
+    schedule marks (every corner round of levels 1-6) and on every mesh it
+    returns, with 0 and 4 corner rounds per level."""
+    seen = []
+
+    def checked(m):
+        got = corner_panels(m)
+        assert got.dtype == bool and np.array_equal(got, corner_panels_by_alias(m))
+        seen.append(m.n_panels)
+        return got
+
+    monkeypatch.setattr(mesh, "corner_panels", checked)
+    for k in range(1, 7):
+        for rounds in (0, 4):
+            m = mesh.corner_schedule(geom(kind), k, rounds)
+            assert np.array_equal(corner_panels(m), corner_panels_by_alias(m)), (k, rounds)
+    assert len(seen) == 4 * sum(range(1, 7))
+
+
+@pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
+def test_mesh_ends_are_the_read_only_panel_end_points(kind):
+    m = corner_mesh(kind, 2)
+    assert m.ends is m.ends
+    assert np.array_equal(m.ends, panel_samples(m, [0.0, 1.0])[0])
+    with pytest.raises(ValueError):
+        m.ends[0, 0, 0] = 1.0
 
 
 def test_corner_schedule_rejects_k0(square):
@@ -293,7 +333,7 @@ def test_corner_schedule_is_the_chain_of_refinements(kind):
         m = uniform_refine(m)
         chain = m
         for _ in range(4 * k):
-            chain = refine(chain, corner_panels(chain))
+            chain = refine(chain, np.flatnonzero(corner_panels(chain)))
         got = corner_schedule(g, k)
         for a in ("chart", "t0", "t1", "length", "qlength"):
             assert np.array_equal(getattr(got, a), getattr(chain, a)), (k, a)
