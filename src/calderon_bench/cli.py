@@ -38,10 +38,6 @@ FORMATS = ("csv", "md")
 # the allowed values of a config field, for the config and for argparse
 _CHOICES = {"geometry": GEOMETRIES, "degree": DEGREES, "refine": REFINES,
             "inner_product": KINDS, "fmt": FORMATS}
-# the type that a numeric or a path field must have, as named in its error
-_TYPES = {**dict.fromkeys(("degree", "levels", "quad_n"), (numbers.Integral, "an integer")),
-          **dict.fromkeys(("scale", "ellipse_ratio", "alpha"), (numbers.Real, "a number")),
-          **dict.fromkeys(("output", "dump_matrices"), (str, "a string"))}
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,11 @@ class ExperimentConfig:
         """Reject bad values before any work starts."""
         object.__setattr__(self, "preconds", _parse_precond_names(self.preconds))
         for key, (kind, what) in _TYPES.items():
-            if isinstance(value := getattr(self, key), bool) or not isinstance(value, kind):
-                raise ValueError(f"{key} must be {what}, got {value!r}")
-        for key, allowed in _CHOICES.items():
-            if (value := getattr(self, key)) not in allowed:
-                raise ValueError(f"{'format' if key == 'fmt' else key} must be one of "
-                                 f"{allowed}, got {value!r}")
+            value, name = getattr(self, key), "format" if key == "fmt" else key
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"{name} must be one of {_CHOICES[key]}, got {value!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -258,6 +253,11 @@ def emit_table(rows, fmt="csv", path=None, cfg: ExperimentConfig | None = None):
 # preconditioner list stays a comma string until the config parses it
 _FIELD_TYPES = {f.name: str if f.name == "preconds" else type(f.default)
                 for f in fields(ExperimentConfig)}
+# the type that the value of every field but the preconditioner list must
+# have, by the type of its default, as named in its error
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
+_TYPES = {key: _KINDS[kind] for key, kind in _FIELD_TYPES.items() if key != "preconds"}
 
 
 def read_config(path) -> dict:
