@@ -347,7 +347,7 @@ def _near_field(s: FeSpace, quad_n: int, group: MirrorGroup | None = None):
         return c
 
     def sub(rows):
-        return Mesh(m.geometry, *(x[rows] for x in (m.chart, m.t0, m.t1, m.length, m.qlength)))
+        return Mesh(m.geometry, *(x[rows] for x in (m.chart, m.t0, m.t1, m.qlength)))
 
     R = ids.size + eds.size
     val, der = np.empty((R, ell + 1, ell + 1)), np.empty((R, ell + 1, ell + 1))

@@ -100,8 +100,8 @@ class ReportRow:
 
 def _parse_precond_names(spec):
     """Names from a comma list or a sequence, at least one and each once;
-    richardson:k needs k >= 1 without leading zeros, so that each column
-    has one spelling."""
+    richardson:k needs k >= 1 in ASCII digits without leading zeros, so
+    that each column has one spelling."""
     if isinstance(spec, str):
         spec = spec.split(",")
     if not isinstance(spec, Sequence) or not all(isinstance(x, str) for x in spec):
@@ -112,7 +112,7 @@ def _parse_precond_names(spec):
     for name in names:
         base, _, k = name.partition(":")
         if name not in ("lumped", "mass", "jacobi") and not (
-                base == "richardson" and k.isdigit() and k[0] != "0"):
+                base == "richardson" and k.isascii() and k.isdigit() and k[0] != "0"):
             raise ValueError(f"unknown preconditioner {name!r} (lumped, mass, jacobi or "
                              "richardson:k with k >= 1, without leading zeros)")
         if names.count(name) > 1:

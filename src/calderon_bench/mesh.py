@@ -1,20 +1,21 @@
 """Conforming partitions of a closed curve into panels.
 
 Panels are parameter sub-intervals of the geometry charts, kept in cyclic
-order.  A ``Mesh`` holds them as arrays with one entry per panel: the chart
-id, the end parameters t0 and t1, the arc length and the normalized size
-below.  The arrays are read-only once built, so a cached mesh cannot be
-changed under its other holders.  Refinement, closure and every caller
-work on these arrays; ``Mesh.panels`` reads them back as (chart, t0, t1,
-length) records for reports and tests.
+order.  A ``Mesh`` holds only what refinement decides, one array entry per
+panel: the chart id, the end parameters t0 and t1 and the normalized size
+below; the arc lengths and end points are derived from these once per mesh.
+All are read-only, so a cached mesh cannot be changed under its other
+holders.  Refinement, closure and every caller work on these arrays;
+``Mesh.panels`` reads them back as (chart, t0, t1, length) records for
+reports and tests.
 
 Refinement bisects the panels of a boolean mask at the parameter midpoint
 as one array operation, and raises where that midpoint is not a float
 strictly inside the panel; a uniform K-mesh property (neighbouring sizes
 within a factor 2) is enforced by recursive closure bisections after every
 local refinement.  The rounds read only the charts, the parameters and the
-normalized sizes, so a new panel's arc length is computed once, when the
-mesh is returned (``_measure``).
+normalized sizes, so no arc length is computed for a mesh the rounds pass
+through.
 
 The closure compares speed-normalized sizes: an initial panel gets its
 chart's parameter length over the panel count times the chart's average
@@ -34,7 +35,7 @@ panels; assembly, the Gram matrices and the duals all integrate through it.
 the arc measure but no points.  ``panel_chords`` gives the near field its
 point differences inside and between neighbouring panels.  All three
 evaluate the charts through ``_per_chart``, one call per run of consecutive
-panels on one chart as ``chart_runs`` lists them; so do the arc lengths.
+panels on one chart as ``chart_runs`` lists them; so does ``Mesh.length``.
 """
 
 from __future__ import annotations
@@ -65,17 +66,17 @@ class Panel(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Panels in cyclic order, one array entry per panel.  Meshes are cached
-    and shared, so the arrays, and ``ends``, are made read-only."""
+    and shared, so the arrays, ``length`` and ``ends`` included, are made
+    read-only."""
 
     geometry: Geometry
     chart: np.ndarray       # chart id
     t0: np.ndarray          # start parameter
     t1: np.ndarray          # end parameter
-    length: np.ndarray      # arc length |T|
     qlength: np.ndarray     # speed-normalized size: chart unit times 2**-bisections
 
     def __post_init__(self):
-        for a in (self.chart, self.t0, self.t1, self.length, self.qlength):
+        for a in (self.chart, self.t0, self.t1, self.qlength):
             a.flags.writeable = False
 
     @property
@@ -86,6 +87,13 @@ class Mesh:
     def panels(self):
         """The panels as (chart, t0, t1, length) records."""
         return tuple(map(Panel, self.chart.tolist(), self.t0, self.t1, self.length))
+
+    @cached_property
+    def length(self):
+        """The panels' arc lengths |T| (P,), once per mesh."""
+        length = _per_chart(self.geometry, self.chart, arc_lengths, self.t0, self.t1)
+        length.flags.writeable = False
+        return length
 
     @cached_property
     def ends(self):
@@ -168,8 +176,7 @@ def _midpoint(t0, t1):
 def _bisect(m: Mesh, split) -> Mesh:
     """The mesh with every panel where the mask ``split`` holds replaced by
     its two halves; each half gets exactly half of its parent's normalized
-    size, and NaN for its arc length, which ``_measure`` fills in.  A panel
-    whose float midpoint is not strictly inside it raises."""
+    size.  A panel whose float midpoint is not strictly inside it raises."""
     mid, inside = _midpoint(m.t0[split], m.t1[split])
     flat = np.flatnonzero(split)[~inside]
     if flat.size:
@@ -177,26 +184,12 @@ def _bisect(m: Mesh, split) -> Mesh:
         raise ValueError(f"cannot bisect the panel [{float(m.t0[i])!r}, {float(m.t1[i])!r}] of "
                          f"chart {m.chart[i]}: its midpoint is not a float between its end points")
     reps = 1 + split
-    chart, t0, t1, length, q = (np.repeat(a, reps) for a in
-                                (m.chart, m.t0, m.t1, m.length, m.qlength))
+    chart, t0, t1, q = (np.repeat(a, reps) for a in (m.chart, m.t0, m.t1, m.qlength))
     left = (np.cumsum(reps) - 2)[split]       # new index of each split panel's left half
     t1[left] = t0[left + 1] = mid
     halves = np.flatnonzero(np.repeat(split, reps))   # both halves, in mesh order
     q[halves] *= 0.5
-    length[halves] = np.nan
-    return Mesh(m.geometry, chart, t0, t1, length, q)
-
-
-def _measure(m: Mesh) -> Mesh:
-    """The mesh with the arc length of every panel whose length is NaN.
-    ``arc_lengths`` does not depend on the batch, so a panel measured
-    after many bisections gets the length it would have got when made."""
-    todo = np.flatnonzero(np.isnan(m.length))
-    if not todo.size:
-        return m
-    length = m.length.copy()
-    length[todo] = _per_chart(m.geometry, m.chart[todo], arc_lengths, m.t0[todo], m.t1[todo])
-    return Mesh(m.geometry, m.chart, m.t0, m.t1, length, m.qlength)
+    return Mesh(m.geometry, chart, t0, t1, q)
 
 
 def _kmesh_close(m: Mesh) -> Mesh:
@@ -224,8 +217,7 @@ def initial_mesh(g: Geometry, per_chart: int) -> Mesh:
     q = np.array([(c.t1 - c.t0) / per_chart * s for c, s in zip(g.charts, g.chart_scales)])
     chart = np.repeat(np.arange(g.n_charts), per_chart)
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    return _measure(_kmesh_close(Mesh(g, chart, t0, t1, _per_chart(g, chart, arc_lengths, t0, t1),
-                                      np.repeat(q, per_chart))))
+    return _kmesh_close(Mesh(g, chart, t0, t1, np.repeat(q, per_chart)))
 
 
 def refine(m: Mesh, marked) -> Mesh:
@@ -235,12 +227,12 @@ def refine(m: Mesh, marked) -> Mesh:
         raise ValueError(f"refine: need panel ids in range({m.n_panels}), got {ids}")
     split = np.zeros(m.n_panels, dtype=bool)
     split[ids] = True
-    return _measure(_kmesh_close(_bisect(m, split)))
+    return _kmesh_close(_bisect(m, split))
 
 
 def uniform_refine(m: Mesh) -> Mesh:
     """Bisect every panel."""
-    return _measure(_kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool))))
+    return _kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool)))
 
 
 def corner_panels(m: Mesh):
@@ -266,7 +258,7 @@ def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
         m = _kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool)))
     for _ in range(rounds_per_level * k):
         m = _kmesh_close(_bisect(m, corner_panels(m)))
-    return _measure(m)
+    return m
 
 
 def _initial_per_chart(g: Geometry) -> int:

@@ -257,11 +257,6 @@ def jacobi_precond(B, M):
 # reference-simplex eigenvalue bounds
 
 
-def _simplex_lagrange_nodes(d, ell):
-    nodes = [idx for idx in product(range(ell + 1), repeat=d) if sum(idx) <= ell]
-    return np.array(sorted(nodes), dtype=float) / ell
-
-
 def _monomial_powers(d, ell):
     return [p for p in product(range(ell + 1), repeat=d) if sum(p) <= ell]
 
@@ -280,8 +275,8 @@ def reference_mass_and_lumped(d: int, ell: int):
     Lagrange nodes on the unit d-simplex."""
     if d < 1 or ell < 1:
         raise ValueError("need d >= 1 and degree >= 1")
-    nodes = _simplex_lagrange_nodes(d, ell)
     powers = _monomial_powers(d, ell)
+    nodes = np.array(powers, dtype=float) / ell       # the equispaced Lagrange nodes
     V = np.array(
         [[np.prod([x ** p for x, p in zip(node, pw)]) for pw in powers] for node in nodes]
     )

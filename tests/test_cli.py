@@ -189,10 +189,13 @@ def test_bad_precond_name():
     ("", "empty"), (" , ", "empty"),
     ("lumped,mass,lumped", "twice"), ("richardson:2, richardson:2", "twice"),
     ("richardson:02", "leading zeros"), ("lumped,richardson:00", "leading zeros"),
+    ("richardson:\u00b2", "unknown preconditioner"),
+    ("lumped,richardson:3,richardson:\u0663", "unknown preconditioner"),
 ])
 def test_bad_precond_list(spec, match, capsys):
     # each would print a table whose columns do not match the list: none,
-    # fewer than asked, or one coupling twice under two spellings
+    # fewer than asked, or one coupling twice under two spellings (a
+    # superscript or Arabic-Indic digit is a digit to str.isdigit)
     with pytest.raises(ValueError, match=match):
         main(["run", "--precond", spec, "--levels", "1"])
     assert capsys.readouterr().out == ""

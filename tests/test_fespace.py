@@ -118,7 +118,7 @@ def test_mirror_match_refuses_a_gap_of_five_tenths_of_a_millionth(monkeypatch):
     i = next(i for i in range(1, m.n_panels) if m.chart[i] == m.chart[i + 1])
     t0, t1 = m.t0.copy(), m.t1.copy()
     t1[i] = t0[i + 1] = t1[i] + 5e-7 * (t1[i] - t0[i])
-    moved = build_space(Mesh(m.geometry, m.chart, t0, t1, m.length, m.qlength), 1)
+    moved = build_space(Mesh(m.geometry, m.chart, t0, t1, m.qlength), 1)
     assert len(fespace.mirror_permutations(build_space(m, 1))) == 3
     assert fespace.mirror_permutations(moved) == ()
     monkeypatch.setattr(fespace, "MIRROR_MATCH", 1e-6)

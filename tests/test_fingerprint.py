@@ -40,7 +40,8 @@ def test_fingerprint_of_level_one_matches_the_files_and_the_table(run):
         cfg = ExperimentConfig(**{**workload.config_fields(), "levels": 1})
         rows = table_rows(run, cli, cfg)
         assert not any(n.startswith("level") and not n.startswith("level 1 ") for n in rows)
-        for what in ("A", "B", "M", "D", "d", "Q0", "LA0", "LB0", "M0", "m"):
+        for what in ("mesh chart", "mesh t0", "mesh t1", "mesh length", "mesh qlength",
+                     "A", "B", "M", "D", "d", "Q0", "LA0", "LB0", "M0", "m"):
             assert len(rows[f"level 1 {what}"]) == 64, (name, what)
         row, = run_experiment(cfg)
         kappas = {n.split()[3]: float.fromhex(v) for n, v in rows.items()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calderon_bench import mesh
-from calderon_bench.geometry import arc_length, make_geometry, total_length
+from calderon_bench.geometry import arc_length, arc_lengths, make_geometry, total_length
 from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, deepest_level, dump_mesh,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
@@ -154,9 +154,8 @@ def test_is_conforming_rejects_gap_after_tiny_panel(square, shift):
 
     def cut(start):
         # panel 0 cut into [t0, end] and [start, t1], both keeping its chart
-        chart, length, qlength = (np.insert(a, 0, a[0]) for a in (m.chart, m.length, m.qlength))
-        return Mesh(square, chart, np.insert(m.t0, 1, start), np.insert(m.t1, 0, end),
-                    length, qlength)
+        chart, qlength = (np.insert(a, 0, a[0]) for a in (m.chart, m.qlength))
+        return Mesh(square, chart, np.insert(m.t0, 1, start), np.insert(m.t1, 0, end), qlength)
 
     assert is_conforming(cut(end))
     assert not is_conforming(cut(end + shift))
@@ -165,11 +164,10 @@ def test_is_conforming_rejects_gap_after_tiny_panel(square, shift):
 def test_is_conforming_rejects_empty_panel(square):
     # an empty panel [t0, t0] ahead of panel 0 still chains end points exactly
     m = corner_schedule(square, 1)
-    chart, t0, length, qlength = (np.insert(a, 0, a[0]) for a in
-                                  (m.chart, m.t0, m.length, m.qlength))
+    chart, t0, qlength = (np.insert(a, 0, a[0]) for a in (m.chart, m.t0, m.qlength))
     t1 = np.insert(m.t1, 0, m.t0[0])
     assert is_conforming(m)
-    assert not is_conforming(Mesh(square, chart, t0, t1, length, qlength))
+    assert not is_conforming(Mesh(square, chart, t0, t1, qlength))
 
 
 @pytest.mark.parametrize("kind, rounds", [("square", 48), ("ellipse", 49)])
@@ -254,6 +252,34 @@ def test_mesh_ends_are_the_read_only_panel_end_points(kind):
         m.ends[0, 0, 0] = 1.0
 
 
+def _hand_built(how):
+    """A mesh built from arrays, not by refinement: the panel order rotated
+    (chart 0 in two runs), the circle traversed twice, or panel 0 cut at
+    1e-14 past its start."""
+    if how == "doubled":
+        m = initial_mesh(geom("circle"), 4)
+        return Mesh(m.geometry, *(np.tile(a, 2) for a in (m.chart, m.t0, m.t1, m.qlength)))
+    m = corner_schedule(geom("square"), 1)
+    if how == "rotated":
+        return Mesh(m.geometry, *(np.roll(a, -3) for a in (m.chart, m.t0, m.t1, m.qlength)))
+    cut = m.t0[0] + 1e-14
+    chart, qlength = (np.insert(a, 0, a[0]) for a in (m.chart, m.qlength))
+    return Mesh(m.geometry, chart, np.insert(m.t0, 1, cut), np.insert(m.t1, 0, cut), qlength)
+
+
+@pytest.mark.parametrize("how", ["rotated", "doubled", "cut"])
+def test_mesh_length_is_derived_once_and_read_only(how):
+    m = _hand_built(how)
+    assert m.length is m.length
+    for c, chart in enumerate(m.geometry.charts):
+        on = m.chart == c
+        assert np.array_equal(m.length[on], arc_lengths(chart, m.t0[on], m.t1[on])), c
+    with pytest.raises(ValueError):
+        m.length[0] = 1.0
+    with pytest.raises(AttributeError):
+        m.length = m.qlength
+
+
 def test_corner_schedule_rejects_k0(square):
     with pytest.raises(ValueError):
         corner_schedule(square, 0)
@@ -312,8 +338,7 @@ def test_panel_chords_keep_relative_accuracy(kind):
 
 @pytest.mark.parametrize("kind", ["square", "ellipse"])
 def test_bisection_lengths_match_arc_length(kind):
-    # the new panels of a schedule get their lengths from one batched
-    # call per chart run
+    # a mesh gets its lengths from one batched call per chart run
     g = make_geometry(kind, 0.5, 2.0)
     m = corner_schedule(g, 6)
     got = np.array([p.length for p in m.panels])
@@ -323,10 +348,10 @@ def test_bisection_lengths_match_arc_length(kind):
 
 @pytest.mark.parametrize("kind", ["square", "circle", "ellipse"])
 def test_corner_schedule_is_the_chain_of_refinements(kind):
-    """corner_schedule measures its panels once, after the last round; the
-    explicit chain initial_mesh -> uniform_refine x k -> refine(corner
-    panels) x 4k measures the new panels after every step.  Arc lengths do
-    not depend on the batch, so all five arrays agree to the bit."""
+    """corner_schedule bisects masks; the explicit chain initial_mesh ->
+    uniform_refine x k -> refine(corner panels) x 4k goes through the
+    checked entry points.  Both give the same parameters and sizes, so all
+    five arrays, the derived lengths too, agree to the bit."""
     g = geom(kind)
     m = initial_mesh(g, 2 if kind == "square" else 8)
     for k in range(1, 7):

@@ -23,8 +23,9 @@ to pair.  Every table records its wall time (``perf_counter``) and CPU
 time (``process_time``), and all CSV texts are compared byte for byte.
 After the first half's timed pairs each side runs a table under
 ``tracemalloc`` for its peak, and one whose rows (``table_rows``) say
-whether the trees compute the same numbers: the matrices of each level,
-its kappas, the scipy modules loaded and the text of ``verify``.
+whether the trees compute the same numbers: the mesh arrays and matrices
+of each level, its kappas, the scipy modules loaded and the text of
+``verify``.
 
 The report gives the BLAS thread count the workers ran with, the rows that
 differ or that none do, each tree's total and code lines per module, and,
@@ -100,8 +101,10 @@ def _digest(x):
 
 
 def _level_digests(lev):
-    """(name, digest) of every matrix of a ``cli.Level``."""
-    items = [("A", lev.A), ("B", lev.B), ("M", lev.M), ("D", lev.D), ("d", lev.d)]
+    """(name, digest) of every mesh array and every matrix of a ``cli.Level``."""
+    m = lev.space.mesh
+    items = [(f"mesh {a}", getattr(m, a)) for a in ("chart", "t0", "t1", "length", "qlength")]
+    items += [("A", lev.A), ("B", lev.B), ("M", lev.M), ("D", lev.D), ("d", lev.d)]
     for b, (Qt, L) in enumerate(lev.factor.blocks):
         items += [(f"Q{b}", Qt), (f"LA{b}", L)]
     items += [(f"LB{b}", L) for b, L in enumerate(lev.B_factors)]
@@ -112,12 +115,13 @@ def _level_digests(lev):
 
 def table_rows(run, cli, cfg):
     """The rows of one table of ``cfg``, a name -> value dict: a SHA-256 of
-    every matrix of each level (A, B, M, D, d, the block bases Q_k, the
-    Cholesky factors LA_k and LB_k of A's and B's blocks, M's blocks M_k
-    and m), taken inside ``cli.build_level`` as the run builds the level,
-    so every level is built once, and its kappas in ``float.hex``; then
-    the scipy modules loaded by then, and the lines of ``verify``, run
-    last because it imports scipy.linalg."""
+    each level's mesh arrays (chart, t0, t1, length, qlength) and matrices
+    (A, B, M, D, d, the block bases Q_k, the Cholesky factors LA_k and LB_k
+    of A's and B's blocks, M's blocks M_k and m), taken inside
+    ``cli.build_level`` as the run builds the level, so every level is
+    built once, and its kappas in ``float.hex``; then the scipy modules
+    loaded by then, and the lines of ``verify``, run last because it
+    imports scipy.linalg."""
     import contextlib
     import io
 
