@@ -492,18 +492,3 @@ def assemble_operator_pair(s: FeSpace, quad_n: int = 12, alpha: float = 0.05, m=
     group = s.mirrors
     return _write(group, chain([_near_field(s, quad_n, group)], _far_field(s, quad_n, group)),
                   alpha, m)
-
-
-def write_dense_matrix(Mt: np.ndarray, path):
-    """Plain-text dense dump: first line n, then n rows of n decimals."""
-    Mt = np.atleast_2d(Mt)
-    with open(path, "w") as fh:
-        fh.write(f"{Mt.shape[0]}\n")
-        for row in Mt:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def write_diagonal(d: np.ndarray, path):
-    """One line of diagonal entries."""
-    with open(path, "w") as fh:
-        fh.write(" ".join(f"{v:.17g}" for v in d) + "\n")

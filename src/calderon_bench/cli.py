@@ -22,8 +22,7 @@ from . import boundary_operators as bops
 from .geometry import make_geometry, total_length
 from .gram import KINDS, lumped_matrix, mass_matrix, scaled_basis
 from .fespace import MIRROR_NAMES, FeSpace, build_space, reference_basis
-from .mesh import (corner_schedule, deepest_level, dump_mesh, initial_mesh, is_conforming,
-                   neighbor_ratios)
+from .mesh import corner_schedule, deepest_level, initial_mesh, is_conforming, neighbor_ratios
 from .precond import (Coupling, jacobi_precond, lumped_precond, mass_precond,
                       richardson_precond, richardson_weight)
 from .quadrature import gauss_rule, pair_rule
@@ -211,11 +210,11 @@ def _run_level(cfg: ExperimentConfig, g, k, omega):
     if cfg.dump_matrices:
         os.makedirs(cfg.dump_matrices, exist_ok=True)
         pre = f"{cfg.dump_matrices}/level{k}_"
-        bops.write_dense_matrix(lev.A, pre + "A.txt")
-        bops.write_dense_matrix(lev.B, pre + "B.txt")
-        bops.write_dense_matrix(lev.M.toarray(), pre + "M.txt")
-        bops.write_diagonal(lev.D, pre + "D.txt")
-        dump_mesh(m, pre + "mesh.txt")
+        for name, X in (("A", lev.A), ("B", lev.B), ("M", lev.M.toarray())):
+            np.savetxt(pre + name + ".txt", X, fmt="%.17g", header=str(len(X)), comments="")
+        np.savetxt(pre + "D.txt", lev.D[None], fmt="%.17g")
+        panels = np.column_stack([np.arange(m.n_panels), m.chart, m.t0, m.t1, m.length])
+        np.savetxt(pre + "mesh.txt", panels, fmt="%d %d %.17g %.17g %.17g")
     return ReportRow(k, m.h_min, m.h_max, s.ndof, kappas)
 
 
@@ -258,6 +257,10 @@ _FIELD_TYPES = {f.name: str if f.name == "preconds" else type(f.default)
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
           str: (str, "a string")}
 _TYPES = {key: _KINDS[kind] for key, kind in _FIELD_TYPES.items() if key != "preconds"}
+# one flag per config field, named after it unless listed here; a config
+# file takes a field's name and its flag's name alike
+_FLAGS = {"preconds": "--precond", "fmt": "--format"}
+_FLAG_FIELDS = {flag[2:]: key for key, flag in _FLAGS.items()}
 
 
 def read_config(path) -> dict:
@@ -271,14 +274,14 @@ def read_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (x.strip() for x in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _FIELD_TYPES:
+            field = _FLAG_FIELDS.get(key, key.replace("-", "_"))
+            if field not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _FIELD_TYPES[key](val)
+                out[field] = _FIELD_TYPES[field](val)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid "
-                                 f"{_FIELD_TYPES[key].__name__}") from None
+                                 f"{_FIELD_TYPES[field].__name__}") from None
     return out
 
 
@@ -287,10 +290,6 @@ def config_from_args(args) -> ExperimentConfig:
     values.update({key: getattr(args, key) for key in _FIELD_TYPES
                    if getattr(args, key, None) is not None})
     return ExperimentConfig(**values)
-
-
-# one flag per config field, named after it unless listed here
-_FLAGS = {"preconds": "--precond", "fmt": "--format"}
 
 
 def _add_run_flags(p):

@@ -102,10 +102,8 @@ class Geometry:
     also the diagonal through it."""
 
     kind: str
-    scale: float
     charts: tuple
     corners: tuple
-    diameter: float
     chart_scales: tuple
     mirror_centre: tuple
 
@@ -155,7 +153,7 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
             f"guaranteed (logarithmic capacity must stay below 1); reduce scale"
         )
     scales = tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0) for c in charts)
-    return Geometry(kind, scale, charts, corners, diameter, scales, centre)
+    return Geometry(kind, charts, corners, scales, centre)
 
 
 def arc_length(chart, t0: float, t1: float) -> float:

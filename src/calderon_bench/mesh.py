@@ -6,8 +6,8 @@ panel: the chart id, the end parameters t0 and t1 and the normalized size
 below; the arc lengths and end points are derived from these once per mesh.
 All are read-only, so a cached mesh cannot be changed under its other
 holders.  Refinement, closure and every caller work on these arrays;
-``Mesh.panels`` reads them back as (chart, t0, t1, length) records for
-reports and tests.
+``Mesh.panels`` reads them back as (chart, t0, t1, length) records, one
+per panel.
 
 Refinement bisects the panels of a boolean mask at the parameter midpoint
 as one array operation, and raises where that midpoint is not a float
@@ -255,7 +255,7 @@ def corner_schedule(g: Geometry, k: int, rounds_per_level: int = 4) -> Mesh:
         raise ValueError("corner_schedule: k must be >= 1")
     m = initial_mesh(g, _initial_per_chart(g))
     for _ in range(k):
-        m = _kmesh_close(_bisect(m, np.ones(m.n_panels, dtype=bool)))
+        m = uniform_refine(m)
     for _ in range(rounds_per_level * k):
         m = _kmesh_close(_bisect(m, corner_panels(m)))
     return m
@@ -326,10 +326,3 @@ def is_conforming(m: Mesh) -> bool:
     return all(np.allclose(charts[chart[i]].point(t1[i]), charts[chart[j]].point(t0[j]),
                            rtol=0, atol=1e-12)
                for i, j in zip(np.flatnonzero(~inner), nxt[~inner]))
-
-
-def dump_mesh(m: Mesh, path):
-    """Text dump: one line ``panel_id chart t0 t1 length`` per panel."""
-    with open(path, "w") as fh:
-        for i, p in enumerate(m.panels):
-            fh.write(f"{i} {p.chart} {p.t0:.17g} {p.t1:.17g} {p.length:.17g}\n")

@@ -26,11 +26,10 @@ LOG_EXTRA_POINTS = 8
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature rule on [0, 1] with a declared polynomial exactness."""
+    """Quadrature rule on [0, 1]: nodes and weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def gauss_rule(n: int) -> QuadRule:
     if not 1 <= n <= 64:
         raise ValueError(f"gauss_rule: n must be in [1, 64], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return _read_only(QuadRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, degree=2 * n - 1))
+    return _read_only(QuadRule(nodes=0.5 * (x + 1.0), weights=0.5 * w))
 
 
 def log_rule(n: int) -> QuadRule:
@@ -80,8 +79,7 @@ def log_rule(n: int) -> QuadRule:
     g = gauss_rule(n)
     y = g.nodes
     return QuadRule(nodes=y ** LOG_POWER,
-                    weights=LOG_POWER * y ** (LOG_POWER - 1) * g.weights,
-                    degree=(2 * n - LOG_POWER) // LOG_POWER)
+                    weights=LOG_POWER * y ** (LOG_POWER - 1) * g.weights)
 
 
 def _tensor(a, b):

@@ -12,7 +12,7 @@ from calderon_bench import cli, fespace
 from calderon_bench.boundary_operators import (AssemblyError, CoercivityError,
                                                _admissible, _far_field, _log_kernel_r2,
                                                _near_field,
-                                               assemble_operator_pair, write_dense_matrix)
+                                               assemble_operator_pair)
 from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import AffineChart, make_geometry
 from calderon_bench.gram import lumped_matrix, mass_matrix
@@ -217,17 +217,6 @@ def test_coincident_far_field_points_rejected():
     s = build_space(doubled, 1)
     with pytest.raises(AssemblyError, match="coincide"):
         assemble_operator_pair(s)
-
-
-def test_dense_dump_roundtrip(tmp_path):
-    A, _ = corner_operators("square", 1, 1)
-    path = tmp_path / "A.txt"
-    write_dense_matrix(A, path)
-    lines = path.read_text().strip().splitlines()
-    n = int(lines[0])
-    assert n == A.shape[0] and len(lines) == n + 1
-    back = np.array([[float(x) for x in line.split()] for line in lines[1:]])
-    assert np.array_equal(back, A)
 
 
 @pytest.mark.parametrize("kind, ell", [("square", 3), ("ellipse", 1)])

@@ -18,7 +18,7 @@ from calderon_bench.mesh import corner_schedule, refine
 from calderon_bench.precond import RichardsonDivergenceError, richardson_weight
 from calderon_bench.spectral import TAU, Csr, MirrorError, kappa, mirror_residual
 
-from helpers import BLOCK_SIZES
+from helpers import BLOCK_SIZES, corner_level, corner_mesh
 
 ALL_SIX = ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi")
 
@@ -173,6 +173,20 @@ def test_config_file_and_override(tmp_path):
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 2
 
 
+def test_config_file_takes_the_flag_spellings(tmp_path, capsys):
+    # a config key may be spelled as its field or as its flag: format and
+    # precond as well as fmt and preconds
+    path = tmp_path / "flags.cfg"
+    path.write_text("format = md\nprecond = lumped\nlevels = 1\n")
+    assert read_config(path) == {"fmt": "md", "preconds": "lumped", "levels": 1}
+    assert main(["run", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["| level | h_min | h_max | dofs | lumped |", "|---|---|---|---|---|"]
+    assert len(lines) == 5
+    path.write_text("fmt = md\npreconds = lumped\nlevels = 1\n")
+    assert read_config(path) == {"fmt": "md", "preconds": "lumped", "levels": 1}
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("style = fancy\n")
@@ -205,21 +219,69 @@ def test_bad_precond_list(spec, match, capsys):
         ExperimentConfig(preconds=tuple(spec.split(",")))
 
 
+def _dense_text(X):
+    """The dump of a dense matrix: its order n, then n rows of n decimals
+    that read back to the same floats."""
+    return f"{len(X)}\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in X)
+
+
 def test_dump_matrices_flag(tmp_path):
     out = tmp_path / "dumps"
     rc = main(["run", "--geometry", "square", "--levels", "1",
                "--precond", "lumped", "--dump-matrices", str(out),
                "--output", str(tmp_path / "t.csv")])
     assert rc == 0
-    for name in ("A", "B", "M", "D", "mesh"):
-        assert (out / f"level1_{name}.txt").exists()
+    assert sorted(os.listdir(out)) == [f"level1_{name}.txt"
+                                       for name in ("A", "B", "D", "M", "mesh")]
     first = (out / "level1_A.txt").read_text().splitlines()
     assert int(first[0]) == len(first) - 1
     # M is held sparse on the run path; its dump is the dense M's, byte for byte
     cfg = ExperimentConfig(geometry="square", levels=1)
     s = cli.build_space(cli.level_mesh(cfg, cli.make_geometry("square", 0.5, 2.0), 1), 1)
-    cli.bops.write_dense_matrix(cli.mass_matrix(s, "exact", n_quad=12), tmp_path / "M.txt")
-    assert (out / "level1_M.txt").read_bytes() == (tmp_path / "M.txt").read_bytes()
+    M = cli.mass_matrix(s, "exact", n_quad=12)
+    assert (out / "level1_M.txt").read_text() == _dense_text(M)
+
+
+@pytest.fixture(scope="module")
+def ellipse_dumps(tmp_path_factory):
+    """The dump directory of a level-2 cubic ellipse run with the
+    mesh-averaged product."""
+    out = tmp_path_factory.mktemp("dumps")
+    assert main(["run", "--geometry", "ellipse", "--degree", "3", "--levels", "2",
+                 "--inner-product", "mesh-averaged", "--precond", "lumped",
+                 "--dump-matrices", str(out), "--output", str(out / "t.csv")]) == 0
+    return out
+
+
+def test_dense_dump_roundtrip(ellipse_dumps):
+    """A, B and the dense M of each level: a line holding n, then n rows of
+    n decimals, which np.loadtxt reads back to the level's matrices
+    exactly."""
+    for k in (1, 2):
+        lev = corner_level("ellipse", k, 3, "mesh-averaged")
+        for name, X in (("A", lev.A), ("B", lev.B), ("M", lev.M.toarray())):
+            path = ellipse_dumps / f"level{k}_{name}.txt"
+            assert path.read_text() == _dense_text(X)
+            assert np.array_equal(np.loadtxt(path, skiprows=1), X)
+
+
+def test_dump_format(ellipse_dumps):
+    """D of each level: one line of n decimals.  The mesh: one line
+    ``panel_id chart t0 t1 length`` per panel, the two ids as integers.
+    np.loadtxt reads both back to the level's arrays exactly."""
+    for k in (1, 2):
+        D, m = corner_level("ellipse", k, 3, "mesh-averaged").D, corner_mesh("ellipse", k)
+        path = ellipse_dumps / f"level{k}_D.txt"
+        assert path.read_text() == " ".join(f"{v:.17g}" for v in D) + "\n"
+        assert np.array_equal(np.loadtxt(path), D)
+        path = ellipse_dumps / f"level{k}_mesh.txt"
+        assert path.read_text() == "".join(
+            f"{i} {p.chart} {p.t0:.17g} {p.t1:.17g} {p.length:.17g}\n"
+            for i, p in enumerate(m.panels))
+        back = np.loadtxt(path)
+        assert back.shape == (m.n_panels, 5)
+        for column, a in zip(back.T, (np.arange(m.n_panels), m.chart, m.t0, m.t1, m.length)):
+            assert np.array_equal(column, a)
 
 
 def _weight_ten(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from calderon_bench import mesh
 from calderon_bench.geometry import arc_length, arc_lengths, make_geometry, total_length
-from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, deepest_level, dump_mesh,
+from calderon_bench.mesh import (Mesh, corner_panels, corner_schedule, deepest_level,
                                  initial_mesh, is_conforming, neighbor_ratios,
                                  panel_chords, panel_samples, refine, uniform_refine)
 from calderon_bench.quadrature import gauss_rule
@@ -283,17 +283,6 @@ def test_mesh_length_is_derived_once_and_read_only(how):
 def test_corner_schedule_rejects_k0(square):
     with pytest.raises(ValueError):
         corner_schedule(square, 0)
-
-
-def test_dump_format(tmp_path, square):
-    m = initial_mesh(square, 2)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(m, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == m.n_panels
-    pid, chart, t0, t1, ln = lines[3].split()
-    assert int(pid) == 3 and 0 <= int(chart) < 4
-    assert float(t1) > float(t0) and float(ln) == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("kind", ["square", "ellipse"])
