@@ -303,6 +303,9 @@ def _add_run_flags(p):
 
 def cmd_run(args):
     cfg = config_from_args(args)
+    out_dir = os.path.dirname(cfg.output)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output {cfg.output!r}: the directory {out_dir!r} does not exist")
     rows = run_experiment(cfg)
     text = emit_table(rows, cfg.fmt, cfg.output or None, cfg)
     if not cfg.output:

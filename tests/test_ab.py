@@ -74,7 +74,8 @@ def test_one_pair_per_half_of_a_tree_against_itself(itself):
     assert itself["csv_identical"] and itself["pairs"] == 2
     assert itself["tracemalloc_peak_mib"]["parent"] > 0
     assert itself["blas_threads"] == {"parent": "1", "change": "1"}
-    for t in ("wall", "cpu"):
+    assert itself["setup"]["parent_quartiles"][0] > 0
+    for t in ("wall", "cpu", "setup"):
         assert itself[t]["wins"] + itself[t]["losses"] + itself[t]["ties"] == 2
         assert len(itself[t]["half_median_diffs"]) == 2
         assert itself[t]["verdict"] == "unresolved"

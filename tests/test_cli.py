@@ -35,30 +35,41 @@ def tiny_rows():
 KERNEL_MODULES = ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools"]
 
 
+def _run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_run_path_loads_no_scipy_package():
-    # importing the package and running a level-2 table of each benchmark
-    # workload, with its six columns, loads numpy and the three kernel
-    # modules and nothing else of scipy: not its package init, scipy.linalg,
-    # scipy.sparse or scipy._lib; only ``verify`` reads the dual basis; and
-    # numpy.ma, which numpy's plain ``unique`` imports, stays unloaded
+    # a bare ``import calderon_bench`` loads none of its modules, no numpy
+    # and no scipy; building a geometry loads ``geometry`` and ``quadrature``
+    # alone; a level-2 table of each benchmark workload, with its six
+    # columns, loads the three kernel modules and nothing else of scipy: not
+    # its package init, scipy.linalg, scipy.sparse or scipy._lib; only
+    # ``verify`` reads the dual basis; and numpy.ma, which numpy's plain
+    # ``unique`` imports, stays unloaded
     code = f"""
 import sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 import calderon_bench
-print(scipy_modules())
+print(loaded("calderon_bench"), loaded("scipy"), "numpy" in sys.modules)
+calderon_bench.make_geometry("ellipse", 0.5, 2.0)
+print(loaded("calderon_bench"))
 from calderon_bench.cli import ExperimentConfig, emit_table, run_experiment
 for geometry, degree, inner in (("square", 3, "exact"), ("ellipse", 1, "mesh-averaged")):
     cfg = ExperimentConfig(geometry=geometry, degree=degree, levels=2, inner_product=inner,
                            preconds={ALL_SIX!r})
     emit_table(run_experiment(cfg), cfg.fmt, None, cfg)
-print(scipy_modules())
+print(loaded("scipy"))
 print("calderon_bench.duals" in sys.modules, "numpy.ma" in sys.modules)
 """
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calderon_bench.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout == f"{KERNEL_MODULES}\n{KERNEL_MODULES}\nFalse False\n"
+    assert _run_fresh(code).splitlines() == [
+        "['calderon_bench'] [] False",
+        "['calderon_bench', 'calderon_bench.geometry', 'calderon_bench.quadrature']",
+        str(KERNEL_MODULES), "False False"]
 
 
 def test_python_m_runs_the_command(tmp_path):
@@ -616,6 +627,44 @@ def test_bad_omega_raises_through_the_blocks(monkeypatch):
 def test_public_names_resolve():
     for name in calderon_bench.__all__:
         assert getattr(calderon_bench, name) is not None, name
+
+
+def test_the_namespace_is_lazy():
+    # after a bare import each module of the package is an attribute; each
+    # public name is its defining module's object; ``dir`` lists ``__all__``;
+    # ``import *`` binds all of it; other names fail as attributes do
+    code = """
+import importlib, pathlib, sys
+import calderon_bench
+pkg = pathlib.Path(calderon_bench.__file__).parent
+modules = sorted(p.stem for p in pkg.glob("*.py") if p.stem not in ("__init__", "__main__"))
+print(all(getattr(calderon_bench, m) is sys.modules["calderon_bench." + m] for m in modules))
+print(all(getattr(calderon_bench, n) is getattr(
+    importlib.import_module("calderon_bench." + calderon_bench._MODULE_OF[n]), n)
+    for n in calderon_bench.__all__))
+print(set(calderon_bench.__all__) <= set(dir(calderon_bench)))
+try:
+    calderon_bench.nope
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _run_fresh(code).splitlines() == [
+        "True", "True", "True", "module 'calderon_bench' has no attribute 'nope'"]
+    star = _run_fresh("from calderon_bench import *\nimport calderon_bench\n"
+                      "print(all(globals()[n] is getattr(calderon_bench, n)"
+                      " for n in calderon_bench.__all__))\n")
+    assert star == "True\n"
+
+
+def test_output_into_a_missing_directory_fails_before_the_run(tmp_path, monkeypatch):
+    # the table would be lost after the whole run: the path is checked first
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "missing" / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(str(out)))):
+        main(["run", "--levels", "1", "--output", str(out)])
 
 
 @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf"])

@@ -1,5 +1,5 @@
 """Paired, in-process A/B comparison of two trees of calderon-bench: do they
-compute the same numbers, and which runs a table faster?
+compute the same numbers, and which runs a table, or sets up, faster?
 
     python tools/ab.py PARENT CHANGE --workload square-p3-corner [--pairs 20]
 
@@ -21,19 +21,23 @@ the parent goes first in the first pair; in the second half the change
 takes both places.  Within a half the side that goes first flips from pair
 to pair.  Every table records its wall time (``perf_counter``) and CPU
 time (``process_time``), and all CSV texts are compared byte for byte.
-After the first half's timed pairs each side runs a table under
-``tracemalloc`` for its peak, and one whose rows (``table_rows``) say
-whether the trees compute the same numbers: the mesh arrays and matrices
-of each level, its kappas, the scipy modules loaded and the text of
-``verify``.
+Then each half runs as many pairs of set-up times, in the same order: a
+worker starts one fresh process, in its benchmark environment, that runs
+the tree's ``bench/run.py`` ``SETUP_SNIPPET`` for the workload (``import
+calderon_bench`` + ``make_geometry``), which is the benchmark's
+``setup_s`` taken once.  After the first half's pairs each side runs a
+table under ``tracemalloc`` for its peak, and one whose rows
+(``table_rows``) say whether the trees compute the same numbers: the mesh
+arrays and matrices of each level, its kappas, the scipy modules loaded
+and the text of ``verify``.
 
 The report gives the BLAS thread count the workers ran with, the rows that
 differ or that none do, each tree's total and code lines per module, and,
-for wall and CPU time, each side's median and quartiles, the median paired
-difference CHANGE - PARENT and its ratio to the parent's median, the sign
-count, a bootstrap 95 % interval of the median difference (2,000 draws of
-the pairs, seed 0) and the median difference within each half; then all
-of it again as one JSON line.
+for wall and CPU time per table and for set-up time, each side's median
+and quartiles, the median paired difference CHANGE - PARENT and its ratio
+to the parent's median, the sign count, a bootstrap 95 % interval of the
+median difference (2,000 draws of the pairs, seed 0) and the median
+difference within each half; then all of it again as one JSON line.
 
 Decision rule, per time: over at least ten pairs, the change is faster
 (slower) when it wins (loses) at least nine tenths of the pairs, ties
@@ -54,7 +58,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-TIMES = ("wall", "cpu")
+TIMES = ("wall", "cpu", "setup")
 _RESAMPLES = 2000
 
 
@@ -186,14 +190,17 @@ def worker(tree, workload):
     line on stdout.  ``time`` runs a table and gives its wall and CPU
     seconds and its CSV text; ``peak`` runs a table under tracemalloc and
     gives its peak in MiB; ``rows`` gives ``table_rows`` and the BLAS
-    thread count."""
+    thread count; ``setup`` runs the tree's ``bench/run.py`` set-up snippet
+    (import + ``make_geometry``) in one fresh process and gives the seconds
+    it prints."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import run                  # the tree's bench/run.py, which sets the environment
     from calderon_bench import cli
     from spans import FinestCapture
     from workloads import WORKLOADS
 
-    cfg = cli.ExperimentConfig(**WORKLOADS[workload].config_fields())
+    fields = WORKLOADS[workload].config_fields()
+    cfg = cli.ExperimentConfig(**fields)
     reply, sys.stdout = sys.stdout, sys.stderr      # the program's prints stay off the replies
 
     def table():
@@ -207,6 +214,11 @@ def worker(tree, workload):
             table()
             out = {"tracemalloc_peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
             tracemalloc.stop()
+        elif command.strip() == "setup":
+            proc = subprocess.run([sys.executable, "-c", run.SETUP_SNIPPET.format(**fields)],
+                                  env=dict(os.environ, PYTHONPATH=run.SRC), cwd=run.ROOT,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            out = {"setup": float(proc.stdout.split()[-1])}
         elif command.strip() == "rows":
             out = {"rows": table_rows(run, cli, cfg),
                    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
@@ -254,6 +266,14 @@ def checkout(spec, dest):
     return dest
 
 
+def _pairs(workers, order, n, command):
+    """(side, reply) of ``n`` pairs of ``command``, ``order[0]`` first in
+    the first pair and the side that goes first flipping from pair to pair."""
+    for i in range(n):
+        for side in order if i % 2 == 0 else order[::-1]:
+            yield side, workers[side].ask(command)
+
+
 def compare(trees, workload, pairs):
     """Run the pairs on the trees (parent, change) in two halves, the second
     with the workers' start order and the first side swapped; returns the
@@ -266,12 +286,12 @@ def compare(trees, workload, pairs):
         workers = {side: Worker(trees[side], workload) for side in order}
         try:
             texts |= {workers[side].ask("time")["text"] for side in order}   # untimed
-            for i in range(n):
-                for side in order if i % 2 == 0 else order[::-1]:
-                    res = workers[side].ask("time")
-                    texts.add(res["text"])
-                    for t in TIMES:
-                        times[side][t].append(res[t])
+            for side, res in _pairs(workers, order, n, "time"):
+                texts.add(res["text"])
+                for t in ("wall", "cpu"):
+                    times[side][t].append(res[t])
+            for side, res in _pairs(workers, order, n, "setup"):
+                times[side]["setup"].append(res["setup"])
             extra = extra or [{**workers[side].ask("peak"), **workers[side].ask("rows")}
                               for side in (0, 1)]
         finally:
@@ -323,7 +343,7 @@ def main(argv=None):
         s = report[t]
         pq, cq, (lo, hi) = s["parent_quartiles"], s["change_quartiles"], s["ci95"]
         h1, h2 = s["half_median_diffs"]
-        print(f"{t:4s} parent {pq[1] * 1e3:.1f} ms [{pq[0] * 1e3:.1f}, {pq[2] * 1e3:.1f}]  "
+        print(f"{t:5s} parent {pq[1] * 1e3:.1f} ms [{pq[0] * 1e3:.1f}, {pq[2] * 1e3:.1f}]  "
               f"change {cq[1] * 1e3:.1f} ms [{cq[0] * 1e3:.1f}, {cq[2] * 1e3:.1f}]  "
               f"diff {s['median_diff'] * 1e3:+.2f} ms ({s['ratio']:+.2%})  "
               f"wins {s['wins']}/{args.pairs} losses {s['losses']}  "
