@@ -67,6 +67,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be {what}, got {value!r}")
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ValueError(f"{name} must be one of {_CHOICES[key]}, got {value!r}")
+        if os.path.isdir(self.output) or not os.path.isdir(os.path.dirname(self.output) or "."):
+            raise ValueError(f"output {self.output!r} must name a file in an existing directory")
+        if os.path.exists(self.dump_matrices) and not os.path.isdir(self.dump_matrices):
+            raise ValueError(f"dump_matrices {self.dump_matrices!r} exists and is not a directory")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -203,8 +207,7 @@ def _run_level(cfg: ExperimentConfig, g, k, omega):
         s = build_space(m, cfg.degree)
         lev = build_level(s, cfg.inner_product, cfg.quad_n, cfg.alpha)
         kappas = {name: kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
-                              lev.A, lev.factor)
-                  for name in cfg.preconds}
+                              lev.factor) for name in cfg.preconds}
     except Exception as exc:
         raise RuntimeError(f"level {k}: {exc}") from exc
     if cfg.dump_matrices:
@@ -264,8 +267,9 @@ _FLAG_FIELDS = {flag[2:]: key for key, flag in _FLAGS.items()}
 
 
 def read_config(path) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment."""
-    out = {}
+    """Flat ``key = value`` file; '#' starts a comment.  A field may be set
+    once, by its name or by its flag's."""
+    out, seen = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -277,6 +281,8 @@ def read_config(path) -> dict:
             field = _FLAG_FIELDS.get(key, key.replace("-", "_"))
             if field not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if seen.setdefault(field, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: {field} already set on line {seen[field]}")
             try:
                 out[field] = _FIELD_TYPES[field](val)
             except ValueError:
@@ -303,9 +309,6 @@ def _add_run_flags(p):
 
 def cmd_run(args):
     cfg = config_from_args(args)
-    out_dir = os.path.dirname(cfg.output)
-    if out_dir and not os.path.isdir(out_dir):
-        raise ValueError(f"output {cfg.output!r}: the directory {out_dir!r} does not exist")
     rows = run_experiment(cfg)
     text = emit_table(rows, cfg.fmt, cfg.output or None, cfg)
     if not cfg.output:
@@ -413,7 +416,7 @@ def _verify_checks():
             for name in names:
                 ends = block_ends(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
                                   lev.factor)
-                k_dense = kappa(_build_precond(name, lev.B, lev.M, lev.D, omega), lev.A, dense)
+                k_dense = kappa(_build_precond(name, lev.B, lev.M, lev.D, omega), dense)
                 worst = max(worst, abs(ends.hi / ends.lo / k_dense - 1))
                 exact, total = exact + ends.tridiagonalized, total + len(lev.factor.blocks)
             sizes = lev.factor.sizes

@@ -174,10 +174,11 @@ def build_dual_basis(s: FeSpace, b: BubbleSet) -> DualBasis:
     return DualBasis(s, b, combo.tocsr(), pairing.tocsr(), lumped)
 
 
-def eval_dual_sum(d: DualBasis, n_samples: int = 1000):
-    """Max deviation of sum_nu phi~_nu from 1, sampled along the curve."""
+def eval_dual_sum(d: DualBasis):
+    """Max deviation of sum_nu phi~_nu from 1, sampled along the curve at
+    about 1000 points, at least 2 per panel."""
     s = d.space
-    per_panel = max(2, -(-n_samples // s.mesh.n_panels))
+    per_panel = max(2, -(-1000 // s.mesh.n_panels))
     xs = np.linspace(0.02, 0.98, per_panel)
     weight = d.combo.sum(axis=1)[s.conn]     # sum over nu of each panel's bubble weights
     theta = d.bubbles.coef @ reference_basis(d.bubbles.degree, xs)

@@ -51,14 +51,21 @@ def reference_basis_deriv(degree: int, x):
 class FeSpace:
     mesh: Mesh
     degree: int
-    conn: np.ndarray        # (n_panels, degree+1) global node ids, left to right
-
-    def __post_init__(self):
-        self.conn.flags.writeable = False
 
     @property
     def ndof(self):
         return self.degree * self.mesh.n_panels
+
+    @cached_property
+    def conn(self) -> np.ndarray:
+        """(n_panels, degree+1) global node ids, left to right, once per
+        space: vertex node i sits at the start of panel i (equivalently the
+        end of panel i-1), then the interior nodes, equispaced in parameter."""
+        P, ell = self.mesh.n_panels, self.degree
+        interior = P + np.arange(P * (ell - 1)).reshape(P, ell - 1)
+        conn = np.column_stack([np.arange(P), interior, (np.arange(P) + 1) % P])
+        conn.flags.writeable = False
+        return conn
 
     @cached_property
     def mirrors(self) -> MirrorGroup:
@@ -71,20 +78,13 @@ class FeSpace:
 
 
 def build_space(m: Mesh, degree: int) -> FeSpace:
-    """Continuous Lagrange space of the given degree on the mesh.
-
-    Vertex node i sits at the start of panel i (equivalently the end of
-    panel i-1); interior nodes are equispaced in parameter.
-    """
+    """Continuous Lagrange space of the given degree on the mesh, its node
+    layout in ``FeSpace.conn``."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    P = m.n_panels
-    if P < 3:
+    if m.n_panels < 3:
         raise ValueError("need at least 3 panels on a closed curve")
-    vertex = np.arange(P)
-    interior = P + np.arange(P * (degree - 1)).reshape(P, degree - 1)
-    conn = np.column_stack([vertex, interior, np.roll(vertex, -1)])
-    return FeSpace(m, degree, conn)
+    return FeSpace(m, degree)
 
 
 # a mirrored panel's end points must land on its image panel's end points to

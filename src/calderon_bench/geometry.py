@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,8 +96,6 @@ class Geometry:
     """Closed curve: charts in cyclic order; chart i's end glues to chart
     (i+1)'s start.  ``corners`` lists the refinement anchor points, each as a
     tuple of (chart, parameter) aliases naming the same curve point.
-    ``chart_scales`` holds each chart's average speed (arc length over
-    parameter length), the per-chart unit used by the mesh grading.
     ``mirror_centre`` is the crossing point of the curve's mirror axes:
     one parallel to each coordinate axis, and on the square and the circle
     also the diagonal through it."""
@@ -104,12 +103,17 @@ class Geometry:
     kind: str
     charts: tuple
     corners: tuple
-    chart_scales: tuple
     mirror_centre: tuple
 
     @property
     def n_charts(self):
         return len(self.charts)
+
+    @cached_property
+    def chart_scales(self) -> tuple:
+        """Each chart's average speed (arc length over parameter length),
+        the per-chart unit used by the mesh grading, once per geometry."""
+        return tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0) for c in self.charts)
 
 
 def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> Geometry:
@@ -152,8 +156,7 @@ def make_geometry(kind: str, scale: float = 0.5, ellipse_ratio: float = 2.0) -> 
             f"diameter {diameter:.4g} > 1: single layer coercivity is not "
             f"guaranteed (logarithmic capacity must stay below 1); reduce scale"
         )
-    scales = tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0) for c in charts)
-    return Geometry(kind, charts, corners, scales, centre)
+    return Geometry(kind, charts, corners, centre)
 
 
 def arc_length(chart, t0: float, t1: float) -> float:
@@ -187,6 +190,7 @@ def _equispaced_corners():
     return tuple(out)
 
 
-def total_length(g: Geometry, tol: float = 1e-13) -> float:
-    """Arc length of the whole curve by adaptive quadrature of the speed."""
-    return sum(adaptive_integrate(c.speed, (c.t0, c.t1), tol=tol) for c in g.charts)
+def total_length(g: Geometry) -> float:
+    """Arc length of the whole curve by adaptive quadrature of the speed, to
+    a relative 1e-13 per chart."""
+    return sum(adaptive_integrate(c.speed, (c.t0, c.t1), tol=1e-13) for c in g.charts)

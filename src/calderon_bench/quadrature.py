@@ -130,12 +130,12 @@ def pair_rule(relation: str, base_n: int) -> PairRule:
 # error estimate until the accumulated estimate meets the relative tolerance
 
 
-def adaptive_integrate(f, box, tol=1e-10, max_pieces=40000):
+def adaptive_integrate(f, box, tol=1e-10):
     """Adaptive integration oracle over an interval ``box = (a, b)``; ``f``
     maps a node array to values.  Bisects the piece with the largest
     embedded-rule (7- against 15-point Gauss) error estimate until the
-    accumulated estimate drops below tol times the integral; suitable for
-    endpoint (integrable) singularities."""
+    accumulated estimate drops below tol times the integral, or the pieces
+    number 40000; suitable for endpoint (integrable) singularities."""
     a, b = box
     g7 = gauss_rule(7)
     g15 = gauss_rule(15)
@@ -149,7 +149,7 @@ def adaptive_integrate(f, box, tol=1e-10, max_pieces=40000):
     val, err = piece(a, b)
     heap = [(-err, 0, a, b, val)]
     total, total_err, counter = val, err, 0
-    while total_err > tol * max(abs(total), 1e-300) and len(heap) < max_pieces:
+    while total_err > tol * max(abs(total), 1e-300) and len(heap) < 40000:
         neg_err, _, a0, b0, v0 = heapq.heappop(heap)
         if -neg_err <= 0:
             break

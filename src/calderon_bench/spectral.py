@@ -449,12 +449,12 @@ def block_ends(F, factor: BlockFactor) -> Ends:
     return Ends(lo, hi, exact)
 
 
-def kappa(F, A: np.ndarray, factor: BlockFactor | None = None) -> float:
+def kappa(F, A: np.ndarray | BlockFactor) -> float:
     """Spectral condition number kappa_S(G A) for G = F^T F and SPD A.
 
-    ``factor`` is a :class:`BlockFactor` of A from :func:`block_factor`;
-    pass it to share one factorization of A across several
-    preconditioners, or omit it to factor A here as one block.  F is
+    A is the SPD matrix, factored here as one block, or its
+    :class:`BlockFactor` from :func:`block_factor`, which shares one
+    factorization of A across several preconditioners.  F is
     either the tuple of its blocks F_k, with Q_k^T G Q_k = F_k^T F_k, in
     the factor's order (the builders of :mod:`precond` return these), or
     one dense F, which is cut here into the blocks F Q_k; a bare SPD G
@@ -465,8 +465,7 @@ def kappa(F, A: np.ndarray, factor: BlockFactor | None = None) -> float:
     Raises NotSPDError when the smallest is not above the rounding of the
     largest, as for a singular F.
     """
-    if factor is None:
-        factor = block_factor(A)
+    factor = A if isinstance(A, BlockFactor) else block_factor(A)
     lo, hi, _ = block_ends(F, factor)
     if not lo > max(factor.sizes) * np.finfo(float).eps * hi:
         raise NotSPDError("preconditioned pencil is not positive definite")

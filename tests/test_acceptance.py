@@ -243,7 +243,7 @@ def test_criterion_08_duals_suite():
         s = corner_space(kind, 2, ell)
         d = build_dual_basis(s, build_bubbles(s))
         bio = np.abs(d.pairing.toarray() - np.diag(d.lumped)).max() / d.lumped.max()
-        pou = eval_dual_sum(d, n_samples=1000)
+        pou = eval_dual_sum(d)
         hold = holding_space(d)
         P = fortin_matrix(d, hold)
         idem = np.abs(P @ P - P).max() / max(np.abs(P).max(), 1.0)

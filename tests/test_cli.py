@@ -667,6 +667,38 @@ def test_output_into_a_missing_directory_fails_before_the_run(tmp_path, monkeypa
         main(["run", "--levels", "1", "--output", str(out)])
 
 
+def test_output_that_is_a_directory_fails_before_the_run(tmp_path, monkeypatch):
+    # the table would be lost to an IsADirectoryError after the whole run
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    with pytest.raises(ValueError, match=re.escape(f"output {str(tmp_path)!r} must name a file")):
+        main(["run", "--levels", "1", "--precond", "lumped", "--output", str(tmp_path)])
+    with pytest.raises(ValueError, match="must name a file"):
+        run_experiment(ExperimentConfig(levels=1, output=str(tmp_path)))
+
+
+def test_dump_into_an_existing_file_fails_before_the_run(tmp_path, monkeypatch):
+    # os.makedirs raised a bare FileExistsError after level 1 was built
+    monkeypatch.setattr(cli, "level_mesh", lambda *args: pytest.fail("a level was built"))
+    dump = tmp_path / "dumps"
+    dump.write_text("")
+    with pytest.raises(ValueError, match=re.escape(repr(str(dump)))):
+        main(["run", "--levels", "1", "--precond", "lumped", "--dump-matrices", str(dump),
+              "--output", str(tmp_path / "t.csv")])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_config_that_sets_a_field_twice_names_both_lines(tmp_path):
+    # the last value won, and since a flag's spelling is a key too, fmt and
+    # format are easy to set twice by accident
+    path = tmp_path / "twice.cfg"
+    path.write_text("format = md\nlevels = 1\nfmt = csv\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: fmt already set on line 1$"):
+        read_config(path)
+    path.write_text("levels = 1\nlevels = 2\n")
+    with pytest.raises(ValueError, match="2: levels already set on line 1"):
+        main(["run", "--config", str(path)])
+
+
 @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf"])
 def test_omega_override_refused_as_unknown(tmp_path, capsys, value):
     # the run takes the reference-element weight: a weight given as a flag,

@@ -149,7 +149,7 @@ def test_biorthogonality(dual_setup):
 
 def test_dual_sum_is_one(dual_setup):
     _, _, _, _, d = dual_setup
-    assert eval_dual_sum(d, n_samples=1000) < 1e-10
+    assert eval_dual_sum(d) < 1e-10
 
 
 def test_dual_support_is_uniformly_local(dual_setup):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calderon_bench.fespace import build_space, reference_basis, reference_basis_deriv
+from calderon_bench.fespace import FeSpace, build_space, reference_basis, reference_basis_deriv
 from calderon_bench.geometry import make_geometry
 from calderon_bench.mesh import corner_schedule, initial_mesh
 
@@ -32,11 +32,23 @@ def test_vertex_nodes_belong_to_two_panels(square_mesh):
         assert np.all(panels_per_node[P:] == 1)
 
 
-@pytest.mark.parametrize("name", ["conn"])
-def test_space_arrays_are_read_only(square_mesh, name):
-    s = build_space(square_mesh, 3)
-    with pytest.raises(ValueError):
-        getattr(s, name)[0] = getattr(s, name)[1]
+def test_space_conn_is_derived_once_and_read_only():
+    # the layout written out panel by panel: vertex node i at the start of
+    # panel i, then the interior nodes of each panel in turn
+    m = corner_schedule(make_geometry("ellipse", 0.5, 2.0), 1)
+    P = m.n_panels
+    for ell in (1, 2, 3):
+        s = build_space(m, ell)
+        layout = [[i] + [P + (ell - 1) * i + a for a in range(ell - 1)] + [(i + 1) % P]
+                  for i in range(P)]
+        assert np.array_equal(s.conn, layout), ell
+        assert s.conn is s.conn
+        with pytest.raises(ValueError):
+            s.conn[0] = s.conn[1]
+        with pytest.raises(AttributeError):
+            s.conn = s.conn.copy()
+    with pytest.raises(TypeError):
+        FeSpace(m, 3, build_space(m, 1).conn)
 
 
 def test_eval_basis_linear_midpoint():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from calderon_bench.geometry import (CoercivityRiskError, EllipticChart, arc_length,
+from calderon_bench.geometry import (CoercivityRiskError, EllipticChart, Geometry, arc_length,
                                      arc_lengths, make_geometry, total_length)
 from calderon_bench.quadrature import gauss_rule
 
@@ -99,6 +99,18 @@ def test_corner_aliases_name_the_same_point():
         for corner in g.corners:
             pts = np.array([g.charts[ci].point(t) for ci, t in corner])
             assert np.allclose(pts, pts[0], atol=1e-12)
+
+
+def test_chart_scales_are_derived_once_from_the_charts():
+    for kind in ("square", "circle", "ellipse"):
+        g = make_geometry(kind, 0.5, 2.0)
+        assert g.chart_scales == tuple(arc_length(c, c.t0, c.t1) / (c.t1 - c.t0)
+                                       for c in g.charts), kind
+        assert g.chart_scales is g.chart_scales
+        with pytest.raises(AttributeError):
+            g.chart_scales = (1.0,) * g.n_charts
+        with pytest.raises(TypeError):
+            Geometry(g.kind, g.charts, g.corners, g.chart_scales, g.mirror_centre)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 0.3, 0.7])

@@ -117,8 +117,8 @@ def test_kappa_with_shared_factor_matches_own_factor():
         C = L.T @ Gi @ L                        # reference: two dense GEMMs
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
         Fi = _factor(Gi)
-        assert kappa(Fi, A, F) == kappa(Fi, A)
-        assert kappa(Fi, A, F) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+        assert kappa(Fi, F) == kappa(Fi, A)
+        assert kappa(Fi, F) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
 
 
 def test_kappa_rejects_indefinite():
@@ -178,7 +178,7 @@ def test_certificate_tridiagonalizes_only_blocks_that_reach_an_end(monkeypatch):
         ends = block_ends(F, factor)
         monkeypatch.undo()
         assert seen == [8] + expected and ends.tridiagonalized == len(seen)
-        assert kappa(F, None, factor) == _exact_kappa(F, factor) == ends.hi / ends.lo
+        assert kappa(F, factor) == _exact_kappa(F, factor) == ends.hi / ends.lo
 
 
 @pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
@@ -192,7 +192,7 @@ def test_certified_kappa_equals_all_blocks_tridiagonalized(monkeypatch, kind, el
     for name in ("lumped", "mass", "richardson:2", "richardson:4", "richardson:6", "jacobi"):
         F = _build_precond(name, lev.B_factors, lev.coupling, lev.d, omega)
         del seen[:]
-        k = kappa(F, lev.A, lev.factor)
+        k = kappa(F, lev.factor)
         assert seen[0] == lev.factor.sizes[0] and len(seen) < len(lev.factor.sizes), name
         assert 120 not in seen, name
         assert k == _exact_kappa(F, lev.factor), name
@@ -222,7 +222,19 @@ def test_block_kappa_matches_dense(kind, ell, inner):
         assert sum(F.sizes) == (3 * n // 4 if kind == "square" else n), k
         dense = block_factor(A)
         for name, Fd in _preconds(B, lev.M, lev.D, ell).items():
-            assert kappa(Fd, A, F) == pytest.approx(kappa(Fd, A, dense), rel=1e-10), (k, name)
+            assert kappa(Fd, F) == pytest.approx(kappa(Fd, dense), rel=1e-10), (k, name)
+
+
+@pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
+                                            ("ellipse", 1, "mesh-averaged")])
+def test_kappa_takes_A_or_its_factor(kind, ell, inner):
+    # A is factored in kappa as one block: its own one-block factor gives
+    # the same kappa to the bit, the mirror blocks' factor the same to rounding
+    lev = corner_level(kind, 3, ell, inner)
+    dense = block_factor(lev.A)
+    for name, Fd in _preconds(lev.B, lev.M, lev.D, ell).items():
+        assert kappa(Fd, dense) == kappa(Fd, lev.A), name
+        assert kappa(Fd, lev.factor) == pytest.approx(kappa(Fd, lev.A), rel=1e-10), name
 
 
 @pytest.mark.parametrize("kind,ell,inner", [("square", 1, "exact"), ("square", 3, "exact"),
@@ -258,7 +270,7 @@ def test_factor_kappa_matches_dense_eigvalsh(kind, ell, inner):
             C = L.T @ (Fd.T @ Fd) @ L
             lam = np.linalg.eigvalsh(0.5 * (C + C.T))
             run = kappa(_build_precond(name, lev.B_factors, lev.coupling, lev.d, omega),
-                        lev.A, lev.factor)
+                        lev.factor)
             assert run == pytest.approx(lam[-1] / lam[0], rel=1e-10), (k, name)
 
 
@@ -266,14 +278,14 @@ def test_kappa_takes_no_full_spectrum(monkeypatch):
     # only the two ends of each block's spectrum are computed
     lev = corner_level("square", 2, 3)
     F = lumped_precond(lev.B_factors, lev.d)
-    expected = kappa(F, lev.A, lev.factor)
+    expected = kappa(F, lev.factor)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a full eigen-solve")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert kappa(F, lev.A, lev.factor) == expected
+    assert kappa(F, lev.factor) == expected
 
 
 @pytest.mark.parametrize("kind,ell,inner", [("square", 3, "exact"),
@@ -324,7 +336,7 @@ def test_block_builds_where_a_panel_straddles_an_axis(kind, n_panels):
         for Fk, (Qt, _) in zip(blocks, F.blocks):
             Gk, ref = Fk.T @ Fk, _two_sided(Fd.T @ Fd, Qt)
             assert np.abs(Gk - ref).max() <= 1e-12 * np.abs(Gk).max(), name
-        assert kappa(blocks, lev.A, F) == pytest.approx(kappa(Fd, lev.A), rel=1e-10), name
+        assert kappa(blocks, F) == pytest.approx(kappa(Fd, lev.A), rel=1e-10), name
 
 
 def test_projected_coupling_is_block_diagonal():
@@ -585,4 +597,4 @@ def test_mesh_without_mirror_takes_single_block():
     F = block_factor(A, s.mirrors)
     assert F.sizes == (s.ndof,)
     Fd = lumped_precond(B, lumped_matrix(s))
-    assert kappa(Fd, A, F) == kappa(Fd, A)
+    assert kappa(Fd, F) == kappa(Fd, A)
